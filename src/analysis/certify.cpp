@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 
 #include "analysis/layout_lints.hpp"
 #include "common/error.hpp"
@@ -19,16 +18,6 @@ namespace {
 
 /** Cap on stored violations; past it only the count grows. */
 constexpr size_t kMaxViolations = 64;
-
-/** One schedule entry, decoded from the JSON trace. */
-struct Entry
-{
-    long long gate = -1; ///< -1 = inserted SWAP
-    Cycles start = 0;
-    Cycles finish = 0;
-    Cycles release = 0;
-    std::vector<VertexId> path;
-};
 
 const json::Value &
 need(const json::Value &doc, const char *key)
@@ -119,8 +108,8 @@ Certificate::toJson() const
     return out;
 }
 
-Certificate
-certifySchedule(const json::Value &doc)
+Schedule
+decodeSchedule(const json::Value &doc)
 {
     if (need(doc, "format").asString() != "autobraid-schedule")
         fatal("not an autobraid-schedule document (format \"%s\")",
@@ -129,60 +118,80 @@ certifySchedule(const json::Value &doc)
         fatal("unsupported autobraid-schedule version %lld",
               needInt(doc, "version"));
 
-    Certificate cert;
-    cert.ok = true;
-    cert.circuit = need(doc, "circuit").asString();
-    cert.policy = need(doc, "policy").asString();
-    cert.backend = need(doc, "backend").asString();
-    const SchedulerBackend backend = parseBackendName(cert.backend);
-
-    const int distance = static_cast<int>(needInt(doc, "distance"));
-    if (distance <= 0)
-        fatal("schedule distance %d is not positive", distance);
-    const int rows = static_cast<int>(needInt(doc, "grid_rows"));
-    const int cols = static_cast<int>(needInt(doc, "grid_cols"));
-    if (rows <= 0 || cols <= 0)
-        fatal("schedule grid %dx%d is degenerate", rows, cols);
-    const int num_qubits =
-        static_cast<int>(needInt(doc, "num_qubits"));
-    if (num_qubits <= 0)
-        fatal("schedule has %d qubits", num_qubits);
-    const Cycles channel_hold =
+    Schedule s;
+    s.circuit = need(doc, "circuit").asString();
+    s.policy = need(doc, "policy").asString();
+    s.backend = need(doc, "backend").asString();
+    s.distance = static_cast<int>(needInt(doc, "distance"));
+    s.grid_rows = static_cast<int>(needInt(doc, "grid_rows"));
+    s.grid_cols = static_cast<int>(needInt(doc, "grid_cols"));
+    s.num_qubits = static_cast<int>(needInt(doc, "num_qubits"));
+    s.channel_hold_cycles =
         static_cast<Cycles>(needInt(doc, "channel_hold_cycles"));
-    const bool used_maslov = need(doc, "used_maslov").asBool();
-    const size_t swaps_inserted =
+    s.used_maslov = need(doc, "used_maslov").asBool();
+    s.swaps_inserted =
         static_cast<size_t>(needInt(doc, "swaps_inserted"));
-    const size_t braids_routed =
-        static_cast<size_t>(needInt(doc, "braids_routed"));
-    cert.makespan = static_cast<Cycles>(needInt(doc, "makespan"));
-
-    CostModel cost;
-    cost.distance = distance;
-
-    // Decode the gate list.
-    std::vector<Gate> gates;
+    s.braids_routed = static_cast<size_t>(needInt(doc, "braids_routed"));
+    s.makespan = static_cast<Cycles>(needInt(doc, "makespan"));
+    for (const json::Value &jv : need(doc, "dead_vertices").asArray())
+        s.dead_vertices.push_back(
+            static_cast<VertexId>(asInt(jv, "dead")));
+    if (const json::Value *placement = doc.find("placement")) {
+        s.placement.emplace();
+        for (const json::Value &jc : placement->asArray())
+            s.placement->push_back(
+                static_cast<CellId>(asInt(jc, "placement")));
+    }
     for (const json::Value &jg : need(doc, "gates").asArray()) {
         Gate g;
         g.kind = kindFromName(need(jg, "kind").asString());
         g.q0 = static_cast<Qubit>(needInt(jg, "q0"));
         g.q1 = static_cast<Qubit>(needInt(jg, "q1"));
-        gates.push_back(g);
+        s.gates.push_back(g);
     }
-    cert.gates = gates.size();
-
-    // Decode the trace.
-    std::vector<Entry> entries;
     for (const json::Value &je : need(doc, "schedule").asArray()) {
         Entry e;
         e.gate = needInt(je, "gate");
         e.start = static_cast<Cycles>(needInt(je, "start"));
         e.finish = static_cast<Cycles>(needInt(je, "finish"));
         e.release = static_cast<Cycles>(needInt(je, "release"));
+        if (const json::Value *a = je.find("swap_a"))
+            e.swap_a = static_cast<Qubit>(asInt(*a, "swap_a"));
+        if (const json::Value *b = je.find("swap_b"))
+            e.swap_b = static_cast<Qubit>(asInt(*b, "swap_b"));
         for (const json::Value &jv : need(je, "path").asArray())
             e.path.push_back(
                 static_cast<VertexId>(asInt(jv, "path")));
-        entries.push_back(std::move(e));
+        s.entries.push_back(std::move(e));
     }
+    return s;
+}
+
+Certificate
+certifySchedule(const Schedule &s)
+{
+    Certificate cert;
+    cert.ok = true;
+    cert.circuit = s.circuit;
+    cert.policy = s.policy;
+    cert.backend = s.backend;
+    const SchedulerBackend backend = parseBackendName(s.backend);
+    if (s.distance <= 0)
+        fatal("schedule distance %d is not positive", s.distance);
+    const int rows = s.grid_rows;
+    const int cols = s.grid_cols;
+    if (rows <= 0 || cols <= 0)
+        fatal("schedule grid %dx%d is degenerate", rows, cols);
+    const int num_qubits = s.num_qubits;
+    if (num_qubits <= 0)
+        fatal("schedule has %d qubits", num_qubits);
+    cert.makespan = s.makespan;
+
+    CostModel cost;
+    cost.distance = s.distance;
+    const std::vector<Gate> &gates = s.gates;
+    const std::vector<Entry> &entries = s.entries;
+    cert.gates = gates.size();
 
     size_t dropped = 0;
     auto violate = [&cert, &dropped](const char *check,
@@ -196,7 +205,8 @@ certifySchedule(const json::Value &doc)
     };
 
     // ---- 1. Window sanity and coverage --------------------------
-    std::map<size_t, const Entry *> by_gate;
+    std::vector<const Entry *> by_gate(gates.size(), nullptr);
+    size_t scheduled = 0;
     size_t swap_entries = 0;
     size_t braid_entries = 0;
     for (size_t i = 0; i < entries.size(); ++i) {
@@ -223,6 +233,13 @@ certifySchedule(const json::Value &doc)
                                   e.finish)));
         if (e.gate < 0) {
             ++swap_entries;
+            if (e.swap_a < 0 || e.swap_a >= num_qubits ||
+                e.swap_b < 0 || e.swap_b >= num_qubits)
+                violate("swap-pair",
+                        strformat("entry %zu: inserted SWAP does not "
+                                  "name a qubit pair of the %d-qubit "
+                                  "register (swap_a %d, swap_b %d)",
+                                  i, num_qubits, e.swap_a, e.swap_b));
             if (e.path.empty())
                 violate("path",
                         strformat("entry %zu: inserted SWAP without "
@@ -239,33 +256,41 @@ certifySchedule(const json::Value &doc)
         }
         if (!e.path.empty())
             ++braid_entries;
-        if (!by_gate.emplace(static_cast<size_t>(e.gate), &e).second)
+        const Entry *&slot = by_gate[static_cast<size_t>(e.gate)];
+        if (slot != nullptr) {
             violate("coverage",
                     strformat("gate %lld scheduled twice", e.gate));
+            continue;
+        }
+        slot = &e;
+        ++scheduled;
     }
-    cert.scheduled = by_gate.size();
+    cert.scheduled = scheduled;
     cert.swaps = swap_entries;
-    const bool complete = by_gate.size() == gates.size();
+    const bool complete = scheduled == gates.size();
     if (!complete)
         violate("coverage",
                 strformat("%zu of %zu gates missing from the "
                           "schedule",
-                          gates.size() - by_gate.size(),
-                          gates.size()));
-    if (swap_entries != swaps_inserted)
+                          gates.size() - scheduled, gates.size()));
+    if (swap_entries != s.swaps_inserted)
         violate("coverage",
                 strformat("schedule has %zu swap entries but the "
                           "header reports %zu",
-                          swap_entries, swaps_inserted));
-    if (complete && !gates.empty() && braid_entries != braids_routed)
+                          swap_entries, s.swaps_inserted));
+    if (complete && !gates.empty() &&
+        braid_entries != s.braids_routed)
         violate("coverage",
                 strformat("schedule has %zu braid entries but the "
                           "header reports %zu routed",
-                          braid_entries, braids_routed));
+                          braid_entries, s.braids_routed));
 
     // ---- 2. Backend-correct durations and makespan --------------
     Cycles last_gate_finish = 0;
-    for (const auto &[g, e] : by_gate) {
+    for (size_t g = 0; g < gates.size(); ++g) {
+        const Entry *e = by_gate[g];
+        if (e == nullptr)
+            continue;
         const Gate &gate = gates[g];
         const Cycles want =
             backendGateDuration(cost, backend, gate);
@@ -326,8 +351,8 @@ certifySchedule(const json::Value &doc)
                 const long long p =
                     last_touch[static_cast<size_t>(q)];
                 if (p >= 0 &&
-                    by_gate.at(g)->start <
-                        by_gate.at(static_cast<size_t>(p))->finish)
+                    by_gate[g]->start <
+                        by_gate[static_cast<size_t>(p)]->finish)
                     violate(
                         "dependence",
                         strformat(
@@ -336,10 +361,10 @@ certifySchedule(const json::Value &doc)
                             "%llu",
                             g,
                             static_cast<unsigned long long>(
-                                by_gate.at(g)->start),
+                                by_gate[g]->start),
                             q, p,
                             static_cast<unsigned long long>(
-                                by_gate.at(static_cast<size_t>(p))
+                                by_gate[static_cast<size_t>(p)]
                                     ->finish)));
                 last_touch[static_cast<size_t>(q)] =
                     static_cast<long long>(g);
@@ -353,8 +378,14 @@ certifySchedule(const json::Value &doc)
     const VertexId nv = static_cast<VertexId>(vrows * vcols);
     const bool contiguous =
         backend != SchedulerBackend::LatticeSurgery;
+    // Occurrence counts of the path under inspection, so the revisit
+    // test is one lookup instead of a rescan of the path.
+    std::vector<uint32_t> occurrences(static_cast<size_t>(nv), 0);
     for (size_t i = 0; i < entries.size(); ++i) {
         const Entry &e = entries[i];
+        for (VertexId v : e.path)
+            if (v >= 0 && v < nv)
+                ++occurrences[static_cast<size_t>(v)];
         for (size_t k = 0; k < e.path.size(); ++k) {
             const VertexId v = e.path[k];
             if (v < 0 || v >= nv) {
@@ -376,7 +407,7 @@ certifySchedule(const json::Value &doc)
                     break;
                 }
             }
-            if (std::count(e.path.begin(), e.path.end(), v) != 1) {
+            if (occurrences[static_cast<size_t>(v)] != 1) {
                 violate("path",
                         strformat("entry %zu: path revisits vertex "
                                   "%d",
@@ -384,6 +415,9 @@ certifySchedule(const json::Value &doc)
                 break;
             }
         }
+        for (VertexId v : e.path)
+            if (v >= 0 && v < nv)
+                occurrences[static_cast<size_t>(v)] = 0;
     }
 
     // ---- 5. Per-instant vertex disjointness ---------------------
@@ -452,27 +486,18 @@ certifySchedule(const json::Value &doc)
     // initial placement. Sound only for swap-free braiding runs
     // (a relocated or Maslov-rewritten circuit no longer crosses
     // the same cut lines), mirroring ReportPass's gating.
-    std::vector<VertexId> dead;
-    for (const json::Value &jv : need(doc, "dead_vertices").asArray())
-        dead.push_back(static_cast<VertexId>(asInt(jv, "dead")));
-    const json::Value *placement = doc.find("placement");
     if (backend == SchedulerBackend::Braiding &&
-        swaps_inserted == 0 && !used_maslov && placement) {
+        s.swaps_inserted == 0 && !s.used_maslov && s.placement) {
         const Grid grid(rows, cols);
-        const json::Array &cells = placement->asArray();
-        if (cells.size() != static_cast<size_t>(num_qubits))
+        const std::vector<CellId> &cell_of = *s.placement;
+        if (cell_of.size() != static_cast<size_t>(num_qubits))
             fatal("schedule placement has %zu entries for %d qubits",
-                  cells.size(), num_qubits);
-        std::vector<CellId> cell_of;
-        for (const json::Value &jc : cells) {
-            const auto cid =
-                static_cast<CellId>(asInt(jc, "placement"));
+                  cell_of.size(), num_qubits);
+        for (const CellId cid : cell_of)
             if (cid < 0 || cid >= grid.numCells())
                 fatal("schedule placement cell id %d outside the "
                       "%dx%d grid",
                       cid, rows, cols);
-            cell_of.push_back(cid);
-        }
         std::vector<CxTask> tasks;
         for (size_t g = 0; g < gates.size(); ++g) {
             const Gate &gate = gates[g];
@@ -490,8 +515,8 @@ certifySchedule(const json::Value &doc)
         }
         cert.channel_bound =
             lint::channelCapacityBound(
-                grid, dead, tasks,
-                lint::effectiveHold(cost, channel_hold))
+                grid, s.dead_vertices, tasks,
+                lint::effectiveHold(cost, s.channel_hold_cycles))
                 .bound;
     }
 
@@ -522,7 +547,9 @@ certifySchedule(const json::Value &doc)
 Certificate
 certifyScheduleText(const std::string &text)
 {
-    return certifySchedule(json::parse(text));
+    // The parsed tree dies here, before the rules allocate their maps.
+    const Schedule schedule = decodeSchedule(json::parse(text));
+    return certifySchedule(schedule);
 }
 
 } // namespace certify

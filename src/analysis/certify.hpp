@@ -1,37 +1,82 @@
 /**
  * @file
- * Independent schedule certifier.
+ * Independent schedule certifier — the one checker of the scheduling
+ * rules.
  *
- * Consumes a format=autobraid-schedule v1 document (see
- * src/sched/schedule_export.hpp and docs/observability.md) and
- * re-verifies it against a deliberately separate implementation of
- * the scheduling semantics: per-qubit dependence chains instead of
- * the scheduler's Dag, a naive per-vertex interval occupancy map
- * instead of BlockedBitset, and path geometry recomputed from raw
- * vertex-id arithmetic. Every certificate also pins two makespan
- * lower bounds — the dependence-chain critical path and the AB202
- * channel-capacity bound — so each certified schedule carries an
- * optimality-gap ratio (ROADMAP open item 3).
+ * A format=autobraid-schedule v1 document (see
+ * src/sched/schedule_export.hpp and docs/observability.md) reaches the
+ * rules as a plain Schedule value through one of two front ends: the
+ * JSON decoder below (tools/autobraid_certify, certifyScheduleText) or
+ * the in-memory builder scheduleDocument() beside the exporter
+ * (validateSchedule, the compiler's ValidatePass, the fuzz oracle).
+ * Both yield the same value for the same schedule, so both produce
+ * the same certificate.
+ *
+ * The rules are a deliberately separate implementation of the
+ * scheduling semantics: per-qubit dependence chains instead of the
+ * scheduler's Dag, a naive per-vertex interval occupancy map instead
+ * of BlockedBitset, and path geometry recomputed from raw vertex-id
+ * arithmetic. Every certificate also pins two makespan lower bounds —
+ * the dependence-chain critical path and the AB202 channel-capacity
+ * bound — so each certified schedule carries an optimality-gap ratio.
  *
  * The certifier never trusts the producing binary: a shared defect
  * in, e.g., the blocked-mask bookkeeping or a backend duration table
  * shows up here as a violation. tools/autobraid_certify wraps this
- * as a CLI (exit 1 on any violation); the differential fuzzer runs
- * it in-process as an oracle over every scheduled policy run.
+ * as a CLI (exit 1 on any violation).
  */
 
 #ifndef AUTOBRAID_ANALYSIS_CERTIFY_HPP
 #define AUTOBRAID_ANALYSIS_CERTIFY_HPP
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "circuit/dag.hpp"
 #include "circuit/gate.hpp"
 #include "common/json.hpp"
+#include "lattice/geometry.hpp"
 
 namespace autobraid {
 namespace certify {
+
+/** One schedule entry: a gate's window, or an inserted SWAP's. */
+struct Entry
+{
+    long long gate = -1;     ///< index into Schedule::gates; -1 = SWAP
+    Cycles start = 0;
+    Cycles finish = 0;
+    Cycles release = 0;      ///< when the path's vertices free up
+    Qubit swap_a = kNoQubit; ///< inserted SWAP's pair (absent: kNoQubit)
+    Qubit swap_b = kNoQubit;
+    std::vector<VertexId> path; ///< braid path or merge region
+};
+
+/**
+ * An autobraid-schedule v1 document as plain values: exactly the
+ * document's fields, nothing derived. Gates carry kind and operands
+ * only.
+ */
+struct Schedule
+{
+    std::string circuit;
+    std::string policy;
+    std::string backend; ///< "braiding" | "surgery"
+    int distance = 0;
+    int grid_rows = 0;
+    int grid_cols = 0;
+    int num_qubits = 0;
+    Cycles channel_hold_cycles = 0;
+    bool used_maslov = false;
+    size_t swaps_inserted = 0;
+    size_t braids_routed = 0;
+    Cycles makespan = 0;
+    std::vector<VertexId> dead_vertices;
+    std::optional<std::vector<CellId>> placement; ///< qubit -> cell id
+    std::vector<Gate> gates;
+    std::vector<Entry> entries;
+};
 
 /** One failed check. */
 struct Violation
@@ -69,6 +114,10 @@ struct Certificate
     /** makespan / lower_bound; 0 when the lower bound is 0. */
     double optimality_gap = 0;
 
+    /**
+     * At most 64 stored; past that one final "truncated" entry counts
+     * the suppressed rest.
+     */
     std::vector<Violation> violations;
 
     /** format=autobraid-certificate v1 JSON. */
@@ -76,13 +125,19 @@ struct Certificate
 };
 
 /**
- * Certify a parsed autobraid-schedule document. Structural problems
- * (wrong format/version, missing or mistyped fields) raise UserError;
+ * Decode a parsed autobraid-schedule document. Wrong format/version,
+ * missing or mistyped fields and unknown gate kinds raise UserError.
+ */
+Schedule decodeSchedule(const json::Value &doc);
+
+/**
+ * Run every rule over @p schedule. Structural problems (unknown
+ * backend, degenerate grid, malformed placement) raise UserError;
  * semantic violations land in Certificate::violations with ok=false.
  */
-Certificate certifySchedule(const json::Value &doc);
+Certificate certifySchedule(const Schedule &schedule);
 
-/** Parse @p text as JSON and certify it. */
+/** Parse @p text as JSON, decode it and certify it. */
 Certificate certifyScheduleText(const std::string &text);
 
 } // namespace certify

@@ -8,7 +8,7 @@
  * stays below ab_sched in the link order. They are advisories (Note
  * severity): a finding means "the schedule is provably improvable or
  * suspicious", never "the schedule is wrong" — correctness is the
- * validator's and certifier's job.
+ * certifier's job.
  *
  *  - AB401 optimality gap: makespan exceeds the certified lower bound
  *    (critical path vs. channel capacity) by more than a threshold.

@@ -42,12 +42,6 @@ compileCircuit(const Circuit &circuit, const CompileOptions &options)
     return runPassPipeline(circuit, options, passes);
 }
 
-CompileReport
-compilePipeline(const Circuit &circuit, const CompileOptions &options)
-{
-    return compileCircuit(circuit, options);
-}
-
 std::vector<std::pair<double, CompileReport>>
 sweepPThreshold(const Circuit &circuit, CompileOptions options,
                 const std::vector<double> &thresholds)

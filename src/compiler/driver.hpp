@@ -4,10 +4,7 @@
  *
  * compileCircuit() validates the options, assembles the standard pass
  * pipeline (PassManager::standardPipeline), and runs it; for custom
- * pipelines use runPassPipeline() with your own PassManager. The
- * legacy compilePipeline() name is kept as a thin compatibility shim
- * over compileCircuit() so pre-pass-manager call sites and published
- * numbers stay reproducible.
+ * pipelines use runPassPipeline() with your own PassManager.
  */
 
 #ifndef AUTOBRAID_COMPILER_DRIVER_HPP
@@ -34,13 +31,6 @@ CompileReport compileCircuit(const Circuit &circuit,
 CompileReport runPassPipeline(const Circuit &circuit,
                               const CompileOptions &options,
                               const PassManager &passes);
-
-/**
- * Legacy entry point; identical to compileCircuit(). Kept so existing
- * call sites and the paper-reproduction numbers remain stable.
- */
-CompileReport compilePipeline(const Circuit &circuit,
-                              const CompileOptions &options);
 
 /**
  * The paper's p-sensitivity sweep: compile with AutobraidFull at each

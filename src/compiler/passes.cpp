@@ -112,14 +112,9 @@ ValidatePass::run(CompileContext &ctx)
 {
     if (ctx.report.result.trace.empty())
         return;
-    // Endpoint anchoring is only checkable while the placement is
-    // static; once SWAPs moved qubits the per-gate tile locations at
-    // issue time are not reconstructible from the final placement.
-    const Grid *grid = nullptr;
-    if (ctx.report.result.swaps_inserted == 0 && ctx.grid)
-        grid = &*ctx.grid;
     const ValidationReport v = validateSchedule(
-        *ctx.circuit, ctx.report.result, ctx.options.cost, grid);
+        *ctx.circuit, ctx.report.result, ctx.options.cost,
+        ctx.grid ? &*ctx.grid : nullptr);
     ctx.bump("validation_errors",
              static_cast<long>(v.errors.size()));
     for (const std::string &e : v.errors)

@@ -10,8 +10,8 @@
  *     comparison run for AutobraidFull (stage 3).
  *  4. MaslovFallbackPass — swap-network alternative on all-to-all
  *     coupling patterns (paper §3.3.2).
- *  5. ValidatePass — replays a recorded trace through the schedule
- *     validator and files diagnostics.
+ *  5. ValidatePass — runs the certifier's rules over a recorded trace
+ *     (validateSchedule) and files diagnostics.
  *  6. ReportPass — surfaces the schedule metrics as pass counters.
  *
  * PassManager::standardPipeline() assembles them in this order.

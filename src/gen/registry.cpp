@@ -1,6 +1,9 @@
 #include "gen/registry.hpp"
 
+#include <limits>
+
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/text.hpp"
 #include "gen/adder.hpp"
 #include "gen/bv.hpp"
@@ -20,18 +23,16 @@ namespace autobraid {
 namespace gen {
 namespace {
 
+/** Field @p idx of the spec as an int: the whole field, no junk. */
 int
 argAsInt(const std::vector<std::string> &fields, size_t idx,
          int fallback)
 {
     if (idx >= fields.size())
         return fallback;
-    try {
-        return std::stoi(fields[idx]);
-    } catch (const std::exception &) {
-        fatal("benchmark spec: '%s' is not an integer",
-              fields[idx].c_str());
-    }
+    return parseCheckedIntFlag(fields[idx], "a benchmark spec field",
+                               std::numeric_limits<int>::min(),
+                               std::numeric_limits<int>::max());
 }
 
 } // namespace

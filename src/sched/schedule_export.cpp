@@ -6,13 +6,37 @@
 
 namespace autobraid {
 
+namespace {
+
+/** Document gate index: an inserted SWAP (kNoGate) becomes -1. */
+long long
+documentGate(const TraceEntry &e)
+{
+    return e.gate == kNoGate ? -1LL : static_cast<long long>(e.gate);
+}
+
+/** Document release: 0 (never set) means the channel frees at finish. */
+Cycles
+documentRelease(const TraceEntry &e)
+{
+    return e.channel_release > 0 ? e.channel_release : e.finish;
+}
+
+void
+requireInfo(const ScheduleExportInfo &info)
+{
+    require(info.circuit != nullptr,
+            "schedule export: circuit is required");
+    require(info.grid != nullptr, "schedule export: grid is required");
+}
+
+} // namespace
+
 std::string
 scheduleToJson(const ScheduleExportInfo &info,
                const ScheduleResult &result)
 {
-    require(info.circuit != nullptr,
-            "scheduleToJson: circuit is required");
-    require(info.grid != nullptr, "scheduleToJson: grid is required");
+    requireInfo(info);
     const Circuit &circuit = *info.circuit;
     const Grid &grid = *info.grid;
 
@@ -74,17 +98,12 @@ scheduleToJson(const ScheduleExportInfo &info,
     out += "  \"schedule\": [\n";
     for (size_t i = 0; i < result.trace.size(); ++i) {
         const TraceEntry &e = result.trace[i];
-        // kNoGate (inserted SWAP) exports as gate -1.
         out += strformat(
             "    {\"gate\": %lld, \"start\": %llu, "
             "\"finish\": %llu, \"release\": %llu",
-            e.gate == kNoGate ? -1LL
-                              : static_cast<long long>(e.gate),
-            static_cast<unsigned long long>(e.start),
+            documentGate(e), static_cast<unsigned long long>(e.start),
             static_cast<unsigned long long>(e.finish),
-            static_cast<unsigned long long>(
-                e.channel_release > 0 ? e.channel_release
-                                      : e.finish));
+            static_cast<unsigned long long>(documentRelease(e)));
         if (e.swap_a != kNoQubit || e.swap_b != kNoQubit)
             out += strformat(", \"swap_a\": %d, \"swap_b\": %d",
                              e.swap_a, e.swap_b);
@@ -102,6 +121,47 @@ scheduleToJson(const ScheduleExportInfo &info,
     out += "  ]\n";
     out += "}\n";
     return out;
+}
+
+certify::Schedule
+scheduleDocument(const ScheduleExportInfo &info,
+                 const ScheduleResult &result)
+{
+    requireInfo(info);
+    const Circuit &circuit = *info.circuit;
+    certify::Schedule s;
+    s.circuit = circuit.name();
+    s.policy = policyName(info.policy);
+    s.backend = backendCliName(result.backend);
+    s.distance = info.distance;
+    s.grid_rows = info.grid->rows();
+    s.grid_cols = info.grid->cols();
+    s.num_qubits = circuit.numQubits();
+    s.channel_hold_cycles = info.channel_hold_cycles;
+    s.used_maslov = info.used_maslov;
+    s.swaps_inserted = result.swaps_inserted;
+    s.braids_routed = result.braids_routed;
+    s.makespan = result.makespan;
+    s.dead_vertices = info.dead_vertices;
+    if (info.placement) {
+        s.placement.emplace();
+        for (Qubit q = 0; q < circuit.numQubits(); ++q)
+            s.placement->push_back(info.placement->cellIdOf(q));
+    }
+    s.gates.reserve(circuit.size());
+    for (const Gate &gate : circuit.gates()) {
+        Gate g; // the document carries kind and operands only
+        g.kind = gate.kind;
+        g.q0 = gate.q0;
+        g.q1 = gate.q1;
+        s.gates.push_back(g);
+    }
+    s.entries.reserve(result.trace.size());
+    for (const TraceEntry &e : result.trace)
+        s.entries.push_back(certify::Entry{
+            documentGate(e), e.start, e.finish, documentRelease(e),
+            e.swap_a, e.swap_b, e.path.vertices});
+    return s;
 }
 
 } // namespace autobraid

@@ -10,6 +10,11 @@
  * The export is self-contained by design: tools/autobraid_certify
  * consumes it through src/common/json without linking the scheduler.
  * Schema documented in docs/observability.md.
+ *
+ * This file is the one place that maps a ScheduleResult into that
+ * document, as text (scheduleToJson) or as the certifier's in-memory
+ * certify::Schedule (scheduleDocument): an inserted SWAP becomes gate
+ * -1 and a channel release of 0 becomes the entry's finish.
  */
 
 #ifndef AUTOBRAID_SCHED_SCHEDULE_EXPORT_HPP
@@ -18,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/certify.hpp"
 #include "place/placement.hpp"
 #include "sched/metrics.hpp"
 #include "sched/policy.hpp"
@@ -53,6 +59,14 @@ struct ScheduleExportInfo
  */
 std::string scheduleToJson(const ScheduleExportInfo &info,
                            const ScheduleResult &result);
+
+/**
+ * The same document as plain values, for certifying without a text
+ * round trip: equal, field for field, to decoding scheduleToJson()'s
+ * output with certify::decodeSchedule().
+ */
+certify::Schedule scheduleDocument(const ScheduleExportInfo &info,
+                                   const ScheduleResult &result);
 
 } // namespace autobraid
 

@@ -1,9 +1,10 @@
 #include "sched/validator.hpp"
 
-#include <algorithm>
-#include <map>
+#include <optional>
 
-#include "common/text.hpp"
+#include "analysis/certify.hpp"
+#include "circuit/circuit.hpp"
+#include "sched/schedule_export.hpp"
 
 namespace autobraid {
 
@@ -28,228 +29,30 @@ ValidationReport::toString() const
 
 ValidationReport
 validateSchedule(const Circuit &circuit, const ScheduleResult &result,
-                 const CostModel &cost, const Grid *grid,
-                 size_t max_errors)
+                 const CostModel &cost, const Grid *grid)
 {
     ValidationReport report;
-    // Failures past max_errors still flip `ok` but are counted instead
-    // of stored; a summary entry is appended at the end so a truncated
-    // report is never mistaken for a single-defect one.
-    size_t suppressed = 0;
-    auto fail = [&report, &suppressed, max_errors](std::string msg) {
-        if (report.errors.size() < max_errors)
-            report.fail(std::move(msg));
-        else {
-            report.ok = false;
-            ++suppressed;
-        }
-    };
-    auto finish = [&report, &suppressed]() -> ValidationReport {
-        if (suppressed > 0)
-            report.errors.push_back(
-                strformat("... suppressed %zu additional errors",
-                          suppressed));
-        return std::move(report);
-    };
-
     if (!result.valid) {
-        fail("result is marked invalid");
-        return finish();
+        report.fail("result is marked invalid");
+        return report;
     }
     if (result.trace.empty()) {
-        fail("no trace recorded; enable SchedulerConfig::record_trace");
-        return finish();
+        report.fail(
+            "no trace recorded; enable SchedulerConfig::record_trace");
+        return report;
     }
-
-    // 1. Coverage: every gate exactly once; swaps accounted. Time
-    //    windows must be ordered *before* anything subtracts them:
-    //    finish - start on Cycles (uint64_t) wraps to a huge bogus
-    //    duration when a buggy trace has finish < start.
-    std::map<GateIdx, const TraceEntry *> by_gate;
-    size_t swap_entries = 0;
-    size_t braid_entries = 0;
-    for (size_t i = 0; i < result.trace.size(); ++i) {
-        const TraceEntry &e = result.trace[i];
-        if (e.finish < e.start)
-            fail(strformat("trace entry %zu: finish %llu precedes "
-                           "start %llu",
-                           i,
-                           static_cast<unsigned long long>(e.finish),
-                           static_cast<unsigned long long>(e.start)));
-        if (e.channel_release > 0 &&
-            (e.channel_release > e.finish ||
-             e.channel_release < e.start))
-            fail(strformat("trace entry %zu: channel release %llu "
-                           "outside window [%llu, %llu]",
-                           i,
-                           static_cast<unsigned long long>(
-                               e.channel_release),
-                           static_cast<unsigned long long>(e.start),
-                           static_cast<unsigned long long>(e.finish)));
-        if (e.gate != kNoGate && !e.path.empty())
-            ++braid_entries;
-        if (e.gate == kNoGate) {
-            ++swap_entries;
-            if (e.swap_a == kNoQubit || e.swap_b == kNoQubit)
-                fail("swap entry without qubit pair");
-            if (e.path.empty())
-                fail("swap entry without a braiding path");
-            continue;
-        }
-        if (e.gate >= circuit.size()) {
-            fail(strformat("trace references gate %zu beyond circuit "
-                           "size %zu",
-                           e.gate, circuit.size()));
-            continue;
-        }
-        if (!by_gate.emplace(e.gate, &e).second)
-            fail(strformat("gate %zu scheduled twice", e.gate));
-    }
-    if (by_gate.size() != circuit.size())
-        fail(strformat("%zu of %zu gates missing from the trace",
-                       circuit.size() - by_gate.size(),
-                       circuit.size()));
-    if (swap_entries != result.swaps_inserted)
-        fail(strformat("trace has %zu swap entries but result reports "
-                       "%zu",
-                       swap_entries, result.swaps_inserted));
-
-    // 2. Durations and makespan. Expected durations depend on the
-    //    backend that produced the schedule (lattice surgery charges
-    //    2d cycles per CX instead of the 2d+2 braid window).
-    Cycles last_gate_finish = 0;
-    for (const auto &[g, e] : by_gate) {
-        const Gate &gate = circuit.gate(g);
-        const Cycles want =
-            backendGateDuration(cost, result.backend, gate);
-        last_gate_finish = std::max(last_gate_finish, e->finish);
-        if (e->finish < e->start)
-            continue; // already reported; subtraction would wrap
-        if (e->finish - e->start != want)
-            fail(strformat("gate %zu (%s): duration %llu, expected "
-                           "%llu",
-                           g, gate.toString().c_str(),
-                           static_cast<unsigned long long>(
-                               e->finish - e->start),
-                           static_cast<unsigned long long>(want)));
-        if (e->finish > result.makespan)
-            fail(strformat("gate %zu finishes at %llu past makespan "
-                           "%llu",
-                           g,
-                           static_cast<unsigned long long>(e->finish),
-                           static_cast<unsigned long long>(
-                               result.makespan)));
-        if (needsBraid(gate.kind) && e->path.empty())
-            fail(strformat("braid gate %zu has no path", g));
-    }
-    // When the trace is complete these counters must agree exactly:
-    // the makespan is defined as the last gate retirement (swap
-    // entries may legitimately finish later), and every routed braid
-    // leaves exactly one gate entry carrying a path.
-    if (by_gate.size() == circuit.size() && !circuit.empty()) {
-        if (last_gate_finish != result.makespan)
-            fail(strformat("last gate finishes at %llu but makespan "
-                           "is %llu",
-                           static_cast<unsigned long long>(
-                               last_gate_finish),
-                           static_cast<unsigned long long>(
-                               result.makespan)));
-        if (braid_entries != result.braids_routed)
-            fail(strformat("trace has %zu braid entries but result "
-                           "reports %zu routed",
-                           braid_entries, result.braids_routed));
-    }
-
-    // 3. Dependence order.
-    if (by_gate.size() == circuit.size()) {
-        const Dag dag(circuit);
-        for (GateIdx g = 0; g < circuit.size(); ++g)
-            for (GateIdx p : dag.preds(g))
-                if (by_gate.at(g)->start < by_gate.at(p)->finish)
-                    fail(strformat("gate %zu starts at %llu before "
-                                   "predecessor %zu finishes at %llu",
-                                   g,
-                                   static_cast<unsigned long long>(
-                                       by_gate.at(g)->start),
-                                   p,
-                                   static_cast<unsigned long long>(
-                                       by_gate.at(p)->finish)));
-    }
-
-    // 4. Path well-formedness (geometry only; endpoint anchoring needs
-    //    per-issue placements, so only adjacency/simplicity is checked
-    //    unless the caller knows the layout was static). A lattice-
-    //    surgery trace records merge *regions* — bus path plus the
-    //    operand tiles' live corners, which need not be contiguous —
-    //    so only bounds and simplicity apply there.
-    if (grid != nullptr) {
-        const bool contiguous =
-            result.backend != SchedulerBackend::LatticeSurgery;
-        for (const TraceEntry &e : result.trace) {
-            if (e.path.empty())
-                continue;
-            for (size_t i = 0; i < e.path.vertices.size(); ++i) {
-                const VertexId v = e.path.vertices[i];
-                if (v < 0 || v >= grid->numVertices()) {
-                    fail(strformat("path vertex id %d out of range",
-                                   v));
-                    break;
-                }
-                if (contiguous && i > 0) {
-                    const Vertex a =
-                        grid->vertex(e.path.vertices[i - 1]);
-                    const Vertex b = grid->vertex(v);
-                    if (a.dist(b) != 1) {
-                        fail(strformat("path hop %s -> %s is not a "
-                                       "unit channel segment",
-                                       a.toString().c_str(),
-                                       b.toString().c_str()));
-                        break;
-                    }
-                }
-                if (std::count(e.path.vertices.begin(),
-                               e.path.vertices.end(), v) != 1) {
-                    fail("path revisits a vertex");
-                    break;
-                }
-            }
-        }
-    }
-
-    // 5. Temporally overlapping braids must be vertex-disjoint.
-    std::vector<const TraceEntry *> braids;
-    for (const TraceEntry &e : result.trace)
-        if (!e.path.empty())
-            braids.push_back(&e);
-    std::sort(braids.begin(), braids.end(),
-              [](const TraceEntry *a, const TraceEntry *b) {
-                  return a->start < b->start;
-              });
-    // The channel is held until channel_release (== finish for
-    // braiding; earlier in teleportation mode; 0 in hand-built traces
-    // means "use finish").
-    auto release = [](const TraceEntry &e) {
-        return e.channel_release > 0 ? e.channel_release : e.finish;
-    };
-    for (size_t i = 0; i < braids.size(); ++i) {
-        for (size_t j = i + 1; j < braids.size(); ++j) {
-            const TraceEntry &a = *braids[i];
-            const TraceEntry &b = *braids[j];
-            if (b.start >= release(a))
-                break; // sorted by start: no later overlap either
-            for (VertexId va : a.path.vertices) {
-                if (std::find(b.path.vertices.begin(),
-                              b.path.vertices.end(),
-                              va) != b.path.vertices.end()) {
-                    fail(strformat(
-                        "braids overlapping in time share vertex %d",
-                        va));
-                    break;
-                }
-            }
-        }
-    }
-    return finish();
+    std::optional<Grid> fallback;
+    if (grid == nullptr)
+        grid = &fallback.emplace(Grid::forQubits(circuit.numQubits()));
+    ScheduleExportInfo info;
+    info.circuit = &circuit;
+    info.grid = grid;
+    info.distance = cost.distance;
+    const certify::Certificate cert =
+        certify::certifySchedule(scheduleDocument(info, result));
+    for (const certify::Violation &v : cert.violations)
+        report.fail(v.toString());
+    return report;
 }
 
 } // namespace autobraid

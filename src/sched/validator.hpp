@@ -1,17 +1,19 @@
 /**
  * @file
- * Schedule validation.
+ * Schedule validation: the library front end of the certifier.
  *
- * Checks a traced schedule against the surface-code braiding rules:
- * every gate scheduled exactly once, time windows ordered (finish >=
- * start) with channel releases inside them, durations consistent with
- * the cost model, the reported makespan and braid count exact,
- * dependence order respected, braid paths well-formed and anchored at
- * the operand tiles' corners, and temporally overlapping braids
- * vertex-disjoint. Downstream users can run any third-party schedule
- * through this before trusting it; the test suite and the
- * differential fuzz harness (src/testing/) run every scheduler mode
- * through it.
+ * validateSchedule() checks two preconditions — the result is valid
+ * and carries a trace — then maps the trace into the certifier's
+ * in-memory schedule document (sched/schedule_export) and runs the
+ * certifier's rules (analysis/certify): every gate scheduled exactly
+ * once, ordered time windows with channel releases inside them,
+ * backend-correct durations, the reported makespan and braid count
+ * exact, inserted SWAPs naming their qubit pair, dependence order,
+ * path geometry, and temporally overlapping holds vertex-disjoint.
+ * No checker verifies that a path is anchored at its operand tiles'
+ * corners (docs/scheduler.md lists it as unchecked). The test suite,
+ * the compiler's ValidatePass and the differential fuzz harness
+ * (src/testing/) run every scheduler mode through it.
  */
 
 #ifndef AUTOBRAID_SCHED_VALIDATOR_HPP
@@ -39,23 +41,17 @@ struct ValidationReport
 };
 
 /**
- * Validate @p result against @p circuit under @p cost.
- *
- * The trace must be present (SchedulerConfig::record_trace). Endpoint
- * anchoring is only checked when @p grid is non-null; pass null when
- * the placement changed dynamically (SWAP insertion) and per-gate tile
- * locations at issue time are not reconstructible.
- *
- * @param max_errors store at most this many failure messages. Later
- *        failures still flip `ok` and are tallied in a final
- *        "... suppressed N additional errors" entry so a truncated
- *        report is never mistaken for an exhaustive one.
+ * Validate @p result against @p circuit under @p cost on @p grid; a
+ * null @p grid means Grid::forQubits(circuit.numQubits()), the grid
+ * compileCircuit() uses. The trace must be present
+ * (SchedulerConfig::record_trace). Each error is one certifier
+ * violation ("check: message"); past the certifier's cap a final
+ * "truncated" entry counts the suppressed rest.
  */
 ValidationReport validateSchedule(const Circuit &circuit,
                                   const ScheduleResult &result,
                                   const CostModel &cost,
-                                  const Grid *grid = nullptr,
-                                  size_t max_errors = 32);
+                                  const Grid *grid = nullptr);
 
 } // namespace autobraid
 

@@ -4,7 +4,6 @@
 
 #include "common/text.hpp"
 #include "telemetry/telemetry.hpp"
-#include "viz/json.hpp"
 
 namespace autobraid {
 namespace telemetry {
@@ -32,7 +31,7 @@ metaEvent(int pid, int tid, const char *what, const std::string &name)
     if (tid >= 0)
         ev += strformat("\"tid\":%d,", tid);
     ev += strformat("\"args\":{\"name\":\"%s\"}}",
-                    viz::jsonEscape(name).c_str());
+                    jsonEscape(name).c_str());
     return ev;
 }
 
@@ -133,7 +132,7 @@ chromeTraceJson(const CompileReport &report, const CostModel &cost)
                           "\"cat\":\"span\",\"name\":\"%s\","
                           "\"ts\":%.3f,\"dur\":%.3f}",
                           kCompilerPid, s.tid,
-                          viz::jsonEscape(s.name).c_str(), s.start_us,
+                          jsonEscape(s.name).c_str(), s.start_us,
                           s.dur_us));
         }
     }
@@ -150,7 +149,7 @@ chromeTraceJson(const CompileReport &report, const CostModel &cost)
                           "\"cat\":\"pass\",\"name\":\"pass.%s\","
                           "\"ts\":%.3f,\"dur\":%.3f}",
                           kCompilerPid,
-                          viz::jsonEscape(t.pass).c_str(), ts, dur));
+                          jsonEscape(t.pass).c_str(), ts, dur));
             ts += dur;
         }
     }
@@ -179,7 +178,7 @@ chromeTraceJson(const CompileReport &report, const CostModel &cost)
             "{\"ph\":\"X\",\"pid\":%d,\"tid\":%zu,\"cat\":\"%s\","
             "\"name\":\"%s\",\"ts\":%.3f,\"dur\":%.3f",
             kSchedulePid, track + 1, cat,
-            viz::jsonEscape(name).c_str(), cost.micros(e.start),
+            jsonEscape(name).c_str(), cost.micros(e.start),
             cost.micros(e.finish - e.start));
         if (!e.path.empty())
             ev += strformat(",\"args\":{\"path_vertices\":%zu,"

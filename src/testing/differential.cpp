@@ -117,20 +117,21 @@ policyLabel(const FuzzCase &c, SchedulerPolicy policy)
 }
 
 /**
- * Export -> certify round-trip oracle: serialize the run's trace as an
- * autobraid-schedule v1 document and push it through the independent
- * certifier. A schedule the strengthened validator already accepted
- * must always come back CERTIFIED; a rejection means the scheduler,
- * the exporter, and the certifier disagree about the schedule's
- * semantics. No placement is embedded (compileCircuit keeps it
- * internal), so the AB202 channel bound is simply not recomputed here;
- * the per-qubit critical-path lower bound still is, and still must not
- * exceed the achieved makespan.
+ * Certifier oracle: certify the run's schedule in memory
+ * (scheduleDocument -> certifySchedule) and require a clean
+ * certificate, then push the same schedule through the text front end
+ * (scheduleToJson -> certifyScheduleText) and require a byte-identical
+ * certificate. A rejection means the scheduler and the certifier
+ * disagree about the schedule's semantics; a mismatch means the two
+ * front ends disagree about the document. No placement is embedded
+ * (compileCircuit keeps it internal), so the AB202 channel bound is
+ * not recomputed here; the per-qubit critical-path lower bound still
+ * is, and still must not exceed the achieved makespan.
  */
 void
-checkCertifyOracle(const FuzzCase &c, const char *name,
-                   SchedulerPolicy policy, const CompileReport &report,
-                   std::vector<std::string> &failures)
+checkCertificate(const FuzzCase &c, const char *name,
+                 SchedulerPolicy policy, const CompileReport &report,
+                 std::vector<std::string> &failures)
 {
     auto fail = [&failures, &c, name](const std::string &what) {
         AUTOBRAID_COUNT("fuzz.certify_failures");
@@ -148,34 +149,52 @@ checkCertifyOracle(const FuzzCase &c, const char *name,
     info.used_maslov = report.used_maslov;
     info.dead_vertices = c.options.dead_vertices;
     try {
-        const certify::Certificate cert =
-            certify::certifyScheduleText(
-                scheduleToJson(info, report.result));
-        if (cert.ok)
-            return;
-        std::string what = "rejected a valid schedule:";
-        const size_t shown = std::min<size_t>(cert.violations.size(), 3);
-        for (size_t i = 0; i < shown; ++i)
-            what += " " + cert.violations[i].toString() + ";";
-        if (cert.violations.size() > shown)
-            what += strformat(" (+%zu more)",
-                              cert.violations.size() - shown);
-        fail(what);
+        const certify::Certificate cert = certify::certifySchedule(
+            scheduleDocument(info, report.result));
+        if (!cert.ok) {
+            std::string what = "rejected the schedule:";
+            const size_t shown =
+                std::min<size_t>(cert.violations.size(), 3);
+            for (size_t i = 0; i < shown; ++i)
+                what += " " + cert.violations[i].toString() + ";";
+            if (cert.violations.size() > shown)
+                what += strformat(" (+%zu more)",
+                                  cert.violations.size() - shown);
+            fail(what);
+        }
+        const certify::Certificate text = certify::certifyScheduleText(
+            scheduleToJson(info, report.result));
+        if (text.toJson() != cert.toJson())
+            fail("in-memory and text certificates differ");
     } catch (const std::exception &e) {
-        fail(strformat("round-trip threw: %s", e.what()));
+        fail(strformat("certification threw: %s", e.what()));
     }
 }
 
+/** Compile @p c under @p opt, capturing a throw as the run's error. */
+PolicyOutcome
+compileRun(const FuzzCase &c, const CompileOptions &opt)
+{
+    PolicyOutcome run;
+    run.policy = opt.policy;
+    try {
+        run.report = compileCircuit(c.circuit, opt);
+        run.compiled = true;
+    } catch (const std::exception &e) {
+        run.error = e.what();
+    }
+    return run;
+}
+
 /**
- * Validate one compiled policy run and append invariant breaches.
- * @p grid is used for path-geometry checks only when the placement
- * stayed static (no SWAPs), exactly like the pipeline's ValidatePass.
+ * Check one compiled run and append invariant breaches, each tagged
+ * with @p label.
  */
 void
-checkPolicyRun(const FuzzCase &c, const PolicyOutcome &run,
+checkPolicyRun(const FuzzCase &c, const std::string &label,
+               const PolicyOutcome &run,
                std::vector<std::string> &failures)
 {
-    const std::string label = policyLabel(c, run.policy);
     const char *name = label.c_str();
     auto fail = [&failures, &c, name](const std::string &what) {
         failures.push_back(strformat("[%s] %s — %s", name,
@@ -191,14 +210,7 @@ checkPolicyRun(const FuzzCase &c, const PolicyOutcome &run,
         fail("result marked invalid");
         return;
     }
-    const Grid grid = Grid::forQubits(c.circuit.numQubits());
-    const Grid *geometry = r.swaps_inserted == 0 ? &grid : nullptr;
-    const ValidationReport v = validateSchedule(
-        c.circuit, r, c.options.cost, geometry);
-    if (!v.ok) {
-        AUTOBRAID_COUNT("fuzz.validator_failures");
-        fail("validator: " + v.toString());
-    }
+    checkCertificate(c, name, run.policy, run.report, failures);
     if (r.gates_scheduled != c.circuit.size())
         fail(strformat("retired %zu of %zu gates",
                        r.gates_scheduled, c.circuit.size()));
@@ -349,7 +361,7 @@ checkLintNeverCrashes(const FuzzCase &c,
 
 DifferentialResult
 runDifferentialCase(const FuzzCase &c, unsigned mask,
-                    bool lint_oracle, bool certify_oracle)
+                    bool lint_oracle)
 {
     AUTOBRAID_SPAN("fuzz.differential_case");
     DifferentialResult out;
@@ -359,25 +371,15 @@ runDifferentialCase(const FuzzCase &c, unsigned mask,
     for (const MaskedPolicy &p : kPolicies) {
         if (!(mask & p.bit))
             continue;
-        PolicyOutcome run;
-        run.policy = p.policy;
         CompileOptions opt = c.options;
         opt.policy = p.policy;
         opt.record_trace = true;
         opt.record_lifecycle = true;
         if (lint_oracle)
             opt.lint_level = lint::LintLevel::All;
-        try {
-            run.report = compileCircuit(c.circuit, opt);
-            run.compiled = true;
-        } catch (const std::exception &e) {
-            run.error = e.what();
-        }
+        PolicyOutcome run = compileRun(c, opt);
         AUTOBRAID_COUNT("fuzz.policy_runs");
-        checkPolicyRun(c, run, out.failures);
-        if (certify_oracle && run.compiled && run.report.result.valid)
-            checkCertifyOracle(c, policyLabel(c, run.policy).c_str(),
-                               run.policy, run.report, out.failures);
+        checkPolicyRun(c, policyLabel(c, run.policy), run, out.failures);
         out.runs.push_back(std::move(run));
     }
     // Cross-policy: all policies must agree on the dependence-derived
@@ -403,7 +405,7 @@ runDifferentialCase(const FuzzCase &c, unsigned mask,
 }
 
 CrossBackendResult
-runCrossBackendCase(const FuzzCase &c, bool certify_oracle)
+runCrossBackendCase(const FuzzCase &c)
 {
     AUTOBRAID_SPAN("fuzz.cross_backend_case");
     CrossBackendResult out;
@@ -416,53 +418,15 @@ runCrossBackendCase(const FuzzCase &c, bool certify_oracle)
         opt.record_trace = true;
         opt.record_lifecycle = true;
         opt.lint_level = lint::LintLevel::Off;
-        auto fail = [&out, &c, backend](const std::string &what) {
-            out.failures.push_back(
-                strformat("[cross/%s] %s — %s",
-                          backendCliName(backend), what.c_str(),
-                          c.summary().c_str()));
-        };
-        CompileReport report;
-        try {
-            report = compileCircuit(c.circuit, opt);
-        } catch (const std::exception &e) {
-            fail(strformat("compile threw: %s", e.what()));
+        const PolicyOutcome run = compileRun(c, opt);
+        checkPolicyRun(c, strformat("cross/%s", backendCliName(backend)),
+                       run, out.failures);
+        if (!run.compiled || !run.report.result.valid)
             continue;
-        }
-        const ScheduleResult &r = report.result;
-        if (!r.valid) {
-            fail("result marked invalid");
-            continue;
-        }
-        const Grid grid = Grid::forQubits(c.circuit.numQubits());
-        const Grid *geometry =
-            r.swaps_inserted == 0 ? &grid : nullptr;
-        const ValidationReport v =
-            validateSchedule(c.circuit, r, opt.cost, geometry);
-        if (!v.ok)
-            fail("validator: " + v.toString());
-        if (r.gates_scheduled != c.circuit.size())
-            fail(strformat("retired %zu of %zu gates",
-                           r.gates_scheduled, c.circuit.size()));
-        if (r.makespan < report.critical_path)
-            fail(strformat(
-                "makespan %llu below critical path %llu",
-                static_cast<unsigned long long>(r.makespan),
-                static_cast<unsigned long long>(
-                    report.critical_path)));
-        checkRecorderLifecycle(c, backendCliName(backend), r,
-                               out.failures);
-        if (certify_oracle) {
-            const std::string label =
-                strformat("cross/%s", backendCliName(backend));
-            checkCertifyOracle(c, label.c_str(),
-                               SchedulerPolicy::AutobraidFull, report,
-                               out.failures);
-        }
         if (backend == SchedulerBackend::Braiding)
-            out.makespan_braiding = r.makespan;
+            out.makespan_braiding = run.report.result.makespan;
         else
-            out.makespan_surgery = r.makespan;
+            out.makespan_surgery = run.report.result.makespan;
     }
     out.ok = out.failures.empty();
     if (!out.ok)
@@ -658,10 +622,8 @@ runDegenerateGridCase(uint64_t seed, unsigned mask,
                     "[%s] strip grid %dx%d: result invalid", name,
                     grid.rows(), grid.cols()));
             } else {
-                const Grid *geometry =
-                    r.swaps_inserted == 0 ? &grid : nullptr;
-                const ValidationReport v = validateSchedule(
-                    circuit, r, config.cost, geometry);
+                const ValidationReport v =
+                    validateSchedule(circuit, r, config.cost, &grid);
                 if (!v.ok) {
                     AUTOBRAID_COUNT("fuzz.validator_failures");
                     out.failures.push_back(strformat(

@@ -3,9 +3,9 @@
  * Differential oracle: compile one fuzz case under every scheduler
  * policy and cross-check the results.
  *
- * Per policy, the schedule must pass the strengthened
- * validateSchedule (time-window ordering, durations, coverage, exact
- * makespan and braid counts, dependence order, vertex-disjointness per
+ * Per policy, the schedule must certify clean (analysis/certify:
+ * time-window ordering, durations, coverage, exact makespan and braid
+ * counts, dependence order, path geometry, vertex-disjointness per
  * time window) and retire every circuit gate with a makespan no
  * shorter than the dependence-weighted critical path. Across
  * policies, the retired gate set must be identical (the whole
@@ -21,14 +21,12 @@
  * bound must not exceed the achieved makespan on swap-free,
  * non-Maslov schedules.
  *
- * With the certify oracle enabled (also the default), every valid
- * schedule is additionally round-tripped through the versioned export
- * (sched/schedule_export) and the independent certifier
- * (analysis/certify): serialize the trace as an autobraid-schedule v1
- * document, re-parse it, and require a clean certificate. A rejection
- * means the scheduler, the exporter, and the certifier disagree about
- * the schedule's semantics — exactly the drift the certifier exists
- * to catch.
+ * Every valid schedule is certified twice: in memory
+ * (sched/schedule_export's scheduleDocument) and through the text
+ * round trip (scheduleToJson, then certifyScheduleText). The two
+ * certificates must be byte-identical, so the exporter and the
+ * certifier's JSON decoder can never drift apart from the in-memory
+ * path the compiler itself uses.
  */
 
 #ifndef AUTOBRAID_TESTING_DIFFERENTIAL_HPP
@@ -87,16 +85,13 @@ struct DifferentialResult
  * Compile @p c under every policy in @p mask and cross-check. When
  * @p lint_oracle is set, the pipeline runs with lint_level = All and
  * the lint invariants above are checked alongside the schedule ones.
- * When @p certify_oracle is set, every valid schedule is round-tripped
- * through scheduleToJson -> certifySchedule and must come back with a
- * clean certificate. The case's CompileOptions::backend selects the
+ * The case's CompileOptions::backend selects the
  * communication backend; every per-policy oracle is backend-aware
  * (the AB202 bound check only applies to braiding schedules).
  */
 DifferentialResult runDifferentialCase(const FuzzCase &c,
                                        unsigned mask = kMaskAll,
-                                       bool lint_oracle = true,
-                                       bool certify_oracle = true);
+                                       bool lint_oracle = true);
 
 /** Cross-backend comparison of one case (reporting, not asserting). */
 struct CrossBackendResult
@@ -109,15 +104,14 @@ struct CrossBackendResult
 
 /**
  * Compile @p c with the AutobraidFull policy under *both* backends and
- * validate each schedule independently (validity, full retirement,
- * makespan >= the backend's critical path). The two makespans are
- * returned for reporting; they are deliberately never asserted equal —
- * braiding and lattice surgery are different semantics, the point is a
- * side-by-side comparison, not agreement. With @p certify_oracle set,
- * both backends' schedules also round-trip through export -> certify.
+ * check each schedule independently (clean and front-end-agreeing
+ * certificates, full retirement, makespan >= the backend's critical
+ * path). The two makespans are returned for reporting; they are
+ * deliberately never asserted equal — braiding and lattice surgery
+ * are different semantics, the point is a side-by-side comparison,
+ * not agreement.
  */
-CrossBackendResult runCrossBackendCase(const FuzzCase &c,
-                                       bool certify_oracle = true);
+CrossBackendResult runCrossBackendCase(const FuzzCase &c);
 
 /**
  * Compile the case's policy variants through BatchCompiler with 1

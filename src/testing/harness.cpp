@@ -54,8 +54,7 @@ makeFailure(const FuzzCase &c, std::vector<std::string> failures,
     auto stillFails = [&probe, &opt](const Circuit &candidate) {
         probe.circuit = candidate;
         return !runDifferentialCase(probe, opt.policy_mask,
-                                    opt.lint_oracle,
-                                    opt.certify_oracle)
+                                    opt.lint_oracle)
                     .ok;
     };
     const ShrinkOutcome shrunk =
@@ -87,8 +86,8 @@ runFuzz(const FuzzOptions &opt)
         AUTOBRAID_SPAN("fuzz.case");
         FuzzCase c = makeFuzzCase(seed);
         c.options.backend = opt.backend;
-        DifferentialResult diff = runDifferentialCase(
-            c, opt.policy_mask, opt.lint_oracle, opt.certify_oracle);
+        DifferentialResult diff =
+            runDifferentialCase(c, opt.policy_mask, opt.lint_oracle);
         ++summary.cases;
         AUTOBRAID_COUNT("fuzz.cases");
 
@@ -110,8 +109,7 @@ runFuzz(const FuzzOptions &opt)
         }
         if (diff.ok && opt.cross_backend_stride > 0 &&
             i % opt.cross_backend_stride == 0) {
-            const CrossBackendResult cross =
-                runCrossBackendCase(c, opt.certify_oracle);
+            const CrossBackendResult cross = runCrossBackendCase(c);
             if (cross.makespan_braiding > 0 &&
                 cross.makespan_surgery > 0) {
                 const double ratio =

@@ -51,10 +51,6 @@ struct FuzzOptions
     int cross_backend_stride = 16;
 
     bool lint_oracle = true;   ///< run the static-analysis oracle
-
-    /** Round-trip every valid schedule through export -> certify. */
-    bool certify_oracle = true;
-
     bool shrink = true;        ///< shrink failing circuits
     ShrinkOptions shrink_options;
 };

@@ -6,12 +6,6 @@ namespace autobraid {
 namespace viz {
 
 std::string
-jsonEscape(const std::string &s)
-{
-    return ::autobraid::jsonEscape(s);
-}
-
-std::string
 traceToJson(const ScheduleResult &result)
 {
     std::string out = "[";

@@ -17,9 +17,6 @@
 namespace autobraid {
 namespace viz {
 
-/** Escape a string for inclusion in a JSON document. */
-std::string jsonEscape(const std::string &s);
-
 /**
  * Serialize a compile report (metadata + metrics) as a JSON object.
  * The trace is included when present unless @p include_trace is

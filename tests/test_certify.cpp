@@ -3,8 +3,10 @@
  * Independent schedule-certifier tests: hand-built autobraid-schedule
  * v1 documents (one valid, one per seeded-mutation class), the
  * export -> certify round-trip on real compiles under both backends,
- * the --schedule-out pipeline pass, certificate JSON shape, the AB4xx
- * schedule lints, and the fix-application engine.
+ * agreement of the in-memory and text front ends (clean schedules and
+ * seeded corruptions alike), the --schedule-out pipeline pass,
+ * certificate JSON shape, the AB4xx schedule lints, and the
+ * fix-application engine.
  */
 
 #include <gtest/gtest.h>
@@ -250,28 +252,63 @@ TEST(Certify, StructuralProblemsThrowUserError)
 }
 
 // --------------------------------------------------------------------
-// Export -> certify round-trip on real compiles
+// Real compiles: the text round trip, and the in-memory and text
+// front ends giving the same certificate
 // --------------------------------------------------------------------
+
+/** A traced compile plus the export facts both front ends need. */
+struct Compiled
+{
+    Circuit circuit;
+    CompileOptions opt;
+    CompileReport report;
+    Grid grid;
+
+    Compiled(const char *spec, CompileOptions options)
+        : circuit(gen::make(spec)), opt(std::move(options)),
+          report(compileCircuit(circuit, opt)),
+          grid(Grid::forQubits(circuit.numQubits()))
+    {}
+
+    ScheduleExportInfo
+    info() const
+    {
+        ScheduleExportInfo info;
+        info.circuit = &circuit;
+        info.grid = &grid;
+        info.policy = opt.policy;
+        info.distance = opt.cost.distance;
+        info.channel_hold_cycles = opt.channel_hold_cycles;
+        info.used_maslov = report.used_maslov;
+        return info;
+    }
+
+    /** Certificates of @p result from the in-memory and text ends. */
+    std::pair<Certificate, Certificate>
+    certifyBoth(const ScheduleResult &result) const
+    {
+        return {certify::certifySchedule(scheduleDocument(info(), result)),
+                certify::certifyScheduleText(
+                    scheduleToJson(info(), result))};
+    }
+};
+
+CompileOptions
+traced(SchedulerBackend backend)
+{
+    CompileOptions opt;
+    opt.backend = backend;
+    opt.record_trace = true;
+    return opt;
+}
 
 Certificate
 roundTrip(const char *spec, SchedulerBackend backend)
 {
-    const Circuit circuit = gen::make(spec);
-    CompileOptions opt;
-    opt.backend = backend;
-    opt.record_trace = true;
-    const CompileReport report = compileCircuit(circuit, opt);
-    EXPECT_TRUE(report.result.valid);
-    const Grid grid = Grid::forQubits(circuit.numQubits());
-    ScheduleExportInfo info;
-    info.circuit = &circuit;
-    info.grid = &grid;
-    info.policy = opt.policy;
-    info.distance = opt.cost.distance;
-    info.channel_hold_cycles = opt.channel_hold_cycles;
-    info.used_maslov = report.used_maslov;
+    const Compiled run(spec, traced(backend));
+    EXPECT_TRUE(run.report.result.valid);
     return certify::certifyScheduleText(
-        scheduleToJson(info, report.result));
+        scheduleToJson(run.info(), run.report.result));
 }
 
 TEST(Certify, RoundTripBraiding)
@@ -292,6 +329,97 @@ TEST(Certify, RoundTripSurgery)
     EXPECT_EQ(cert.backend, "surgery");
     EXPECT_GT(cert.lower_bound, 0u);
     EXPECT_GE(cert.optimality_gap, 1.0);
+}
+
+TEST(Certify, FrontEndsAgreeOnRealCompiles)
+{
+    for (const char *spec : {"qft:6", "im:12:2", "qpe:6:3", "grover:4"})
+        for (const SchedulerBackend backend :
+             {SchedulerBackend::Braiding,
+              SchedulerBackend::LatticeSurgery}) {
+            const Compiled run(spec, traced(backend));
+            const auto [memory, text] =
+                run.certifyBoth(run.report.result);
+            EXPECT_TRUE(memory.ok) << spec << ": " << violations(memory);
+            EXPECT_EQ(memory.toJson(), text.toJson())
+                << spec << " under " << backendCliName(backend);
+        }
+}
+
+/**
+ * Corrupt a copy of @p run's schedule with @p mutate and require both
+ * front ends to reject it under @p check with identical certificates.
+ */
+template <typename Mutate>
+void
+expectRejectedAlike(const Compiled &run, const char *check,
+                    Mutate mutate)
+{
+    ScheduleResult bad = run.report.result;
+    mutate(bad);
+    const auto [memory, text] = run.certifyBoth(bad);
+    EXPECT_FALSE(memory.ok);
+    EXPECT_TRUE(hasCheck(memory, check)) << violations(memory);
+    EXPECT_EQ(memory.toJson(), text.toJson());
+}
+
+TEST(Certify, FrontEndsRejectDuplicatedGateAlike)
+{
+    const Compiled run("qft:6", traced(SchedulerBackend::Braiding));
+    expectRejectedAlike(run, "coverage", [](ScheduleResult &r) {
+        r.trace.push_back(r.trace.front());
+    });
+}
+
+TEST(Certify, FrontEndsRejectInvertedWindowAlike)
+{
+    const Compiled run("qft:6", traced(SchedulerBackend::Braiding));
+    expectRejectedAlike(run, "window", [](ScheduleResult &r) {
+        for (TraceEntry &e : r.trace)
+            if (e.finish > e.start) {
+                std::swap(e.start, e.finish);
+                return;
+            }
+    });
+}
+
+TEST(Certify, FrontEndsRejectVertexCollisionAlike)
+{
+    CompileOptions opt = traced(SchedulerBackend::Braiding);
+    opt.policy = SchedulerPolicy::AutobraidSP;
+    const Compiled run("qft:6", opt);
+    expectRejectedAlike(run, "vertex-overlap", [](ScheduleResult &r) {
+        // Alias the first pair of temporally overlapping holds.
+        for (size_t i = 0; i < r.trace.size(); ++i)
+            for (size_t j = i + 1; j < r.trace.size(); ++j) {
+                TraceEntry &a = r.trace[i];
+                TraceEntry &b = r.trace[j];
+                if (!a.path.empty() && !b.path.empty() &&
+                    a.start < b.finish && b.start < a.finish) {
+                    b.path = a.path;
+                    return;
+                }
+            }
+        FAIL() << "need two overlapping holds";
+    });
+}
+
+TEST(Certify, FrontEndsRejectSwapWithoutQubitPairAlike)
+{
+    CompileOptions opt = traced(SchedulerBackend::Braiding);
+    opt.policy = SchedulerPolicy::AutobraidFull;
+    opt.best_of_p0 = false;
+    opt.p_threshold = 0.9; // trigger the layout optimizer aggressively
+    const Compiled run("qft:16", opt);
+    ASSERT_GT(run.report.result.swaps_inserted, 0u);
+    expectRejectedAlike(run, "swap-pair", [](ScheduleResult &r) {
+        for (TraceEntry &e : r.trace)
+            if (e.gate == kNoGate) {
+                e.swap_a = kNoQubit;
+                e.swap_b = kNoQubit;
+                return;
+            }
+    });
 }
 
 TEST(Certify, ScheduleOutPassWritesCertifiableDocument)

@@ -3,9 +3,9 @@
  * Pass-manager compiler driver tests: pipeline ordering invariants,
  * custom pass injection, option validation at the driver entry point,
  * per-pass instrumentation (timing fields derived from the pass
- * timings), shim-vs-driver report equivalence across every generator
- * family and the bundled QASM circuits, and BatchCompiler determinism
- * across thread counts.
+ * timings), compileCircuit-vs-standard-pipeline report equivalence
+ * across every generator family and the bundled QASM circuits, and
+ * BatchCompiler determinism across thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -159,7 +159,7 @@ TEST(Driver, ValidateRejectsBadOptions)
     EXPECT_THROW(Circuit(0, "empty"), UserError);
 }
 
-TEST(Driver, ShimMatchesDriverOnBundledQasm)
+TEST(Driver, CompileCircuitMatchesStandardPipelineOnBundledQasm)
 {
     for (const char *file : {"adder4.qasm", "grover3.qasm"}) {
         const Circuit circuit = qasm::loadCircuit(
@@ -169,19 +169,19 @@ TEST(Driver, ShimMatchesDriverOnBundledQasm)
               SchedulerPolicy::AutobraidFull}) {
             CompileOptions opt;
             opt.policy = policy;
-            const CompileReport shim =
-                compilePipeline(circuit, opt);
+            const CompileReport compiled =
+                compileCircuit(circuit, opt);
             const CompileReport driver =
                 runPassPipeline(circuit, opt,
                                 PassManager::standardPipeline());
-            EXPECT_EQ(shim.metricsSummary(),
+            EXPECT_EQ(compiled.metricsSummary(),
                       driver.metricsSummary())
                 << file;
         }
     }
 }
 
-TEST(Driver, ShimMatchesDriverOnEveryGeneratorFamily)
+TEST(Driver, CompileCircuitMatchesStandardPipelineOnEveryGeneratorFamily)
 {
     // One small instance per family in src/gen.
     const std::vector<std::string> specs{
@@ -192,15 +192,16 @@ TEST(Driver, ShimMatchesDriverOnEveryGeneratorFamily)
     for (const std::string &spec : specs) {
         const Circuit circuit = gen::make(spec);
         CompileOptions opt;
-        const CompileReport shim = compilePipeline(circuit, opt);
+        const CompileReport compiled = compileCircuit(circuit, opt);
         const CompileReport driver = runPassPipeline(
             circuit, opt, PassManager::standardPipeline());
-        EXPECT_EQ(shim.metricsSummary(), driver.metricsSummary())
+        EXPECT_EQ(compiled.metricsSummary(), driver.metricsSummary())
             << spec;
-        EXPECT_EQ(shim.result.makespan, driver.result.makespan)
+        EXPECT_EQ(compiled.result.makespan, driver.result.makespan)
             << spec;
-        EXPECT_EQ(shim.critical_path, driver.critical_path) << spec;
-        EXPECT_EQ(shim.result.swaps_inserted,
+        EXPECT_EQ(compiled.critical_path, driver.critical_path)
+            << spec;
+        EXPECT_EQ(compiled.result.swaps_inserted,
                   driver.result.swaps_inserted)
             << spec;
     }

@@ -10,9 +10,9 @@
 #include <queue>
 
 #include "common/error.hpp"
+#include "compiler/driver.hpp"
 #include "gen/registry.hpp"
 #include "lattice/defects.hpp"
-#include "sched/pipeline.hpp"
 #include "sched/validator.hpp"
 
 namespace autobraid {
@@ -143,7 +143,7 @@ TEST_P(DefectiveScheduling, SchedulesLegallyAroundDefects)
     opt.policy = GetParam();
     opt.record_trace = true;
     opt.dead_vertices = defects.deadVertices();
-    const CompileReport report = compilePipeline(circuit, opt);
+    const CompileReport report = compileCircuit(circuit, opt);
 
     EXPECT_EQ(report.result.gates_scheduled, circuit.size());
     const auto v = validateSchedule(circuit, report.result, opt.cost,
@@ -176,12 +176,12 @@ TEST(DefectiveScheduling, DefectsCostLatencyButNotCorrectness)
 
     CompileOptions clean;
     clean.policy = SchedulerPolicy::AutobraidFull;
-    const auto r_clean = compilePipeline(circuit, clean);
+    const auto r_clean = compileCircuit(circuit, clean);
 
     CompileOptions broken = clean;
     broken.dead_vertices =
         DefectMap::random(grid, 6, rng).deadVertices();
-    const auto r_broken = compilePipeline(circuit, broken);
+    const auto r_broken = compileCircuit(circuit, broken);
 
     EXPECT_EQ(r_broken.result.gates_scheduled, circuit.size());
     EXPECT_GE(r_broken.result.makespan, r_clean.result.makespan);

@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "sched/pipeline.hpp"
+#include "compiler/driver.hpp"
 #include "sched/validator.hpp"
 
 namespace autobraid {
@@ -22,7 +22,7 @@ compileTraced(const Circuit &c,
     CompileOptions opt;
     opt.policy = policy;
     opt.record_trace = true;
-    return compilePipeline(c, opt);
+    return compileCircuit(c, opt);
 }
 
 TEST(EngineEdge, SingleQubitCircuit)

@@ -278,6 +278,13 @@ TEST(Registry, Errors)
     EXPECT_THROW(make(""), UserError);
     EXPECT_THROW(make("unknown:5"), UserError);
     EXPECT_THROW(make("qft:x"), UserError);
+    // Integer fields are parsed whole: trailing junk, embedded
+    // whitespace and overflow are rejected, not truncated.
+    EXPECT_THROW(make("qft:12abc"), UserError);
+    EXPECT_THROW(make("im:8:2x"), UserError);
+    EXPECT_THROW(make("qft: 12"), UserError);
+    EXPECT_THROW(make("qft:"), UserError);
+    EXPECT_THROW(make("qft:99999999999"), UserError);
     EXPECT_THROW(make("revlib"), UserError);
     EXPECT_THROW(make("qasm"), UserError);
 }

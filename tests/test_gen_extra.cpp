@@ -9,13 +9,13 @@
 
 #include "circuit/dag.hpp"
 #include "common/error.hpp"
+#include "compiler/driver.hpp"
 #include "gen/adder.hpp"
 #include "gen/grover.hpp"
 #include "gen/qpe.hpp"
 #include "gen/registry.hpp"
 #include "gen/stdlib.hpp"
 #include "qasm/decompose.hpp"
-#include "sched/pipeline.hpp"
 
 namespace autobraid {
 namespace gen {
@@ -96,8 +96,8 @@ TEST(Ghz, TreeHitsCpFasterThanChain)
 {
     CompileOptions opt;
     const auto chain =
-        compilePipeline(makeGhz(25, false), opt);
-    const auto tree = compilePipeline(makeGhz(25, true), opt);
+        compileCircuit(makeGhz(25, false), opt);
+    const auto tree = compileCircuit(makeGhz(25, true), opt);
     EXPECT_LT(tree.result.makespan, chain.result.makespan);
 }
 
@@ -145,7 +145,7 @@ TEST_P(ExtraFamiliesEndToEnd, CompilesToCriticalPathNeighborhood)
     const Circuit circuit = gen::make(GetParam());
     CompileOptions opt;
     opt.policy = SchedulerPolicy::AutobraidFull;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     EXPECT_EQ(report.result.gates_scheduled, circuit.size());
     EXPECT_GE(report.result.makespan, report.critical_path);
     // Small instances should land within 2x of CP.

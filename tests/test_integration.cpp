@@ -9,10 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include "compiler/driver.hpp"
 #include "gen/registry.hpp"
 #include "qasm/elaborator.hpp"
-#include "sched/pipeline.hpp"
-#include "schedule_checker.hpp"
+#include "sched/policy.hpp"
+#include "sched/validator.hpp"
 
 namespace autobraid {
 namespace {
@@ -22,6 +23,15 @@ struct Case
     const char *spec;
     SchedulerPolicy policy;
 };
+
+// Without this gtest prints a Case as raw bytes. Those include the
+// `spec` pointer, which ASLR moves on every run, so the test names that
+// ctest discovers at build time would change from build to build.
+void
+PrintTo(const Case &c, std::ostream *os)
+{
+    *os << c.spec << ' ' << policyCliName(c.policy);
+}
 
 std::string
 caseName(const testing::TestParamInfo<Case> &info)
@@ -48,12 +58,14 @@ TEST_P(EndToEnd, ScheduleIsLegalAndBounded)
     CompileOptions opt;
     opt.policy = param.policy;
     opt.record_trace = true;
-    const CompileReport report = compilePipeline(circuit, opt);
+    const CompileReport report = compileCircuit(circuit, opt);
 
     EXPECT_TRUE(report.result.valid);
     EXPECT_EQ(report.result.gates_scheduled, circuit.size());
     EXPECT_GE(report.result.makespan, report.critical_path);
-    testutil::expectValidSchedule(circuit, report.result, opt.cost);
+    const ValidationReport v =
+        validateSchedule(circuit, report.result, opt.cost);
+    EXPECT_TRUE(v.ok) << v.toString();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -83,8 +95,8 @@ TEST(Integration, DeterministicAcrossRuns)
     const Circuit c = gen::make("qft:12");
     CompileOptions opt;
     opt.policy = SchedulerPolicy::AutobraidFull;
-    const auto a = compilePipeline(c, opt);
-    const auto b = compilePipeline(c, opt);
+    const auto a = compileCircuit(c, opt);
+    const auto b = compileCircuit(c, opt);
     EXPECT_EQ(a.result.makespan, b.result.makespan);
     EXPECT_EQ(a.result.swaps_inserted, b.result.swaps_inserted);
 }
@@ -96,10 +108,12 @@ TEST(Integration, SeedChangesPlacementNotLegality)
     a.seed = 1;
     b.seed = 99;
     a.record_trace = b.record_trace = true;
-    const auto ra = compilePipeline(c, a);
-    const auto rb = compilePipeline(c, b);
-    testutil::expectValidSchedule(c, ra.result, a.cost);
-    testutil::expectValidSchedule(c, rb.result, b.cost);
+    const auto ra = compileCircuit(c, a);
+    const auto rb = compileCircuit(c, b);
+    const ValidationReport va = validateSchedule(c, ra.result, a.cost);
+    const ValidationReport vb = validateSchedule(c, rb.result, b.cost);
+    EXPECT_TRUE(va.ok) << va.toString();
+    EXPECT_TRUE(vb.ok) << vb.toString();
 }
 
 TEST(Integration, QasmToScheduleEndToEnd)
@@ -116,9 +130,11 @@ TEST(Integration, QasmToScheduleEndToEnd)
     const Circuit circuit = qasm::parseToCircuit(src, "mini");
     CompileOptions opt;
     opt.record_trace = true;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     EXPECT_EQ(report.result.gates_scheduled, circuit.size());
-    testutil::expectValidSchedule(circuit, report.result, opt.cost);
+    const ValidationReport v =
+        validateSchedule(circuit, report.result, opt.cost);
+    EXPECT_TRUE(v.ok) << v.toString();
 }
 
 TEST(Integration, BvAllPoliciesHitCriticalPath)
@@ -131,7 +147,7 @@ TEST(Integration, BvAllPoliciesHitCriticalPath)
           SchedulerPolicy::AutobraidFull}) {
         CompileOptions opt;
         opt.policy = policy;
-        const auto rep = compilePipeline(c, opt);
+        const auto rep = compileCircuit(c, opt);
         EXPECT_EQ(rep.result.makespan, rep.critical_path)
             << policyName(policy);
     }
@@ -145,8 +161,8 @@ TEST(Integration, IsingAutobraidHitsCpBaselineDoesNot)
     ours.policy = SchedulerPolicy::AutobraidFull;
     CompileOptions base;
     base.policy = SchedulerPolicy::Baseline;
-    const auto ro = compilePipeline(c, ours);
-    const auto rb = compilePipeline(c, base);
+    const auto ro = compileCircuit(c, ours);
+    const auto rb = compileCircuit(c, base);
     EXPECT_EQ(ro.result.makespan, ro.critical_path);
     EXPECT_GT(rb.result.makespan, ro.result.makespan);
 }
@@ -161,10 +177,10 @@ TEST(Integration, QftSpeedupGrowsWithSize)
         base.policy = SchedulerPolicy::Baseline;
         full.policy = SchedulerPolicy::AutobraidFull;
         const double b =
-            static_cast<double>(compilePipeline(c, base).result
+            static_cast<double>(compileCircuit(c, base).result
                                     .makespan);
         const double f =
-            static_cast<double>(compilePipeline(c, full).result
+            static_cast<double>(compileCircuit(c, full).result
                                     .makespan);
         (n == 16 ? speedup_small : speedup_large) = b / f;
     }
@@ -176,7 +192,7 @@ TEST(Integration, UtilizationBounded)
 {
     const Circuit c = gen::make("qaoa:36:4");
     CompileOptions opt;
-    const auto rep = compilePipeline(c, opt);
+    const auto rep = compileCircuit(c, opt);
     EXPECT_GE(rep.result.peak_utilization, 0.0);
     EXPECT_LE(rep.result.peak_utilization, 1.0);
     EXPECT_LE(rep.result.avg_utilization,
@@ -191,7 +207,7 @@ TEST(Integration, CompileTimeIsSmallFractionOfPhysicalTime)
     // that compile time is recorded and finite.
     const Circuit c = gen::make("qft:20");
     CompileOptions opt;
-    const auto rep = compilePipeline(c, opt);
+    const auto rep = compileCircuit(c, opt);
     EXPECT_GT(rep.total_seconds, 0.0);
     EXPECT_LT(rep.total_seconds, 60.0);
 }

@@ -13,8 +13,8 @@
 #include <string>
 
 #include "compiler/batch.hpp"
+#include "compiler/driver.hpp"
 #include "gen/registry.hpp"
-#include "sched/pipeline.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/telemetry.hpp"
 #include "viz/json.hpp"
@@ -202,7 +202,7 @@ TEST_P(JsonEmission, ReportsAreValidJson)
         CompileOptions opt;
         opt.policy = policy;
         opt.record_trace = true;
-        const auto report = compilePipeline(circuit, opt);
+        const auto report = compileCircuit(circuit, opt);
         const std::string with_trace =
             viz::reportToJson(report, opt.cost, true);
         const std::string without =
@@ -223,7 +223,7 @@ TEST(JsonWellformed, HostileCircuitName)
     Circuit c(2, "we\"ird\\name\nwith\tjunk");
     c.cx(0, 1);
     CompileOptions opt;
-    const auto report = compilePipeline(c, opt);
+    const auto report = compileCircuit(c, opt);
     const std::string json =
         viz::reportToJson(report, opt.cost, false);
     EXPECT_TRUE(JsonChecker(json).valid());
@@ -235,7 +235,7 @@ TEST(JsonWellformed, ChromeTraceIsValidJson)
     CompileOptions opt;
     opt.record_trace = true;
     opt.telemetry.enabled = true;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     const std::string json =
         telemetry::chromeTraceJson(report, opt.cost);
     EXPECT_TRUE(JsonChecker(json).valid());
@@ -251,7 +251,7 @@ TEST(JsonWellformed, ChromeTraceWithoutTelemetryStillValid)
     const Circuit circuit = gen::make("ghz:8");
     CompileOptions opt;
     opt.record_trace = true;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     const std::string json =
         telemetry::chromeTraceJson(report, opt.cost);
     EXPECT_TRUE(JsonChecker(json).valid());
@@ -267,7 +267,7 @@ TEST(JsonWellformed, ChromeTraceSurgeryBackendValid)
     opt.backend = SchedulerBackend::LatticeSurgery;
     opt.record_trace = true;
     opt.telemetry.enabled = true;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     const std::string json =
         telemetry::chromeTraceJson(report, opt.cost);
     EXPECT_TRUE(JsonChecker(json).valid());
@@ -304,7 +304,7 @@ TEST(JsonWellformed, FlightRecordingJson)
         CompileOptions opt;
         opt.backend = backend;
         opt.record_lifecycle = true;
-        const auto report = compilePipeline(circuit, opt);
+        const auto report = compileCircuit(circuit, opt);
         ASSERT_NE(report.result.recording, nullptr);
         EXPECT_TRUE(
             JsonChecker(report.result.recording->toJson()).valid());
@@ -316,7 +316,7 @@ TEST(JsonWellformed, MetricsRegistryJson)
     const Circuit circuit = gen::make("im:9:2");
     CompileOptions opt;
     opt.telemetry.enabled = true;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     ASSERT_NE(report.telemetry, nullptr);
     const std::string json = report.telemetry->metrics().toJson();
     EXPECT_TRUE(JsonChecker(json).valid());

@@ -29,14 +29,14 @@ compileRecorded(const std::string &spec, SchedulerBackend backend,
     opt.backend = backend;
     opt.record_trace = true;
     opt.record_lifecycle = record;
-    return compilePipeline(gen::make(spec), opt);
+    return compileCircuit(gen::make(spec), opt);
 }
 
 TEST(Recorder, OffByDefaultIsNoOp)
 {
     CompileOptions opt;
     const CompileReport report =
-        compilePipeline(gen::make("qft:9"), opt);
+        compileCircuit(gen::make("qft:9"), opt);
     EXPECT_EQ(report.result.recording, nullptr);
 
     // Recording must observe the schedule, not perturb it.
@@ -118,7 +118,7 @@ TEST_P(RecorderLifecycle, ChannelHoldHeatmapMatchesBusyCycles)
         opt.record_lifecycle = true;
         opt.channel_hold_cycles = hold;
         const CompileReport report =
-            compilePipeline(gen::make("qft:8"), opt);
+            compileCircuit(gen::make("qft:8"), opt);
         const ScheduleResult &r = report.result;
         ASSERT_NE(r.recording, nullptr) << hold;
         uint64_t busy = 0;
@@ -147,7 +147,7 @@ TEST_P(RecorderLifecycle, UtilizationClampedToScheduleWindow)
         opt.record_lifecycle = true;
         opt.channel_hold_cycles = hold;
         const CompileReport report =
-            compilePipeline(gen::make("ghz:6"), opt);
+            compileCircuit(gen::make("ghz:6"), opt);
         const ScheduleResult &r = report.result;
         ASSERT_NE(r.recording, nullptr) << hold;
         EXPECT_GE(r.avg_utilization, 0.0) << hold;

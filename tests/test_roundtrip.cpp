@@ -10,12 +10,12 @@
 
 #include "circuit/dag.hpp"
 #include "common/error.hpp"
+#include "compiler/driver.hpp"
 #include "gen/registry.hpp"
 #include "lattice/cost_model.hpp"
 #include "qasm/elaborator.hpp"
 #include "qasm/exporter.hpp"
 #include "route/greedy_finder.hpp"
-#include "sched/pipeline.hpp"
 
 namespace autobraid {
 namespace {
@@ -123,7 +123,7 @@ TEST(Criticality, BaselineOrderOptionSchedulesLegally)
         CompileOptions opt;
         opt.policy = SchedulerPolicy::Baseline;
         opt.baseline_order = order;
-        const auto rep = compilePipeline(c, opt);
+        const auto rep = compileCircuit(c, opt);
         EXPECT_EQ(rep.result.gates_scheduled, c.size());
         EXPECT_GE(rep.result.makespan, rep.critical_path);
     }

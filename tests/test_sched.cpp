@@ -8,14 +8,14 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "compiler/driver.hpp"
 #include "gen/ising.hpp"
 #include "gen/qft.hpp"
 #include "place/linear.hpp"
 #include "sched/event_queue.hpp"
 #include "sched/layout_optimizer.hpp"
 #include "sched/maslov.hpp"
-#include "sched/pipeline.hpp"
-#include "schedule_checker.hpp"
+#include "sched/validator.hpp"
 
 namespace autobraid {
 namespace {
@@ -200,7 +200,9 @@ TEST(Scheduler, SerialChainHitsCriticalPath)
     const auto result = sched.run(Placement(grid, 2));
     EXPECT_EQ(result.makespan,
               sched.dag().criticalPath(cfg.cost.durationFn()));
-    testutil::expectValidSchedule(c, result, cfg.cost);
+    const ValidationReport v =
+        validateSchedule(c, result, cfg.cost, &grid);
+    EXPECT_TRUE(v.ok) << v.toString();
 }
 
 TEST(Scheduler, ZeroDurationCircuit)
@@ -231,7 +233,9 @@ TEST(Scheduler, ParallelCxOverlap)
     const auto result = sched.run(Placement(grid, 4));
     EXPECT_EQ(result.makespan, cfg.cost.cxCycles());
     EXPECT_EQ(result.max_concurrent_braids, 2u);
-    testutil::expectValidSchedule(c, result, cfg.cost);
+    const ValidationReport v =
+        validateSchedule(c, result, cfg.cost, &grid);
+    EXPECT_TRUE(v.ok) << v.toString();
 }
 
 TEST(Scheduler, UtilizationCountsOnlyRoutableVertices)
@@ -249,7 +253,9 @@ TEST(Scheduler, UtilizationCountsOnlyRoutableVertices)
                          grid.vid(Vertex{2, 2})};
     BraidScheduler sched(c, grid, cfg);
     const auto result = sched.run(Placement(grid, 2));
-    testutil::expectValidSchedule(c, result, cfg.cost);
+    const ValidationReport v =
+        validateSchedule(c, result, cfg.cost, &grid);
+    EXPECT_TRUE(v.ok) << v.toString();
     EXPECT_EQ(result.braids_routed, 1u);
     ASSERT_EQ(result.trace.size(), 1u);
     EXPECT_EQ(result.trace[0].path.length(), 1u);
@@ -270,7 +276,9 @@ TEST(Scheduler, QuietInstantsStillSampleUtilization)
     const auto cfg = tracedConfig(SchedulerPolicy::AutobraidSP);
     BraidScheduler sched(c, grid, cfg);
     const auto result = sched.run(Placement(grid, 3));
-    testutil::expectValidSchedule(c, result, cfg.cost);
+    const ValidationReport v =
+        validateSchedule(c, result, cfg.cost, &grid);
+    EXPECT_TRUE(v.ok) << v.toString();
     // Instants: t=0 (both gates) and t=d (H retires, braid in
     // flight). The second is the quiet one.
     EXPECT_EQ(result.dispatch_instants, 2u);
@@ -301,7 +309,9 @@ TEST(Scheduler, ChannelHoldEdgeCases)
         cfg.channel_hold_cycles = hold;
         BraidScheduler sched(c, grid, cfg);
         const auto result = sched.run(Placement(grid, 2));
-        testutil::expectValidSchedule(c, result, cfg.cost);
+        const ValidationReport v =
+            validateSchedule(c, result, cfg.cost, &grid);
+        EXPECT_TRUE(v.ok) << v.toString();
         ASSERT_EQ(result.trace.size(), 1u) << "hold " << hold;
         const TraceEntry &e = result.trace[0];
         EXPECT_EQ(e.finish - e.start, dur);
@@ -331,8 +341,12 @@ TEST(Scheduler, BaselineLevelSyncIsNeverFasterThanAutobraid)
     const Placement p(grid, 9);
     const auto rb = base.run(p);
     const auto rs = sp.run(p);
-    testutil::expectValidSchedule(c, rb, base_cfg.cost);
-    testutil::expectValidSchedule(c, rs, sp_cfg.cost);
+    const ValidationReport vb =
+        validateSchedule(c, rb, base_cfg.cost, &grid);
+    const ValidationReport vs =
+        validateSchedule(c, rs, sp_cfg.cost, &grid);
+    EXPECT_TRUE(vb.ok) << vb.toString();
+    EXPECT_TRUE(vs.ok) << vs.toString();
     EXPECT_GE(rb.makespan, rs.makespan);
 }
 
@@ -357,7 +371,9 @@ TEST(Scheduler, MaslovModeCompletesQft)
     const auto result = sched.runMaslov(snakePlacement(grid, order));
     ASSERT_TRUE(result.valid);
     EXPECT_EQ(result.gates_scheduled, c.size());
-    testutil::expectValidSchedule(c, result, cfg.cost);
+    const ValidationReport v =
+        validateSchedule(c, result, cfg.cost, &grid);
+    EXPECT_TRUE(v.ok) << v.toString();
     EXPECT_GT(result.swaps_inserted, 0u);
 }
 
@@ -381,7 +397,9 @@ TEST(Scheduler, FullPolicyInsertsSwapsUnderCongestion)
     p.assign(cells);
     const auto result = sched.run(p);
     EXPECT_EQ(result.gates_scheduled, c.size());
-    testutil::expectValidSchedule(c, result, cfg.cost);
+    const ValidationReport v =
+        validateSchedule(c, result, cfg.cost, &grid);
+    EXPECT_TRUE(v.ok) << v.toString();
 }
 
 TEST(Pipeline, PoliciesRankAsInPaper)
@@ -393,9 +411,9 @@ TEST(Pipeline, PoliciesRankAsInPaper)
     sp.policy = SchedulerPolicy::AutobraidSP;
     CompileOptions full;
     full.policy = SchedulerPolicy::AutobraidFull;
-    const auto rb = compilePipeline(c, base);
-    const auto rs = compilePipeline(c, sp);
-    const auto rf = compilePipeline(c, full);
+    const auto rb = compileCircuit(c, base);
+    const auto rs = compileCircuit(c, sp);
+    const auto rf = compileCircuit(c, full);
     // CP <= full <= sp (full falls back to sp's schedule) and
     // full <= baseline.
     EXPECT_LE(rf.critical_path, rf.result.makespan);
@@ -409,7 +427,7 @@ TEST(Pipeline, ReportFieldsPopulated)
 {
     const Circuit c = gen::makeIsing(10, 2);
     CompileOptions opt;
-    const auto rep = compilePipeline(c, opt);
+    const auto rep = compileCircuit(c, opt);
     EXPECT_EQ(rep.num_qubits, 10);
     EXPECT_EQ(rep.grid_side, 4);
     EXPECT_GT(rep.critical_path, 0u);
@@ -424,7 +442,7 @@ TEST(Pipeline, IsingHitsCriticalPath)
     const Circuit c = gen::makeIsing(36, 2);
     CompileOptions opt;
     opt.policy = SchedulerPolicy::AutobraidFull;
-    const auto rep = compilePipeline(c, opt);
+    const auto rep = compileCircuit(c, opt);
     EXPECT_EQ(rep.result.makespan, rep.critical_path);
 }
 
@@ -444,7 +462,7 @@ TEST(Pipeline, PhysicalQubitBudget)
 {
     const Circuit c = gen::makeQft(9);
     CompileOptions opt;
-    const auto rep = compilePipeline(c, opt);
+    const auto rep = compileCircuit(c, opt);
     SurfaceCodeParams params;
     EXPECT_EQ(physicalQubits(rep, params, 33),
               9L * 2 * 34 * 34);

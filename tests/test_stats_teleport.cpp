@@ -9,8 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "circuit/stats.hpp"
+#include "compiler/driver.hpp"
 #include "gen/registry.hpp"
-#include "sched/pipeline.hpp"
 #include "sched/validator.hpp"
 
 namespace autobraid {
@@ -61,7 +61,7 @@ TEST(Teleport, SchedulesLegallyAndReleasesEarly)
     opt.policy = SchedulerPolicy::AutobraidSP;
     opt.channel_hold_cycles = 2;
     opt.record_trace = true;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     EXPECT_EQ(report.result.gates_scheduled, circuit.size());
     const Grid grid = Grid::forQubits(circuit.numQubits());
     const auto v = validateSchedule(circuit, report.result, opt.cost,
@@ -87,7 +87,7 @@ TEST(Teleport, BraidModeReleasesAtFinish)
     CompileOptions opt;
     opt.policy = SchedulerPolicy::AutobraidSP;
     opt.record_trace = true;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     bool saw_braid = false;
     for (const TraceEntry &e : report.result.trace) {
         if (e.path.empty() || e.gate == kNoGate)
@@ -106,8 +106,8 @@ TEST(Teleport, NeverSlowerThanBraiding)
         braid.policy = SchedulerPolicy::AutobraidSP;
         CompileOptions tele = braid;
         tele.channel_hold_cycles = 2;
-        const auto rb = compilePipeline(circuit, braid);
-        const auto rt = compilePipeline(circuit, tele);
+        const auto rb = compileCircuit(circuit, braid);
+        const auto rt = compileCircuit(circuit, tele);
         EXPECT_LE(rt.result.makespan, rb.result.makespan) << spec;
         EXPECT_GE(rt.result.makespan, rt.critical_path) << spec;
     }
@@ -119,8 +119,8 @@ TEST(Teleport, HoldLargerThanDurationClampsToBraiding)
     CompileOptions braid;
     CompileOptions huge = braid;
     huge.channel_hold_cycles = 1'000'000;
-    const auto rb = compilePipeline(circuit, braid);
-    const auto rh = compilePipeline(circuit, huge);
+    const auto rb = compileCircuit(circuit, braid);
+    const auto rh = compileCircuit(circuit, huge);
     EXPECT_EQ(rb.result.makespan, rh.result.makespan);
 }
 
@@ -130,8 +130,8 @@ TEST(Teleport, UtilizationDropsWithEarlyRelease)
     CompileOptions braid;
     CompileOptions tele = braid;
     tele.channel_hold_cycles = 2;
-    const auto rb = compilePipeline(circuit, braid);
-    const auto rt = compilePipeline(circuit, tele);
+    const auto rb = compileCircuit(circuit, braid);
+    const auto rt = compileCircuit(circuit, tele);
     EXPECT_LT(rt.result.avg_utilization,
               rb.result.avg_utilization);
 }

@@ -13,13 +13,13 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "compiler/driver.hpp"
 #include "gen/registry.hpp"
 #include "gen/stdlib.hpp"
 #include "place/initial.hpp"
 #include "route/greedy_finder.hpp"
 #include "route/stack_finder.hpp"
 #include "sched/maslov.hpp"
-#include "sched/pipeline.hpp"
 #include "sched/validator.hpp"
 
 namespace autobraid {
@@ -44,7 +44,7 @@ TEST_P(DistanceSweep, BvCriticalPathScalesLinearly)
     const Circuit c = gen::make("bv:12");
     CompileOptions opt;
     opt.cost.distance = GetParam();
-    const auto rep = compilePipeline(c, opt);
+    const auto rep = compileCircuit(c, opt);
     // BV: CP = 11 CX + 2 H = 11(2d+2) + 2d = 24d + 22.
     EXPECT_EQ(rep.critical_path,
               24u * static_cast<Cycles>(GetParam()) + 22u);
@@ -81,7 +81,7 @@ TEST_P(SchedulerFuzz, RandomCircuitsScheduleLegally)
     opt.policy = policy;
     opt.record_trace = true;
     opt.seed = seed * 7 + 1;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     EXPECT_EQ(report.result.gates_scheduled, circuit.size());
     const Grid grid = Grid::forQubits(circuit.numQubits());
     const auto v = validateSchedule(circuit, report.result, opt.cost,
@@ -188,7 +188,7 @@ TEST(PipelineSweep, MakespanNeverBelowCpAcrossFamilies)
             CompileOptions opt;
             opt.policy = policy;
             const auto rep =
-                compilePipeline(gen::make(spec), opt);
+                compileCircuit(gen::make(spec), opt);
             EXPECT_GE(rep.result.makespan, rep.critical_path)
                 << spec;
             EXPECT_EQ(rep.result.gates_scheduled, rep.num_gates)

@@ -21,7 +21,7 @@ TEST(Umbrella, EndToEndThroughSingleInclude)
 
     CompileOptions options;
     options.record_trace = true;
-    const CompileReport report = compilePipeline(circuit, options);
+    const CompileReport report = compileCircuit(circuit, options);
     EXPECT_EQ(report.result.makespan, report.critical_path);
 
     const Grid grid = Grid::forQubits(9);

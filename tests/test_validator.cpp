@@ -1,15 +1,16 @@
 /**
  * @file
- * Tests for the library schedule validator: it must accept every
- * legal schedule the schedulers produce and reject corrupted traces —
- * duplicated gates, missing gates, wrong durations, dependence
- * violations, vertex collisions, and malformed paths.
+ * Tests for the library schedule validator, the in-memory front end of
+ * the certifier: it must accept every legal schedule the schedulers
+ * produce and reject corrupted traces — duplicated gates, missing
+ * gates, wrong durations, dependence violations, vertex collisions,
+ * and malformed paths.
  */
 
 #include <gtest/gtest.h>
 
+#include "compiler/driver.hpp"
 #include "gen/registry.hpp"
-#include "sched/pipeline.hpp"
 #include "sched/validator.hpp"
 
 namespace autobraid {
@@ -22,7 +23,7 @@ TEST(Validator, AcceptsLegalSchedules)
         const Circuit circuit = gen::make(spec);
         CompileOptions opt;
         opt.record_trace = true;
-        const auto report = compilePipeline(circuit, opt);
+        const auto report = compileCircuit(circuit, opt);
         const Grid grid = Grid::forQubits(circuit.numQubits());
         const auto validation = validateSchedule(
             circuit, report.result, opt.cost, &grid);
@@ -35,7 +36,7 @@ TEST(Validator, RejectsMissingTrace)
 {
     const Circuit circuit = gen::make("ghz:4");
     CompileOptions opt; // no trace
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     CostModel cost;
     const auto v = validateSchedule(circuit, report.result, cost);
     EXPECT_FALSE(v.ok);
@@ -61,7 +62,7 @@ class ValidatorCorruption : public testing::Test
         CompileOptions opt;
         opt.policy = SchedulerPolicy::AutobraidSP;
         opt.record_trace = true;
-        report_ = compilePipeline(*circuit_, opt);
+        report_ = compileCircuit(*circuit_, opt);
         cost_ = opt.cost;
         ASSERT_TRUE(validateSchedule(*circuit_, report_.result, cost_)
                         .ok);
@@ -199,17 +200,19 @@ TEST_F(ValidatorCorruption, DetectsBraidCountMismatch)
 TEST_F(ValidatorCorruption, MaxErrorsCapsOutputWithSummary)
 {
     ScheduleResult bad = report_.result;
+    ASSERT_GT(bad.trace.size(), 64u);
     for (TraceEntry &e : bad.trace)
         e.finish += 1; // every gate now has a wrong duration
-    const auto v =
-        validateSchedule(*circuit_, bad, cost_, nullptr, 4);
+    const auto v = validateSchedule(*circuit_, bad, cost_);
     EXPECT_FALSE(v.ok);
-    // Regression: overflow failures used to vanish silently; now the
-    // cap holds 4 messages plus one summary naming the suppressed
+    // Overflow failures never vanish silently: the certifier keeps 64
+    // violations plus one "truncated" entry naming the suppressed
     // count.
-    ASSERT_EQ(v.errors.size(), 5u) << v.toString();
+    ASSERT_EQ(v.errors.size(), 65u) << v.toString();
+    EXPECT_EQ(v.errors.back().rfind("truncated: ", 0), 0u)
+        << v.errors.back();
     EXPECT_NE(v.errors.back().find("suppressed"), std::string::npos);
-    EXPECT_NE(v.errors.back().find("additional errors"),
+    EXPECT_NE(v.errors.back().find("additional violations"),
               std::string::npos);
 }
 
@@ -222,7 +225,7 @@ TEST(Validator, SwapAccounting)
     opt.record_trace = true;
     opt.best_of_p0 = false;
     opt.p_threshold = 0.9; // trigger aggressively
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     const auto v =
         validateSchedule(circuit, report.result, opt.cost);
     EXPECT_TRUE(v.ok) << v.toString();

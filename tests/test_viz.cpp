@@ -7,9 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/text.hpp"
+#include "compiler/driver.hpp"
 #include "gen/registry.hpp"
 #include "route/astar.hpp"
-#include "sched/pipeline.hpp"
 #include "viz/ascii.hpp"
 #include "viz/json.hpp"
 
@@ -63,7 +64,7 @@ TEST(Ascii, ActivityRendersBars)
     const Circuit circuit = gen::make("qft:9");
     CompileOptions opt;
     opt.record_trace = true;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     const std::string out = viz::renderActivity(report.result, 40);
     EXPECT_NE(out.find('#'), std::string::npos);
     EXPECT_NE(out.find("peak"), std::string::npos);
@@ -71,9 +72,9 @@ TEST(Ascii, ActivityRendersBars)
 
 TEST(Json, Escaping)
 {
-    EXPECT_EQ(viz::jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-    EXPECT_EQ(viz::jsonEscape("plain"), "plain");
-    EXPECT_EQ(viz::jsonEscape(std::string(1, '\x02')), "\\u0002");
+    EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+    EXPECT_EQ(jsonEscape(std::string(1, '\x02')), "\\u0002");
 }
 
 TEST(Json, ReportContainsKeyFields)
@@ -81,7 +82,7 @@ TEST(Json, ReportContainsKeyFields)
     const Circuit circuit = gen::make("ghz:8");
     CompileOptions opt;
     opt.record_trace = true;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     const std::string json =
         viz::reportToJson(report, opt.cost, true);
     for (const char *key :
@@ -101,7 +102,7 @@ TEST(Json, TraceOmittedOnRequest)
     const Circuit circuit = gen::make("ghz:8");
     CompileOptions opt;
     opt.record_trace = true;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     const std::string json =
         viz::reportToJson(report, opt.cost, false);
     EXPECT_EQ(json.find("\"trace\""), std::string::npos);
@@ -112,7 +113,7 @@ TEST(Json, TraceEntriesHaveKinds)
     const Circuit circuit = gen::make("qft:9");
     CompileOptions opt;
     opt.record_trace = true;
-    const auto report = compilePipeline(circuit, opt);
+    const auto report = compileCircuit(circuit, opt);
     const std::string json = viz::traceToJson(report.result);
     EXPECT_NE(json.find("\"kind\":\"gate\""), std::string::npos);
     EXPECT_NE(json.find("\"path\":["), std::string::npos);

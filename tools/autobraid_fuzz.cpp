@@ -4,14 +4,14 @@
  *
  * Expands a block of seeds into random circuits and compiles each one
  * under every selected scheduler policy, cross-checking the schedules
- * with the strengthened validator, the retired-gate/critical-path
- * invariants, batch jobs=1-vs-N determinism, degenerate strip
- * lattices, and the static-analysis lint oracle (lint never crashes;
- * the channel-capacity bound stays below the achieved makespan).
- * Every valid schedule also round-trips through the versioned export
- * and the independent certifier (autobraid-schedule v1 ->
- * analysis/certify), which must return a clean certificate. Failing
- * seeds are shrunk to minimal reproducers.
+ * with the independent certifier (analysis/certify), the
+ * retired-gate/critical-path invariants, batch jobs=1-vs-N
+ * determinism, degenerate strip lattices, and the static-analysis
+ * lint oracle (lint never crashes; the channel-capacity bound stays
+ * below the achieved makespan). Every valid schedule is certified in
+ * memory and again through the versioned text export
+ * (autobraid-schedule v1); both certificates must be clean and
+ * byte-identical. Failing seeds are shrunk to minimal reproducers.
  *
  *   autobraid_fuzz [options]
  *
@@ -35,8 +35,6 @@
  *     --degenerate-stride=N strip-lattice case every Nth seed
  *                           (default 16; 0 disables)
  *     --no-lint-oracle      skip the static-analysis lint oracle
- *     --no-certify-oracle   skip the export -> certify round-trip
- *                           oracle
  *     --no-shrink           keep failing circuits unshrunk
  *     --repro-out=FILE      write the first failure's shrunken
  *                           reproducer as OpenQASM
@@ -89,7 +87,7 @@ usage(int code)
         "  --backend=B       braiding (default) or surgery\n"
         "  --batch-stride=N --degenerate-stride=N\n"
         "  --cross-backend-stride=N --route-jobs-stride=N\n"
-        "  --no-lint-oracle --no-certify-oracle --no-shrink\n"
+        "  --no-lint-oracle --no-shrink\n"
         "  --repro-out=FILE  first failure's reproducer as OpenQASM\n"
         "  --record-out=FILE first failure's flight recording JSON\n"
         "  --metrics-out=FILE  fuzz telemetry metrics as JSON\n"
@@ -166,8 +164,6 @@ parseArgs(int argc, char **argv)
                 value, "--cross-backend-stride", 0, 1'000'000);
         } else if (std::strcmp(arg, "--no-lint-oracle") == 0) {
             opts.fuzz.lint_oracle = false;
-        } else if (std::strcmp(arg, "--no-certify-oracle") == 0) {
-            opts.fuzz.certify_oracle = false;
         } else if (std::strcmp(arg, "--no-shrink") == 0) {
             opts.fuzz.shrink = false;
         } else if (matchValue(argc, argv, i, "--repro-out", value)) {

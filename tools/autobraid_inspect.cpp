@@ -46,7 +46,6 @@
 #include "common/parse.hpp"
 #include "common/text.hpp"
 #include "telemetry/recorder.hpp"
-#include "viz/json.hpp"
 
 using namespace autobraid;
 
@@ -231,7 +230,7 @@ runTimeline(const LoadedRecording &rec)
         out, first,
         strformat("{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
                   "\"args\":{\"name\":\"%s\"}}",
-                  viz::jsonEscape(
+                  jsonEscape(
                       strformat("%s (%s, %s)", rec.circuit.c_str(),
                                 rec.policy.c_str(),
                                 rec.backend.c_str()))
@@ -255,7 +254,7 @@ runTimeline(const LoadedRecording &rec)
             continue;
         const int tid = g.q0 < 0 ? 0 : g.q0;
         const std::string label = strformat(
-            "%s#%zu", viz::jsonEscape(g.kind).c_str(), i);
+            "%s#%zu", jsonEscape(g.kind).c_str(), i);
         // Stall slices tile [ready, dispatched] in cause order; the
         // recorder's exact-sum invariant guarantees they fit.
         uint64_t t = g.ready;
@@ -305,7 +304,7 @@ runHeatmapJson(const LoadedRecording &rec)
         "{\"format\":\"autobraid-heatmap\",\"circuit\":\"%s\","
         "\"grid_rows\":%d,\"grid_cols\":%d,\"makespan\":%llu,"
         "\"rows\":[",
-        viz::jsonEscape(rec.circuit).c_str(), rec.grid_rows,
+        jsonEscape(rec.circuit).c_str(), rec.grid_rows,
         rec.grid_cols,
         static_cast<unsigned long long>(rec.makespan));
     for (int r = 0; r < rec.grid_rows; ++r) {
