@@ -73,38 +73,29 @@ std::string
 Certificate::toJson() const
 {
     std::string out;
-    out += "{\n";
-    out += "  \"format\": \"autobraid-certificate\",\n";
-    out += "  \"version\": 1,\n";
-    out += strformat("  \"ok\": %s,\n", ok ? "true" : "false");
-    out += strformat("  \"circuit\": \"%s\",\n",
-                     jsonEscape(circuit).c_str());
-    out += strformat("  \"policy\": \"%s\",\n",
-                     jsonEscape(policy).c_str());
-    out += strformat("  \"backend\": \"%s\",\n",
-                     jsonEscape(backend).c_str());
-    out += strformat("  \"gates\": %zu,\n", gates);
-    out += strformat("  \"scheduled\": %zu,\n", scheduled);
-    out += strformat("  \"swaps\": %zu,\n", swaps);
-    out += strformat("  \"makespan\": %llu,\n",
-                     static_cast<unsigned long long>(makespan));
-    out += strformat(
-        "  \"critical_path_bound\": %llu,\n",
-        static_cast<unsigned long long>(critical_path_bound));
-    out += strformat("  \"channel_bound\": %llu,\n",
-                     static_cast<unsigned long long>(channel_bound));
-    out += strformat("  \"lower_bound\": %llu,\n",
-                     static_cast<unsigned long long>(lower_bound));
-    out += strformat("  \"optimality_gap\": %.6f,\n", optimality_gap);
-    out += "  \"violations\": [\n";
-    for (size_t i = 0; i < violations.size(); ++i)
-        out += strformat(
-            "    {\"check\": \"%s\", \"message\": \"%s\"}%s\n",
-            jsonEscape(violations[i].check).c_str(),
-            jsonEscape(violations[i].message).c_str(),
-            i + 1 < violations.size() ? "," : "");
-    out += "  ]\n";
-    out += "}\n";
+    json::Writer w(out, json::Writer::Layout::Document);
+    w.beginObject();
+    w.key("format").value("autobraid-certificate");
+    w.key("version").value(1);
+    w.key("ok").value(ok);
+    w.key("circuit").value(circuit);
+    w.key("policy").value(policy);
+    w.key("backend").value(backend);
+    w.key("gates").value(gates);
+    w.key("scheduled").value(scheduled);
+    w.key("swaps").value(swaps);
+    w.key("makespan").value(makespan);
+    w.key("critical_path_bound").value(critical_path_bound);
+    w.key("channel_bound").value(channel_bound);
+    w.key("lower_bound").value(lower_bound);
+    w.key("optimality_gap").fixed(optimality_gap, 6);
+    w.key("violations").beginRows();
+    for (const Violation &v : violations)
+        w.beginObject()
+            .key("check").value(v.check)
+            .key("message").value(v.message)
+            .end();
+    w.end().end();
     return out;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/text.hpp"
 
 namespace autobraid {
@@ -214,77 +215,69 @@ DiagnosticEngine::toText() const
 std::string
 DiagnosticEngine::toSarif() const
 {
+    std::string out;
+    json::Writer w(out);
+    // SARIF wraps texts and uris in one-member objects.
+    const auto wrapped = [&w](const char *key, const char *member,
+                              std::string_view s) {
+        w.key(key).beginObject().key(member).value(s).end();
+    };
+    w.beginObject().key("$schema").value(
+        "https://json.schemastore.org/sarif-2.1.0.json");
+    w.key("version").value("2.1.0").key("runs").beginArray();
+    w.beginObject().key("tool").beginObject().key("driver").beginObject();
+    w.key("name").value("autobraid-lint").key("version").value("1.0.0");
+    w.key("informationUri").value(
+        "https://github.com/autobraid/autobraid");
+    w.key("rules").beginArray();
     // SARIF 2.1.0 severity levels share the engine's names.
-    std::string rules;
     for (const DiagInfo &info : diagnosticCatalog()) {
-        if (!rules.empty())
-            rules += ",";
-        rules += strformat(
-            "{\"id\":\"%s\","
-            "\"shortDescription\":{\"text\":\"%s\"},"
-            "\"defaultConfiguration\":{\"level\":\"%s\"}}",
-            info.code, jsonEscape(info.summary).c_str(),
-            severityName(info.severity));
+        w.beginObject().key("id").value(info.code);
+        wrapped("shortDescription", "text", info.summary);
+        wrapped("defaultConfiguration", "level",
+                severityName(info.severity));
+        w.end();
     }
-
-    std::string results;
+    w.end().end().end().key("results").beginArray();
     for (const Diagnostic &d : diagnostics_) {
-        if (!results.empty())
-            results += ",";
-        results += strformat(
-            "{\"ruleId\":\"%s\",\"level\":\"%s\","
-            "\"message\":{\"text\":\"%s\"}",
-            jsonEscape(d.code).c_str(), severityName(d.severity),
-            jsonEscape(d.message).c_str());
+        w.beginObject().key("ruleId").value(d.code);
+        w.key("level").value(severityName(d.severity));
+        wrapped("message", "text", d.message);
         if (d.loc.valid()) {
-            results += strformat(
-                ",\"locations\":[{\"physicalLocation\":{"
-                "\"artifactLocation\":{\"uri\":\"%s\"},"
-                "\"region\":{\"startLine\":%d",
-                jsonEscape(d.loc.file.empty() ? "<input>" : d.loc.file)
-                    .c_str(),
+            w.key("locations").beginArray().beginObject();
+            w.key("physicalLocation").beginObject();
+            wrapped("artifactLocation", "uri",
+                    d.loc.file.empty() ? "<input>" : d.loc.file);
+            w.key("region").beginObject().key("startLine").value(
                 d.loc.line);
             if (d.loc.column > 0)
-                results += strformat(",\"startColumn\":%d",
-                                     d.loc.column);
-            results += "}}}]";
+                w.key("startColumn").value(d.loc.column);
+            w.end().end().end().end();
         }
         if (!d.fixes.empty()) {
             // SARIF fix objects: one artifactChange per touched
             // file, whole-line replacements (endLine = startLine,
             // no columns; empty insertedContent deletes the line).
-            results += ",\"fixes\":[{\"description\":{\"text\":"
-                       "\"mechanical fix\"},\"artifactChanges\":[";
-            for (size_t f = 0; f < d.fixes.size(); ++f) {
-                const FixReplacement &fix = d.fixes[f];
-                if (f)
-                    results += ",";
-                results += strformat(
-                    "{\"artifactLocation\":{\"uri\":\"%s\"},"
-                    "\"replacements\":[{\"deletedRegion\":{"
-                    "\"startLine\":%d,\"endLine\":%d}",
-                    jsonEscape(fix.file).c_str(), fix.line,
-                    fix.line);
+            w.key("fixes").beginArray().beginObject();
+            wrapped("description", "text", "mechanical fix");
+            w.key("artifactChanges").beginArray();
+            for (const FixReplacement &fix : d.fixes) {
+                w.beginObject();
+                wrapped("artifactLocation", "uri", fix.file);
+                w.key("replacements").beginArray().beginObject();
+                w.key("deletedRegion").beginObject();
+                w.key("startLine").value(fix.line);
+                w.key("endLine").value(fix.line).end();
                 if (!fix.text.empty())
-                    results += strformat(
-                        ",\"insertedContent\":{\"text\":\"%s\"}",
-                        jsonEscape(fix.text).c_str());
-                results += "}]}";
+                    wrapped("insertedContent", "text", fix.text);
+                w.end().end().end();
             }
-            results += "]}]";
+            w.end().end().end();
         }
-        results += "}";
+        w.end();
     }
-
-    return strformat(
-        "{\"$schema\":"
-        "\"https://json.schemastore.org/sarif-2.1.0.json\","
-        "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{"
-        "\"name\":\"autobraid-lint\",\"version\":\"1.0.0\","
-        "\"informationUri\":"
-        "\"https://github.com/autobraid/autobraid\","
-        "\"rules\":[%s]}},\"results\":[%s]}]}",
-        rules.c_str(), results.c_str());
+    w.end().end().end().end();
+    return out;
 }
 
 } // namespace lint

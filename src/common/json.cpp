@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -332,6 +333,34 @@ class Parser
     }
 };
 
+/** Append @p s with jsonEscape()'s rules; runs of plain bytes copy whole. */
+void
+appendEscaped(std::string &out, std::string_view s)
+{
+    size_t plain = 0; // start of the pending run of plain bytes
+    for (size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + plain, i - plain);
+        plain = i + 1;
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\r': out += "\\r"; break;
+          case '\t': out += "\\t"; break;
+          default: {
+            static constexpr char kHex[] = "0123456789abcdef";
+            const char esc[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xf]};
+            out.append(esc, sizeof esc);
+          }
+        }
+    }
+    out.append(s.data() + plain, s.size() - plain);
+}
+
 } // namespace
 
 bool
@@ -411,5 +440,112 @@ parseFile(const std::string &path)
     return parse(readTextFile(path));
 }
 
+void
+Writer::newline(int depth)
+{
+    out_ += '\n';
+    out_.append(static_cast<size_t>(2 * depth), ' ');
+}
+
+void
+Writer::separate()
+{
+    if (after_key_) {
+        after_key_ = false;
+        return;
+    }
+    if (depth_ == 0)
+        return;
+    Frame &f = stack_[depth_ - 1];
+    if (!f.empty)
+        out_ += layout_ == Layout::Document && !f.rows ? ", " : ",";
+    f.empty = false;
+    if (f.rows)
+        newline(depth_);
+}
+
+Writer &
+Writer::open(char opening, char closing, bool rows)
+{
+    separate();
+    require(depth_ < kMaxDepth, "json::Writer: nesting too deep");
+    // The top-level container of a Document is laid out in lines.
+    const bool lines =
+        layout_ == Layout::Document && (rows || depth_ == 0);
+    stack_[depth_++] = Frame{closing, lines, true};
+    out_ += opening;
+    return *this;
+}
+
+Writer &
+Writer::end()
+{
+    require(depth_ > 0 && !after_key_,
+            "json::Writer: end() with no open container or a "
+            "dangling key");
+    const Frame &f = stack_[--depth_];
+    if (f.rows)
+        newline(depth_);
+    out_ += f.close;
+    if (depth_ == 0 && layout_ == Layout::Document)
+        out_ += '\n';
+    return *this;
+}
+
+Writer &
+Writer::key(std::string_view name)
+{
+    require(depth_ > 0 && stack_[depth_ - 1].close == '}' &&
+                !after_key_,
+            "json::Writer: key() outside an object");
+    value(name);
+    out_ += layout_ == Layout::Document ? ": " : ":";
+    after_key_ = true;
+    return *this;
+}
+
+Writer &
+Writer::value(std::string_view s)
+{
+    separate();
+    out_ += '"';
+    appendEscaped(out_, s);
+    out_ += '"';
+    return *this;
+}
+
+Writer &
+Writer::floating(double v, int precision, bool fixed)
+{
+    if (!std::isfinite(v))
+        return raw("0");
+    // Fixed notation of the largest double needs 309 integer digits.
+    char buf[512];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof buf, v,
+        fixed ? std::chars_format::fixed : std::chars_format::general,
+        precision);
+    require(r.ec == std::errc(), "json::Writer: number too long");
+    return raw(std::string_view(buf, static_cast<size_t>(r.ptr - buf)));
+}
+
+Writer &
+Writer::raw(std::string_view json)
+{
+    separate();
+    out_.append(json);
+    return *this;
+}
+
 } // namespace json
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    json::appendEscaped(out, s);
+    return out;
+}
+
 } // namespace autobraid

@@ -113,28 +113,6 @@ humanMicros(double micros)
     return humanQuantity(micros);
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strformat("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 void
 writeTextFile(const std::string &path, const std::string &content)
 {

@@ -41,7 +41,8 @@ std::string humanMicros(double micros);
 
 /**
  * Escape a string for inclusion in a JSON document (quotes,
- * backslashes, and control characters).
+ * backslashes, and control characters). Defined in common/json.cpp:
+ * json::Writer escapes every string with the same code.
  */
 std::string jsonEscape(const std::string &s);
 

@@ -1,10 +1,29 @@
 #include "compiler/schedule_export_pass.hpp"
 
 #include "common/text.hpp"
-#include "sched/schedule_export.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace autobraid {
+
+ScheduleExportInfo
+scheduleExportInfo(const Circuit &circuit, const Grid &grid,
+                   const CompileOptions &options,
+                   const CompileReport &report,
+                   const Placement *initial)
+{
+    ScheduleExportInfo info;
+    info.circuit = &circuit;
+    info.grid = &grid;
+    info.policy = report.policy;
+    info.distance = options.cost.distance;
+    info.channel_hold_cycles = options.channel_hold_cycles;
+    info.used_maslov = report.used_maslov;
+    info.dead_vertices = options.dead_vertices;
+    if (!report.used_maslov && report.result.swaps_inserted == 0 &&
+        report.result.layout_invocations == 0)
+        info.placement = initial;
+    return info;
+}
 
 void
 ScheduleExportPass::run(CompileContext &ctx)
@@ -20,23 +39,9 @@ ScheduleExportPass::run(CompileContext &ctx)
             !ctx.report.result.trace.empty(),
         name(), "no trace; schedule export needs record_trace");
 
-    ScheduleExportInfo info;
-    info.circuit = ctx.circuit;
-    info.grid = &*ctx.grid;
-    info.policy = ctx.options.policy;
-    info.distance = ctx.options.cost.distance;
-    info.channel_hold_cycles = ctx.options.channel_hold_cycles;
-    info.used_maslov = ctx.report.used_maslov;
-    info.dead_vertices = ctx.options.dead_vertices;
-    // The placement is the lint/export-time initial placement; it is
-    // only embedded when it still describes the final layout (no
-    // dynamic relayout or swap network moved qubits), which is
-    // exactly when the certifier's channel bound is sound.
-    if (ctx.placement.has_value() && !ctx.report.used_maslov &&
-        ctx.report.result.swaps_inserted == 0 &&
-        ctx.report.result.layout_invocations == 0)
-        info.placement = &*ctx.placement;
-
+    const ScheduleExportInfo info = scheduleExportInfo(
+        *ctx.circuit, *ctx.grid, ctx.options, ctx.report,
+        ctx.placement ? &*ctx.placement : nullptr);
     writeTextFile(ctx.options.schedule_out,
                   scheduleToJson(info, ctx.report.result));
     ctx.bump("schedule_exports");

@@ -18,8 +18,21 @@
 #define AUTOBRAID_COMPILER_SCHEDULE_EXPORT_PASS_HPP
 
 #include "compiler/pass.hpp"
+#include "sched/schedule_export.hpp"
 
 namespace autobraid {
+
+/**
+ * The export facts of one compile of @p circuit on @p grid (pointers
+ * into both). @p initial, the initial placement, is embedded only
+ * while no qubit moved (no swap network, inserted SWAP or relayout):
+ * exactly when the certifier's channel bound is sound.
+ */
+ScheduleExportInfo scheduleExportInfo(const Circuit &circuit,
+                                      const Grid &grid,
+                                      const CompileOptions &options,
+                                      const CompileReport &report,
+                                      const Placement *initial = nullptr);
 
 /** Schedule-JSON export stage (requires grid + schedule). */
 class ScheduleExportPass final : public Pass

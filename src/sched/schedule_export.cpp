@@ -2,7 +2,7 @@
 
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
-#include "common/text.hpp"
+#include "common/json.hpp"
 
 namespace autobraid {
 
@@ -43,83 +43,57 @@ scheduleToJson(const ScheduleExportInfo &info,
     std::string out;
     out.reserve(512 + circuit.size() * 48 +
                 result.trace.size() * 96);
-    out += "{\n";
-    out += "  \"format\": \"autobraid-schedule\",\n";
-    out += "  \"version\": 1,\n";
-    out += strformat("  \"circuit\": \"%s\",\n",
-                     jsonEscape(circuit.name()).c_str());
-    out += strformat("  \"policy\": \"%s\",\n",
-                     policyName(info.policy));
-    out += strformat("  \"backend\": \"%s\",\n",
-                     backendCliName(result.backend));
-    out += strformat("  \"distance\": %d,\n", info.distance);
-    out += strformat("  \"grid_rows\": %d,\n", grid.rows());
-    out += strformat("  \"grid_cols\": %d,\n", grid.cols());
-    out += strformat("  \"num_qubits\": %d,\n", circuit.numQubits());
-    out += strformat(
-        "  \"channel_hold_cycles\": %llu,\n",
-        static_cast<unsigned long long>(info.channel_hold_cycles));
-    out += strformat("  \"used_maslov\": %s,\n",
-                     info.used_maslov ? "true" : "false");
-    out += strformat(
-        "  \"swaps_inserted\": %zu,\n  \"braids_routed\": %zu,\n",
-        result.swaps_inserted, result.braids_routed);
-    out += strformat("  \"makespan\": %llu,\n",
-                     static_cast<unsigned long long>(result.makespan));
+    json::Writer w(out, json::Writer::Layout::Document);
+    w.beginObject();
+    w.key("format").value("autobraid-schedule");
+    w.key("version").value(1);
+    w.key("circuit").value(circuit.name());
+    w.key("policy").value(policyName(info.policy));
+    w.key("backend").value(backendCliName(result.backend));
+    w.key("distance").value(info.distance);
+    w.key("grid_rows").value(grid.rows());
+    w.key("grid_cols").value(grid.cols());
+    w.key("num_qubits").value(circuit.numQubits());
+    w.key("channel_hold_cycles").value(info.channel_hold_cycles);
+    w.key("used_maslov").value(info.used_maslov);
+    w.key("swaps_inserted").value(result.swaps_inserted);
+    w.key("braids_routed").value(result.braids_routed);
+    w.key("makespan").value(result.makespan);
 
-    out += "  \"dead_vertices\": [";
-    for (size_t i = 0; i < info.dead_vertices.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += strformat("%d", info.dead_vertices[i]);
-    }
-    out += "],\n";
-
+    w.key("dead_vertices").beginArray();
+    for (VertexId v : info.dead_vertices)
+        w.value(v);
+    w.end();
     if (info.placement) {
-        out += "  \"placement\": [";
-        for (Qubit q = 0; q < circuit.numQubits(); ++q) {
-            if (q)
-                out += ", ";
-            out += strformat("%d", info.placement->cellIdOf(q));
-        }
-        out += "],\n";
+        w.key("placement").beginArray();
+        for (Qubit q = 0; q < circuit.numQubits(); ++q)
+            w.value(info.placement->cellIdOf(q));
+        w.end();
     }
 
-    out += "  \"gates\": [\n";
-    for (size_t g = 0; g < circuit.size(); ++g) {
-        const Gate &gate = circuit.gate(g);
-        out += strformat("    {\"kind\": \"%s\", \"q0\": %d, "
-                         "\"q1\": %d}%s\n",
-                         gateName(gate.kind), gate.q0, gate.q1,
-                         g + 1 < circuit.size() ? "," : "");
-    }
-    out += "  ],\n";
+    w.key("gates").beginRows();
+    for (const Gate &gate : circuit.gates())
+        w.beginObject()
+            .key("kind").value(gateName(gate.kind))
+            .key("q0").value(gate.q0)
+            .key("q1").value(gate.q1)
+            .end();
+    w.end();
 
-    out += "  \"schedule\": [\n";
-    for (size_t i = 0; i < result.trace.size(); ++i) {
-        const TraceEntry &e = result.trace[i];
-        out += strformat(
-            "    {\"gate\": %lld, \"start\": %llu, "
-            "\"finish\": %llu, \"release\": %llu",
-            documentGate(e), static_cast<unsigned long long>(e.start),
-            static_cast<unsigned long long>(e.finish),
-            static_cast<unsigned long long>(documentRelease(e)));
+    w.key("schedule").beginRows();
+    for (const TraceEntry &e : result.trace) {
+        w.beginObject();
+        w.key("gate").value(documentGate(e));
+        w.key("start").value(e.start).key("finish").value(e.finish);
+        w.key("release").value(documentRelease(e));
         if (e.swap_a != kNoQubit || e.swap_b != kNoQubit)
-            out += strformat(", \"swap_a\": %d, \"swap_b\": %d",
-                             e.swap_a, e.swap_b);
-        out += ", \"path\": [";
-        for (size_t v = 0; v < e.path.vertices.size(); ++v) {
-            if (v)
-                out += ", ";
-            out += strformat("%d", e.path.vertices[v]);
-        }
-        out += "]}";
-        if (i + 1 < result.trace.size())
-            out += ",";
-        out += "\n";
+            w.key("swap_a").value(e.swap_a).key("swap_b").value(e.swap_b);
+        w.key("path").beginArray();
+        for (VertexId v : e.path.vertices)
+            w.value(v);
+        w.end().end();
     }
-    out += "  ]\n";
-    out += "}\n";
+    w.end().end();
     return out;
 }
 

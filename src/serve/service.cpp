@@ -31,82 +31,71 @@ elapsedMicros(Clock::time_point since)
 std::string
 renderId(const json::Value *id)
 {
+    std::string out;
+    json::Writer w(out);
     if (id == nullptr || id->isNull())
-        return "null";
-    if (id->isBool())
-        return id->asBool() ? "true" : "false";
-    if (id->isString())
-        return "\"" + jsonEscape(id->asString()) + "\"";
-    if (id->isNumber()) {
+        w.null();
+    else if (id->isBool())
+        w.value(id->asBool());
+    else if (id->isString())
+        w.value(id->asString());
+    else if (id->isNumber()) {
         const double d = id->asNumber();
         if (d == std::floor(d) && std::fabs(d) < 9.0e15)
-            return strformat("%lld", static_cast<long long>(d));
-        return strformat("%.17g", d);
-    }
-    throw UserError("request 'id' must be a string, number, bool, "
-                    "or null");
+            w.value(static_cast<long long>(d));
+        else
+            w.significant(d, 17);
+    } else
+        throw UserError("request 'id' must be a string, number, bool, "
+                        "or null");
+    return out;
 }
 
+/**
+ * A response: the envelope (format, v, id, status) followed by the
+ * members @p fields writes. Every reply is written through here;
+ * @p extra sizes the reservation for a large raw member.
+ */
+template <typename Fields>
 std::string
-envelopeHead(const std::string &id_json, const char *status)
+envelope(const std::string &id_json, const char *status, Fields fields,
+         size_t extra = 0)
 {
-    return strformat(
-        "{\"format\":\"autobraid-serve\",\"v\":%d,\"id\":%s,"
-        "\"status\":\"%s\"",
-        kServeProtocolVersion, id_json.c_str(), status);
+    std::string out;
+    out.reserve(id_json.size() + extra + 128);
+    json::Writer w(out);
+    w.beginObject().key("format").value("autobraid-serve");
+    w.key("v").value(kServeProtocolVersion).key("id").raw(id_json);
+    w.key("status").value(status);
+    fields(w);
+    w.end();
+    return out;
 }
 
+/** An "ok" reply carrying a report body (fresh or from the cache). */
 std::string
-errorResponse(const std::string &id_json, const std::string &message)
+reportResponse(const std::string &id_json, bool cached,
+               const CacheKey *key, uint64_t latency_us,
+               const std::string &body)
 {
-    return envelopeHead(id_json, "error") + ",\"error\":\"" +
-           jsonEscape(message) + "\"}";
+    return envelope(
+        id_json, "ok",
+        [&](json::Writer &w) {
+            w.key("cached").value(cached);
+            if (key)
+                w.key("cache_key").value(key->toHex());
+            w.key("latency_us").value(latency_us).key("report").raw(body);
+        },
+        body.size());
 }
 
 std::string
 shedResponse(const std::string &id_json, const char *reason,
              uint64_t latency_us)
 {
-    return envelopeHead(id_json, "shed") +
-           strformat(",\"reason\":\"%s\",\"latency_us\":%llu}",
-                     reason,
-                     static_cast<unsigned long long>(latency_us));
-}
-
-/**
- * The deterministic reply body: simulated-time metrics and counters
- * only — no wall clock — so replies are byte-identical across
- * workers, runs, and cache hits (the cache stores exactly this
- * string).
- */
-std::string
-reportBody(const CompileReport &report)
-{
-    std::string out = strformat(
-        "{\"circuit\":\"%s\",\"policy\":\"%s\",\"backend\":\"%s\","
-        "\"qubits\":%d,\"gates\":%zu,\"grid\":%d,"
-        "\"critical_path\":%llu,\"makespan\":%llu,"
-        "\"cp_ratio\":%.9f,\"braids\":%zu,\"swaps\":%zu,"
-        "\"failures\":%zu,\"used_maslov\":%s,\"valid\":%s,"
-        "\"counters\":{",
-        jsonEscape(report.circuit_name).c_str(),
-        policyName(report.policy), backendName(report.backend),
-        report.num_qubits, report.num_gates, report.grid_side,
-        static_cast<unsigned long long>(report.critical_path),
-        static_cast<unsigned long long>(report.result.makespan),
-        report.cpRatio(), report.result.braids_routed,
-        report.result.swaps_inserted, report.result.routing_failures,
-        report.used_maslov ? "true" : "false",
-        report.result.valid ? "true" : "false");
-    bool first = true;
-    for (const auto &[name, value] : report.counters) {
-        out += strformat("%s\"%s\":%ld", first ? "" : ",",
-                         jsonEscape(name).c_str(), value);
-        first = false;
-    }
-    out += "},\"metrics_summary\":\"" +
-           jsonEscape(report.metricsSummary()) + "\"}";
-    return out;
+    return envelope(id_json, "shed", [&](json::Writer &w) {
+        w.key("reason").value(reason).key("latency_us").value(latency_us);
+    });
 }
 
 /** One parsed compile request (everything but the circuit). */
@@ -218,6 +207,41 @@ parseRequest(const std::string &request_json,
 
 } // namespace
 
+std::string
+reportBody(const CompileReport &report)
+{
+    std::string out;
+    json::Writer w(out);
+    w.beginObject();
+    w.key("circuit").value(report.circuit_name);
+    w.key("policy").value(policyName(report.policy));
+    w.key("backend").value(backendName(report.backend));
+    w.key("qubits").value(report.num_qubits);
+    w.key("gates").value(report.num_gates);
+    w.key("grid").value(report.grid_side);
+    w.key("critical_path").value(report.critical_path);
+    w.key("makespan").value(report.result.makespan);
+    w.key("cp_ratio").fixed(report.cpRatio(), 9);
+    w.key("braids").value(report.result.braids_routed);
+    w.key("swaps").value(report.result.swaps_inserted);
+    w.key("failures").value(report.result.routing_failures);
+    w.key("used_maslov").value(report.used_maslov);
+    w.key("valid").value(report.result.valid);
+    w.key("counters").beginObject();
+    for (const auto &[name, value] : report.counters)
+        w.key(name).value(value);
+    w.end().key("metrics_summary").value(report.metricsSummary()).end();
+    return out;
+}
+
+std::string
+errorResponse(const std::string &id_json, const std::string &message)
+{
+    return envelope(id_json, "error", [&](json::Writer &w) {
+        w.key("error").value(message);
+    });
+}
+
 const std::vector<double> &
 serveLatencyBounds()
 {
@@ -309,25 +333,23 @@ CompileService::submit(std::string request_json,
 
     if (!req.op.empty()) {
         metrics_.add("serve.control");
-        if (req.op == "ping") {
-            done(envelopeHead(req.id_json, "ok") +
-                 ",\"op\":\"pong\"}");
-        } else if (req.op == "metrics") {
-            done(envelopeHead(req.id_json, "ok") +
-                 ",\"op\":\"metrics\",\"metrics\":" +
-                 metricsSnapshot().toJson() + "}");
+        std::string metrics; // raw member of the "metrics" reply
+        if (req.op == "metrics") {
+            metrics = metricsSnapshot().toJson();
         } else if (req.op == "shutdown") {
-            {
-                std::lock_guard<std::mutex> lock(mu_);
-                shutdown_requested_ = true;
-            }
-            done(envelopeHead(req.id_json, "ok") +
-                 ",\"op\":\"shutdown\"}");
-        } else {
+            std::lock_guard<std::mutex> lock(mu_);
+            shutdown_requested_ = true;
+        } else if (req.op != "ping") {
             metrics_.add("serve.errors");
             done(errorResponse(req.id_json,
                                "unknown op '" + req.op + "'"));
+            return;
         }
+        done(envelope(req.id_json, "ok", [&](json::Writer &w) {
+            w.key("op").value(req.op == "ping" ? "pong" : req.op);
+            if (!metrics.empty())
+                w.key("metrics").raw(metrics);
+        }));
         return;
     }
 
@@ -362,13 +384,8 @@ CompileService::submit(std::string request_json,
             metrics_.observe("serve.latency_us.hit",
                              static_cast<double>(us),
                              serveLatencyBounds());
-            job.done(envelopeHead(job.id_json, "ok") +
-                     strformat(",\"cached\":true,\"cache_key\":"
-                               "\"%s\",\"latency_us\":%llu,"
-                               "\"report\":",
-                               job.key.toHex().c_str(),
-                               static_cast<unsigned long long>(us)) +
-                     *body + "}");
+            job.done(
+                reportResponse(job.id_json, true, &job.key, us, *body));
             return;
         }
     }
@@ -438,17 +455,9 @@ CompileService::finishJob(Job &&job)
         metrics_.observe("serve.latency_us.miss",
                          static_cast<double>(us),
                          serveLatencyBounds());
-        response =
-            envelopeHead(job.id_json, "ok") +
-            strformat(",\"cached\":false%s,\"latency_us\":%llu,"
-                      "\"report\":",
-                      job.use_cache
-                          ? (",\"cache_key\":\"" +
-                             job.key.toHex() + "\"")
-                                .c_str()
-                          : "",
-                      static_cast<unsigned long long>(us)) +
-            body + "}";
+        response = reportResponse(job.id_json, false,
+                                  job.use_cache ? &job.key : nullptr,
+                                  us, body);
     } catch (const std::exception &e) {
         metrics_.add("serve.errors");
         response = errorResponse(job.id_json, e.what());

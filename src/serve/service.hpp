@@ -56,6 +56,21 @@ namespace serve {
 /** Serve protocol version stamped into every response. */
 constexpr int kServeProtocolVersion = 1;
 
+/**
+ * The deterministic reply body: simulated-time metrics and counters
+ * only — no wall clock — so replies are byte-identical across
+ * workers, runs, and cache hits (the cache stores exactly this
+ * string).
+ */
+std::string reportBody(const CompileReport &report);
+
+/**
+ * A complete {"status": "error"} response carrying @p message, for
+ * the request whose id, as JSON, is @p id_json ("null" when unknown).
+ */
+std::string errorResponse(const std::string &id_json,
+                          const std::string &message);
+
 /** Service-wide settings (validated by the constructor). */
 struct ServiceConfig
 {

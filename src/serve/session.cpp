@@ -30,20 +30,14 @@ runSession(std::istream &in, std::ostream &out,
             // The stream died mid-frame: answer what was admitted,
             // then report the dirty termination to the caller.
             service.drain();
-            reply(strformat(
-                "{\"format\":\"autobraid-serve\",\"v\":%d,"
-                "\"id\":null,\"status\":\"error\","
-                "\"error\":\"truncated frame\"}",
-                kServeProtocolVersion));
+            reply(errorResponse("null", "truncated frame"));
             return 1;
         }
         if (status == FrameStatus::Oversized) {
-            reply(strformat(
-                "{\"format\":\"autobraid-serve\",\"v\":%d,"
-                "\"id\":null,\"status\":\"error\","
-                "\"error\":\"frame_oversized: payload exceeds "
-                "%zu bytes\"}",
-                kServeProtocolVersion, config.max_frame_bytes));
+            reply(errorResponse(
+                "null", strformat("frame_oversized: payload exceeds "
+                                  "%zu bytes",
+                                  config.max_frame_bytes)));
             continue;
         }
         service.submit(payload, reply);

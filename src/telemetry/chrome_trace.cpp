@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/json.hpp"
 #include "common/text.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -13,27 +14,6 @@ constexpr int kCompilerPid = 1;
 constexpr int kSchedulePid = 2;
 /** Schedule tracks beyond this all land on the last row. */
 constexpr size_t kMaxScheduleTracks = 256;
-
-void
-appendEvent(std::string &out, bool &first, const std::string &event)
-{
-    if (!first)
-        out += ",";
-    first = false;
-    out += event;
-}
-
-std::string
-metaEvent(int pid, int tid, const char *what, const std::string &name)
-{
-    std::string ev = strformat(
-        "{\"ph\":\"M\",\"pid\":%d,\"name\":\"%s\",", pid, what);
-    if (tid >= 0)
-        ev += strformat("\"tid\":%d,", tid);
-    ev += strformat("\"args\":{\"name\":\"%s\"}}",
-                    jsonEscape(name).c_str());
-    return ev;
-}
 
 /** Greedy interval partitioning: first track free at @p start. */
 size_t
@@ -108,32 +88,39 @@ utilizationStats(const std::vector<UtilPoint> &timeline,
 std::string
 chromeTraceJson(const CompileReport &report, const CostModel &cost)
 {
-    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-
-    appendEvent(out, first,
-                metaEvent(kCompilerPid, -1, "process_name",
-                          "compiler (wall clock)"));
-    appendEvent(out, first,
-                metaEvent(kSchedulePid, -1, "process_name",
-                          report.circuit_name.empty()
-                              ? std::string("schedule (simulated)")
-                              : "schedule (simulated): " +
-                                    report.circuit_name));
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().key("displayTimeUnit").value("ms");
+    w.key("traceEvents").beginArray();
+    const std::pair<int, std::string> processes[] = {
+        {kCompilerPid, "compiler (wall clock)"},
+        {kSchedulePid, report.circuit_name.empty()
+                           ? std::string("schedule (simulated)")
+                           : "schedule (simulated): " +
+                                 report.circuit_name}};
+    for (const auto &[pid, name] : processes)
+        w.beginObject().key("ph").value("M").key("pid").value(pid)
+            .key("name").value("process_name")
+            .key("args").beginObject().key("name").value(name).end()
+            .end();
+    // A complete ("X") event; the caller adds args and closes it.
+    const auto slice = [&w](int pid, auto tid, const char *cat,
+                            const std::string &name, double ts,
+                            double dur) {
+        w.beginObject().key("ph").value("X").key("pid").value(pid);
+        w.key("tid").value(tid).key("cat").value(cat);
+        w.key("name").value(name);
+        w.key("ts").fixed(ts, 3).key("dur").fixed(dur, 3);
+    };
 
     // --- pid 1: wall-clock spans (or pass timings as a fallback). ---
     bool have_spans = false;
     if (report.telemetry) {
         for (const SpanRecord &s : report.telemetry->tracer().spans()) {
             have_spans = true;
-            appendEvent(
-                out, first,
-                strformat("{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
-                          "\"cat\":\"span\",\"name\":\"%s\","
-                          "\"ts\":%.3f,\"dur\":%.3f}",
-                          kCompilerPid, s.tid,
-                          jsonEscape(s.name).c_str(), s.start_us,
-                          s.dur_us));
+            slice(kCompilerPid, s.tid, "span", s.name, s.start_us,
+                  s.dur_us);
+            w.end();
         }
     }
     if (!have_spans) {
@@ -143,13 +130,8 @@ chromeTraceJson(const CompileReport &report, const CostModel &cost)
         double ts = 0;
         for (const PassTiming &t : report.pass_timings) {
             const double dur = t.seconds * 1e6;
-            appendEvent(
-                out, first,
-                strformat("{\"ph\":\"X\",\"pid\":%d,\"tid\":1,"
-                          "\"cat\":\"pass\",\"name\":\"pass.%s\","
-                          "\"ts\":%.3f,\"dur\":%.3f}",
-                          kCompilerPid,
-                          jsonEscape(t.pass).c_str(), ts, dur));
+            slice(kCompilerPid, 1, "pass", "pass." + t.pass, ts, dur);
+            w.end();
             ts += dur;
         }
     }
@@ -174,19 +156,14 @@ chromeTraceJson(const CompileReport &report, const CostModel &cost)
                              static_cast<unsigned long long>(e.gate));
             cat = "braid";
         }
-        std::string ev = strformat(
-            "{\"ph\":\"X\",\"pid\":%d,\"tid\":%zu,\"cat\":\"%s\","
-            "\"name\":\"%s\",\"ts\":%.3f,\"dur\":%.3f",
-            kSchedulePid, track + 1, cat,
-            jsonEscape(name).c_str(), cost.micros(e.start),
-            cost.micros(e.finish - e.start));
+        slice(kSchedulePid, track + 1, cat, name, cost.micros(e.start),
+              cost.micros(e.finish - e.start));
         if (!e.path.empty())
-            ev += strformat(",\"args\":{\"path_vertices\":%zu,"
-                            "\"release_us\":%.3f}",
-                            e.path.length(),
-                            cost.micros(e.channel_release));
-        ev += "}";
-        appendEvent(out, first, ev);
+            w.key("args").beginObject()
+                .key("path_vertices").value(e.path.length())
+                .key("release_us").fixed(cost.micros(e.channel_release), 3)
+                .end();
+        w.end();
     }
 
     // --- pid 2: utilization counter track (Fig. 17 timeline). ---
@@ -194,17 +171,17 @@ chromeTraceJson(const CompileReport &report, const CostModel &cost)
         const Grid grid(report.grid_side, report.grid_side);
         for (const UtilPoint &pt :
              utilizationTimeline(report.result, grid)) {
-            appendEvent(
-                out, first,
-                strformat("{\"ph\":\"C\",\"pid\":%d,\"tid\":0,"
-                          "\"name\":\"utilization\",\"ts\":%.3f,"
-                          "\"args\":{\"busy_fraction\":%.6f}}",
-                          kSchedulePid, cost.micros(pt.time),
-                          pt.busy_fraction));
+            w.beginObject().key("ph").value("C");
+            w.key("pid").value(kSchedulePid).key("tid").value(0);
+            w.key("name").value("utilization");
+            w.key("ts").fixed(cost.micros(pt.time), 3);
+            w.key("args").beginObject()
+                .key("busy_fraction").fixed(pt.busy_fraction, 6)
+                .end().end();
         }
     }
 
-    out += "]}";
+    w.end().end();
     return out;
 }
 

@@ -3,39 +3,26 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/text.hpp"
 
 namespace autobraid {
 namespace telemetry {
 namespace {
 
-/** Render a double with enough digits to round-trip metric values. */
+/**
+ * Significant digits of every metric double (%.9g): counters held as
+ * doubles stay exact and ratios stable, without %f's trailing zeros.
+ */
+constexpr int kDigits = 9;
+
+/** A metric double as the JSON document renders it. */
 std::string
 num(double v)
 {
-    // %.9g keeps counters-as-doubles exact and ratios stable while
-    // avoiding the trailing-zero noise of %f.
-    std::string s = strformat("%.9g", v);
-    // JSON forbids bare "inf"/"nan"; metrics never produce them, but
-    // guard anyway so a rogue value cannot corrupt a document.
-    if (s.find_first_not_of("0123456789+-.eE") != std::string::npos)
-        return "0";
+    std::string s;
+    json::Writer(s).significant(v, kDigits);
     return s;
-}
-
-std::string
-escapeName(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) < 0x20)
-            continue; // metric names are identifiers; drop control chars
-        out += c;
-    }
-    return out;
 }
 
 } // namespace
@@ -267,58 +254,34 @@ std::string
 MetricsRegistry::toJson() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    std::string out = "{\"counters\":{";
-    bool first = true;
-    for (const auto &[name, value] : counters_) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += strformat("\"%s\":%lld", escapeName(name).c_str(),
-                         value);
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, value] : gauges_) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += strformat("\"%s\":%s", escapeName(name).c_str(),
-                         num(value).c_str());
-    }
-    out += "},\"histograms\":{";
-    first = true;
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().key("counters").beginObject();
+    for (const auto &[name, value] : counters_)
+        w.key(name).value(value);
+    w.end().key("gauges").beginObject();
+    for (const auto &[name, value] : gauges_)
+        w.key(name).significant(value, kDigits);
+    w.end().key("histograms").beginObject();
     for (const auto &[name, h] : histograms_) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += strformat(
-            "\"%s\":{\"count\":%llu,\"sum\":%s,\"min\":%s,"
-            "\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s,"
-            "\"underflow\":%llu,\"overflow\":%llu,\"bounds\":[",
-            escapeName(name).c_str(),
-            static_cast<unsigned long long>(h.count),
-            num(h.sum).c_str(), num(h.min).c_str(),
-            num(h.max).c_str(), num(h.quantile(0.50)).c_str(),
-            num(h.quantile(0.90)).c_str(),
-            num(h.quantile(0.99)).c_str(),
-            static_cast<unsigned long long>(h.underflow()),
-            static_cast<unsigned long long>(h.overflow()));
-        for (size_t i = 0; i < h.bounds.size(); ++i) {
-            if (i)
-                out += ",";
-            out += num(h.bounds[i]);
-        }
-        out += "],\"counts\":[";
-        for (size_t i = 0; i < h.counts.size(); ++i) {
-            if (i)
-                out += ",";
-            out += strformat(
-                "%llu",
-                static_cast<unsigned long long>(h.counts[i]));
-        }
-        out += "]}";
+        w.key(name).beginObject().key("count").value(h.count);
+        w.key("sum").significant(h.sum, kDigits);
+        w.key("min").significant(h.min, kDigits);
+        w.key("max").significant(h.max, kDigits);
+        w.key("p50").significant(h.quantile(0.50), kDigits);
+        w.key("p90").significant(h.quantile(0.90), kDigits);
+        w.key("p99").significant(h.quantile(0.99), kDigits);
+        w.key("underflow").value(h.underflow());
+        w.key("overflow").value(h.overflow());
+        w.key("bounds").beginArray();
+        for (double bound : h.bounds)
+            w.significant(bound, kDigits);
+        w.end().key("counts").beginArray();
+        for (uint64_t count : h.counts)
+            w.value(count);
+        w.end().end();
     }
-    out += "}}";
+    w.end().end();
     return out;
 }
 

@@ -1,6 +1,6 @@
 #include "telemetry/recorder.hpp"
 
-#include "common/text.hpp"
+#include "common/json.hpp"
 
 namespace autobraid {
 namespace telemetry {
@@ -149,89 +149,57 @@ FlightRecording::toJson() const
     std::string out;
     out.reserve(256 + gates.size() * 160 + blocked.size() * 48 +
                 vertex_busy_cycles.size() * 8);
-    out += "{\n";
-    out += "  \"format\": \"autobraid-recording\",\n";
-    out += "  \"version\": 1,\n";
-    out += strformat("  \"circuit\": \"%s\",\n",
-                     jsonEscape(circuit).c_str());
-    out += strformat("  \"policy\": \"%s\",\n",
-                     jsonEscape(policy).c_str());
-    out += strformat("  \"backend\": \"%s\",\n",
-                     jsonEscape(backend).c_str());
-    out += strformat("  \"grid_rows\": %d,\n", grid_rows);
-    out += strformat("  \"grid_cols\": %d,\n", grid_cols);
-    out += strformat("  \"makespan\": %llu,\n",
-                     static_cast<unsigned long long>(makespan));
+    json::Writer w(out, json::Writer::Layout::Document);
+    const auto stalls = [&w](const uint64_t *by_cause) {
+        w.beginObject();
+        for (size_t c = 0; c < kNumStallCauses; ++c)
+            w.key(stallCauseName(static_cast<StallCause>(c)))
+                .value(by_cause[c]);
+        w.end();
+    };
+    w.beginObject();
+    w.key("format").value("autobraid-recording");
+    w.key("version").value(1);
+    w.key("circuit").value(circuit);
+    w.key("policy").value(policy);
+    w.key("backend").value(backend);
+    w.key("grid_rows").value(grid_rows);
+    w.key("grid_cols").value(grid_cols);
+    w.key("makespan").value(makespan);
+    w.key("stall_totals");
+    stalls(stall_totals);
 
-    out += "  \"stall_totals\": {";
-    for (size_t c = 0; c < kNumStallCauses; ++c) {
-        if (c)
-            out += ", ";
-        out += strformat(
-            "\"%s\": %llu",
-            stallCauseName(static_cast<StallCause>(c)),
-            static_cast<unsigned long long>(stall_totals[c]));
-    }
-    out += "},\n";
-
-    out += "  \"gates\": [\n";
+    w.key("gates").beginRows();
     for (size_t g = 0; g < gates.size(); ++g) {
         const GateRecord &rec = gates[g];
-        out += strformat(
-            "    {\"gate\": %zu, \"kind\": \"%s\", \"q0\": %d, "
-            "\"q1\": %d",
-            g, jsonEscape(rec.kind).c_str(), rec.q0, rec.q1);
+        w.beginObject().key("gate").value(g).key("kind").value(rec.kind);
+        w.key("q0").value(rec.q0).key("q1").value(rec.q1);
         if (rec.ready != kNoCycle)
-            out += strformat(
-                ", \"ready\": %llu",
-                static_cast<unsigned long long>(rec.ready));
+            w.key("ready").value(rec.ready);
         if (rec.dispatched != kNoCycle)
-            out += strformat(
-                ", \"dispatched\": %llu",
-                static_cast<unsigned long long>(rec.dispatched));
+            w.key("dispatched").value(rec.dispatched);
         if (rec.retired != kNoCycle)
-            out += strformat(
-                ", \"retired\": %llu",
-                static_cast<unsigned long long>(rec.retired));
-        out += strformat(", \"blocked_attempts\": %u",
-                         rec.blocked_attempts);
-        out += ", \"stall\": {";
-        for (size_t c = 0; c < kNumStallCauses; ++c) {
-            if (c)
-                out += ", ";
-            out += strformat(
-                "\"%s\": %llu",
-                stallCauseName(static_cast<StallCause>(c)),
-                static_cast<unsigned long long>(rec.stall[c]));
-        }
-        out += "}}";
-        out += (g + 1 < gates.size()) ? ",\n" : "\n";
+            w.key("retired").value(rec.retired);
+        w.key("blocked_attempts").value(rec.blocked_attempts);
+        w.key("stall");
+        stalls(rec.stall);
+        w.end();
     }
-    out += "  ],\n";
+    w.end();
 
-    out += "  \"blocked_events\": [\n";
-    for (size_t i = 0; i < blocked.size(); ++i) {
-        const BlockedEvent &ev = blocked[i];
-        out += strformat(
-            "    {\"gate\": %llu, \"cycle\": %llu, \"cause\": "
-            "\"%s\"}",
-            static_cast<unsigned long long>(ev.gate),
-            static_cast<unsigned long long>(ev.cycle),
-            stallCauseName(ev.cause));
-        out += (i + 1 < blocked.size()) ? ",\n" : "\n";
-    }
-    out += "  ],\n";
+    w.key("blocked_events").beginRows();
+    for (const BlockedEvent &ev : blocked)
+        w.beginObject()
+            .key("gate").value(ev.gate)
+            .key("cycle").value(ev.cycle)
+            .key("cause").value(stallCauseName(ev.cause))
+            .end();
+    w.end();
 
-    out += "  \"vertex_busy_cycles\": [";
-    for (size_t v = 0; v < vertex_busy_cycles.size(); ++v) {
-        if (v)
-            out += ", ";
-        out += strformat(
-            "%llu",
-            static_cast<unsigned long long>(vertex_busy_cycles[v]));
-    }
-    out += "]\n";
-    out += "}\n";
+    w.key("vertex_busy_cycles").beginArray();
+    for (uint64_t busy : vertex_busy_cycles)
+        w.value(busy);
+    w.end().end();
     return out;
 }
 

@@ -9,6 +9,7 @@
 #include "common/parse.hpp"
 #include "common/text.hpp"
 #include "compiler/batch.hpp"
+#include "compiler/schedule_export_pass.hpp"
 #include "place/initial.hpp"
 #include "place/placement.hpp"
 #include "sched/schedule_export.hpp"
@@ -130,7 +131,7 @@ policyLabel(const FuzzCase &c, SchedulerPolicy policy)
  */
 void
 checkCertificate(const FuzzCase &c, const char *name,
-                 SchedulerPolicy policy, const CompileReport &report,
+                 const CompileReport &report,
                  std::vector<std::string> &failures)
 {
     auto fail = [&failures, &c, name](const std::string &what) {
@@ -140,14 +141,8 @@ checkCertificate(const FuzzCase &c, const char *name,
                                      c.summary().c_str()));
     };
     const Grid grid = Grid::forQubits(c.circuit.numQubits());
-    ScheduleExportInfo info;
-    info.circuit = &c.circuit;
-    info.grid = &grid;
-    info.policy = policy;
-    info.distance = c.options.cost.distance;
-    info.channel_hold_cycles = c.options.channel_hold_cycles;
-    info.used_maslov = report.used_maslov;
-    info.dead_vertices = c.options.dead_vertices;
+    const ScheduleExportInfo info =
+        scheduleExportInfo(c.circuit, grid, c.options, report);
     try {
         const certify::Certificate cert = certify::certifySchedule(
             scheduleDocument(info, report.result));
@@ -210,7 +205,7 @@ checkPolicyRun(const FuzzCase &c, const std::string &label,
         fail("result marked invalid");
         return;
     }
-    checkCertificate(c, name, run.policy, run.report, failures);
+    checkCertificate(c, name, run.report, failures);
     if (r.gates_scheduled != c.circuit.size())
         fail(strformat("retired %zu of %zu gates",
                        r.gates_scheduled, c.circuit.size()));

@@ -1,9 +1,8 @@
 /**
  * @file
- * JSON export of compilation reports and schedule traces, for
- * downstream tooling (plotting Fig. 16-18 style charts, waveform-style
- * schedule viewers). Hand-rolled serialization — no external
- * dependencies.
+ * JSON export of compilation reports, for downstream tooling
+ * (plotting Fig. 16-18 style charts). The schedule itself is exported
+ * by sched/schedule_export (autobraid_cli --schedule-out).
  */
 
 #ifndef AUTOBRAID_VIZ_JSON_HPP
@@ -17,17 +16,9 @@
 namespace autobraid {
 namespace viz {
 
-/**
- * Serialize a compile report (metadata + metrics) as a JSON object.
- * The trace is included when present unless @p include_trace is
- * false.
- */
+/** Serialize a compile report (metadata + metrics) as a JSON object. */
 std::string reportToJson(const CompileReport &report,
-                         const CostModel &cost,
-                         bool include_trace = true);
-
-/** Serialize just a schedule trace as a JSON array. */
-std::string traceToJson(const ScheduleResult &result);
+                         const CostModel &cost);
 
 } // namespace viz
 } // namespace autobraid

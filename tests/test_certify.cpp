@@ -21,6 +21,7 @@
 #include "common/json.hpp"
 #include "common/text.hpp"
 #include "compiler/driver.hpp"
+#include "compiler/schedule_export_pass.hpp"
 #include "gen/registry.hpp"
 #include "sched/schedule_export.hpp"
 
@@ -273,14 +274,7 @@ struct Compiled
     ScheduleExportInfo
     info() const
     {
-        ScheduleExportInfo info;
-        info.circuit = &circuit;
-        info.grid = &grid;
-        info.policy = opt.policy;
-        info.distance = opt.cost.distance;
-        info.channel_hold_cycles = opt.channel_hold_cycles;
-        info.used_maslov = report.used_maslov;
-        return info;
+        return scheduleExportInfo(circuit, grid, opt, report);
     }
 
     /** Certificates of @p result from the in-memory and text ends. */

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -267,6 +270,72 @@ TEST(Json, TrailingContentRejected)
 {
     EXPECT_THROW(json::parse("{} garbage"), UserError);
     EXPECT_THROW(json::parse(""), UserError);
+}
+
+// --------------------------------------------------------------------
+// JSON writer (src/common/json): the exact bytes of each decision.
+// --------------------------------------------------------------------
+
+/** What @p write puts on a fresh writer with @p layout. */
+template <typename Write>
+std::string
+written(Write write,
+        json::Writer::Layout layout = json::Writer::Layout::Compact)
+{
+    std::string out;
+    json::Writer w(out, layout);
+    write(w);
+    return out;
+}
+
+TEST(JsonWriter, EscapeTableAndReaderRoundTrip)
+{
+    EXPECT_EQ(written([](json::Writer &w) {
+                  w.value("\"\\\n\r\t\x01\x1f\x7f\xc3\xa9");
+              }),
+              "\"\\\"\\\\\\n\\r\\t\\u0001\\u001f\x7f\xc3\xa9\"");
+    std::string bytes;
+    for (int c = 0x01; c <= 0x7f; ++c)
+        bytes += static_cast<char>(c);
+    const std::string doc =
+        written([&](json::Writer &w) { w.value(bytes); });
+    EXPECT_EQ(json::parse(doc).asString(), bytes);
+}
+
+TEST(JsonWriter, BothLayouts)
+{
+    const auto doc = [](json::Writer &w) {
+        w.beginObject().key("a").beginArray().value(1).beginObject();
+        w.end().beginArray().end().raw(R"({"x":[1]})").end();
+        w.key("rows").beginRows().beginObject().key("k").null().end();
+        w.end().key("none").beginRows().end().end();
+    };
+    EXPECT_EQ(written(doc),
+              R"({"a":[1,{},[],{"x":[1]}],"rows":[{"k":null}],"none":[]})");
+    EXPECT_EQ(written(doc, json::Writer::Layout::Document), R"({
+  "a": [1, {}, [], {"x":[1]}],
+  "rows": [
+    {"k": null}
+  ],
+  "none": [
+  ]
+}
+)");
+}
+
+TEST(JsonWriter, Numbers)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    EXPECT_EQ(written([&](json::Writer &w) {
+                  w.beginArray().value(INT64_MIN).value(UINT64_MAX);
+                  w.value(int32_t{-1}).fixed(1.0 / 3, 6);
+                  w.fixed(-0.0, 3).fixed(2.5, 0).significant(0.1, 17);
+                  w.significant(1e20, 9).significant(-0.0, 9);
+                  w.fixed(inf, 3).significant(-inf, 9);
+                  w.significant(std::nan(""), 9).end();
+              }),
+              "[-9223372036854775808,18446744073709551615,-1,0.333333,"
+              "-0.000,2,0.10000000000000001,1e+20,-0,0,0,0]");
 }
 
 } // namespace

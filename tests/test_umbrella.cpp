@@ -29,8 +29,7 @@ TEST(Umbrella, EndToEndThroughSingleInclude)
         circuit, report.result, options.cost, &grid);
     EXPECT_TRUE(validation.ok) << validation.toString();
 
-    const std::string json =
-        viz::reportToJson(report, options.cost, false);
+    const std::string json = viz::reportToJson(report, options.cost);
     EXPECT_NE(json.find("\"circuit\""), std::string::npos);
 
     const std::string qasm_text = qasm::toQasm(circuit);

@@ -26,8 +26,8 @@
  *                                 inside each compile (byte-identical
  *                                 schedules for any N)
  *     --timings                   print per-pass wall times
- *     --json                      emit a JSON report (no trace)
- *     --json-trace                emit a JSON report with full trace
+ *     --json                      emit a JSON report (no trace; the
+ *                                 schedule is --schedule-out's job)
  *     --trace-out=FILE            write a Chrome trace-event JSON file
  *                                 (load it in Perfetto; single input)
  *     --record-out=FILE           write the scheduler flight recording
@@ -95,7 +95,6 @@ struct CliOptions
     bool compare = false;
     bool sweep_p = false;
     bool json = false;
-    bool json_trace = false;
     bool draw = false;
     bool stats = false;
     bool timings = false;
@@ -118,9 +117,8 @@ usage(int code)
         "  --distance=D  --p=F  --seed=S\n"
         "  --no-maslov  --defects=N  --teleport=HOLD  --compare\n"
         "  --sweep-p  --jobs=N  --route-jobs=N  --timings\n"
-        "  --json  --json-trace\n"
-        "  --trace-out=FILE  --record-out=FILE  --metrics-out=FILE\n"
-        "  --schedule-out=FILE\n"
+        "  --json  --trace-out=FILE  --record-out=FILE\n"
+        "  --metrics-out=FILE  --schedule-out=FILE\n"
         "  --draw  --stats  --list\n"
         "  --lint  --lint-out=FILE  --lint-werror\n"
         "  --lint-suppress=CODES\n");
@@ -197,8 +195,6 @@ parseArgs(int argc, char **argv)
             opts.sweep_p = true;
         } else if (std::strcmp(arg, "--json") == 0) {
             opts.json = true;
-        } else if (std::strcmp(arg, "--json-trace") == 0) {
-            opts.json = opts.json_trace = true;
         } else if (matchValue(arg, "--trace-out", value)) {
             opts.trace_out = value;
         } else if (matchValue(arg, "--record-out", value)) {
@@ -332,8 +328,7 @@ runOne(const CliOptions &opts, const std::string &input,
                     circuit.name().c_str(),
                     analyzeCircuit(circuit).toString().c_str());
     CompileOptions compile = opts.compile;
-    compile.record_trace =
-        opts.json_trace || opts.draw || !opts.trace_out.empty();
+    compile.record_trace = opts.draw || !opts.trace_out.empty();
     compile.record_lifecycle = !opts.record_out.empty();
 
     if (opts.defects > 0) {
@@ -397,9 +392,7 @@ runOne(const CliOptions &opts, const std::string &input,
         }
         if (opts.json) {
             std::printf("%s\n",
-                        viz::reportToJson(report, o.cost,
-                                          opts.json_trace)
-                            .c_str());
+                        viz::reportToJson(report, o.cost).c_str());
         } else {
             printHuman(report, o.cost);
             if (opts.timings)
@@ -459,10 +452,9 @@ runBatch(const CliOptions &opts)
                 rc = 1;
         }
         if (opts.json) {
-            std::printf("%s\n",
-                        viz::reportToJson(res.report,
-                                          opts.compile.cost, false)
-                            .c_str());
+            std::printf(
+                "%s\n",
+                viz::reportToJson(res.report, opts.compile.cost).c_str());
         } else {
             printHuman(res.report, opts.compile.cost);
             if (opts.timings)
@@ -481,7 +473,7 @@ main(int argc, char **argv)
     const bool batchable = opts.jobs > 1 && opts.inputs.size() > 1 &&
                            !opts.sweep_p && !opts.compare &&
                            !opts.draw && !opts.stats &&
-                           opts.defects == 0 && !opts.json_trace;
+                           opts.defects == 0;
     if (batchable) {
         try {
             return runBatch(opts);

@@ -211,50 +211,46 @@ causeColor(telemetry::StallCause cause)
     return "grey";
 }
 
-void
-appendEvent(std::string &out, bool &first, const std::string &event)
-{
-    if (!first)
-        out += ",";
-    first = false;
-    out += event;
-}
-
 std::string
 runTimeline(const LoadedRecording &rec)
 {
-    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-
-    appendEvent(
-        out, first,
-        strformat("{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
-                  "\"args\":{\"name\":\"%s\"}}",
-                  jsonEscape(
-                      strformat("%s (%s, %s)", rec.circuit.c_str(),
-                                rec.policy.c_str(),
-                                rec.backend.c_str()))
-                      .c_str()));
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().key("displayTimeUnit").value("ms");
+    w.key("traceEvents").beginArray();
+    const auto meta = [&w](const char *what, int tid,
+                           const std::string &name) {
+        w.beginObject().key("ph").value("M").key("pid").value(1);
+        if (tid >= 0)
+            w.key("tid").value(tid);
+        w.key("name").value(what);
+        w.key("args").beginObject().key("name").value(name).end().end();
+    };
+    meta("process_name", -1,
+         strformat("%s (%s, %s)", rec.circuit.c_str(),
+                   rec.policy.c_str(), rec.backend.c_str()));
 
     // One track per logical qubit; a gate draws on its q0 track.
     int32_t max_qubit = 0;
     for (const telemetry::GateRecord &g : rec.gates)
         max_qubit = std::max({max_qubit, g.q0, g.q1});
     for (int32_t q = 0; q <= max_qubit; ++q)
-        appendEvent(
-            out, first,
-            strformat("{\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
-                      "\"name\":\"thread_name\","
-                      "\"args\":{\"name\":\"q%d\"}}",
-                      q, q));
+        meta("thread_name", q, strformat("q%d", q));
 
+    // A complete ("X") event; the caller adds args and closes it.
+    const auto slice = [&w](int tid, uint64_t ts, uint64_t dur,
+                            const std::string &name, const char *color) {
+        w.beginObject().key("ph").value("X").key("pid").value(1);
+        w.key("tid").value(tid).key("ts").value(ts).key("dur").value(dur);
+        w.key("name").value(name).key("cname").value(color);
+        w.key("args").beginObject();
+    };
     for (size_t i = 0; i < rec.gates.size(); ++i) {
         const telemetry::GateRecord &g = rec.gates[i];
         if (!g.complete())
             continue;
         const int tid = g.q0 < 0 ? 0 : g.q0;
-        const std::string label = strformat(
-            "%s#%zu", jsonEscape(g.kind).c_str(), i);
+        const std::string label = g.kind + "#" + std::to_string(i);
         // Stall slices tile [ready, dispatched] in cause order; the
         // recorder's exact-sum invariant guarantees they fit.
         uint64_t t = g.ready;
@@ -263,70 +259,56 @@ runTimeline(const LoadedRecording &rec)
                 continue;
             const telemetry::StallCause cause =
                 static_cast<telemetry::StallCause>(c);
-            appendEvent(
-                out, first,
-                strformat("{\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
-                          "\"ts\":%llu,\"dur\":%llu,"
-                          "\"name\":\"%s stall:%s\",\"cname\":\"%s\","
-                          "\"args\":{\"cause\":\"%s\"}}",
-                          tid, static_cast<unsigned long long>(t),
-                          static_cast<unsigned long long>(g.stall[c]),
-                          label.c_str(),
-                          telemetry::stallCauseName(cause),
-                          causeColor(cause),
-                          telemetry::stallCauseName(cause)));
+            const char *name = telemetry::stallCauseName(cause);
+            slice(tid, t, g.stall[c], label + " stall:" + name,
+                  causeColor(cause));
+            w.key("cause").value(name).end().end();
             t += g.stall[c];
         }
-        if (g.retired > g.dispatched)
-            appendEvent(
-                out, first,
-                strformat(
-                    "{\"ph\":\"X\",\"pid\":1,\"tid\":%d,"
-                    "\"ts\":%llu,\"dur\":%llu,\"name\":\"%s\","
-                    "\"cname\":\"good\",\"args\":{\"q0\":%d,"
-                    "\"q1\":%d,\"blocked_attempts\":%u}}",
-                    tid,
-                    static_cast<unsigned long long>(g.dispatched),
-                    static_cast<unsigned long long>(g.retired -
-                                                    g.dispatched),
-                    label.c_str(), g.q0, g.q1, g.blocked_attempts));
+        if (g.retired > g.dispatched) {
+            slice(tid, g.dispatched, g.retired - g.dispatched, label,
+                  "good");
+            w.key("q0").value(g.q0).key("q1").value(g.q1);
+            w.key("blocked_attempts").value(g.blocked_attempts);
+            w.end().end();
+        }
     }
-    out += "]}\n";
+    w.end().end();
+    out += '\n';
     return out;
 }
 
 // ----------------------------------------------------------------- heatmap
 
+/** Busy cycles of the vertex at row @p r, column @p c (0 if absent). */
+uint64_t
+busyAt(const LoadedRecording &rec, int r, int c)
+{
+    const size_t v = static_cast<size_t>(r) *
+                         static_cast<size_t>(rec.grid_cols) +
+                     static_cast<size_t>(c);
+    return v < rec.vertex_busy_cycles.size() ? rec.vertex_busy_cycles[v]
+                                             : 0;
+}
+
 std::string
 runHeatmapJson(const LoadedRecording &rec)
 {
-    std::string out = strformat(
-        "{\"format\":\"autobraid-heatmap\",\"circuit\":\"%s\","
-        "\"grid_rows\":%d,\"grid_cols\":%d,\"makespan\":%llu,"
-        "\"rows\":[",
-        jsonEscape(rec.circuit).c_str(), rec.grid_rows,
-        rec.grid_cols,
-        static_cast<unsigned long long>(rec.makespan));
+    std::string out;
+    json::Writer w(out);
+    w.beginObject().key("format").value("autobraid-heatmap");
+    w.key("circuit").value(rec.circuit);
+    w.key("grid_rows").value(rec.grid_rows);
+    w.key("grid_cols").value(rec.grid_cols);
+    w.key("makespan").value(rec.makespan).key("rows").beginArray();
     for (int r = 0; r < rec.grid_rows; ++r) {
-        if (r)
-            out += ",";
-        out += "[";
-        for (int c = 0; c < rec.grid_cols; ++c) {
-            if (c)
-                out += ",";
-            const size_t v = static_cast<size_t>(r) *
-                                 static_cast<size_t>(rec.grid_cols) +
-                             static_cast<size_t>(c);
-            out += strformat(
-                "%llu",
-                static_cast<unsigned long long>(
-                    v < rec.vertex_busy_cycles.size()
-                        ? rec.vertex_busy_cycles[v]
-                        : 0));
-        }
-        out += "]";
+        w.beginArray();
+        for (int c = 0; c < rec.grid_cols; ++c)
+            w.value(busyAt(rec, r, c));
+        w.end();
     }
-    out += "]}\n";
+    w.end().end();
+    out += '\n';
     return out;
 }
 
@@ -338,15 +320,7 @@ runHeatmapCsv(const LoadedRecording &rec)
         for (int c = 0; c < rec.grid_cols; ++c) {
             if (c)
                 out += ",";
-            const size_t v = static_cast<size_t>(r) *
-                                 static_cast<size_t>(rec.grid_cols) +
-                             static_cast<size_t>(c);
-            out += strformat(
-                "%llu",
-                static_cast<unsigned long long>(
-                    v < rec.vertex_busy_cycles.size()
-                        ? rec.vertex_busy_cycles[v]
-                        : 0));
+            out += std::to_string(busyAt(rec, r, c));
         }
         out += "\n";
     }
