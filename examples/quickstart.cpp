@@ -46,8 +46,8 @@ main()
                     report.micros(options.cost), report.cpRatio(),
                     report.result.braids_routed,
                     100.0 * report.result.peak_utilization);
-        // The compilation ran as an instrumented pass pipeline; the
-        // report breaks the wall time down per pass.
+        // The compilation ran as a fixed, instrumented stage sequence;
+        // the report breaks the wall time down per stage.
         if (policy == SchedulerPolicy::AutobraidFull) {
             std::printf("  passes:");
             for (const PassTiming &t : report.pass_timings)

@@ -476,7 +476,7 @@ certifySchedule(const Schedule &s)
     // AB202 channel-capacity bound, recomputed from the embedded
     // initial placement. Sound only for swap-free braiding runs
     // (a relocated or Maslov-rewritten circuit no longer crosses
-    // the same cut lines), mirroring ReportPass's gating.
+    // the same cut lines), mirroring the compiler's report stage.
     if (backend == SchedulerBackend::Braiding &&
         s.swaps_inserted == 0 && !s.used_maslov && s.placement) {
         const Grid grid(rows, cols);

@@ -8,7 +8,7 @@
  * rules as a plain Schedule value through one of two front ends: the
  * JSON decoder below (tools/autobraid_certify, certifyScheduleText) or
  * the in-memory builder scheduleDocument() beside the exporter
- * (validateSchedule, the compiler's ValidatePass, the fuzz oracle).
+ * (validateSchedule, the compiler's validate stage, the fuzz oracle).
  * Both yield the same value for the same schedule, so both produce
  * the same certificate.
  *

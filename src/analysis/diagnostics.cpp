@@ -91,7 +91,7 @@ diagnosticCatalog()
         {"AB302", Severity::Note,
          "four pairwise strictly-interfering CX gates in one layer "
          "(Theorem 3 obstruction)"},
-        // AB4xx: schedule-level advisories (post-schedule lint pass).
+        // AB4xx: schedule-level advisories (schedule-lint stage).
         {"AB401", Severity::Note,
          "optimality gap: the achieved makespan exceeds the "
          "certified lower bound (critical path / channel capacity) "

@@ -2,7 +2,7 @@
  * @file
  * One-stop lint driver (umbrella for the AB1xx/AB2xx/AB3xx families).
  *
- * The compiler's LintPass and the standalone `autobraid_lint` tool
+ * The compiler's lint stage and the standalone `autobraid_lint` tool
  * both funnel through runCircuitAnalyses(): circuit lints, layout
  * lints against the configured dead-vertex set, the channel-capacity
  * bound under the given placement, and the LLG-theory lints.

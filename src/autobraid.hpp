@@ -53,11 +53,9 @@
 #include "sched/scheduler.hpp"
 #include "sched/validator.hpp"
 
-// Compiler driver: pass manager, standard passes, batch front-end.
+// Compiler driver: the fixed stage sequence, batch front-end.
 #include "compiler/batch.hpp"
 #include "compiler/driver.hpp"
-#include "compiler/lint_pass.hpp"
-#include "compiler/passes.hpp"
 
 // Visualization / export.
 #include "viz/ascii.hpp"

@@ -2,9 +2,13 @@
  * @file
  * Compiler driver — the library's main entry points.
  *
- * compileCircuit() validates the options, assembles the standard pass
- * pipeline (PassManager::standardPipeline), and runs it; for custom
- * pipelines use runPassPipeline() with your own PassManager.
+ * compileCircuit() validates the options and runs the AutoBraid stages
+ * (paper Fig. 10) in one fixed order: parallelism-analysis,
+ * initial-placement, lint, schedule, maslov-fallback, validate, report,
+ * schedule-lint, schedule-export. The two lint stages run only when
+ * CompileOptions::lint_level is not Off, schedule-export only when
+ * CompileOptions::schedule_out is set. Each stage appends one
+ * PassTiming to the report; see docs/driver.md.
  */
 
 #ifndef AUTOBRAID_COMPILER_DRIVER_HPP
@@ -14,23 +18,15 @@
 #include <vector>
 
 #include "compiler/options.hpp"
-#include "compiler/pass_manager.hpp"
 #include "compiler/report.hpp"
 #include "lattice/surface_code.hpp"
+#include "sched/schedule_export.hpp"
 
 namespace autobraid {
 
-/** Compile @p circuit through the standard pass pipeline. */
+/** Compile @p circuit through the fixed stage sequence. */
 CompileReport compileCircuit(const Circuit &circuit,
                              const CompileOptions &options = {});
-
-/**
- * Compile @p circuit through a caller-assembled @p passes pipeline.
- * The options are validated first, exactly as in compileCircuit().
- */
-CompileReport runPassPipeline(const Circuit &circuit,
-                              const CompileOptions &options,
-                              const PassManager &passes);
 
 /**
  * The paper's p-sensitivity sweep: compile with AutobraidFull at each
@@ -44,6 +40,19 @@ std::vector<std::pair<double, CompileReport>> sweepPThreshold(
 /** Physical-qubit budget of a report's grid at distance d. */
 long physicalQubits(const CompileReport &report,
                     const SurfaceCodeParams &params, int distance);
+
+/**
+ * The export facts of one compile of @p circuit on @p grid (pointers
+ * into both), as the schedule-export stage writes them. @p initial,
+ * the initial placement, is embedded only while no qubit moved (no
+ * swap network, inserted SWAP or relayout): exactly when the
+ * certifier's channel bound is sound.
+ */
+ScheduleExportInfo scheduleExportInfo(const Circuit &circuit,
+                                      const Grid &grid,
+                                      const CompileOptions &options,
+                                      const CompileReport &report,
+                                      const Placement *initial = nullptr);
 
 } // namespace autobraid
 

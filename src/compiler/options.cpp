@@ -6,26 +6,6 @@
 
 namespace autobraid {
 
-SchedulerConfig
-CompileOptions::schedulerConfig() const
-{
-    SchedulerConfig cfg;
-    cfg.policy = policy;
-    cfg.backend = backend;
-    cfg.cost = cost;
-    cfg.p_threshold = p_threshold;
-    cfg.allow_maslov = allow_maslov;
-    cfg.seed = seed;
-    cfg.record_trace = record_trace;
-    cfg.record_lifecycle = record_lifecycle;
-    cfg.route_jobs = route_jobs;
-    cfg.dead_vertices = dead_vertices;
-    cfg.baseline_order = baseline_order;
-    cfg.channel_hold_cycles = channel_hold_cycles;
-    cfg.placement = placement;
-    return cfg;
-}
-
 lint::LintOptions
 CompileOptions::lintOptions() const
 {

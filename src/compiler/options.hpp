@@ -1,11 +1,11 @@
 /**
  * @file
- * User-facing compilation options for the pass-manager driver.
+ * User-facing compilation options for the compiler driver.
  *
  * CompileOptions is the one knob surface shared by the CLI, the bench
  * harness, the examples, and the BatchCompiler. It is validated once at
- * the driver entry point (validate()) so that every pass downstream can
- * assume a sane configuration.
+ * the driver entry point (validate()) so that every stage downstream
+ * can assume a sane configuration.
  */
 
 #ifndef AUTOBRAID_COMPILER_OPTIONS_HPP
@@ -22,39 +22,12 @@ namespace autobraid {
 
 class Circuit;
 
-/** User-facing compilation options. */
-struct CompileOptions
+/**
+ * User-facing compilation options: the full scheduler configuration
+ * plus the switches only the driver reads.
+ */
+struct CompileOptions : SchedulerConfig
 {
-    SchedulerPolicy policy = SchedulerPolicy::AutobraidFull;
-
-    /**
-     * Communication backend: braiding paths (the paper's model) or
-     * lattice-surgery merge regions (src/surgery/, docs/backends.md).
-     */
-    SchedulerBackend backend = SchedulerBackend::Braiding;
-
-    CostModel cost;
-    double p_threshold = 0.3;    ///< layout-optimizer trigger ratio
-    bool allow_maslov = true;    ///< try the swap network on all-to-all
-    uint64_t seed = 2021;        ///< placement randomness
-    bool record_trace = false;   ///< keep a full TraceEntry log
-
-    /**
-     * Worker threads for component-parallel routing inside one
-     * compilation's scheduler (SchedulerConfig::route_jobs). Schedules
-     * are byte-identical for every value >= 1; this is a wall-clock
-     * knob, orthogonal to the BatchCompiler's per-circuit jobs.
-     */
-    int route_jobs = 1;
-
-    /**
-     * Record the scheduler's flight recording (per-gate lifecycle,
-     * stall attribution, congestion heatmap) into
-     * CompileReport::result.recording. Off by default; inspect it
-     * with tools/autobraid_inspect (docs/observability.md).
-     */
-    bool record_lifecycle = false;
-
     /**
      * AutobraidFull normally also evaluates the never-trigger (p = 0)
      * schedule and keeps the better one, mirroring the paper's p-sweep.
@@ -62,12 +35,6 @@ struct CompileOptions
      * effect of each threshold.
      */
     bool best_of_p0 = true;
-
-    /** Permanently unusable routing vertices (lattice defects). */
-    std::vector<VertexId> dead_vertices;
-
-    /** Greedy ordering for the Baseline policy (ablations). */
-    GreedyOrder baseline_order = GreedyOrder::Distance;
 
     /**
      * Telemetry switches. When enabled, the driver attaches a
@@ -79,16 +46,9 @@ struct CompileOptions
     telemetry::TelemetryOptions telemetry;
 
     /**
-     * Channel hold in cycles; 0 = braiding (full CX window), > 0 =
-     * teleportation-style early release (see SchedulerConfig).
-     */
-    Cycles channel_hold_cycles = 0;
-    InitialPlacementConfig placement;
-
-    /**
-     * Static-analysis level. Off (the default) skips the lint pass
-     * entirely; any other level inserts it after initial-placement
-     * and surfaces its diagnostics as CompileReport::lint.
+     * Static-analysis level. Off (the default) skips the lint and
+     * schedule-lint stages entirely; any other level runs them and
+     * surfaces their diagnostics as CompileReport::lint.
      */
     lint::LintLevel lint_level = lint::LintLevel::Off;
 
@@ -104,15 +64,15 @@ struct CompileOptions
     /**
      * When non-empty, write a versioned `autobraid-schedule` v1 JSON
      * export of the final schedule to this path (schedule-export
-     * pass; docs/observability.md). Implies record_trace — the export
+     * stage; docs/observability.md). Implies record_trace — the export
      * is the per-gate trace plus enough layout context for the
      * independent checker (tools/autobraid_certify) to re-verify the
      * schedule from scratch.
      */
     std::string schedule_out;
 
-    /** Build the scheduler config for this option set. */
-    SchedulerConfig schedulerConfig() const;
+    /** The scheduler config of this option set. */
+    SchedulerConfig schedulerConfig() const { return *this; }
 
     /** Build the diagnostic-engine options for this option set. */
     lint::LintOptions lintOptions() const;
@@ -122,7 +82,7 @@ struct CompileOptions
      * instead of silently proceeding: p_threshold outside [0, 1], dead
      * vertices outside the circuit's grid, zero-qubit circuits, and a
      * non-positive code distance. Called by the driver entry points
-     * (compileCircuit, runPassPipeline, BatchCompiler).
+     * (compileCircuit, BatchCompiler).
      */
     void validate(const Circuit &circuit) const;
 };

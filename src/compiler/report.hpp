@@ -1,14 +1,14 @@
 /**
  * @file
- * Compilation report: metrics, per-pass instrumentation, diagnostics.
+ * Compilation report: metrics, per-stage instrumentation, diagnostics.
  *
  * One CompileReport is produced per compiled circuit. Besides the
  * schedule metrics the paper evaluates (critical path, makespan, swap
- * counts, utilization), the report carries the pass manager's
- * instrumentation: one PassTiming per executed pass and a deterministic
+ * counts, utilization), the report carries the driver's
+ * instrumentation: one PassTiming per executed stage and a deterministic
  * counter map (routed/deferred CXs, SWAPs inserted, layout-optimizer
  * triggers, ...). The aggregate timing fields (placement_seconds,
- * total_seconds) are *derived* from the per-pass timings by the driver
+ * total_seconds) are *derived* from the per-stage timings by the driver
  * so they cannot drift from the instrumented sum.
  */
 
@@ -33,11 +33,11 @@ namespace lint {
 class DiagnosticEngine;
 } // namespace lint
 
-/** Wall-clock of one executed pass. */
+/** Wall-clock of one executed compile stage. */
 struct PassTiming
 {
-    std::string pass;    ///< Pass::name()
-    double seconds = 0;  ///< wall time of this pass
+    std::string pass;    ///< stage name, e.g. "schedule"
+    double seconds = 0;  ///< wall time of this stage
 };
 
 /** Result of one pipeline run. */
@@ -53,18 +53,18 @@ struct CompileReport
     ScheduleResult result;
     bool used_maslov = false;    ///< swap-network mode won
 
-    /** One entry per executed pass, in execution order. */
+    /** One entry per executed stage, in execution order. */
     std::vector<PassTiming> pass_timings;
 
     /**
-     * Deterministic pass counters (sorted by name): routed_cx,
+     * Deterministic stage counters (sorted by name): routed_cx,
      * deferred_cx, swaps_inserted, layout_invocations, ... Counters
      * never include wall-clock values, so two runs with the same seed
      * produce byte-identical counter maps.
      */
     std::map<std::string, long> counters;
 
-    /** Validation/diagnostic messages accumulated by the passes. */
+    /** Validation/diagnostic messages accumulated by the stages. */
     std::vector<std::string> diagnostics;
 
     /**
@@ -77,17 +77,17 @@ struct CompileReport
 
     /**
      * Static-analysis diagnostics of this compilation; null unless
-     * CompileOptions::lint_level enabled the lint pass. Render with
+     * CompileOptions::lint_level enabled the lint stages. Render with
      * DiagnosticEngine::toText() / toSarif().
      */
     std::shared_ptr<lint::DiagnosticEngine> lint;
 
-    /** Derived: wall time of the initial-placement pass. */
+    /** Derived: wall time of the initial-placement stage. */
     double placement_seconds = 0;
-    /** Derived: sum of every executed pass's wall time. */
+    /** Derived: sum of every executed stage's wall time. */
     double total_seconds = 0;
 
-    /** Wall time of pass @p name (0 when it did not run). */
+    /** Wall time of stage @p name (0 when it did not run). */
     double passSeconds(const std::string &name) const;
 
     /** Makespan in microseconds. */

@@ -73,7 +73,7 @@ struct SchedulerConfig
     bool allow_maslov = true;
 
     /** Density above which a coupling graph counts as all-to-all. */
-    double all_to_all_density = 0.5;
+    static constexpr double all_to_all_density = 0.5;
 
     /** Seed for placement randomness. */
     uint64_t seed = 2021;

@@ -12,7 +12,7 @@
  * path geometry, and temporally overlapping holds vertex-disjoint.
  * No checker verifies that a path is anchored at its operand tiles'
  * corners (docs/scheduler.md lists it as unchecked). The test suite,
- * the compiler's ValidatePass and the differential fuzz harness
+ * the compiler's validate stage and the differential fuzz harness
  * (src/testing/) run every scheduler mode through it.
  */
 

@@ -182,11 +182,14 @@ parseRequest(const std::string &request_json,
                     "request option 'p' must be in [0, 1]");
             o.p_threshold = value.asNumber();
         } else if (key == "seed") {
+            // A JSON number decodes to a double, which carries every
+            // integer up to 2^53 - 1 exactly and no range beyond it.
+            constexpr double kMaxSeed = 9007199254740991.0;
             if (!value.isNumber() ||
                 value.asNumber() != std::floor(value.asNumber()) ||
-                value.asNumber() < 0)
-                throw UserError("request option 'seed' must be a "
-                                "non-negative integer");
+                value.asNumber() < 0 || value.asNumber() > kMaxSeed)
+                throw UserError("request option 'seed' must be an "
+                                "integer in [0, 2^53 - 1]");
             o.seed = static_cast<uint64_t>(value.asNumber());
         } else if (key == "teleport")
             o.channel_hold_cycles = static_cast<Cycles>(

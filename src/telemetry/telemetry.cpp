@@ -24,13 +24,13 @@ TelemetryScope::~TelemetryScope()
     g_current = prev_;
 }
 
-ScopedSpan::ScopedSpan(std::string name)
+ScopedSpan::ScopedSpan(std::string_view name)
 {
     Telemetry *t = g_current;
     if (t == nullptr || !t->spansEnabled())
         return;
     sink_ = t;
-    name_ = std::move(name);
+    name_ = name;
     start_us_ = t->tracer().nowUs();
 }
 

@@ -4,8 +4,8 @@
  *
  * A Telemetry object bundles one compilation's MetricsRegistry
  * (deterministic values) and Tracer (wall-clock spans). The driver
- * installs it into a thread-local slot for the duration of the pass
- * pipeline (TelemetryScope), and instrumented code anywhere below —
+ * installs it into a thread-local slot for the duration of the compile
+ * stages (TelemetryScope), and instrumented code anywhere below —
  * scheduler, path finders, annealer — reports through the AUTOBRAID_*
  * macros without threading a handle through every signature.
  *
@@ -20,6 +20,9 @@
 
 #ifndef AUTOBRAID_TELEMETRY_TELEMETRY_HPP
 #define AUTOBRAID_TELEMETRY_TELEMETRY_HPP
+
+#include <string>
+#include <string_view>
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
@@ -79,12 +82,13 @@ class TelemetryScope
 
 /**
  * RAII wall-clock span. Cost when no session is installed (or spans
- * are off): one thread-local load and a branch.
+ * are off): one thread-local load and a branch. The name is copied
+ * only when the span records, so an unrecorded span never allocates.
  */
 class ScopedSpan
 {
   public:
-    explicit ScopedSpan(std::string name);
+    explicit ScopedSpan(std::string_view name);
     ~ScopedSpan();
 
     ScopedSpan(const ScopedSpan &) = delete;

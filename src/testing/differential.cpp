@@ -9,7 +9,7 @@
 #include "common/parse.hpp"
 #include "common/text.hpp"
 #include "compiler/batch.hpp"
-#include "compiler/schedule_export_pass.hpp"
+#include "compiler/driver.hpp"
 #include "place/initial.hpp"
 #include "place/placement.hpp"
 #include "sched/schedule_export.hpp"
@@ -226,26 +226,16 @@ checkPolicyRun(const FuzzCase &c, const std::string &label,
                        "peak %.6f",
                        r.avg_utilization, r.peak_utilization));
     }
-    // Lint oracle (when the pipeline ran with lint enabled): reaching
-    // this point means the schedule is valid, so any error-level lint
-    // was successfully routed around — but the AB202 channel-capacity
-    // bound must still be sound for swap-free, non-Maslov *braiding*
-    // schedules (the bound is computed from the braid hold window, so
-    // it makes no soundness claim about lattice surgery).
     checkRecorderLifecycle(c, name, r, failures);
-    if (run.report.lint && r.swaps_inserted == 0 &&
-        !run.report.used_maslov &&
-        r.backend == SchedulerBackend::Braiding) {
-        const auto &metrics = run.report.lint->metrics();
-        const auto it = metrics.find("channel_bound_cycles");
-        if (it != metrics.end() && it->second > 0 &&
-            static_cast<Cycles>(it->second) > r.makespan) {
-            AUTOBRAID_COUNT("fuzz.lint_bound_violations");
-            fail(strformat(
-                "channel bound %ld cycles exceeds makespan %llu",
-                it->second,
-                static_cast<unsigned long long>(r.makespan)));
-        }
+    // Lint oracle (when the compile ran with lint enabled): reaching
+    // this point means the schedule is valid, so any error-level lint
+    // was successfully routed around — but the report stage's
+    // cross-check of the AB202 channel-capacity bound, wherever that
+    // bound makes a claim, must not have found it unsound.
+    if (run.report.counters.count("channel_bound_violations") != 0) {
+        AUTOBRAID_COUNT("fuzz.lint_bound_violations");
+        fail("the lint channel bound exceeds the makespan (report "
+             "counter channel_bound_violations)");
     }
 }
 

@@ -21,7 +21,6 @@
 #include "common/json.hpp"
 #include "common/text.hpp"
 #include "compiler/driver.hpp"
-#include "compiler/schedule_export_pass.hpp"
 #include "gen/registry.hpp"
 #include "sched/schedule_export.hpp"
 

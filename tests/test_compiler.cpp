@@ -1,9 +1,8 @@
 /**
  * @file
- * Pass-manager compiler driver tests: pipeline ordering invariants,
- * custom pass injection, option validation at the driver entry point,
- * per-pass instrumentation (timing fields derived from the pass
- * timings), compileCircuit-vs-standard-pipeline report equivalence
+ * Compiler driver tests: the fixed stage sequence, option validation
+ * at the driver entry point, per-stage instrumentation (timing fields
+ * derived from the stage timings), the telemetry on/off contract
  * across every generator family and the bundled QASM circuits, and
  * BatchCompiler determinism across thread counts.
  */
@@ -13,7 +12,6 @@
 #include "common/error.hpp"
 #include "compiler/batch.hpp"
 #include "compiler/driver.hpp"
-#include "compiler/passes.hpp"
 #include "gen/registry.hpp"
 #include "qasm/elaborator.hpp"
 
@@ -32,80 +30,30 @@ smallCircuit()
     return circuit;
 }
 
-TEST(PassManager, StandardPipelineOrder)
+std::vector<std::string>
+stageNames(const CompileReport &report)
 {
-    const PassManager pm = PassManager::standardPipeline();
-    const std::vector<std::string> expected{
+    std::vector<std::string> names;
+    for (const PassTiming &t : report.pass_timings)
+        names.push_back(t.pass);
+    return names;
+}
+
+TEST(Driver, StageSequence)
+{
+    const std::vector<std::string> standard{
         "parallelism-analysis", "initial-placement", "schedule",
         "maslov-fallback",      "validate",          "report"};
-    EXPECT_EQ(pm.passNames(), expected);
-}
+    EXPECT_EQ(stageNames(compileCircuit(smallCircuit())), standard);
 
-TEST(PassManager, SchedulingBeforeAnalysisIsRejected)
-{
-    PassManager pm;
-    pm.append(std::make_unique<SchedulePass>());
-    EXPECT_THROW(runPassPipeline(smallCircuit(), {}, pm), UserError);
-}
-
-TEST(PassManager, PlacementBeforeAnalysisIsRejected)
-{
-    PassManager pm;
-    pm.append(std::make_unique<InitialPlacementPass>());
-    EXPECT_THROW(runPassPipeline(smallCircuit(), {}, pm), UserError);
-}
-
-TEST(PassManager, ScheduleWithoutPlacementIsRejected)
-{
-    PassManager pm;
-    pm.append(std::make_unique<ParallelismAnalysisPass>());
-    pm.append(std::make_unique<SchedulePass>());
-    EXPECT_THROW(runPassPipeline(smallCircuit(), {}, pm), UserError);
-}
-
-TEST(PassManager, UnknownInsertionAnchorIsRejected)
-{
-    PassManager pm = PassManager::standardPipeline();
-    EXPECT_THROW(pm.insertBefore("no-such-pass",
-                                 std::make_unique<ReportPass>()),
-                 UserError);
-}
-
-TEST(PassManager, CustomPassInjectedMidPipeline)
-{
-    PassManager pm = PassManager::standardPipeline();
-    pm.insertAfter(
-        "initial-placement",
-        std::make_unique<LambdaPass>(
-            "placement-probe", [](CompileContext &ctx) {
-                ASSERT_TRUE(ctx.placement.has_value());
-                ASSERT_TRUE(ctx.grid.has_value());
-                ctx.bump("probe_ran");
-                ctx.bump("probe_qubits", ctx.circuit->numQubits());
-            }));
-    const std::vector<std::string> names = pm.passNames();
-    ASSERT_EQ(names.size(), 7u);
-    EXPECT_EQ(names[1], "initial-placement");
-    EXPECT_EQ(names[2], "placement-probe");
-
-    const CompileReport report =
-        runPassPipeline(smallCircuit(), {}, pm);
-    EXPECT_EQ(report.counters.at("probe_ran"), 1);
-    EXPECT_EQ(report.counters.at("probe_qubits"), 6);
-    ASSERT_EQ(report.pass_timings.size(), 7u);
-    EXPECT_EQ(report.pass_timings[2].pass, "placement-probe");
-
-    // The probe must not perturb the schedule.
-    const CompileReport plain = compileCircuit(smallCircuit());
-    EXPECT_EQ(plain.result.makespan, report.result.makespan);
-}
-
-TEST(PassManager, RemoveDropsAPass)
-{
-    PassManager pm = PassManager::standardPipeline();
-    EXPECT_TRUE(pm.remove("validate"));
-    EXPECT_FALSE(pm.remove("validate"));
-    EXPECT_EQ(pm.size(), 5u);
+    CompileOptions opt;
+    opt.lint_level = lint::LintLevel::All;
+    opt.schedule_out = ::testing::TempDir() + "ab_stage_sequence.json";
+    const std::vector<std::string> all{
+        "parallelism-analysis", "initial-placement", "lint",
+        "schedule",             "maslov-fallback",   "validate",
+        "report",               "schedule-lint",     "schedule-export"};
+    EXPECT_EQ(stageNames(compileCircuit(smallCircuit(), opt)), all);
 }
 
 TEST(Driver, TimingFieldsDeriveFromPassTimings)
@@ -159,7 +107,20 @@ TEST(Driver, ValidateRejectsBadOptions)
     EXPECT_THROW(Circuit(0, "empty"), UserError);
 }
 
-TEST(Driver, CompileCircuitMatchesStandardPipelineOnBundledQasm)
+/** Compile @p circuit with telemetry off and on; summaries must match. */
+void
+expectTelemetryLeavesSummary(const Circuit &circuit, CompileOptions opt,
+                             const std::string &what)
+{
+    opt.telemetry.enabled = false;
+    const CompileReport off = compileCircuit(circuit, opt);
+    opt.telemetry.enabled = true;
+    const CompileReport on = compileCircuit(circuit, opt);
+    ASSERT_NE(on.telemetry, nullptr) << what;
+    EXPECT_EQ(off.metricsSummary(), on.metricsSummary()) << what;
+}
+
+TEST(Driver, TelemetryLeavesSummaryUnchangedOnBundledQasm)
 {
     for (const char *file : {"adder4.qasm", "grover3.qasm"}) {
         const Circuit circuit = qasm::loadCircuit(
@@ -169,19 +130,12 @@ TEST(Driver, CompileCircuitMatchesStandardPipelineOnBundledQasm)
               SchedulerPolicy::AutobraidFull}) {
             CompileOptions opt;
             opt.policy = policy;
-            const CompileReport compiled =
-                compileCircuit(circuit, opt);
-            const CompileReport driver =
-                runPassPipeline(circuit, opt,
-                                PassManager::standardPipeline());
-            EXPECT_EQ(compiled.metricsSummary(),
-                      driver.metricsSummary())
-                << file;
+            expectTelemetryLeavesSummary(circuit, opt, file);
         }
     }
 }
 
-TEST(Driver, CompileCircuitMatchesStandardPipelineOnEveryGeneratorFamily)
+TEST(Driver, TelemetryLeavesSummaryUnchangedOnEveryGeneratorFamily)
 {
     // One small instance per family in src/gen.
     const std::vector<std::string> specs{
@@ -189,22 +143,8 @@ TEST(Driver, CompileCircuitMatchesStandardPipelineOnEveryGeneratorFamily)
         "qaoa:8:2",     "bwt:8",    "shor:3:2", "qpe:4:3",
         "grover:4",     "adder:4",  "ghz:8",    "randct:8:60:1",
         "mct:6:40:1",   "revlib:rd32-v0"};
-    for (const std::string &spec : specs) {
-        const Circuit circuit = gen::make(spec);
-        CompileOptions opt;
-        const CompileReport compiled = compileCircuit(circuit, opt);
-        const CompileReport driver = runPassPipeline(
-            circuit, opt, PassManager::standardPipeline());
-        EXPECT_EQ(compiled.metricsSummary(), driver.metricsSummary())
-            << spec;
-        EXPECT_EQ(compiled.result.makespan, driver.result.makespan)
-            << spec;
-        EXPECT_EQ(compiled.critical_path, driver.critical_path)
-            << spec;
-        EXPECT_EQ(compiled.result.swaps_inserted,
-                  driver.result.swaps_inserted)
-            << spec;
-    }
+    for (const std::string &spec : specs)
+        expectTelemetryLeavesSummary(gen::make(spec), {}, spec);
 }
 
 TEST(Batch, DeriveJobSeedIsStableAndSpreads)

@@ -15,7 +15,6 @@
 #include "analysis/certify.hpp"
 #include "compiler/batch.hpp"
 #include "compiler/driver.hpp"
-#include "compiler/schedule_export_pass.hpp"
 #include "gen/registry.hpp"
 #include "json_checker.hpp"
 #include "lattice/cost_model.hpp"

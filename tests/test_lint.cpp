@@ -3,7 +3,7 @@
  * Static-analysis subsystem tests: the diagnostic engine (levels,
  * suppression, werror, text/SARIF rendering), every AB diagnostic
  * code with a positive and a clean-input negative case, the peephole
- * shared with the generators, the LintPass pipeline integration, the
+ * shared with the generators, the lint-stage driver integration, the
  * channel-capacity bound against achieved makespans, the fuzz-harness
  * lint oracle on a pinned seed block, and catalog/docs parity.
  */
@@ -758,7 +758,7 @@ TEST(Peephole, GeneratorsAreDeadWorkFree)
 }
 
 // --------------------------------------------------------------------
-// Pipeline integration (LintPass, CompileOptions)
+// Driver integration (lint stages, CompileOptions)
 // --------------------------------------------------------------------
 
 TEST(LintPass, OffByDefaultLeavesPipelineUntouched)

@@ -15,6 +15,7 @@
 #include "sched/event_queue.hpp"
 #include "sched/layout_optimizer.hpp"
 #include "sched/maslov.hpp"
+#include "sched/scheduler.hpp"
 #include "sched/validator.hpp"
 
 namespace autobraid {

@@ -294,6 +294,12 @@ TEST(Service, MalformedRequestsGetStructuredErrors)
           "{\"spec\":\"qft:4\",\"options\":{\"bogus\":1}}",
           "{\"spec\":\"qft:4\",\"options\":{\"distance\":-3}}",
           "{\"spec\":\"qft:4\",\"options\":{\"p\":2.0}}",
+          // Seeds a JSON number cannot carry exactly.
+          "{\"spec\":\"qft:4\",\"options\":{\"seed\":1e20}}",
+          "{\"spec\":\"qft:4\",\"options\":"
+          "{\"seed\":18446744073709551616}}",
+          "{\"spec\":\"qft:4\",\"options\":"
+          "{\"seed\":9007199254740992}}",
           "{\"spec\":\"no-such-family:4\"}",
           "{\"qasm\":\"not qasm\"}"}) {
         const std::string response = service.handle(request);
@@ -303,6 +309,11 @@ TEST(Service, MalformedRequestsGetStructuredErrors)
             << "\nresponse: " << response;
         EXPECT_EQ(doc.numberOr("v", 0), kServeProtocolVersion);
     }
+    // The largest exactly representable seed is still accepted.
+    const std::string largest = service.handle(
+        "{\"spec\":\"qft:4\",\"options\":{\"seed\":9007199254740991}}");
+    EXPECT_EQ(json::parse(largest).stringOr("status", ""), "ok")
+        << largest;
 }
 
 TEST(Service, CacheHitIsByteIdenticalToColdCompile)

@@ -2,14 +2,17 @@
  * @file
  * Telemetry subsystem tests: metrics registry semantics (counters,
  * gauges, fixed-bucket histograms, merging), the thread-local span
- * tracer and its RAII scopes, integration with the compile pipeline,
- * and the two contracts the subsystem promises: deterministic
- * serialization across batch thread counts, and zero effect on
- * CompileReport::metricsSummary().
+ * tracer and its RAII scopes, integration with the compile stages,
+ * and the contracts the subsystem promises: deterministic
+ * serialization across batch thread counts, zero effect on
+ * CompileReport::metricsSummary(), and no allocation without a sink.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <thread>
 
 #include "compiler/batch.hpp"
@@ -17,6 +20,48 @@
 #include "gen/registry.hpp"
 #include "telemetry/chrome_trace.hpp"
 #include "telemetry/telemetry.hpp"
+
+// Sanitizer runtimes supply their own operator new; this binary only
+// counts allocations where the replacement below is the one in use.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define AB_SANITIZER_ALLOCATOR 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define AB_SANITIZER_ALLOCATOR 1
+#endif
+#endif
+
+#ifndef AB_SANITIZER_ALLOCATOR
+namespace {
+
+/** Every global operator new call in this test binary. */
+std::atomic<long> g_allocations{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+// Out of line, so the compiler never pairs an inlined free() with a
+// builtin operator new at a call site.
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+#endif
 
 namespace autobraid {
 namespace telemetry {
@@ -146,6 +191,22 @@ TEST(Spans, RecordedOnlyWithSink)
     EXPECT_GE(spans[1].dur_us, spans[0].dur_us);
 }
 
+TEST(Spans, NoAllocationWithoutSink)
+{
+#ifdef AB_SANITIZER_ALLOCATOR
+    GTEST_SKIP() << "the sanitizer runtime owns operator new";
+#else
+    ASSERT_EQ(current(), nullptr);
+    const long before = g_allocations.load();
+    // Longer than any inline string buffer: copying the name would
+    // allocate on every span.
+    for (int i = 0; i < 1000; ++i) {
+        AUTOBRAID_SPAN("route.stack_finder");
+    }
+    EXPECT_EQ(g_allocations.load() - before, 0);
+#endif
+}
+
 TEST(Spans, DisabledSpansStillCollectMetrics)
 {
     TelemetryOptions opts;
@@ -179,6 +240,8 @@ TEST(CompileIntegration, MetricsAndSpansPopulated)
     const Circuit circuit = gen::make("qft:12");
     CompileOptions opt;
     opt.telemetry.enabled = true;
+    opt.lint_level = lint::LintLevel::All;
+    opt.schedule_out = ::testing::TempDir() + "ab_spans_schedule.json";
     const CompileReport report = compileCircuit(circuit, opt);
     ASSERT_NE(report.telemetry, nullptr);
 
@@ -191,12 +254,16 @@ TEST(CompileIntegration, MetricsAndSpansPopulated)
     EXPECT_GT(m.histogram("place.anneal_acceptance").count, 0u);
     EXPECT_GT(m.counter("place.anneal_proposals"), 0);
 
-    // Pass spans from the pass manager wrap every pipeline stage.
-    bool saw_pass_span = false;
+    // Exactly one pass.<name> span wraps each stage, all nine here.
+    std::vector<std::string> pass_spans;
     for (const SpanRecord &s : report.telemetry->tracer().spans())
         if (s.name.rfind("pass.", 0) == 0)
-            saw_pass_span = true;
-    EXPECT_TRUE(saw_pass_span);
+            pass_spans.push_back(s.name);
+    std::vector<std::string> stages;
+    for (const PassTiming &t : report.pass_timings)
+        stages.push_back("pass." + t.pass);
+    EXPECT_EQ(stages.size(), 9u);
+    EXPECT_EQ(pass_spans, stages);
 }
 
 TEST(CompileIntegration, DisabledMeansNoSink)

@@ -402,8 +402,7 @@ runOne(const CliOptions &opts, const std::string &input,
             const Grid grid = Grid::forQubits(circuit.numQubits());
             Rng rng(o.seed);
             const Placement placement = initialPlacement(
-                circuit, grid, rng,
-                o.schedulerConfig().placementFor(policy));
+                circuit, grid, rng, o.placementFor(policy));
             std::printf("\ninitial placement:\n%s\n",
                         viz::renderPlacement(grid, placement)
                             .c_str());
