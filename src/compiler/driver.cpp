@@ -166,14 +166,17 @@ runSchedule(const Circuit &circuit, const Grid &grid,
     // minimum the optimizer must never lose to not triggering at all,
     // so AutobraidFull also evaluates the p = 0 (never trigger) run.
     // The optimizer never fires under lattice surgery, so the p = 0
-    // re-run would just duplicate the schedule there.
+    // re-run would just duplicate the schedule there. Ties keep the
+    // triggered run, so the re-run stops once it cannot be strictly
+    // shorter.
     if (options.backend == SchedulerBackend::Braiding &&
         options.policy == SchedulerPolicy::AutobraidFull &&
         options.best_of_p0 && options.p_threshold > 0.0) {
         SchedulerConfig no_trigger = options;
         no_trigger.p_threshold = 0.0;
         const BraidScheduler plain(circuit, grid, no_trigger);
-        ScheduleResult alt = plain.run(placement);
+        ScheduleResult alt =
+            plain.run(placement, RunLimit{report.result.makespan});
         if (alt.valid && alt.makespan < report.result.makespan) {
             report.result = std::move(alt);
             report.counters["p0_fallback_won"] += 1;
@@ -201,9 +204,12 @@ runMaslovFallback(const Circuit &circuit, const Grid &grid,
     std::vector<Qubit> order(static_cast<size_t>(circuit.numQubits()));
     for (Qubit q = 0; q < circuit.numQubits(); ++q)
         order[static_cast<size_t>(q)] = q;
-    ScheduleResult alt = scheduler.runMaslov(snakePlacement(grid, order));
-    if (alt.valid && (!report.result.valid ||
-                      alt.makespan < report.result.makespan)) {
+    // Like the p = 0 re-run, the network must be strictly shorter than
+    // the schedule kept so far (always valid: the standard mode never
+    // starves), and stops once it cannot be.
+    ScheduleResult alt = scheduler.runMaslov(
+        snakePlacement(grid, order), RunLimit{report.result.makespan});
+    if (alt.valid && alt.makespan < report.result.makespan) {
         report.result = std::move(alt);
         report.used_maslov = true;
         report.counters["maslov_won"] += 1;
@@ -246,6 +252,21 @@ runReport(CompileReport &report)
         static_cast<long>(r.dispatch_instants);
     report.counters["gates_scheduled"] +=
         static_cast<long>(r.gates_scheduled);
+    // Telemetry describes the kept schedule, not the portfolio run that
+    // happened to finish last.
+    if (r.recording) {
+        const telemetry::FlightRecording &rec = *r.recording;
+        AUTOBRAID_GAUGE("sched.makespan_cycles",
+                        static_cast<double>(r.makespan));
+        AUTOBRAID_COUNT("sched.stall_cycles.dependence",
+                        static_cast<long long>(rec.stall_totals[0]));
+        AUTOBRAID_COUNT("sched.stall_cycles.congestion",
+                        static_cast<long long>(rec.stall_totals[1]));
+        AUTOBRAID_COUNT("sched.stall_cycles.region_conflict",
+                        static_cast<long long>(rec.stall_totals[2]));
+        AUTOBRAID_COUNT("sched.stall_cycles.defect",
+                        static_cast<long long>(rec.stall_totals[3]));
+    }
 
     // Cross-check the lint stage's channel-capacity bound against the
     // achieved makespan.

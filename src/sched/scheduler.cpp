@@ -29,9 +29,10 @@ class Engine
   public:
     Engine(const Circuit &circuit, const Dag &dag, const Grid &grid,
            const SchedulerConfig &config, const Placement &placement,
-           bool maslov_mode)
+           bool maslov_mode, RunLimit limit)
         : backend_(maslov_mode ? SchedulerBackend::Braiding
                                : config.backend),
+          limit_(limit),
           criticality_(dag.criticality(
               backendDurationFn(config.cost, backend_))),
           circuit_(&circuit),
@@ -86,8 +87,26 @@ class Engine
         AUTOBRAID_SPAN(maslov_mode_ ? "sched.run_maslov"
                                     : "sched.run");
         const auto wall_start = std::chrono::steady_clock::now();
-        dispatch(0);
-        while (!front_.done()) {
+        Cycles t = 0;
+        while (true) {
+            dispatch(t);
+            if (cannotBeat(t)) {
+                // The caller discards it: no clamp, recording or trace.
+                AUTOBRAID_COUNT("sched.runs_aborted");
+                ScheduleResult stopped;
+                stopped.backend = backend_;
+                stopped.dispatch_instants = result_.dispatch_instants;
+                stopped.valid = false;
+                return stopped;
+            }
+            if (maslov_mode_ &&
+                phases_without_execution_ >
+                    4 * static_cast<size_t>(grid_->numCells()) + 16) {
+                result_.valid = false;
+                break;
+            }
+            if (front_.done())
+                break;
             if (events_.empty()) {
                 if (maslov_mode_) {
                     result_.valid = false; // starved; caller discards
@@ -96,18 +115,11 @@ class Engine
                 panic("BraidScheduler: deadlock with %zu gates left",
                       circuit_->size() - front_.retiredCount());
             }
-            const Cycles t = events_.nextTime();
+            t = events_.nextTime();
             for (const Event &e : events_.popBatch())
                 complete(t, e);
             if (front_.done())
                 break;
-            dispatch(t);
-            if (maslov_mode_ &&
-                phases_without_execution_ >
-                    4 * static_cast<size_t>(grid_->numCells()) + 16) {
-                result_.valid = false;
-                break;
-            }
         }
         result_.makespan = makespan_;
         // Clamp channel accrual to the schedule window [0, makespan]:
@@ -140,34 +152,27 @@ class Engine
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - wall_start)
                 .count();
-        if (recorder_) {
+        if (recorder_)
             result_.recording =
                 std::make_shared<telemetry::FlightRecording>(
                     recorder_->finish(makespan_));
-            const telemetry::FlightRecording &rec =
-                *result_.recording;
-            AUTOBRAID_GAUGE("sched.makespan_cycles",
-                            static_cast<double>(makespan_));
-            AUTOBRAID_COUNT(
-                "sched.stall_cycles.dependence",
-                static_cast<long long>(rec.stall_totals[0]));
-            AUTOBRAID_COUNT(
-                "sched.stall_cycles.congestion",
-                static_cast<long long>(rec.stall_totals[1]));
-            AUTOBRAID_COUNT(
-                "sched.stall_cycles.region_conflict",
-                static_cast<long long>(rec.stall_totals[2]));
-            AUTOBRAID_COUNT(
-                "sched.stall_cycles.defect",
-                static_cast<long long>(rec.stall_totals[3]));
-        }
         return result_;
     }
 
   private:
     /** Effective backend (Maslov mode always schedules braids). */
     const SchedulerBackend backend_;
+    const RunLimit limit_;
+
+    /**
+     * Per gate, its duration plus its longest chain of successors,
+     * timed as the engine times gates: the makespan is at least a
+     * gate's start plus its criticality.
+     */
     const std::vector<Cycles> criticality_;
+
+    /** Largest issue time + criticality over the issued gates. */
+    Cycles committed_ = 0;
     const Circuit *circuit_;
     const Grid *grid_;
     const SchedulerConfig *config_;
@@ -232,6 +237,34 @@ class Engine
     Cycles makespan_ = 0;
     double vertex_cycles_ = 0;
     ScheduleResult result_;
+
+    /**
+     * True when the run, just past dispatch instant @p t, provably
+     * cannot finish strictly below the limit's cutoff. The bound is
+     * sound: an issued gate's successor chain ends no earlier than
+     * committed_, and a gate still ready after instant t starts after
+     * t. Only a limited run scans the ready set.
+     */
+    bool
+    cannotBeat(Cycles t) const
+    {
+        if (limit_.cutoff == RunLimit::kNoCutoff)
+            return false;
+        Cycles bound = committed_;
+        for (GateIdx g : front_.ready())
+            bound = std::max(bound, t + criticality_[g]);
+        return bound >= limit_.cutoff;
+    }
+
+    /** Issue ready gate @p g at @p t. */
+    void
+    issue(GateIdx g, Cycles t)
+    {
+        front_.issue(g);
+        committed_ = std::max(committed_, t + criticality_[g]);
+        if (recorder_)
+            recorder_->onDispatched(g, t);
+    }
 
     bool
     qubitFree(Qubit q, Cycles t) const
@@ -440,9 +473,7 @@ class Engine
                 if (needsBraid(gate.kind) || !operandsFree(gate, t) ||
                     !admitted(g))
                     continue;
-                front_.issue(g);
-                if (recorder_)
-                    recorder_->onDispatched(g, t);
+                issue(g, t);
                 const Cycles dur = model_->gateDuration(gate);
                 if (config_->record_trace)
                     result_.trace.push_back(
@@ -486,9 +517,7 @@ class Engine
     issueBraid(Cycles t, GateIdx g, const Path &path)
     {
         const Gate &gate = circuit_->gate(g);
-        front_.issue(g);
-        if (recorder_)
-            recorder_->onDispatched(g, t);
+        issue(g, t);
         const Cycles dur = model_->gateDuration(gate);
         const Cycles hold = model_->regionHold(dur);
         reserveChannel(t, path, t + hold);
@@ -653,16 +682,19 @@ BraidScheduler::BraidScheduler(const Circuit &circuit, const Grid &grid,
 }
 
 ScheduleResult
-BraidScheduler::run(const Placement &placement) const
+BraidScheduler::run(const Placement &placement, RunLimit limit) const
 {
-    Engine engine(*circuit_, dag_, *grid_, config_, placement, false);
+    Engine engine(*circuit_, dag_, *grid_, config_, placement, false,
+                  limit);
     return engine.run();
 }
 
 ScheduleResult
-BraidScheduler::runMaslov(const Placement &placement) const
+BraidScheduler::runMaslov(const Placement &placement,
+                          RunLimit limit) const
 {
-    Engine engine(*circuit_, dag_, *grid_, config_, placement, true);
+    Engine engine(*circuit_, dag_, *grid_, config_, placement, true,
+                  limit);
     return engine.run();
 }
 

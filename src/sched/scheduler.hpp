@@ -16,12 +16,29 @@
 #ifndef AUTOBRAID_SCHED_SCHEDULER_HPP
 #define AUTOBRAID_SCHED_SCHEDULER_HPP
 
+#include <limits>
+
 #include "circuit/dag.hpp"
 #include "place/placement.hpp"
 #include "sched/metrics.hpp"
 #include "sched/policy.hpp"
 
 namespace autobraid {
+
+/**
+ * Bounds one scheduler run of a portfolio. The run stops as soon as a
+ * sound lower bound on its makespan reaches @ref cutoff: it can then
+ * no longer be strictly shorter than the incumbent whose makespan is
+ * the cutoff. A stopped run returns with valid = false and is
+ * discarded like a starved Maslov run; see docs/scheduler.md.
+ */
+struct RunLimit
+{
+    /** "No cutoff". Not 0: a cutoff of 0 stops every run. */
+    static constexpr Cycles kNoCutoff = std::numeric_limits<Cycles>::max();
+
+    Cycles cutoff = kNoCutoff;
+};
 
 /** Schedules one circuit onto one grid under one policy. */
 class BraidScheduler
@@ -35,15 +52,20 @@ class BraidScheduler
     BraidScheduler(const Circuit &circuit, const Grid &grid,
                    const SchedulerConfig &config);
 
-    /** Run the policy's standard mode from @p placement. */
-    ScheduleResult run(const Placement &placement) const;
+    /**
+     * Run the policy's standard mode from @p placement. Sets
+     * result.valid = false if @p limit stopped the run.
+     */
+    ScheduleResult run(const Placement &placement,
+                       RunLimit limit = {}) const;
 
     /**
      * Run the Maslov swap-network mode from @p placement (qubits should
      * occupy a snake prefix). Sets result.valid = false if the mode
-     * starves (the caller then discards it).
+     * starves or @p limit stopped it (the caller then discards it).
      */
-    ScheduleResult runMaslov(const Placement &placement) const;
+    ScheduleResult runMaslov(const Placement &placement,
+                             RunLimit limit = {}) const;
 
     /** The dependence DAG (shared with the harness for CP numbers). */
     const Dag &dag() const { return dag_; }

@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 
 #include "analysis/certify.hpp"
 #include "analysis/lint.hpp"
+#include "circuit/coupling.hpp"
 #include "common/error.hpp"
 #include "common/parse.hpp"
 #include "common/text.hpp"
 #include "compiler/batch.hpp"
 #include "compiler/driver.hpp"
 #include "place/initial.hpp"
+#include "place/linear.hpp"
 #include "place/placement.hpp"
 #include "sched/schedule_export.hpp"
 #include "sched/scheduler.hpp"
@@ -311,29 +314,147 @@ checkRecorderLifecycle(const FuzzCase &c, const char *name,
 }
 
 /**
- * Lint-never-crashes oracle: the standalone analyses must complete on
- * every generated circuit/lattice, including cases the compiler later
- * rejects. Uses the full-policy placement like `autobraid_lint`.
+ * The AutobraidFull initial placement of @p c on @p grid, seeded and
+ * configured as compileCircuit computes it.
+ */
+Placement
+fullPolicyPlacement(const FuzzCase &c, const Grid &grid)
+{
+    Rng rng(c.options.seed);
+    return initialPlacement(
+        c.circuit, grid, rng,
+        c.options.placementFor(SchedulerPolicy::AutobraidFull));
+}
+
+/**
+ * Where two schedules' traces first differ, entry by entry with routed
+ * paths ("" when identical).
+ */
+std::string
+traceDifference(const ScheduleResult &a, const ScheduleResult &b)
+{
+    if (a.trace.size() != b.trace.size())
+        return strformat("trace length %zu vs %zu", a.trace.size(),
+                         b.trace.size());
+    for (size_t i = 0; i < a.trace.size(); ++i) {
+        const TraceEntry &x = a.trace[i];
+        const TraceEntry &y = b.trace[i];
+        if (x.gate != y.gate || x.start != y.start ||
+            x.finish != y.finish ||
+            x.channel_release != y.channel_release ||
+            x.swap_a != y.swap_a || x.swap_b != y.swap_b ||
+            x.path.vertices != y.path.vertices)
+            return strformat("trace entry %zu diverges", i);
+    }
+    return "";
+}
+
+/** Report counter @p name, 0 when the compile never bumped it. */
+long
+counterOf(const CompileReport &report, const char *name)
+{
+    const auto it = report.counters.find(name);
+    return it == report.counters.end() ? 0 : it->second;
+}
+
+/**
+ * Portfolio oracle for an AutobraidFull braiding compile under @p opt:
+ * rebuild the driver's portfolio from BraidScheduler runs with no
+ * limit (the triggered run, the p = 0 re-run, the Maslov network),
+ * keep the winner by the driver's rule (an alternative must be
+ * strictly shorter), and require the compile, whose alternatives stop
+ * once they cannot win, to have kept the same schedule and counted
+ * the same wins. @p placement is the case's full-policy placement on
+ * @p grid, computed here unless an earlier oracle already did.
  */
 void
-checkLintNeverCrashes(const FuzzCase &c,
+checkPortfolio(const FuzzCase &c, const char *name,
+               const CompileOptions &opt, const CompileReport &report,
+               const Grid &grid, std::optional<Placement> &placement,
+               std::vector<std::string> &failures)
+{
+    auto fail = [&failures, &c, name](const std::string &what) {
+        AUTOBRAID_COUNT("fuzz.portfolio_mismatches");
+        failures.push_back(strformat("[%s] portfolio: %s — %s", name,
+                                     what.c_str(),
+                                     c.summary().c_str()));
+    };
+    AUTOBRAID_COUNT("fuzz.portfolio_checks");
+    try {
+        if (!placement)
+            placement = fullPolicyPlacement(c, grid);
+        const BraidScheduler scheduler(c.circuit, grid, opt);
+        ScheduleResult best = scheduler.run(*placement);
+        long p0_won = 0;
+        long maslov_won = 0;
+        if (opt.best_of_p0 && opt.p_threshold > 0.0) {
+            SchedulerConfig no_trigger = opt;
+            no_trigger.p_threshold = 0.0;
+            const BraidScheduler plain(c.circuit, grid, no_trigger);
+            ScheduleResult alt = plain.run(*placement);
+            if (alt.valid && alt.makespan < best.makespan) {
+                best = std::move(alt);
+                p0_won = 1;
+            }
+        }
+        if (opt.allow_maslov &&
+            CouplingGraph(c.circuit).isAllToAllLike(
+                SchedulerConfig::all_to_all_density)) {
+            std::vector<Qubit> order(
+                static_cast<size_t>(c.circuit.numQubits()));
+            for (Qubit q = 0; q < c.circuit.numQubits(); ++q)
+                order[static_cast<size_t>(q)] = q;
+            ScheduleResult alt =
+                scheduler.runMaslov(snakePlacement(grid, order));
+            if (alt.valid && alt.makespan < best.makespan) {
+                best = std::move(alt);
+                maslov_won = 1;
+            }
+        }
+
+        const ScheduleResult &kept = report.result;
+        if (kept.makespan != best.makespan)
+            fail(strformat(
+                "kept makespan %llu, full portfolio %llu",
+                static_cast<unsigned long long>(kept.makespan),
+                static_cast<unsigned long long>(best.makespan)));
+        if (const std::string d = traceDifference(kept, best);
+            !d.empty())
+            fail(d);
+        if (!kept.recording || !best.recording ||
+            kept.recording->toJson() != best.recording->toJson())
+            fail("flight recordings diverge");
+        if (counterOf(report, "p0_fallback_won") != p0_won)
+            fail(strformat("p0_fallback_won %ld, full portfolio %ld",
+                           counterOf(report, "p0_fallback_won"), p0_won));
+        if (counterOf(report, "maslov_won") != maslov_won)
+            fail(strformat("maslov_won %ld, full portfolio %ld",
+                           counterOf(report, "maslov_won"), maslov_won));
+    } catch (const std::exception &e) {
+        fail(strformat("unlimited portfolio threw: %s", e.what()));
+    }
+}
+
+/**
+ * Lint-never-crashes oracle: the standalone analyses must complete on
+ * every generated circuit/lattice, including cases the compiler later
+ * rejects. Uses the full-policy placement like `autobraid_lint`,
+ * computed into @p placement on @p grid.
+ */
+void
+checkLintNeverCrashes(const FuzzCase &c, const Grid &grid,
+                      std::optional<Placement> &placement,
                       std::vector<std::string> &failures)
 {
     try {
         lint::DiagnosticEngine engine(
             lint::LintOptions{lint::LintLevel::All, {}, false});
-        const Grid grid = Grid::forQubits(c.circuit.numQubits());
-        SchedulerConfig cfg;
-        cfg.seed = c.options.seed;
-        Rng rng(c.options.seed);
-        const Placement placement = initialPlacement(
-            c.circuit, grid, rng,
-            cfg.placementFor(SchedulerPolicy::AutobraidFull));
+        placement = fullPolicyPlacement(c, grid);
         lint::LintRunConfig run;
         run.hold = lint::effectiveHold(c.options.cost,
                                        c.options.channel_hold_cycles);
         lint::runCircuitAnalyses(c.circuit, grid,
-                                 c.options.dead_vertices, &placement,
+                                 c.options.dead_vertices, &*placement,
                                  engine, nullptr, run);
     } catch (const std::exception &e) {
         AUTOBRAID_COUNT("fuzz.lint_crashes");
@@ -351,8 +472,12 @@ runDifferentialCase(const FuzzCase &c, unsigned mask,
     AUTOBRAID_SPAN("fuzz.differential_case");
     DifferentialResult out;
     out.seed = c.seed;
+    // The full-policy placement is annealed once, on first use, for
+    // the lint and portfolio oracles: annealing is most of their cost.
+    const Grid grid = Grid::forQubits(c.circuit.numQubits());
+    std::optional<Placement> placement;
     if (lint_oracle)
-        checkLintNeverCrashes(c, out.failures);
+        checkLintNeverCrashes(c, grid, placement, out.failures);
     for (const MaskedPolicy &p : kPolicies) {
         if (!(mask & p.bit))
             continue;
@@ -364,7 +489,12 @@ runDifferentialCase(const FuzzCase &c, unsigned mask,
             opt.lint_level = lint::LintLevel::All;
         PolicyOutcome run = compileRun(c, opt);
         AUTOBRAID_COUNT("fuzz.policy_runs");
-        checkPolicyRun(c, policyLabel(c, run.policy), run, out.failures);
+        const std::string label = policyLabel(c, run.policy);
+        checkPolicyRun(c, label, run, out.failures);
+        if (run.compiled && p.policy == SchedulerPolicy::AutobraidFull &&
+            opt.backend == SchedulerBackend::Braiding)
+            checkPortfolio(c, label.c_str(), opt, run.report, grid,
+                           placement, out.failures);
         out.runs.push_back(std::move(run));
     }
     // Cross-policy: all policies must agree on the dependence-derived
@@ -519,23 +649,8 @@ checkRouteJobsDeterminism(const FuzzCase &c, unsigned mask, int jobs)
                 static_cast<unsigned long long>(b.makespan)));
             continue;
         }
-        if (a.trace.size() != b.trace.size()) {
-            mismatch(strformat("trace length %zu vs %zu",
-                               a.trace.size(), b.trace.size()));
-            continue;
-        }
-        for (size_t i = 0; i < a.trace.size(); ++i) {
-            const TraceEntry &x = a.trace[i];
-            const TraceEntry &y = b.trace[i];
-            if (x.gate != y.gate || x.start != y.start ||
-                x.finish != y.finish ||
-                x.channel_release != y.channel_release ||
-                x.swap_a != y.swap_a || x.swap_b != y.swap_b ||
-                x.path.vertices != y.path.vertices) {
-                mismatch(strformat("trace entry %zu diverges", i));
-                break;
-            }
-        }
+        if (const std::string d = traceDifference(a, b); !d.empty())
+            mismatch(d);
         if (a.recording && b.recording &&
             a.recording->toJson() != b.recording->toJson())
             mismatch("flight recordings diverge");

@@ -13,6 +13,12 @@
  * check compiles the same case through BatchCompiler on 1 worker and
  * on N workers and requires byte-identical metricsSummary() output.
  *
+ * On braiding cases the AutobraidFull compile also meets the
+ * portfolio oracle: the same portfolio rebuilt from scheduler runs
+ * with no limit (triggered, p = 0, Maslov) must keep the same
+ * schedule, recording and win counters as the compile, whose
+ * alternatives stop once they cannot win.
+ *
  * With the lint oracle enabled (the default), every case also runs
  * the static analyses: the standalone lint entry points must never
  * throw on any generated circuit/lattice, an error-level lint implies

@@ -3,8 +3,9 @@
  * Compiler driver tests: the fixed stage sequence, option validation
  * at the driver entry point, per-stage instrumentation (timing fields
  * derived from the stage timings), the telemetry on/off contract
- * across every generator family and the bundled QASM circuits, and
- * BatchCompiler determinism across thread counts.
+ * across every generator family and the bundled QASM circuits,
+ * telemetry that describes the kept schedule, and BatchCompiler
+ * determinism across thread counts.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 #include "compiler/driver.hpp"
 #include "gen/registry.hpp"
 #include "qasm/elaborator.hpp"
+#include "telemetry/recorder.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace autobraid {
 namespace {
@@ -145,6 +148,32 @@ TEST(Driver, TelemetryLeavesSummaryUnchangedOnEveryGeneratorFamily)
         "mct:6:40:1",   "revlib:rd32-v0"};
     for (const std::string &spec : specs)
         expectTelemetryLeavesSummary(gen::make(spec), {}, spec);
+}
+
+TEST(Driver, TelemetryDescribesTheKeptSchedule)
+{
+    // A full-policy braiding compile of an all-to-all circuit runs the
+    // triggered schedule, the p = 0 re-run and the Maslov network; the
+    // makespan gauge and the stall counters must describe the schedule
+    // the report keeps, not whichever run finished last.
+    CompileOptions opt;
+    opt.record_lifecycle = true;
+    opt.telemetry.enabled = true;
+    const CompileReport report = compileCircuit(gen::make("qft:32"), opt);
+    ASSERT_EQ(report.counters.count("maslov_considered"), 1u);
+    ASSERT_NE(report.telemetry, nullptr);
+    ASSERT_NE(report.result.recording, nullptr);
+    const telemetry::MetricsRegistry &m = report.telemetry->metrics();
+    EXPECT_EQ(m.gauge("sched.makespan_cycles"),
+              static_cast<double>(report.result.makespan));
+    for (size_t c = 0; c < telemetry::kNumStallCauses; ++c) {
+        const char *cause =
+            telemetry::stallCauseName(static_cast<telemetry::StallCause>(c));
+        EXPECT_EQ(m.counter(std::string("sched.stall_cycles.") + cause),
+                  static_cast<long long>(
+                      report.result.recording->stall_totals[c]))
+            << cause;
+    }
 }
 
 TEST(Batch, DeriveJobSeedIsStableAndSpreads)

@@ -2,13 +2,15 @@
  * @file
  * Tests for the differential fuzz harness: generator determinism and
  * shape coverage, the policy-mask parser, the differential oracle on a
- * fixed seed block, batch-determinism and degenerate strip-lattice
+ * fixed seed block, the portfolio oracle on seeds where an alternative
+ * schedule wins, batch-determinism and degenerate strip-lattice
  * checks, and the shrinker's minimality and budget guarantees.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "common/error.hpp"
 #include "testing/differential.hpp"
@@ -108,6 +110,28 @@ TEST(Differential, FixedSeedBlockIsClean)
         const auto r = fuzz::runDifferentialCase(c);
         EXPECT_TRUE(r.ok) << r.toString();
         EXPECT_EQ(r.runs.size(), 3u);
+    }
+}
+
+TEST(Differential, PortfolioOracleCoversWinningAlternatives)
+{
+    // Seeds whose full-policy compile keeps an alternative: the
+    // Maslov network wins 274 and 909, the p = 0 re-run 912 and 1617.
+    // The compile, whose alternatives stop once they cannot win, must
+    // keep what the portfolio rebuilt from runs with no limit keeps.
+    const std::pair<uint64_t, const char *> wins[] = {
+        {274, "maslov_won"},
+        {909, "maslov_won"},
+        {912, "p0_fallback_won"},
+        {1617, "p0_fallback_won"}};
+    for (const auto &[seed, counter] : wins) {
+        const fuzz::FuzzCase c = fuzz::makeFuzzCase(seed);
+        const auto r =
+            fuzz::runDifferentialCase(c, fuzz::kMaskAutobraidFull);
+        EXPECT_TRUE(r.ok) << r.toString();
+        ASSERT_EQ(r.runs.size(), 1u);
+        EXPECT_EQ(r.runs[0].report.counters.count(counter), 1u)
+            << "seed " << seed;
     }
 }
 

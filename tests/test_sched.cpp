@@ -2,19 +2,23 @@
  * @file
  * Unit tests for the scheduler layer: event queue, policies, metrics,
  * the layout optimizer (paper Fig. 15 scenario), the Maslov swap
- * network, the braid scheduler itself, and the pipeline facade.
+ * network, the braid scheduler itself and its run limit, and the
+ * pipeline facade.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/text.hpp"
 #include "compiler/driver.hpp"
 #include "gen/ising.hpp"
 #include "gen/qft.hpp"
+#include "gen/registry.hpp"
 #include "place/linear.hpp"
 #include "sched/event_queue.hpp"
 #include "sched/layout_optimizer.hpp"
 #include "sched/maslov.hpp"
+#include "sched/schedule_export.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/validator.hpp"
 
@@ -401,6 +405,91 @@ TEST(Scheduler, FullPolicyInsertsSwapsUnderCongestion)
     const ValidationReport v =
         validateSchedule(c, result, cfg.cost, &grid);
     EXPECT_TRUE(v.ok) << v.toString();
+}
+
+/** Trace and flight-recording bytes of a finished run. */
+std::string
+runBytes(const Circuit &c, const Grid &grid, const ScheduleResult &r)
+{
+    ScheduleExportInfo info;
+    info.circuit = &c;
+    info.grid = &grid;
+    return scheduleToJson(info, r) + r.recording->toJson();
+}
+
+TEST(RunLimit, StopsExactlyAtTheUnlimitedMakespan)
+{
+    // A cutoff of M, the run's own makespan, must stop it (it cannot
+    // be strictly shorter); M + 1 must leave every byte unchanged
+    // (the lower bound never passes the makespan). A cutoff of the
+    // critical path stops the run after its first dispatch instant.
+    struct Mode
+    {
+        SchedulerBackend backend;
+        bool maslov;
+    };
+    const Mode modes[] = {{SchedulerBackend::Braiding, false},
+                          {SchedulerBackend::LatticeSurgery, false},
+                          {SchedulerBackend::Braiding, true}};
+    for (const char *spec : {"qft:12", "qft:24", "qaoa:16:2", "im:40:3",
+                             "grover:4", "qpe:6:3", "bv:16", "adder:6"}) {
+        const Circuit c = gen::make(spec);
+        const Grid grid = Grid::forQubits(c.numQubits());
+        std::vector<Qubit> order(static_cast<size_t>(c.numQubits()));
+        for (Qubit q = 0; q < c.numQubits(); ++q)
+            order[static_cast<size_t>(q)] = q;
+        for (const Mode &mode : modes) {
+            const std::string label =
+                strformat("%s %s%s", spec, backendCliName(mode.backend),
+                          mode.maslov ? " maslov" : "");
+            SchedulerConfig cfg;
+            cfg.backend = mode.backend;
+            cfg.record_trace = true;
+            cfg.record_lifecycle = true;
+            const BraidScheduler sched(c, grid, cfg);
+            const Placement start = mode.maslov
+                                        ? snakePlacement(grid, order)
+                                        : Placement(grid, c.numQubits());
+            auto runWith = [&](RunLimit limit) {
+                return mode.maslov ? sched.runMaslov(start, limit)
+                                   : sched.run(start, limit);
+            };
+            const ScheduleResult unlimited = runWith({});
+            ASSERT_TRUE(unlimited.valid) << label;
+            const Cycles m = unlimited.makespan;
+
+            EXPECT_FALSE(runWith({m}).valid) << label;
+            const ScheduleResult edge = runWith({m + 1});
+            ASSERT_TRUE(edge.valid) << label;
+            EXPECT_EQ(edge.makespan, m) << label;
+            EXPECT_EQ(runBytes(c, grid, edge),
+                      runBytes(c, grid, unlimited))
+                << label;
+
+            const Cycles cp = sched.dag().criticalPath(
+                backendDurationFn(cfg.cost, mode.backend));
+            const ScheduleResult at_cp = runWith({cp});
+            EXPECT_FALSE(at_cp.valid) << label;
+            EXPECT_EQ(at_cp.dispatch_instants, 1u) << label;
+        }
+    }
+}
+
+TEST(RunLimit, ZeroCutoffIsALimitNotItsAbsence)
+{
+    // Paulis take 0 cycles, so this run's makespan is 0. An incumbent
+    // of makespan 0 cannot be beaten: a cutoff of 0 must stop the run,
+    // while the default limit lets it finish.
+    Circuit c(2);
+    c.x(0);
+    c.z(1);
+    const Grid grid = Grid::forQubits(2);
+    const BraidScheduler sched(c, grid,
+                               tracedConfig(SchedulerPolicy::AutobraidFull));
+    const ScheduleResult unlimited = sched.run(Placement(grid, 2));
+    ASSERT_TRUE(unlimited.valid);
+    EXPECT_EQ(unlimited.makespan, 0u);
+    EXPECT_FALSE(sched.run(Placement(grid, 2), RunLimit{0}).valid);
 }
 
 TEST(Pipeline, PoliciesRankAsInPaper)
