@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -31,6 +32,16 @@ cleanToken(const std::string &text, const char *end)
 }
 
 } // namespace
+
+bool
+matchValue(const char *arg, const char *key, std::string &value)
+{
+    const size_t len = std::strlen(key);
+    if (std::strncmp(arg, key, len) != 0 || arg[len] != '=')
+        return false;
+    value = arg + len + 1;
+    return true;
+}
 
 long long
 parseCheckedInt(const std::string &text, const char *flag,

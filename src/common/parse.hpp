@@ -1,6 +1,7 @@
 /**
  * @file
- * Checked numeric parsing for command-line values.
+ * Command-line flag matching and checked numeric parsing of flag
+ * values.
  *
  * The raw std::stoi/std::stoull family throws std::invalid_argument /
  * std::out_of_range on garbage or overflow, which every tool used to
@@ -19,6 +20,12 @@
 #include <string>
 
 namespace autobraid {
+
+/**
+ * True when @p arg is "KEY=VALUE" for the flag @p key (say "--out");
+ * @p value then receives the text after the '='.
+ */
+bool matchValue(const char *arg, const char *key, std::string &value);
 
 /**
  * Parse @p text as a decimal integer in [@p min, @p max]. Raises

@@ -22,13 +22,6 @@
 
 namespace autobraid {
 
-/**
- * Upper bound on any worker-pool size in the repo (BatchCompiler
- * threads, CLI --jobs/--route-jobs, serve daemon --workers). Keeps a
- * mistyped flag from spawning an absurd number of threads.
- */
-constexpr int kMaxWorkerThreads = 512;
-
 /** Batch-wide settings. */
 struct BatchOptions
 {

@@ -3,9 +3,11 @@
  * User-facing compilation options for the compiler driver.
  *
  * CompileOptions is the one knob surface shared by the CLI, the bench
- * harness, the examples, and the BatchCompiler. It is validated once at
- * the driver entry point (validate()) so that every stage downstream
- * can assume a sane configuration.
+ * harness, the examples, and the BatchCompiler. The options users set
+ * from outside the program go through one setter, setOption(), and one
+ * range check, validate(); the driver validates again at its entry
+ * point so that every stage downstream can assume a sane
+ * configuration.
  */
 
 #ifndef AUTOBRAID_COMPILER_OPTIONS_HPP
@@ -21,6 +23,17 @@
 namespace autobraid {
 
 class Circuit;
+
+namespace json {
+class Value;
+}
+
+/**
+ * Upper bound on any worker-pool size in the repo (BatchCompiler
+ * threads, CLI --jobs, the route_jobs option, serve daemon --workers).
+ * Keeps a mistyped flag from spawning an absurd number of threads.
+ */
+constexpr int kMaxWorkerThreads = 512;
 
 /**
  * User-facing compilation options: the full scheduler configuration
@@ -78,14 +91,46 @@ struct CompileOptions : SchedulerConfig
     lint::LintOptions lintOptions() const;
 
     /**
-     * Reject out-of-range option values for @p circuit with a UserError
-     * instead of silently proceeding: p_threshold outside [0, 1], dead
-     * vertices outside the circuit's grid, zero-qubit circuits, and a
-     * non-positive code distance. Called by the driver entry points
-     * (compileCircuit, BatchCompiler).
+     * Reject an option outside its one range with a UserError naming
+     * it: distance in [1, 9999], p in [0, 1] (NaN too), teleport in
+     * [0, 10^9] and route_jobs in [1, kMaxWorkerThreads]. The seed is
+     * unbounded here, since the BatchCompiler derives 64-bit seeds.
+     * The front ends call this right after parsing, so a bad option
+     * fails before any circuit is built.
+     */
+    void validate() const;
+
+    /**
+     * validate(), then reject what only @p circuit can show: a
+     * zero-qubit circuit, dead vertices outside its grid, and unknown
+     * lint suppressions. Called by compileCircuit, so every compile
+     * (batch and serve jobs included) passes through it.
      */
     void validate(const Circuit &circuit) const;
 };
+
+/**
+ * Set the option @p key of @p options to @p value. This is the one
+ * place that names the options users set from outside the program and
+ * their JSON types: `policy` and `backend` are strings; `distance`,
+ * `p`, `seed`, `teleport` and `route_jobs` are numbers; `maslov` is a
+ * bool. Returns false, changing nothing, when @p key names no option.
+ * Raises UserError naming the option when @p value has the wrong type
+ * or is a number the option cannot hold: integer options take only
+ * integers, and `seed` only those a JSON number carries exactly,
+ * [0, 2^53 - 1]. The other ranges are validate()'s.
+ */
+bool setOption(CompileOptions &options, const std::string &key,
+               const json::Value &value);
+
+/**
+ * setOption() for one command-line argument: `--route-jobs=4` is
+ * (route_jobs, 4) and `--no-maslov` is (maslov, false). A value is a
+ * number when json::parse reads the whole of it as one, else a
+ * string, so `--distance=0x10` is rejected rather than read as 16.
+ * Returns false when @p arg names no option.
+ */
+bool setOptionFlag(CompileOptions &options, const char *arg);
 
 } // namespace autobraid
 

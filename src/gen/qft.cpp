@@ -1,5 +1,6 @@
 #include "gen/qft.hpp"
 
+#include <cmath>
 #include <numbers>
 
 #include "common/error.hpp"
@@ -16,11 +17,8 @@ makeQft(int n, bool reverse_swaps)
     Circuit c(n, strformat("qft%d", n));
     for (Qubit i = 0; i < n; ++i) {
         c.h(i);
-        for (Qubit j = i + 1; j < n; ++j) {
-            const double angle =
-                std::numbers::pi / static_cast<double>(1L << (j - i));
-            c.cphase(j, i, angle);
-        }
+        for (Qubit j = i + 1; j < n; ++j)
+            c.cphase(j, i, std::ldexp(std::numbers::pi, -(j - i)));
     }
     if (reverse_swaps)
         for (Qubit i = 0; i < n / 2; ++i)
@@ -35,11 +33,8 @@ makeInverseQft(int n)
         fatal("makeInverseQft requires n >= 1, got %d", n);
     Circuit c(n, strformat("iqft%d", n));
     for (Qubit i = n - 1; i >= 0; --i) {
-        for (Qubit j = n - 1; j > i; --j) {
-            const double angle =
-                -std::numbers::pi / static_cast<double>(1L << (j - i));
-            c.cphase(j, i, angle);
-        }
+        for (Qubit j = n - 1; j > i; --j)
+            c.cphase(j, i, -std::ldexp(std::numbers::pi, -(j - i)));
         c.h(i);
     }
     return c;

@@ -6,53 +6,6 @@
 
 namespace autobraid {
 
-Occupancy::Occupancy(const Grid &grid)
-    : used_(static_cast<size_t>(grid.numVertices()), 0)
-{}
-
-void
-Occupancy::claim(const std::vector<VertexId> &path)
-{
-    for (VertexId v : path)
-        claimVertex(v);
-}
-
-void
-Occupancy::claimVertex(VertexId v)
-{
-    auto &slot = used_[static_cast<size_t>(v)];
-    require(slot == 0, "Occupancy::claim: vertex already claimed");
-    slot = 1;
-    ++used_count_;
-}
-
-void
-Occupancy::release(const std::vector<VertexId> &path)
-{
-    for (VertexId v : path) {
-        auto &slot = used_[static_cast<size_t>(v)];
-        require(slot == 1, "Occupancy::release: vertex not claimed");
-        slot = 0;
-        --used_count_;
-    }
-}
-
-double
-Occupancy::utilization() const
-{
-    if (used_.empty())
-        return 0.0;
-    return static_cast<double>(used_count_) /
-           static_cast<double>(used_.size());
-}
-
-void
-Occupancy::clear()
-{
-    std::fill(used_.begin(), used_.end(), 0);
-    used_count_ = 0;
-}
-
 namespace {
 
 /** Min-heap order for (release time, vertex) expiry entries. */

@@ -1,15 +1,11 @@
 /**
  * @file
- * Routing-vertex occupancy tracking.
- *
- * Two flavours are provided:
- *  - Occupancy: a boolean claim/release map for single-instant routing
- *    (layer-at-a-time path finding, property tests of the LLG theorems);
- *  - TimedOccupancy: per-vertex release times for the event-driven
- *    scheduler, where braids hold their vertices for the CX duration and
- *    time advances monotonically. A live busy counter plus expiry
- *    buckets keyed by release time make the per-instant busy query O(1)
- *    (the old implementation rescanned all (L+1)^2 vertices).
+ * Routing-vertex occupancy tracking for the event-driven scheduler:
+ * TimedOccupancy keeps per-vertex release times, since braids hold
+ * their vertices for the CX duration and time advances monotonically.
+ * A live busy counter plus expiry buckets keyed by release time make
+ * the per-instant busy query O(1) instead of a scan of all (L+1)^2
+ * vertices.
  */
 
 #ifndef AUTOBRAID_LATTICE_OCCUPANCY_HPP
@@ -24,41 +20,6 @@ namespace autobraid {
 
 /** Duration/time in surface-code cycles (mirrors circuit/dag.hpp). */
 using LatticeTime = uint64_t;
-
-/** Boolean per-vertex occupancy for one scheduling instant. */
-class Occupancy
-{
-  public:
-    explicit Occupancy(const Grid &grid);
-
-    /** True when vertex @p v is unclaimed. */
-    bool free(VertexId v) const { return used_[static_cast<size_t>(v)] == 0; }
-
-    /** Claim every vertex of @p path. Raises on double-claim. */
-    void claim(const std::vector<VertexId> &path);
-
-    /** Release every vertex of @p path. Raises when not claimed. */
-    void release(const std::vector<VertexId> &path);
-
-    /** Claim a single vertex. */
-    void claimVertex(VertexId v);
-
-    /** Number of currently claimed vertices. */
-    size_t usedCount() const { return used_count_; }
-
-    /** Total vertices in the grid. */
-    size_t totalCount() const { return used_.size(); }
-
-    /** Fraction of claimed vertices (the paper's utilization ratio). */
-    double utilization() const;
-
-    /** Release everything. */
-    void clear();
-
-  private:
-    std::vector<uint8_t> used_;
-    size_t used_count_ = 0;
-};
 
 /**
  * Per-vertex release times. A vertex is free at instant t when its

@@ -3,32 +3,6 @@
 namespace autobraid {
 namespace qasm {
 
-Circuit
-expandSwaps(const Circuit &circuit)
-{
-    Circuit out(circuit.numQubits(), circuit.name());
-    for (const Gate &g : circuit.gates()) {
-        if (g.kind == GateKind::Swap) {
-            out.cx(g.q0, g.q1);
-            out.cx(g.q1, g.q0);
-            out.cx(g.q0, g.q1);
-        } else {
-            out.add(g);
-        }
-    }
-    return out;
-}
-
-Circuit
-dropBarriers(const Circuit &circuit)
-{
-    Circuit out(circuit.numQubits(), circuit.name());
-    for (const Gate &g : circuit.gates())
-        if (g.kind != GateKind::Barrier)
-            out.add(g);
-    return out;
-}
-
 size_t
 countKind(const Circuit &circuit, GateKind kind)
 {

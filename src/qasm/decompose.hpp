@@ -1,11 +1,6 @@
 /**
  * @file
- * Circuit-level lowering passes.
- *
- * The scheduler treats SWAP natively (three CX holding one braiding
- * path), but the baseline comparison and several tests want circuits in
- * pure CX form; expandSwaps performs that lowering. dropBarriers removes
- * scheduling barriers once layering has been computed.
+ * Circuit-level gate queries.
  */
 
 #ifndef AUTOBRAID_QASM_DECOMPOSE_HPP
@@ -15,12 +10,6 @@
 
 namespace autobraid {
 namespace qasm {
-
-/** Replace every SWAP gate with its three-CX expansion. */
-Circuit expandSwaps(const Circuit &circuit);
-
-/** Remove all barrier pseudo-gates. */
-Circuit dropBarriers(const Circuit &circuit);
 
 /** Count gates of a given kind. */
 size_t countKind(const Circuit &circuit, GateKind kind);

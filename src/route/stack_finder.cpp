@@ -48,9 +48,8 @@ StackPathFinder::runStack(const std::vector<CxTask> &tasks,
                      });
 
     // The caller's blocked view merged with vertices claimed by paths
-    // routed earlier in this call (the old per-call Occupancy). The
-    // mask only gains bits from here on, so failed A* floods can be
-    // cached for the rest of the call.
+    // routed earlier in this call. The mask only gains bits from here
+    // on, so failed A* floods can be cached for the rest of the call.
     s.unavailable.assignWords(blocked.words(), blocked.size());
     s.router.beginMaskEpoch();
     auto try_route = [&](size_t idx) {

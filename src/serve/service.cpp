@@ -6,7 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "common/text.hpp"
 #include "compiler/driver.hpp"
 #include "gen/registry.hpp"
 #include "qasm/elaborator.hpp"
@@ -110,36 +109,20 @@ struct ParsedRequest
     bool use_cache = true;
 };
 
-int
-asBoundedInt(const json::Value &v, const char *field, long long min,
-             long long max)
-{
-    if (!v.isNumber())
-        throw UserError(std::string("request option '") + field +
-                        "' must be a number");
-    const double d = v.asNumber();
-    if (d != std::floor(d) || d < static_cast<double>(min) ||
-        d > static_cast<double>(max))
-        throw UserError(strformat(
-            "request option '%s' must be an integer in [%lld, %lld]",
-            field, min, max));
-    return static_cast<int>(d);
-}
-
-ParsedRequest
-parseRequest(const std::string &request_json,
-             uint64_t default_deadline_ms)
+/**
+ * Read @p request_json into @p req. The id is filled before anything
+ * else is read, so an error reply can still carry it.
+ */
+void
+parseRequest(const std::string &request_json, ParsedRequest &req)
 {
     const json::Value doc = json::parse(request_json);
     if (!doc.isObject())
         throw UserError("request must be a JSON object");
-
-    ParsedRequest req;
-    req.deadline_ms = default_deadline_ms;
     req.id_json = renderId(doc.find("id"));
     if (const json::Value *op = doc.find("op")) {
         req.op = op->asString();
-        return req;
+        return;
     }
 
     const json::Value *qasm = doc.find("qasm");
@@ -152,60 +135,28 @@ parseRequest(const std::string &request_json,
     else
         req.spec = spec->asString();
 
-    if (const json::Value *v = doc.find("deadline_ms"))
-        req.deadline_ms = static_cast<uint64_t>(asBoundedInt(
-            *v, "deadline_ms", 0, 1000LL * 86400));
+    if (const json::Value *v = doc.find("deadline_ms")) {
+        constexpr double kMaxDeadlineMs = 1000.0 * 86400;
+        const double ms = v->isNumber() ? v->asNumber() : -1;
+        if (ms != std::floor(ms) || ms < 0 || ms > kMaxDeadlineMs)
+            throw UserError("request 'deadline_ms' must be an integer "
+                            "in [0, 86400000]");
+        req.deadline_ms = static_cast<uint64_t>(ms);
+    }
     if (const json::Value *v = doc.find("use_cache")) {
         if (!v->isBool())
             throw UserError("request 'use_cache' must be a bool");
         req.use_cache = v->asBool();
     }
 
-    const json::Value *options = doc.find("options");
-    if (options == nullptr)
-        return req;
-    if (!options->isObject())
-        throw UserError("request 'options' must be an object");
-    CompileOptions &o = req.options;
-    for (const auto &[key, value] : options->asObject()) {
-        if (key == "policy")
-            o.policy = parsePolicyName(value.asString());
-        else if (key == "backend")
-            o.backend = parseBackendName(value.asString());
-        else if (key == "distance")
-            o.cost.distance =
-                asBoundedInt(value, "distance", 1, 10'000);
-        else if (key == "p") {
-            if (!value.isNumber() || value.asNumber() < 0.0 ||
-                value.asNumber() > 1.0)
-                throw UserError(
-                    "request option 'p' must be in [0, 1]");
-            o.p_threshold = value.asNumber();
-        } else if (key == "seed") {
-            // A JSON number decodes to a double, which carries every
-            // integer up to 2^53 - 1 exactly and no range beyond it.
-            constexpr double kMaxSeed = 9007199254740991.0;
-            if (!value.isNumber() ||
-                value.asNumber() != std::floor(value.asNumber()) ||
-                value.asNumber() < 0 || value.asNumber() > kMaxSeed)
-                throw UserError("request option 'seed' must be an "
-                                "integer in [0, 2^53 - 1]");
-            o.seed = static_cast<uint64_t>(value.asNumber());
-        } else if (key == "teleport")
-            o.channel_hold_cycles = static_cast<Cycles>(
-                asBoundedInt(value, "teleport", 0, 1'000'000'000));
-        else if (key == "route_jobs")
-            o.route_jobs = asBoundedInt(value, "route_jobs", 1,
-                                        kMaxWorkerThreads);
-        else if (key == "maslov") {
-            if (!value.isBool())
-                throw UserError(
-                    "request option 'maslov' must be a bool");
-            o.allow_maslov = value.asBool();
-        } else
-            throw UserError("unknown request option '" + key + "'");
+    if (const json::Value *options = doc.find("options")) {
+        if (!options->isObject())
+            throw UserError("request 'options' must be an object");
+        for (const auto &[key, value] : options->asObject())
+            if (!setOption(req.options, key, value))
+                throw UserError("unknown request option '" + key + "'");
     }
-    return req;
+    req.options.validate();
 }
 
 } // namespace
@@ -325,12 +276,12 @@ CompileService::submit(std::string request_json,
     metrics_.add("serve.requests");
 
     ParsedRequest req;
+    req.deadline_ms = config_.default_deadline_ms;
     try {
-        req = parseRequest(request_json,
-                           config_.default_deadline_ms);
+        parseRequest(request_json, req);
     } catch (const Error &e) {
         metrics_.add("serve.errors");
-        done(errorResponse("null", e.what()));
+        done(errorResponse(req.id_json, e.what()));
         return;
     }
 

@@ -14,6 +14,12 @@
  * The dynamic half is the regression test for the historical bug
  * where a raw std::stoi aborted the whole process on "--seeds=banana"
  * instead of printing the offending value.
+ *
+ * The compile options are probed rather than read: the CLI's option
+ * flags are whatever setOptionFlag() recognizes, docs/serving.md's
+ * option list must name exactly the keys setOption() accepts, and at
+ * each numeric option's bound the CLI, a serve request and validate()
+ * must agree.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +33,15 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/json.hpp"
+#include "common/text.hpp"
+#include "compiler/options.hpp"
+#include "serve/service.hpp"
+
 namespace {
+
+using autobraid::CompileOptions;
 
 std::string
 readSource(const char *path)
@@ -119,13 +133,36 @@ TEST(CliDoc, HeaderCommentMatchesUsage)
         << "\nusage() prints: " << describe(usage);
 }
 
+/**
+ * True when setOptionFlag() recognizes @p flag, bare or with an empty
+ * value: it either sets the option or rejects the empty value.
+ */
+bool
+setsAnOption(const std::string &flag)
+{
+    CompileOptions options;
+    for (const std::string &arg : {flag, flag + "="}) {
+        try {
+            if (autobraid::setOptionFlag(options, arg.c_str()))
+                return true;
+        } catch (const autobraid::UserError &) {
+            return true;
+        }
+    }
+    return false;
+}
+
 TEST(CliDoc, UsageOnlyAdvertisesParsedFlags)
 {
     const std::string src = readCliSource();
     const auto usage =
         extractFlags(section(src, "usage(int code)", "std::exit"));
-    const auto parsed =
-        extractFlags(section(src, "parseArgs(", "loadInput"));
+    // parseArgs' own flags, plus the compile-option flags it hands to
+    // setOptionFlag.
+    auto parsed = extractFlags(section(src, "parseArgs(", "loadInput"));
+    for (const std::string &flag : usage)
+        if (setsAnOption(flag))
+            parsed.insert(flag);
     EXPECT_FALSE(usage.empty());
     EXPECT_TRUE(std::includes(parsed.begin(), parsed.end(),
                               usage.begin(), usage.end()))
@@ -232,6 +269,21 @@ const BadFlagCase kBadFlagCases[] = {
      "--start-seed=99999999999999999999"},
     {"autobraid_serve", AB_SERVE_BIN, "--workers=-1"},
     {"autobraid_serve", AB_SERVE_BIN, "--queue-depth=0"},
+    // Compile options out of range, in every CLI mode and in lint.
+    {"autobraid_cli", AB_CLI_BIN, "--distance=10000 qft:4"},
+    {"autobraid_cli", AB_CLI_BIN,
+     "--jobs=2 --teleport=1000000001 qft:4 qft:5"},
+    {"autobraid_cli", AB_CLI_BIN, "--compare --route-jobs=513 qft:4"},
+    {"autobraid_cli", AB_CLI_BIN,
+     "--sweep-p --seed=9007199254740992 qft:4"},
+    {"autobraid_lint", AB_LINT_BIN, "--distance=10000 qft:4"},
+    {"autobraid_lint", AB_LINT_BIN, "--teleport=1000000001 qft:4"},
+    // Option values that are no whole JSON number.
+    {"autobraid_cli", AB_CLI_BIN, "--distance=0x10 qft:4"},
+    {"autobraid_cli", AB_CLI_BIN, "--p=inf qft:4"},
+    {"autobraid_lint", AB_LINT_BIN, "--seed=1.5 qft:4"},
+    // Compile options the lint does not take stay unknown to it.
+    {"autobraid_lint", AB_LINT_BIN, "--backend=surgery qft:4"},
     // Unknown options share the same usage-error exit code.
     {"autobraid_cli", AB_CLI_BIN, "--no-such-flag qft:4"},
     {"autobraid_fuzz", AB_FUZZ_BIN, "--no-such-flag"},
@@ -248,6 +300,125 @@ TEST(ToolExit, MalformedNumericFlagsExitTwo)
             runTool(std::string(c.bin) + " " + c.args);
         EXPECT_EQ(code, 2)
             << c.tool << " " << c.args << " exited " << code;
+    }
+}
+
+// ---------------------------------------------------------------------
+// One option surface: the serve docs list setOption's keys, and every
+// front end applies the same range.
+
+/** True when setOption() knows @p key; null suits no option's type. */
+bool
+isOptionKey(const std::string &key)
+{
+    CompileOptions options;
+    try {
+        return autobraid::setOption(options, key, autobraid::json::Value());
+    } catch (const autobraid::UserError &) {
+        return true;
+    }
+}
+
+TEST(ServeDoc, OptionListNamesExactlyTheSetOptionKeys)
+{
+    // The documented keys: the first `word` of each sub-bullet under
+    // the `options` bullet.
+    const std::string doc = readSource(AB_SERVING_DOC);
+    const std::string bullet = section(doc, "* `options`", "\n* ");
+    std::set<std::string> documented;
+    for (size_t at = bullet.find("\n  * `"); at != std::string::npos;
+         at = bullet.find("\n  * `", at + 1)) {
+        const size_t from = at + 6;
+        documented.insert(
+            bullet.substr(from, bullet.find('`', from) - from));
+    }
+    // Candidates for setOption's keys: the documented ones and every
+    // identifier-like string literal in its source file.
+    std::set<std::string> accepted;
+    for (const std::string &key : documented)
+        if (isOptionKey(key))
+            accepted.insert(key);
+    const std::string src = readSource(AB_OPTIONS_SOURCE);
+    for (size_t open = src.find('"'); open != std::string::npos;) {
+        const size_t close = src.find('"', open + 1);
+        if (close == std::string::npos)
+            break;
+        const std::string word = src.substr(open + 1, close - open - 1);
+        if (!word.empty() &&
+            word.find_first_not_of("abcdefghijklmnopqrstuvwxyz_") ==
+                std::string::npos &&
+            isOptionKey(word))
+            accepted.insert(word);
+        open = src.find('"', close + 1);
+    }
+    // The eight options; no front end gains or loses one.
+    EXPECT_EQ(accepted.size(), 8u) << describe(accepted);
+    EXPECT_EQ(documented, accepted)
+        << "docs/serving.md lists: " << describe(documented)
+        << "\nsetOption accepts: " << describe(accepted);
+}
+
+struct BoundCase
+{
+    const char *key;   ///< the request key
+    const char *flag;  ///< the autobraid_cli flag
+    const char *value; ///< as the flag and the request spell it
+    bool valid;
+};
+
+// Each numeric option's largest valid value and the next value up.
+const BoundCase kBoundCases[] = {
+    {"distance", "--distance", "9999", true},
+    {"distance", "--distance", "10000", false},
+    {"p", "--p", "1", true},
+    {"p", "--p", "1.0000000000000002", false},
+    {"teleport", "--teleport", "1000000000", true},
+    {"teleport", "--teleport", "1000000001", false},
+    {"route_jobs", "--route-jobs", "512", true},
+    {"route_jobs", "--route-jobs", "513", false},
+    {"seed", "--seed", "9007199254740991", true},
+    {"seed", "--seed", "9007199254740992", false},
+};
+
+TEST(OptionRanges, FrontEndsAgreeAtEachBound)
+{
+    namespace json = autobraid::json;
+    autobraid::serve::CompileService service(
+        autobraid::serve::ServiceConfig{});
+    int id = 0;
+    for (const BoundCase &c : kBoundCases) {
+        SCOPED_TRACE(std::string(c.key) + " = " + c.value);
+        EXPECT_EQ(runTool(std::string(AB_CLI_BIN) + " " + c.flag + "=" +
+                          c.value + " qft:4"),
+                  c.valid ? 0 : 2);
+
+        const std::string reply = service.handle(autobraid::strformat(
+            "{\"id\":%d,\"spec\":\"qft:4\",\"options\":{\"%s\":%s}}",
+            ++id, c.key, c.value));
+        const json::Value doc = json::parse(reply);
+        EXPECT_EQ(doc.stringOr("status", ""), c.valid ? "ok" : "error")
+            << reply;
+        EXPECT_EQ(doc.numberOr("id", 0), id) << reply;
+        if (!c.valid) {
+            EXPECT_NE(doc.stringOr("error", "").find(c.key),
+                      std::string::npos)
+                << reply;
+        }
+
+        // The library: setOption, then validate(). validate() leaves
+        // the seed unbounded, because the BatchCompiler derives 64-bit
+        // seeds; the seed's bound is the exact range of a JSON number,
+        // which setOption enforces.
+        bool library_valid = true;
+        try {
+            CompileOptions options;
+            autobraid::setOption(options, c.key,
+                                 json::Value(std::strtod(c.value, nullptr)));
+            options.validate();
+        } catch (const autobraid::UserError &) {
+            library_valid = false;
+        }
+        EXPECT_EQ(library_valid, c.valid);
     }
 }
 

@@ -16,7 +16,6 @@
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "common/text.hpp"
 
 namespace autobraid {
@@ -114,67 +113,6 @@ TEST(Rng, ChanceExtremes)
         EXPECT_FALSE(rng.chance(0.0));
         EXPECT_TRUE(rng.chance(1.0));
     }
-}
-
-TEST(Accumulator, Empty)
-{
-    Accumulator acc;
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_DOUBLE_EQ(acc.sum(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-    EXPECT_THROW(acc.min(), InternalError);
-    EXPECT_THROW(acc.max(), InternalError);
-}
-
-TEST(Accumulator, BasicStatistics)
-{
-    Accumulator acc;
-    for (double x : {3.0, -1.0, 4.0, 1.0, 5.0})
-        acc.add(x);
-    EXPECT_EQ(acc.count(), 5u);
-    EXPECT_DOUBLE_EQ(acc.sum(), 12.0);
-    EXPECT_DOUBLE_EQ(acc.mean(), 2.4);
-    EXPECT_DOUBLE_EQ(acc.min(), -1.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 5.0);
-}
-
-TEST(Accumulator, Merge)
-{
-    Accumulator a, b;
-    a.add(1.0);
-    a.add(2.0);
-    b.add(10.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.max(), 10.0);
-    Accumulator empty;
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 3u);
-    empty.merge(a);
-    EXPECT_EQ(empty.count(), 3u);
-}
-
-TEST(Histogram, BinsAndOverflow)
-{
-    Histogram h(4);
-    h.add(0);
-    h.add(1);
-    h.add(3);
-    h.add(3);
-    h.add(99); // overflow
-    h.add(-2); // clamps to 0
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_EQ(h.bin(0), 2u);
-    EXPECT_EQ(h.bin(1), 1u);
-    EXPECT_EQ(h.bin(2), 0u);
-    EXPECT_EQ(h.bin(3), 2u);
-    EXPECT_EQ(h.bin(4), 1u); // overflow bin
-    EXPECT_THROW(h.bin(5), InternalError);
-}
-
-TEST(Histogram, RejectsZeroBins)
-{
-    EXPECT_THROW(Histogram(0), InternalError);
 }
 
 TEST(Text, Strformat)

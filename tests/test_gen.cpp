@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numbers>
+
 #include "circuit/coupling.hpp"
 #include "circuit/dag.hpp"
 #include "common/error.hpp"
@@ -66,6 +70,30 @@ TEST(Qft, InverseMirrorsForward)
     const Circuit i = makeInverseQft(4);
     EXPECT_EQ(f.size(), i.size());
     EXPECT_EQ(cxGates(f), cxGates(i));
+}
+
+TEST(Qft, AnglesStayExactPast64Qubits)
+{
+    // cphase(t) lowers to RZ(t/2) RZ(t/2) CX RZ(-t/2) CX, so the RZ two
+    // gates before a CX carries half of a controlled phase, and every
+    // controlled phase of the forward QFT is positive.
+    const Circuit qft64 = makeQft(64);
+    const std::vector<Gate> &gates = qft64.gates();
+    size_t phases = 0;
+    for (size_t k = 0; k + 2 < gates.size(); ++k)
+        if (gates[k].kind == GateKind::RZ &&
+            gates[k + 2].kind == GateKind::CX) {
+            EXPECT_GT(gates[k].angle, 0.0) << "gate " << k;
+            ++phases;
+        }
+    EXPECT_EQ(phases, 64u * 63u / 2u);
+
+    const Circuit qft70 = makeQft(70);
+    double smallest = std::numbers::pi;
+    for (const Gate &g : qft70.gates())
+        if (g.kind == GateKind::RZ)
+            smallest = std::min(smallest, std::fabs(g.angle));
+    EXPECT_EQ(smallest, std::ldexp(std::numbers::pi, -70));
 }
 
 TEST(Qft, AllToAllCoupling)

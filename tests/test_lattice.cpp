@@ -129,42 +129,6 @@ TEST(BBox, OfCells)
     EXPECT_EQ(box.cmax, 5);
 }
 
-TEST(Occupancy, ClaimReleaseCycle)
-{
-    Grid g(3, 3);
-    Occupancy occ(g);
-    EXPECT_EQ(occ.totalCount(), 16u);
-    EXPECT_EQ(occ.usedCount(), 0u);
-    std::vector<VertexId> path{0, 1, 2};
-    occ.claim(path);
-    EXPECT_EQ(occ.usedCount(), 3u);
-    EXPECT_FALSE(occ.free(1));
-    EXPECT_TRUE(occ.free(3));
-    EXPECT_NEAR(occ.utilization(), 3.0 / 16.0, 1e-12);
-    occ.release(path);
-    EXPECT_EQ(occ.usedCount(), 0u);
-    EXPECT_TRUE(occ.free(1));
-}
-
-TEST(Occupancy, DoubleClaimRejected)
-{
-    Grid g(2, 2);
-    Occupancy occ(g);
-    occ.claimVertex(4);
-    EXPECT_THROW(occ.claimVertex(4), InternalError);
-    EXPECT_THROW(occ.release({5}), InternalError);
-}
-
-TEST(Occupancy, Clear)
-{
-    Grid g(2, 2);
-    Occupancy occ(g);
-    occ.claim({0, 1, 2});
-    occ.clear();
-    EXPECT_EQ(occ.usedCount(), 0u);
-    EXPECT_TRUE(occ.free(0));
-}
-
 TEST(TimedOccupancy, WindowedReservations)
 {
     Grid g(3, 3);

@@ -306,26 +306,6 @@ TEST(Elaborator, BarrierCreatesDependence)
     EXPECT_TRUE(found);
 }
 
-TEST(Decompose, ExpandSwaps)
-{
-    Circuit c(2);
-    c.swap(0, 1);
-    const Circuit expanded = expandSwaps(c);
-    EXPECT_EQ(expanded.size(), 3u);
-    for (const Gate &g : expanded.gates())
-        EXPECT_EQ(g.kind, GateKind::CX);
-}
-
-TEST(Decompose, DropBarriers)
-{
-    Circuit c(2);
-    c.h(0);
-    c.add(Gate::twoQubit(GateKind::Barrier, 0, 1));
-    c.h(1);
-    const Circuit out = dropBarriers(c);
-    EXPECT_EQ(out.size(), 2u);
-}
-
 TEST(Elaborator, FileRoundTrip)
 {
     const std::string path = testing::TempDir() + "/ab_test.qasm";

@@ -200,6 +200,61 @@ TEST(Cache, KeyIsDeterministicAndOptionSensitive)
     const Circuit other = gen::make("qft:7");
     EXPECT_NE(cacheKey(circuit, base).toHex(),
               cacheKey(other, base).toHex());
+
+    // Tripwire: adding a SchedulerConfig field breaks this binding.
+    // Give the new field a case below and, unless it cannot change a
+    // report, a place in cacheCanonical.
+    [[maybe_unused]] const auto &[policy_, backend_, cost_, p_, maslov_,
+                                  seed_, order_, hold_, route_jobs_,
+                                  trace_, lifecycle_, dead_,
+                                  placement_] =
+        static_cast<const SchedulerConfig &>(base);
+
+    // One case per field, SchedulerConfig's in declaration order, then
+    // CompileOptions' own. Only route_jobs (schedules are identical
+    // for every value), telemetry and schedule_out leave the key.
+    const std::string canonical = cacheCanonical(circuit, base);
+    const auto moves = [&](void (*set)(CompileOptions &)) {
+        CompileOptions o = base;
+        set(o);
+        return cacheCanonical(circuit, o) != canonical;
+    };
+    EXPECT_TRUE(moves([](CompileOptions &o) {
+        o.policy = SchedulerPolicy::AutobraidSP;
+    }));
+    EXPECT_TRUE(moves([](CompileOptions &o) {
+        o.backend = SchedulerBackend::LatticeSurgery;
+    }));
+    EXPECT_TRUE(moves([](CompileOptions &o) { o.cost.distance = 5; }));
+    EXPECT_TRUE(moves([](CompileOptions &o) { o.cost.cycle_us = 1.0; }));
+    EXPECT_TRUE(moves([](CompileOptions &o) { o.p_threshold = 0.5; }));
+    EXPECT_TRUE(moves([](CompileOptions &o) { o.allow_maslov = false; }));
+    EXPECT_TRUE(moves([](CompileOptions &o) { o.seed = 7; }));
+    EXPECT_TRUE(moves([](CompileOptions &o) {
+        o.baseline_order = GreedyOrder::Program;
+    }));
+    EXPECT_TRUE(
+        moves([](CompileOptions &o) { o.channel_hold_cycles = 40; }));
+    EXPECT_FALSE(moves([](CompileOptions &o) { o.route_jobs = 8; }));
+    EXPECT_TRUE(moves([](CompileOptions &o) { o.record_trace = true; }));
+    EXPECT_TRUE(
+        moves([](CompileOptions &o) { o.record_lifecycle = true; }));
+    EXPECT_TRUE(moves([](CompileOptions &o) { o.dead_vertices = {3}; }));
+    EXPECT_TRUE(moves([](CompileOptions &o) {
+        o.placement.use_annealer = false;
+    }));
+    EXPECT_TRUE(moves([](CompileOptions &o) { o.best_of_p0 = false; }));
+    EXPECT_FALSE(
+        moves([](CompileOptions &o) { o.telemetry.enabled = true; }));
+    EXPECT_TRUE(moves([](CompileOptions &o) {
+        o.lint_level = lint::LintLevel::All;
+    }));
+    EXPECT_TRUE(moves([](CompileOptions &o) {
+        o.lint_suppressions = {"AB101"};
+    }));
+    EXPECT_TRUE(moves([](CompileOptions &o) { o.lint_werror = true; }));
+    EXPECT_FALSE(
+        moves([](CompileOptions &o) { o.schedule_out = "s.json"; }));
 }
 
 TEST(Cache, RouteJobsDoesNotChangeTheKey)
@@ -288,27 +343,54 @@ TEST(Service, PingAndUnknownOp)
 TEST(Service, MalformedRequestsGetStructuredErrors)
 {
     CompileService service(ServiceConfig{});
-    for (const char *request :
-         {"this is not json", "[1,2,3]", "{}",
-          "{\"qasm\":\"x\",\"spec\":\"qft:4\"}",
-          "{\"spec\":\"qft:4\",\"options\":{\"bogus\":1}}",
-          "{\"spec\":\"qft:4\",\"options\":{\"distance\":-3}}",
-          "{\"spec\":\"qft:4\",\"options\":{\"p\":2.0}}",
-          // Seeds a JSON number cannot carry exactly.
-          "{\"spec\":\"qft:4\",\"options\":{\"seed\":1e20}}",
-          "{\"spec\":\"qft:4\",\"options\":"
-          "{\"seed\":18446744073709551616}}",
-          "{\"spec\":\"qft:4\",\"options\":"
-          "{\"seed\":9007199254740992}}",
-          "{\"spec\":\"no-such-family:4\"}",
-          "{\"qasm\":\"not qasm\"}"}) {
+    const auto expectError = [&](const char *request,
+                                 const char *id_json) {
         const std::string response = service.handle(request);
         const json::Value doc = json::parse(response);
         EXPECT_EQ(doc.stringOr("status", ""), "error")
-            << "request: " << request
-            << "\nresponse: " << response;
+            << "request: " << request << "\nresponse: " << response;
         EXPECT_EQ(doc.numberOr("v", 0), kServeProtocolVersion);
-    }
+        EXPECT_NE(response.find(std::string("\"id\":") + id_json + ","),
+                  std::string::npos)
+            << "request: " << request << "\nresponse: " << response;
+    };
+    // No id can be read from a document that is no JSON object, nor
+    // rendered from an array or object.
+    expectError("this is not json", "null");
+    expectError("[1,2,3]", "null");
+    expectError("{\"id\":[1],\"spec\":\"qft:4\"}", "null");
+    // Every other error reply carries the request's id.
+    expectError("{\"id\":1}", "1");
+    expectError("{\"id\":2,\"qasm\":\"x\",\"spec\":\"qft:4\"}", "2");
+    expectError(
+        "{\"id\":\"three\",\"spec\":\"qft:4\",\"options\":{\"bogus\":1}}",
+        "\"three\"");
+    expectError(
+        "{\"id\":4,\"spec\":\"qft:4\",\"options\":{\"distance\":-3}}", "4");
+    expectError(
+        "{\"id\":5,\"spec\":\"qft:4\",\"options\":{\"distance\":\"33\"}}",
+        "5");
+    expectError("{\"id\":6,\"spec\":\"qft:4\",\"options\":{\"p\":2.0}}",
+                "6");
+    // Seeds a JSON number cannot carry exactly.
+    expectError(
+        "{\"id\":7,\"spec\":\"qft:4\",\"options\":{\"seed\":1e20}}", "7");
+    expectError("{\"id\":8,\"spec\":\"qft:4\",\"options\":"
+                "{\"seed\":18446744073709551616}}",
+                "8");
+    expectError("{\"id\":9,\"spec\":\"qft:4\",\"options\":"
+                "{\"seed\":9007199254740992}}",
+                "9");
+    expectError("{\"id\":true,\"spec\":\"no-such-family:4\"}", "true");
+    expectError("{\"id\":11,\"qasm\":\"not qasm\"}", "11");
+    // A bad option fails before the circuit is built: the reply names
+    // the option, not the unknown family.
+    const json::Value early = json::parse(service.handle(
+        "{\"spec\":\"no-such-family:4\",\"options\":"
+        "{\"teleport\":2000000000}}"));
+    EXPECT_NE(early.stringOr("error", "").find("'teleport'"),
+              std::string::npos)
+        << early.stringOr("error", "");
     // The largest exactly representable seed is still accepted.
     const std::string largest = service.handle(
         "{\"spec\":\"qft:4\",\"options\":{\"seed\":9007199254740991}}");

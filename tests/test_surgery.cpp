@@ -278,27 +278,8 @@ TEST(SurgeryCompile, CrossBackendMakespansReported)
 }
 
 // --------------------------------------------------------------------
-// Occupancy error paths shared by both backends
+// Occupancy reuse shared by both backends
 // --------------------------------------------------------------------
-
-TEST(Occupancy, ClaimAndReleaseErrorPaths)
-{
-    const Grid grid(2, 2);
-    Occupancy occ(grid);
-    occ.claim({0, 1, 2});
-    EXPECT_EQ(occ.usedCount(), 3u);
-    EXPECT_FALSE(occ.free(1));
-    EXPECT_THROW(occ.claim({1}), InternalError);
-    EXPECT_THROW(occ.claimVertex(2), InternalError);
-    EXPECT_THROW(occ.release({3}), InternalError);
-    occ.release({0, 1, 2});
-    EXPECT_EQ(occ.usedCount(), 0u);
-    EXPECT_THROW(occ.release({0}), InternalError);
-    occ.claim({4});
-    occ.clear();
-    EXPECT_EQ(occ.usedCount(), 0u);
-    EXPECT_TRUE(occ.free(4));
-}
 
 TEST(TimedOccupancy, ExpiryHeapAcrossClearAndReuse)
 {

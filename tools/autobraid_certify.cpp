@@ -31,6 +31,7 @@
 
 #include "analysis/certify.hpp"
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "common/text.hpp"
 
 using namespace autobraid;
@@ -50,16 +51,6 @@ usage(int code)
         "(autobraid_cli --schedule-out).\n"
         "Exit: 0 certified, 1 violations, 2 usage/parse error.\n");
     std::exit(code);
-}
-
-bool
-matchValue(const char *arg, const char *key, std::string &value)
-{
-    const size_t len = std::strlen(key);
-    if (std::strncmp(arg, key, len) != 0 || arg[len] != '=')
-        return false;
-    value = arg + len + 1;
-    return true;
 }
 
 int

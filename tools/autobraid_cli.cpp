@@ -125,24 +125,14 @@ usage(int code)
     std::exit(code);
 }
 
-bool
-matchValue(const char *arg, const char *key, std::string &value)
-{
-    const size_t len = std::strlen(key);
-    if (std::strncmp(arg, key, len) != 0 || arg[len] != '=')
-        return false;
-    value = arg + len + 1;
-    return true;
-}
-
 CliOptions
 parseArgs(int argc, char **argv)
 {
     CliOptions opts;
     // parseArgs runs outside main's try block; the catch at the
-    // bottom reports checked-parse and name-parse rejections
-    // ("--jobs=abc", "--policy=bogus") as usage errors (exit 2)
-    // instead of letting them escape as uncaught exceptions.
+    // bottom reports malformed numbers, unknown names and options out
+    // of range as usage errors (exit 2) instead of letting them
+    // escape as uncaught exceptions.
     try {
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -155,18 +145,9 @@ parseArgs(int argc, char **argv)
             for (const std::string &spec : gen::exampleSpecs())
                 std::printf("  %s\n", spec.c_str());
             std::exit(0);
-        } else if (matchValue(arg, "--policy", value)) {
-            opts.compile.policy = parsePolicyName(value);
-        } else if (matchValue(arg, "--backend", value)) {
-            opts.compile.backend = parseBackendName(value);
-        } else if (matchValue(arg, "--distance", value)) {
-            opts.compile.cost.distance =
-                parseCheckedIntFlag(value, "--distance", 1, 9999);
-        } else if (matchValue(arg, "--p", value)) {
-            opts.compile.p_threshold =
-                parseCheckedDouble(value, "--p", 0.0, 1.0);
-        } else if (matchValue(arg, "--seed", value)) {
-            opts.compile.seed = parseCheckedUInt(value, "--seed");
+        } else if (setOptionFlag(opts.compile, arg)) {
+            // A compile option (setOption's keys); its range is
+            // checked by validate() below.
         } else if (matchValue(arg, "--defects", value)) {
             opts.defects = parseCheckedIntFlag(value, "--defects",
                                                0, 1'000'000);
@@ -176,19 +157,10 @@ parseArgs(int argc, char **argv)
             // later inside BatchCompiler with a worse message.
             opts.jobs = parseCheckedIntFlag(value, "--jobs", 1,
                                             kMaxWorkerThreads);
-        } else if (matchValue(arg, "--route-jobs", value)) {
-            opts.compile.route_jobs = parseCheckedIntFlag(
-                value, "--route-jobs", 1, kMaxWorkerThreads);
         } else if (std::strcmp(arg, "--timings") == 0) {
             opts.timings = true;
-        } else if (matchValue(arg, "--teleport", value)) {
-            opts.compile.channel_hold_cycles =
-                static_cast<Cycles>(
-                    parseCheckedUInt(value, "--teleport"));
         } else if (std::strcmp(arg, "--stats") == 0) {
             opts.stats = true;
-        } else if (std::strcmp(arg, "--no-maslov") == 0) {
-            opts.compile.allow_maslov = false;
         } else if (std::strcmp(arg, "--compare") == 0) {
             opts.compare = true;
         } else if (std::strcmp(arg, "--sweep-p") == 0) {
@@ -225,6 +197,7 @@ parseArgs(int argc, char **argv)
             opts.inputs.emplace_back(arg);
         }
     }
+    opts.compile.validate();
     } catch (const UserError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         usage(2);

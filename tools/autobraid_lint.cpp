@@ -68,10 +68,8 @@ namespace {
 struct LintCliOptions
 {
     lint::LintOptions diag;
-    SchedulerPolicy policy = SchedulerPolicy::AutobraidFull;
-    CostModel cost;
-    Cycles teleport_hold = 0;
-    uint64_t seed = 2021;
+    /** Policy, distance, teleport and seed shape the layout lints. */
+    CompileOptions compile;
     int defects = 0;
     std::vector<VertexId> dead;
     bool quiet = false;
@@ -95,23 +93,24 @@ usage(int code)
     std::exit(code);
 }
 
+/** True for the four compile-option flags the lint takes. */
 bool
-matchValue(const char *arg, const char *key, std::string &value)
+lintOptionFlag(const char *arg)
 {
-    const size_t len = std::strlen(key);
-    if (std::strncmp(arg, key, len) != 0 || arg[len] != '=')
-        return false;
-    value = arg + len + 1;
-    return true;
+    for (const char *flag :
+         {"--policy=", "--distance=", "--teleport=", "--seed="})
+        if (std::strncmp(arg, flag, std::strlen(flag)) == 0)
+            return true;
+    return false;
 }
 
 LintCliOptions
 parseArgs(int argc, char **argv)
 {
     LintCliOptions opts;
-    // parseArgs runs outside main's try block, so checked-parse and
-    // policy-name rejections (UserError) are reported here instead of
-    // propagating.
+    // parseArgs runs outside main's try block, so checked-parse,
+    // option and range rejections (UserError) are reported here
+    // instead of propagating.
     try {
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -146,16 +145,9 @@ parseArgs(int argc, char **argv)
             opts.sarif_out = value;
         } else if (matchValue(arg, "--metrics-out", value)) {
             opts.metrics_out = value;
-        } else if (matchValue(arg, "--policy", value)) {
-            opts.policy = parsePolicyName(value);
-        } else if (matchValue(arg, "--distance", value)) {
-            opts.cost.distance =
-                parseCheckedIntFlag(value, "--distance", 1, 9999);
-        } else if (matchValue(arg, "--teleport", value)) {
-            opts.teleport_hold = static_cast<Cycles>(
-                parseCheckedUInt(value, "--teleport"));
-        } else if (matchValue(arg, "--seed", value)) {
-            opts.seed = parseCheckedUInt(value, "--seed");
+        } else if (lintOptionFlag(arg) &&
+                   setOptionFlag(opts.compile, arg)) {
+            // Range-checked by validate() below.
         } else if (matchValue(arg, "--defects", value)) {
             opts.defects = parseCheckedIntFlag(value, "--defects", 0,
                                                1'000'000);
@@ -174,6 +166,7 @@ parseArgs(int argc, char **argv)
             opts.inputs.emplace_back(arg);
         }
     }
+    opts.compile.validate();
     } catch (const UserError &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         usage(2);
@@ -229,22 +222,21 @@ lintInput(const LintCliOptions &opts, const std::string &input,
     // (AB201/AB203) can only ever fire on an explicit list.
     std::vector<VertexId> dead = opts.dead;
     if (opts.defects > 0) {
-        Rng defect_rng(opts.seed ^ 0xdefecu);
+        Rng defect_rng(opts.compile.seed ^ 0xdefecu);
         for (VertexId v :
              DefectMap::random(grid, opts.defects, defect_rng)
                  .deadVertices())
             dead.push_back(v);
     }
 
-    SchedulerConfig cfg;
-    cfg.policy = opts.policy;
-    cfg.seed = opts.seed;
-    Rng rng(opts.seed);
+    Rng rng(opts.compile.seed);
     const Placement placement = initialPlacement(
-        circuit, grid, rng, cfg.placementFor(opts.policy));
+        circuit, grid, rng,
+        opts.compile.placementFor(opts.compile.policy));
 
     lint::LintRunConfig run;
-    run.hold = lint::effectiveHold(opts.cost, opts.teleport_hold);
+    run.hold = lint::effectiveHold(opts.compile.cost,
+                                   opts.compile.channel_hold_cycles);
     run.circuit.reset_gates = &reset_gates;
     lint::runCircuitAnalyses(circuit, grid, dead, &placement, engine,
                              prov_ptr, run);

@@ -76,16 +76,6 @@ usage(int code)
     std::exit(code);
 }
 
-bool
-matchValue(const char *arg, const char *key, std::string &value)
-{
-    const size_t len = std::strlen(key);
-    if (std::strncmp(arg, key, len) != 0 || arg[len] != '=')
-        return false;
-    value = arg + len + 1;
-    return true;
-}
-
 ServeCliOptions
 parseArgs(int argc, char **argv)
 {
