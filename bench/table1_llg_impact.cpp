@@ -68,7 +68,7 @@ main()
         InitialPlacementConfig before_cfg;
         before_cfg.use_annealer = false;
         before_cfg.use_linear_special = false;
-        before_cfg.partition.leaf_cells = 4; // METIS-style mapping
+        before_cfg.leaf_cells = 4; // METIS-style mapping
         InitialPlacementConfig after_cfg; // defaults: everything on
 
         const Placement before =

@@ -1,7 +1,9 @@
 #include "analysis/certify.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "analysis/layout_lints.hpp"
 #include "common/error.hpp"
@@ -19,6 +21,13 @@ namespace {
 /** Cap on stored violations; past it only the count grows. */
 constexpr size_t kMaxViolations = 64;
 
+/**
+ * Cap on grid tiles. The rules allocate per vertex and per qubit, so
+ * a larger header is rejected before they run. The largest compile in
+ * this repository, IM-5000 in bench/fig16, uses 71 x 71 tiles.
+ */
+constexpr long long kMaxTiles = 1 << 20;
+
 const json::Value &
 need(const json::Value &doc, const char *key)
 {
@@ -28,20 +37,30 @@ need(const json::Value &doc, const char *key)
     return *v;
 }
 
-long long
+/**
+ * @p v as an Int. The range is checked on the double, before the cast:
+ * lowest() and max() + 1 are powers of two, so both are exact.
+ */
+template <typename Int>
+Int
 asInt(const json::Value &v, const char *what)
 {
     const double d = v.asNumber();
-    const long long i = static_cast<long long>(d);
+    using Limits = std::numeric_limits<Int>;
+    if (!(d >= static_cast<double>(Limits::lowest()) &&
+          d < std::ldexp(1.0, Limits::digits)))
+        fatal("schedule field \"%s\" is out of range (%.17g)", what, d);
+    const Int i = static_cast<Int>(d);
     if (static_cast<double>(i) != d)
         fatal("schedule field \"%s\" is not an integer", what);
     return i;
 }
 
-long long
+template <typename Int>
+Int
 needInt(const json::Value &doc, const char *key)
 {
-    return asInt(need(doc, key), key);
+    return asInt<Int>(need(doc, key), key);
 }
 
 /** Reverse of gateName(); fatal on an unknown mnemonic. */
@@ -105,54 +124,49 @@ decodeSchedule(const json::Value &doc)
     if (need(doc, "format").asString() != "autobraid-schedule")
         fatal("not an autobraid-schedule document (format \"%s\")",
               doc.stringOr("format", "?").c_str());
-    if (needInt(doc, "version") != 1)
-        fatal("unsupported autobraid-schedule version %lld",
-              needInt(doc, "version"));
+    const int version = needInt<int>(doc, "version");
+    if (version != 1)
+        fatal("unsupported autobraid-schedule version %d", version);
 
     Schedule s;
     s.circuit = need(doc, "circuit").asString();
     s.policy = need(doc, "policy").asString();
     s.backend = need(doc, "backend").asString();
-    s.distance = static_cast<int>(needInt(doc, "distance"));
-    s.grid_rows = static_cast<int>(needInt(doc, "grid_rows"));
-    s.grid_cols = static_cast<int>(needInt(doc, "grid_cols"));
-    s.num_qubits = static_cast<int>(needInt(doc, "num_qubits"));
-    s.channel_hold_cycles =
-        static_cast<Cycles>(needInt(doc, "channel_hold_cycles"));
+    s.distance = needInt<int>(doc, "distance");
+    s.grid_rows = needInt<int>(doc, "grid_rows");
+    s.grid_cols = needInt<int>(doc, "grid_cols");
+    s.num_qubits = needInt<int>(doc, "num_qubits");
+    s.channel_hold_cycles = needInt<Cycles>(doc, "channel_hold_cycles");
     s.used_maslov = need(doc, "used_maslov").asBool();
-    s.swaps_inserted =
-        static_cast<size_t>(needInt(doc, "swaps_inserted"));
-    s.braids_routed = static_cast<size_t>(needInt(doc, "braids_routed"));
-    s.makespan = static_cast<Cycles>(needInt(doc, "makespan"));
+    s.swaps_inserted = needInt<size_t>(doc, "swaps_inserted");
+    s.braids_routed = needInt<size_t>(doc, "braids_routed");
+    s.makespan = needInt<Cycles>(doc, "makespan");
     for (const json::Value &jv : need(doc, "dead_vertices").asArray())
-        s.dead_vertices.push_back(
-            static_cast<VertexId>(asInt(jv, "dead")));
+        s.dead_vertices.push_back(asInt<VertexId>(jv, "dead"));
     if (const json::Value *placement = doc.find("placement")) {
         s.placement.emplace();
         for (const json::Value &jc : placement->asArray())
-            s.placement->push_back(
-                static_cast<CellId>(asInt(jc, "placement")));
+            s.placement->push_back(asInt<CellId>(jc, "placement"));
     }
     for (const json::Value &jg : need(doc, "gates").asArray()) {
         Gate g;
         g.kind = kindFromName(need(jg, "kind").asString());
-        g.q0 = static_cast<Qubit>(needInt(jg, "q0"));
-        g.q1 = static_cast<Qubit>(needInt(jg, "q1"));
+        g.q0 = needInt<Qubit>(jg, "q0");
+        g.q1 = needInt<Qubit>(jg, "q1");
         s.gates.push_back(g);
     }
     for (const json::Value &je : need(doc, "schedule").asArray()) {
         Entry e;
-        e.gate = needInt(je, "gate");
-        e.start = static_cast<Cycles>(needInt(je, "start"));
-        e.finish = static_cast<Cycles>(needInt(je, "finish"));
-        e.release = static_cast<Cycles>(needInt(je, "release"));
+        e.gate = needInt<long long>(je, "gate");
+        e.start = needInt<Cycles>(je, "start");
+        e.finish = needInt<Cycles>(je, "finish");
+        e.release = needInt<Cycles>(je, "release");
         if (const json::Value *a = je.find("swap_a"))
-            e.swap_a = static_cast<Qubit>(asInt(*a, "swap_a"));
+            e.swap_a = asInt<Qubit>(*a, "swap_a");
         if (const json::Value *b = je.find("swap_b"))
-            e.swap_b = static_cast<Qubit>(asInt(*b, "swap_b"));
+            e.swap_b = asInt<Qubit>(*b, "swap_b");
         for (const json::Value &jv : need(je, "path").asArray())
-            e.path.push_back(
-                static_cast<VertexId>(asInt(jv, "path")));
+            e.path.push_back(asInt<VertexId>(jv, "path"));
         s.entries.push_back(std::move(e));
     }
     return s;
@@ -173,9 +187,18 @@ certifySchedule(const Schedule &s)
     const int cols = s.grid_cols;
     if (rows <= 0 || cols <= 0)
         fatal("schedule grid %dx%d is degenerate", rows, cols);
+    const long long tiles = static_cast<long long>(rows) * cols;
+    if (tiles > kMaxTiles)
+        fatal("schedule grid_rows x grid_cols %dx%d is more than %lld "
+              "tiles",
+              rows, cols, kMaxTiles);
     const int num_qubits = s.num_qubits;
     if (num_qubits <= 0)
         fatal("schedule has %d qubits", num_qubits);
+    if (num_qubits > tiles)
+        fatal("schedule num_qubits %d is more than the %lld tiles of "
+              "its %dx%d grid",
+              num_qubits, tiles, rows, cols);
     cert.makespan = s.makespan;
 
     CostModel cost;

@@ -1,9 +1,9 @@
 #include "analysis/circuit_lints.hpp"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
-#include "analysis/dataflow.hpp"
 #include "circuit/peephole.hpp"
 #include "common/text.hpp"
 
@@ -32,6 +32,14 @@ consumesMagic(GateKind kind)
 }
 
 constexpr GateIdx kNone = static_cast<GateIdx>(-1);
+
+/** AB107 fires when one qubit holds more than this share of T work... */
+constexpr double kTHotspotShare = 0.5;
+/** ... and the circuit has at least this many T/rotation gates. */
+constexpr size_t kTHotspotMin = 16;
+
+/** AB108 and AB109 report this many; the rest collapse into one. */
+constexpr size_t kMaxDeadReports = 16;
 
 void
 lintUnusedQubits(const Circuit &circuit, DiagnosticEngine &engine)
@@ -129,8 +137,7 @@ lintAdjacentInverses(const Circuit &circuit, DiagnosticEngine &engine,
 }
 
 void
-lintMagicHotspot(const Circuit &circuit, DiagnosticEngine &engine,
-                 const CircuitLintOptions &opt)
+lintMagicHotspot(const Circuit &circuit, DiagnosticEngine &engine)
 {
     std::vector<size_t> t_count(
         static_cast<size_t>(circuit.numQubits()));
@@ -141,7 +148,7 @@ lintMagicHotspot(const Circuit &circuit, DiagnosticEngine &engine,
         ++t_count[static_cast<size_t>(g.q0)];
         ++total;
     }
-    if (total < opt.t_hotspot_min || circuit.numQubits() < 2)
+    if (total < kTHotspotMin || circuit.numQubits() < 2)
         return;
     Qubit hot = 0;
     for (Qubit q = 1; q < circuit.numQubits(); ++q)
@@ -150,7 +157,7 @@ lintMagicHotspot(const Circuit &circuit, DiagnosticEngine &engine,
             hot = q;
     const size_t peak = t_count[static_cast<size_t>(hot)];
     if (static_cast<double>(peak) <=
-        opt.t_hotspot_share * static_cast<double>(total))
+        kTHotspotShare * static_cast<double>(total))
         return;
     engine.report(
         "AB107", SourceLoc{},
@@ -162,17 +169,95 @@ lintMagicHotspot(const Circuit &circuit, DiagnosticEngine &engine,
                       static_cast<double>(total)));
 }
 
+/**
+ * AB108: pure single-qubit unitaries on a qubit that is never
+ * afterwards measured or entangled with a qubit that is. Circuits are
+ * straight-line, so one backward liveness sweep is exact. Gates in
+ * @p reset_gates kill liveness instead of observing. Skipped for
+ * circuits with no real measurement: benchmark kernels leave final
+ * readout implicit.
+ */
+void
+lintDeadGates(const Circuit &circuit, DiagnosticEngine &engine,
+              const GateProvenance *provenance,
+              const std::vector<GateIdx> *reset_gates)
+{
+    const std::vector<Gate> &gates = circuit.gates();
+    std::vector<uint8_t> is_reset(gates.size(), 0);
+    if (reset_gates)
+        for (GateIdx g : *reset_gates)
+            if (g < gates.size())
+                is_reset[g] = 1;
+
+    bool has_observation = false;
+    for (size_t g = 0; g < gates.size(); ++g)
+        has_observation = has_observation ||
+                          (gates[g].kind == GateKind::Measure &&
+                           !is_reset[g]);
+    if (!has_observation)
+        return;
+
+    // live[q]: the state of q at this point is observed later.
+    std::vector<uint8_t> live(static_cast<size_t>(circuit.numQubits()),
+                              0);
+    std::vector<uint8_t> dead(gates.size(), 0);
+    for (size_t g = gates.size(); g-- > 0;) {
+        const Gate &gate = gates[g];
+        const auto q0 = static_cast<size_t>(gate.q0);
+        if (gate.kind == GateKind::Measure) {
+            // A reset discards the pre-reset state; a measurement
+            // observes it.
+            live[q0] = is_reset[g] ? 0 : 1;
+        } else if (gate.kind == GateKind::Barrier) {
+            // Scheduling aid; no effect on any state.
+        } else if (gate.arity() == 2) {
+            // Entanglement: if either operand is eventually observed,
+            // both pre-gate states are.
+            const auto q1 = static_cast<size_t>(gate.q1);
+            if (live[q0] || live[q1])
+                live[q0] = live[q1] = 1;
+        } else {
+            dead[g] = live[q0] ? 0 : 1;
+        }
+    }
+
+    size_t reported = 0;
+    size_t suppressed = 0;
+    for (size_t g = 0; g < gates.size(); ++g) {
+        if (!dead[g])
+            continue;
+        if (reported == kMaxDeadReports) {
+            ++suppressed;
+            continue;
+        }
+        ++reported;
+        const Gate &gate = gates[g];
+        engine.report(
+            "AB108",
+            provenance ? provenance->at(g) : SourceLoc{},
+            strformat("gate %zu (%s): qubit q%d is never measured "
+                      "or entangled afterwards, so the gate has no "
+                      "observable effect",
+                      g, gate.toString().c_str(), gate.q0));
+    }
+    if (suppressed > 0)
+        engine.report("AB108", SourceLoc{},
+                      strformat("... and %zu more gates on dead "
+                                "qubits",
+                                suppressed));
+}
+
 } // namespace
 
 void
 lintCircuit(const Circuit &circuit, DiagnosticEngine &engine,
             const GateProvenance *provenance,
-            const CircuitLintOptions &options)
+            const std::vector<GateIdx> *reset_gates)
 {
     lintUnusedQubits(circuit, engine);
     lintAdjacentInverses(circuit, engine, provenance);
-    lintMagicHotspot(circuit, engine, options);
-    lintDeadGates(circuit, engine, provenance, options.reset_gates);
+    lintMagicHotspot(circuit, engine);
+    lintDeadGates(circuit, engine, provenance, reset_gates);
 }
 
 namespace {
@@ -429,6 +514,77 @@ lintUseAfterMeasure(const Program &program, DiagnosticEngine &engine,
         }
         // Barriers neither use nor reset qubits.
     }
+}
+
+/**
+ * AB109: measurements whose destination creg bit is overwritten by a
+ * later measurement before the program ends. The OpenQASM 2 subset
+ * has no classical control flow, so one forward sweep over the creg
+ * bits is exact and an overwritten result is unobservable.
+ */
+void
+lintDeadMeasurements(const Program &program, DiagnosticEngine &engine,
+                     const std::string &file)
+{
+    // Flatten creg bits into one dense index space.
+    std::map<std::string, std::pair<size_t, int>> layout;
+    size_t total_bits = 0;
+    for (const auto &[name, size] : program.cregs) {
+        layout[name] = {total_bits, size};
+        total_bits += static_cast<size_t>(size);
+    }
+    if (total_bits == 0)
+        return;
+
+    // pending_line[b]: source line of the not-yet-overwritten
+    // measurement into bit b, -1 when none.
+    std::vector<int> pending_line(total_bits, -1);
+    size_t reported = 0;
+    size_t suppressed = 0;
+    for (const qasm::Statement &stmt : program.statements) {
+        const auto *m = std::get_if<qasm::MeasureStmt>(&stmt);
+        if (!m)
+            continue; // only measurements touch creg bits
+        const auto it = layout.find(m->dst.reg);
+        if (it == layout.end())
+            continue; // undeclared creg: AB105's report, not ours
+        const auto [offset, size] = it->second;
+        const int src_size = program.qregSize(m->src.reg);
+        // Element-wise bits written: one for an indexed dst, the
+        // broadcast width for a whole-register measure.
+        int first = 0;
+        int count = 1;
+        if (m->dst.wholeRegister()) {
+            if (m->src.wholeRegister())
+                count = std::min(size, std::max(0, src_size));
+        } else {
+            first = m->dst.index;
+        }
+        for (int b = first; b < first + count; ++b) {
+            if (b < 0 || b >= size)
+                continue; // out-of-range bits are AB105's report
+            int &pending = pending_line[offset + static_cast<size_t>(b)];
+            if (pending >= 0) {
+                if (reported == kMaxDeadReports) {
+                    ++suppressed;
+                } else {
+                    ++reported;
+                    engine.report(
+                        "AB109", SourceLoc{file, pending},
+                        strformat(
+                            "measurement into %s[%d] is overwritten "
+                            "at line %d before being read",
+                            m->dst.reg.c_str(), b, m->line));
+                }
+            }
+            pending = m->line;
+        }
+    }
+    if (suppressed > 0)
+        engine.report("AB109", SourceLoc{file, 0},
+                      strformat("... and %zu more overwritten "
+                                "measurements",
+                                suppressed));
 }
 
 } // namespace

@@ -33,39 +33,25 @@ struct GateProvenance
     SourceLoc at(GateIdx g) const;
 };
 
-/** Tuning knobs for the heuristic circuit lints. */
-struct CircuitLintOptions
-{
-    /** AB107 fires when one qubit holds > this share of all T work. */
-    double t_hotspot_share = 0.5;
-    /** ... and the circuit has at least this many T/rotation gates. */
-    size_t t_hotspot_min = 16;
-    /**
-     * Measure gates that lower a `reset` statement
-     * (qasm::ElaboratedCircuit::reset_gates); AB108 treats them as
-     * kills instead of observations. Optional.
-     */
-    const std::vector<GateIdx> *reset_gates = nullptr;
-};
-
 /**
  * Run the circuit-level lints: AB103 (unused qubits), AB106 (adjacent
  * self-inverse pairs), AB107 (magic-state hotspots), AB108 (gates on
- * dead qubits, via backward liveness dataflow). AB101 is AST-level
- * only: Gate::twoQubit rejects duplicate operands, so such gates
- * cannot exist in a Circuit.
+ * dead qubits, via backward liveness). @p reset_gates lists the
+ * Measure gates that lower a `reset` statement
+ * (qasm::ElaboratedCircuit::reset_gates); AB108 treats them as kills
+ * instead of observations. AB101 is AST-level only: Gate::twoQubit
+ * rejects duplicate operands, so such gates cannot exist in a Circuit.
  */
 void lintCircuit(const Circuit &circuit, DiagnosticEngine &engine,
                  const GateProvenance *provenance = nullptr,
-                 const CircuitLintOptions &options = {});
+                 const std::vector<GateIdx> *reset_gates = nullptr);
 
 /**
  * Run the AST-level lints on a parsed program: AB101 (operands
  * aliasing one qubit), AB102 (use after measurement), AB103 (unused
  * qreg), AB104 (unused creg), AB105 (register-width mismatch and
- * classical-bit overflow), AB109 (dead measurements, via forward
- * reaching-definitions dataflow). @p file labels the source
- * locations.
+ * classical-bit overflow), AB109 (dead measurements, via a forward
+ * sweep over the creg bits). @p file labels the source locations.
  */
 void lintProgram(const qasm::Program &program,
                  DiagnosticEngine &engine,

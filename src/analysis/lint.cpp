@@ -23,7 +23,7 @@ runCircuitAnalyses(const Circuit &circuit, const Grid &grid,
                    const GateProvenance *provenance,
                    const LintRunConfig &config)
 {
-    lintCircuit(circuit, engine, provenance, config.circuit);
+    lintCircuit(circuit, engine, provenance, config.reset_gates);
     lintLayout(grid, dead, engine);
     if (placement) {
         const std::vector<CxTask> tasks =
@@ -32,7 +32,7 @@ runCircuitAnalyses(const Circuit &circuit, const Grid &grid,
             lintChannelCapacity(grid, dead, tasks, config.hold,
                                 engine);
         lintSurgeryCapacity(grid, dead, tasks, engine);
-        lintLlgs(circuit, *placement, engine, config.llg);
+        lintLlgs(circuit, *placement, engine);
     }
 }
 

@@ -23,11 +23,11 @@ class Placement;
 
 namespace lint {
 
-/** Aggregate configuration for one lint run. */
+/** Per-input settings of one lint run. */
 struct LintRunConfig
 {
-    CircuitLintOptions circuit;
-    LlgLintOptions llg;
+    /** Measure gates that lower a `reset` (see lintCircuit). */
+    const std::vector<GateIdx> *reset_gates = nullptr;
     /** Channel occupancy per braid; 0 derives nothing (no AB202). */
     Cycles hold = 0;
 };

@@ -9,6 +9,11 @@ namespace lint {
 
 namespace {
 
+/** Individually reported diagnostics per code; excess aggregates. */
+constexpr size_t kMaxReports = 4;
+/** Layers larger than this skip the O(n^3) AB302 clique search. */
+constexpr size_t kMaxCliqueLayer = 256;
+
 /**
  * Find four pairwise strictly-interfering tasks (a 4-clique in the
  * strict-interference graph). Fills @p out with task indices and
@@ -66,7 +71,7 @@ findInterferenceClique(const std::vector<CxTask> &tasks,
 
 void
 lintLlgs(const Circuit &circuit, const Placement &placement,
-         DiagnosticEngine &engine, const LlgLintOptions &options)
+         DiagnosticEngine &engine)
 {
     size_t hard_total = 0;
     size_t clique_layers = 0;
@@ -84,7 +89,7 @@ lintLlgs(const Circuit &circuit, const Placement &placement,
             if (llg.size() <= 3 || isStrictlyNested(llg, tasks))
                 continue; // Theorem 1 resp. Theorem 2 applies
             ++hard_total;
-            if (hard_reported < options.max_reports) {
+            if (hard_reported < kMaxReports) {
                 ++hard_reported;
                 engine.report(
                     "AB301", SourceLoc{},
@@ -98,11 +103,11 @@ lintLlgs(const Circuit &circuit, const Placement &placement,
             }
         }
 
-        if (tasks.size() <= options.max_clique_layer) {
+        if (tasks.size() <= kMaxCliqueLayer) {
             std::array<size_t, 4> clique;
             if (findInterferenceClique(tasks, clique)) {
                 ++clique_layers;
-                if (clique_reported < options.max_reports) {
+                if (clique_reported < kMaxReports) {
                     ++clique_reported;
                     engine.report(
                         "AB302", SourceLoc{},

@@ -24,23 +24,16 @@
 namespace autobraid {
 namespace lint {
 
-/** Tuning knobs for the LLG lints. */
-struct LlgLintOptions
-{
-    /** Individually reported diagnostics per code; excess aggregates. */
-    size_t max_reports = 4;
-    /** Layers larger than this skip the O(n^3) AB302 clique search. */
-    size_t max_clique_layer = 256;
-};
-
 /**
  * Run AB301/AB302 over every concurrent CX layer of @p circuit under
- * @p placement. Exports metrics `llg_hard_total` (AB301 instances)
- * and `llg_clique_layers` (layers with a Theorem 3 obstruction).
+ * @p placement. The first four findings of each code are reported
+ * individually and the rest as one aggregate note; layers of more
+ * than 256 gates skip the O(n^3) AB302 clique search. Exports metrics
+ * `llg_hard_total` (AB301 instances) and `llg_clique_layers` (layers
+ * with a Theorem 3 obstruction).
  */
 void lintLlgs(const Circuit &circuit, const Placement &placement,
-              DiagnosticEngine &engine,
-              const LlgLintOptions &options = {});
+              DiagnosticEngine &engine);
 
 } // namespace lint
 } // namespace autobraid

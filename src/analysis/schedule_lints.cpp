@@ -6,6 +6,16 @@
 
 namespace autobraid {
 namespace lint {
+namespace {
+
+/** AB401 fires when makespan / lower_bound > this ratio. */
+constexpr double kGapThreshold = 2.0;
+/** AB402 fires when one vertex is busy >= this share of makespan. */
+constexpr double kHotspotShare = 0.5;
+/** AB403 fires when an idle gap is >= this share of makespan. */
+constexpr double kIdleShare = 0.25;
+
+} // namespace
 
 void
 lintSchedule(const ScheduleLintInput &input, DiagnosticEngine &engine)
@@ -21,7 +31,7 @@ lintSchedule(const ScheduleLintInput &input, DiagnosticEngine &engine)
         engine.setMetric("schedule_lower_bound_cycles",
                          static_cast<long>(lower));
         const double gap = makespan / static_cast<double>(lower);
-        if (gap > input.gap_threshold) {
+        if (gap > kGapThreshold) {
             const char *which =
                 input.channel_bound > input.critical_path
                     ? "channel-capacity"
@@ -35,7 +45,7 @@ lintSchedule(const ScheduleLintInput &input, DiagnosticEngine &engine)
                               input.makespan),
                           which,
                           static_cast<unsigned long long>(lower),
-                          input.gap_threshold));
+                          kGapThreshold));
         }
     }
 
@@ -46,7 +56,7 @@ lintSchedule(const ScheduleLintInput &input, DiagnosticEngine &engine)
             input.vertex_busy_cycles.end());
         const double share =
             static_cast<double>(*hottest) / makespan;
-        if (share >= input.hotspot_share) {
+        if (share >= kHotspotShare) {
             engine.report(
                 "AB402", SourceLoc{},
                 strformat("congestion hotspot: vertex %ld is busy "
@@ -90,7 +100,7 @@ lintSchedule(const ScheduleLintInput &input, DiagnosticEngine &engine)
                          static_cast<long>(idle_total));
         const Cycles gap = gap_end - gap_start;
         if (static_cast<double>(gap) >=
-            input.idle_share * makespan) {
+            kIdleShare * makespan) {
             engine.report(
                 "AB403", SourceLoc{},
                 strformat("idle-resource window: no braid or merge "

@@ -11,11 +11,11 @@
  * certifier's job.
  *
  *  - AB401 optimality gap: makespan exceeds the certified lower bound
- *    (critical path vs. channel capacity) by more than a threshold.
- *  - AB402 congestion hotspot: one routing vertex is busy for a
- *    dominant share of the schedule.
- *  - AB403 idle-resource window: a long stretch of the schedule has
- *    no braid or merge region in flight.
+ *    (critical path vs. channel capacity) by more than 2x.
+ *  - AB402 congestion hotspot: one routing vertex is busy for at
+ *    least half of the schedule.
+ *  - AB403 idle-resource window: at least a quarter of the schedule
+ *    has no braid or merge region in flight.
  */
 
 #ifndef AUTOBRAID_ANALYSIS_SCHEDULE_LINTS_HPP
@@ -30,7 +30,7 @@
 namespace autobraid {
 namespace lint {
 
-/** Inputs and thresholds for the AB4xx schedule lints. */
+/** Inputs of the AB4xx schedule lints. */
 struct ScheduleLintInput
 {
     /** Achieved makespan in cycles (0 = nothing scheduled). */
@@ -53,15 +53,6 @@ struct ScheduleLintInput
      * regions); empty disables AB403.
      */
     std::vector<std::pair<Cycles, Cycles>> windows;
-
-    /** AB401 fires when makespan / lower_bound > this ratio. */
-    double gap_threshold = 2.0;
-
-    /** AB402 fires when one vertex is busy > this share of makespan. */
-    double hotspot_share = 0.5;
-
-    /** AB403 fires when an idle gap exceeds this share of makespan. */
-    double idle_share = 0.25;
 };
 
 /**

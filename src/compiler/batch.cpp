@@ -8,6 +8,12 @@
 #include "gen/registry.hpp"
 
 namespace autobraid {
+namespace {
+
+/** Base seed the per-job seeds are derived from. */
+constexpr uint64_t kBaseSeed = 2021;
+
+} // namespace
 
 uint64_t
 deriveJobSeed(uint64_t base_seed, size_t job_index)
@@ -47,7 +53,7 @@ BatchCompiler::add(Circuit circuit, CompileOptions options,
 {
     const size_t index = jobs_.size();
     if (options_.derive_seeds)
-        options.seed = deriveJobSeed(options_.base_seed, index);
+        options.seed = deriveJobSeed(kBaseSeed, index);
     if (label.empty())
         label = circuit.name();
     jobs_.push_back(

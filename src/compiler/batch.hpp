@@ -29,11 +29,10 @@ struct BatchOptions
     int threads = 0;
 
     /**
-     * Base seed the per-job seeds are derived from (splitmix64 of
-     * base_seed ^ job index). Set derive_seeds = false to use each
-     * job's own CompileOptions::seed untouched.
+     * Derive each job's seed from the fixed batch base seed and the
+     * job index (deriveJobSeed). false uses each job's own
+     * CompileOptions::seed untouched.
      */
-    uint64_t base_seed = 2021;
     bool derive_seeds = true;
 };
 

@@ -124,7 +124,7 @@ runLint(const Circuit &circuit, const Grid &grid,
 {
     const Stage stage(report, "lint");
     auto engine =
-        std::make_shared<lint::DiagnosticEngine>(options.lintOptions());
+        std::make_shared<lint::DiagnosticEngine>(options.lint);
     lint::LintRunConfig cfg;
     cfg.hold = lint::effectiveHold(options.cost,
                                    options.channel_hold_cycles);
@@ -350,7 +350,7 @@ compileCircuit(const Circuit &circuit, const CompileOptions &requested)
     // sees every scheduled gate.
     if (!options.schedule_out.empty())
         options.record_trace = true;
-    const bool linting = options.lint_level != lint::LintLevel::Off;
+    const bool linting = options.lint.level != lint::LintLevel::Off;
 
     const Grid grid = Grid::forQubits(circuit.numQubits());
     CompileReport report;

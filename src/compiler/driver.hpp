@@ -6,7 +6,7 @@
  * (paper Fig. 10) in one fixed order: parallelism-analysis,
  * initial-placement, lint, schedule, maslov-fallback, validate, report,
  * schedule-lint, schedule-export. The two lint stages run only when
- * CompileOptions::lint_level is not Off, schedule-export only when
+ * CompileOptions::lint.level is not Off, schedule-export only when
  * CompileOptions::schedule_out is set. Each stage appends one
  * PassTiming to the report; see docs/driver.md.
  */

@@ -12,16 +12,6 @@
 
 namespace autobraid {
 
-lint::LintOptions
-CompileOptions::lintOptions() const
-{
-    lint::LintOptions out;
-    out.level = lint_level;
-    out.suppressions = lint_suppressions;
-    out.werror = lint_werror;
-    return out;
-}
-
 namespace {
 
 /** True when @p s names a known code ("AB101") or family ("AB1xx"). */
@@ -129,7 +119,7 @@ CompileOptions::validate(const Circuit &circuit) const
             fatal("dead vertex %d outside the %dx%d grid "
                   "(%d routing vertices)",
                   v, grid.rows(), grid.cols(), grid.numVertices());
-    for (const std::string &s : lint_suppressions)
+    for (const std::string &s : lint.suppressions)
         if (!knownSuppression(s))
             fatal("unknown lint suppression '%s' (expected a "
                   "diagnostic code like AB101 or a family like AB1xx)",

@@ -59,20 +59,12 @@ struct CompileOptions : SchedulerConfig
     telemetry::TelemetryOptions telemetry;
 
     /**
-     * Static-analysis level. Off (the default) skips the lint and
+     * Static analysis. Level Off (the default) skips the lint and
      * schedule-lint stages entirely; any other level runs them and
-     * surfaces their diagnostics as CompileReport::lint.
+     * surfaces their diagnostics as CompileReport::lint. Suppressions
+     * are validated against the catalog by validate(circuit).
      */
-    lint::LintLevel lint_level = lint::LintLevel::Off;
-
-    /**
-     * Suppressed diagnostic codes: exact ("AB101") or a whole family
-     * ("AB1xx"). Validated against the catalog by validate().
-     */
-    std::vector<std::string> lint_suppressions;
-
-    /** Promote lint warnings to errors (CI gating). */
-    bool lint_werror = false;
+    lint::LintOptions lint{lint::LintLevel::Off, {}, false};
 
     /**
      * When non-empty, write a versioned `autobraid-schedule` v1 JSON
@@ -86,9 +78,6 @@ struct CompileOptions : SchedulerConfig
 
     /** The scheduler config of this option set. */
     SchedulerConfig schedulerConfig() const { return *this; }
-
-    /** Build the diagnostic-engine options for this option set. */
-    lint::LintOptions lintOptions() const;
 
     /**
      * Reject an option outside its one range with a UserError naming

@@ -77,7 +77,7 @@ struct CompileReport
 
     /**
      * Static-analysis diagnostics of this compilation; null unless
-     * CompileOptions::lint_level enabled the lint stages. Render with
+     * CompileOptions::lint.level enabled the lint stages. Render with
      * DiagnosticEngine::toText() / toSarif().
      */
     std::shared_ptr<lint::DiagnosticEngine> lint;

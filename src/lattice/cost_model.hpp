@@ -20,11 +20,13 @@
 
 namespace autobraid {
 
+/** Microseconds per surface-code cycle (paper §4.2). */
+constexpr double kCycleMicros = 2.2;
+
 /** Latency model parameterized by code distance. */
 struct CostModel
 {
     int distance = 33;        ///< code distance d (paper's default)
-    double cycle_us = 2.2;    ///< microseconds per surface-code cycle
 
     /** Braid window of a CX gate. */
     Cycles cxCycles() const
@@ -68,7 +70,7 @@ struct CostModel
     /** Convert cycles to microseconds. */
     double micros(Cycles c) const
     {
-        return static_cast<double>(c) * cycle_us;
+        return static_cast<double>(c) * kCycleMicros;
     }
 
     /** Convert cycles to seconds. */

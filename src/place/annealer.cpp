@@ -9,6 +9,15 @@
 namespace autobraid {
 namespace {
 
+// Geometric cooling from kStartTemperature to kEndTemperature over an
+// iteration count set by kOpBudget (approximate task evaluations),
+// clamped to [kMinIterations, kMaxIterations].
+constexpr double kStartTemperature = 2.0;
+constexpr double kEndTemperature = 0.02;
+constexpr long kOpBudget = 40'000'000;
+constexpr int kMinIterations = 64;
+constexpr int kMaxIterations = 4000;
+
 /** Evenly sample at most @p max_sets concurrent sets. */
 std::vector<std::vector<GateIdx>>
 sampleSets(const Circuit &circuit, size_t max_sets)
@@ -73,11 +82,10 @@ countOversizeLlgs(const Circuit &circuit, const Placement &placement)
 }
 
 Placement
-annealPlacement(const Circuit &circuit, Placement initial, Rng &rng,
-                const AnnealConfig &config)
+annealPlacement(const Circuit &circuit, Placement initial, Rng &rng)
 {
     AUTOBRAID_SPAN("place.anneal");
-    const auto sets = sampleSets(circuit, config.max_sets);
+    const auto sets = sampleSets(circuit, kAnnealMaxSets);
     if (sets.empty())
         return initial;
 
@@ -116,9 +124,9 @@ annealPlacement(const Circuit &circuit, Placement initial, Rng &rng,
         static_cast<double>(sets.size());
     const double per_move = std::max(1.0, sets_per_move * avg_eval);
     int iterations = static_cast<int>(
-        std::clamp(static_cast<double>(config.op_budget) / per_move,
-                   static_cast<double>(config.min_iterations),
-                   static_cast<double>(config.max_iterations)));
+        std::clamp(static_cast<double>(kOpBudget) / per_move,
+                   static_cast<double>(kMinIterations),
+                   static_cast<double>(kMaxIterations)));
 
     Placement current = std::move(initial);
     std::vector<long> cost(sets.size());
@@ -132,10 +140,10 @@ annealPlacement(const Circuit &circuit, Placement initial, Rng &rng,
     long best_total = total;
     const double cool =
         iterations > 1
-            ? std::pow(config.t_end / config.t_start,
+            ? std::pow(kEndTemperature / kStartTemperature,
                        1.0 / static_cast<double>(iterations - 1))
             : 1.0;
-    double temp = config.t_start;
+    double temp = kStartTemperature;
 
     long long proposals = 0;
     long long accepts = 0;

@@ -21,16 +21,8 @@
 
 namespace autobraid {
 
-/** Annealer tunables. */
-struct AnnealConfig
-{
-    double t_start = 2.0;       ///< initial temperature
-    double t_end = 0.02;        ///< final temperature
-    size_t max_sets = 64;       ///< concurrent CX sets sampled
-    long op_budget = 40'000'000; ///< approx. task evaluations allowed
-    int min_iterations = 64;    ///< floor on proposals
-    int max_iterations = 4000;  ///< cap on proposals
-};
+/** Concurrent CX sets the annealer samples (evenly, by index). */
+constexpr size_t kAnnealMaxSets = 64;
 
 /**
  * LLG objective of @p placement over (a sample of) the circuit's
@@ -38,7 +30,7 @@ struct AnnealConfig
  * counts plus a small bbox-span locality tie-breaker. Lower is better.
  */
 long llgObjective(const Circuit &circuit, const Placement &placement,
-                  size_t max_sets = 64);
+                  size_t max_sets = kAnnealMaxSets);
 
 /** Count of LLGs with size > 3 across all concurrent sets (Table 1). */
 long countOversizeLlgs(const Circuit &circuit,
@@ -46,7 +38,7 @@ long countOversizeLlgs(const Circuit &circuit,
 
 /** Anneal @p initial and return the best placement found. */
 Placement annealPlacement(const Circuit &circuit, Placement initial,
-                          Rng &rng, const AnnealConfig &config = {});
+                          Rng &rng);
 
 } // namespace autobraid
 

@@ -13,12 +13,11 @@ initialPlacement(const Circuit &circuit, const Grid &grid, Rng &rng,
 
     Placement placement =
         config.use_partitioner
-            ? partitionPlacement(coupling, grid, rng, config.partition)
+            ? partitionPlacement(coupling, grid, rng, config.leaf_cells)
             : Placement(grid, circuit.numQubits());
 
     if (config.use_annealer)
-        placement = annealPlacement(circuit, std::move(placement), rng,
-                                    config.anneal);
+        placement = annealPlacement(circuit, std::move(placement), rng);
     return placement;
 }
 

@@ -24,8 +24,7 @@ struct InitialPlacementConfig
     bool use_partitioner = true; ///< METIS-style recursive bisection
     bool use_annealer = true;    ///< LLG-objective simulated annealing
     bool use_linear_special = true; ///< snake layout when max degree <= 2
-    PartitionConfig partition;
-    AnnealConfig anneal;
+    int leaf_cells = 1; ///< partitionPlacement's leaf size (4: baseline)
 };
 
 /** Compute the initial placement for @p circuit on @p grid. */

@@ -9,6 +9,9 @@
 namespace autobraid {
 namespace {
 
+/** Pairwise-swap refinement passes per bisection. */
+constexpr int kRefineRounds = 2;
+
 /** Weighted degree of @p q restricted to nodes marked in @p in_scope. */
 long
 scopedDegree(const CouplingGraph &g, Qubit q,
@@ -34,14 +37,13 @@ struct Region
 void
 placeRecursive(const CouplingGraph &coupling, const Grid &grid,
                const std::vector<Qubit> &nodes, const Region &region,
-               Rng &rng, const PartitionConfig &config,
-               std::vector<CellId> &out)
+               Rng &rng, int leaf_cells, std::vector<CellId> &out)
 {
     if (nodes.empty())
         return;
     require(static_cast<long>(nodes.size()) <= region.cells(),
             "partitioner: region overflow");
-    if (region.cells() <= std::max(1, config.leaf_cells)) {
+    if (region.cells() <= std::max(1, leaf_cells)) {
         // Leaf: assign in arbitrary (node) order, row-major.
         size_t i = 0;
         for (int r = region.r0; r <= region.r1; ++r) {
@@ -76,16 +78,16 @@ placeRecursive(const CouplingGraph &coupling, const Grid &grid,
                                static_cast<long>(nodes.size())));
 
     auto [lhs, rhs] =
-        bisect(coupling, nodes, static_cast<size_t>(ls), rng, config);
-    placeRecursive(coupling, grid, lhs, left, rng, config, out);
-    placeRecursive(coupling, grid, rhs, right, rng, config, out);
+        bisect(coupling, nodes, static_cast<size_t>(ls), rng);
+    placeRecursive(coupling, grid, lhs, left, rng, leaf_cells, out);
+    placeRecursive(coupling, grid, rhs, right, rng, leaf_cells, out);
 }
 
 } // namespace
 
 std::pair<std::vector<Qubit>, std::vector<Qubit>>
 bisect(const CouplingGraph &coupling, const std::vector<Qubit> &nodes,
-       size_t left_size, Rng &rng, const PartitionConfig &config)
+       size_t left_size, Rng &rng)
 {
     require(left_size <= nodes.size(), "bisect: left size too large");
     const size_t nq = static_cast<size_t>(coupling.numQubits());
@@ -156,7 +158,7 @@ bisect(const CouplingGraph &coupling, const std::vector<Qubit> &nodes,
 
     // Refinement: D(q) = external - internal connection weight; swap the
     // best boundary pair per round while it improves the cut.
-    for (int round = 0; round < config.refine_rounds; ++round) {
+    for (int round = 0; round < kRefineRounds; ++round) {
         Qubit best_l = kNoQubit, best_r = kNoQubit;
         long dl = 0, dr = 0;
         for (Qubit q : nodes) {
@@ -204,7 +206,7 @@ bisect(const CouplingGraph &coupling, const std::vector<Qubit> &nodes,
 
 Placement
 partitionPlacement(const CouplingGraph &coupling, const Grid &grid,
-                   Rng &rng, const PartitionConfig &config)
+                   Rng &rng, int leaf_cells)
 {
     const int nq = coupling.numQubits();
     Placement placement(grid, nq);
@@ -213,7 +215,7 @@ partitionPlacement(const CouplingGraph &coupling, const Grid &grid,
     for (Qubit q = 0; q < nq; ++q)
         nodes[static_cast<size_t>(q)] = q;
     const Region whole{0, 0, grid.rows() - 1, grid.cols() - 1};
-    placeRecursive(coupling, grid, nodes, whole, rng, config, cells);
+    placeRecursive(coupling, grid, nodes, whole, rng, leaf_cells, cells);
     placement.assign(cells);
     return placement;
 }

@@ -19,28 +19,17 @@
 
 namespace autobraid {
 
-/** Tunables for the recursive bisection. */
-struct PartitionConfig
-{
-    int refine_rounds = 2; ///< pairwise-swap refinement passes per split
-
-    /**
-     * Stop recursing when a region has at most this many tiles and
-     * assign qubits arbitrarily within it. 1 places every qubit
-     * exactly; 4 mimics a METIS-style mapping that partitions well but
-     * does not arrange qubits inside a partition (the paper baseline's
-     * "initM").
-     */
-    int leaf_cells = 1;
-};
-
 /**
  * Compute a locality-preserving placement of the coupling graph's qubits
- * onto @p grid.
+ * onto @p grid. Recursion stops when a region has at most
+ * @p leaf_cells tiles, and qubits are assigned arbitrarily within it:
+ * 1 places every qubit exactly; 4 mimics a METIS-style mapping that
+ * partitions well but does not arrange qubits inside a partition (the
+ * paper baseline's "initM").
  */
 Placement partitionPlacement(const CouplingGraph &coupling,
                              const Grid &grid, Rng &rng,
-                             const PartitionConfig &config = {});
+                             int leaf_cells = 1);
 
 /**
  * Bisect @p nodes (subset of coupling-graph vertices) into two halves of
@@ -49,7 +38,7 @@ Placement partitionPlacement(const CouplingGraph &coupling,
  */
 std::pair<std::vector<Qubit>, std::vector<Qubit>>
 bisect(const CouplingGraph &coupling, const std::vector<Qubit> &nodes,
-       size_t left_size, Rng &rng, const PartitionConfig &config = {});
+       size_t left_size, Rng &rng);
 
 } // namespace autobraid
 

@@ -50,7 +50,7 @@ SchedulerConfig::placementFor(SchedulerPolicy p) const
         // arrangement inside a partition block.
         cfg.use_annealer = false;
         cfg.use_linear_special = false;
-        cfg.partition.leaf_cells = 4;
+        cfg.leaf_cells = 4;
     }
     return cfg;
 }

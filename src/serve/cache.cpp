@@ -20,7 +20,7 @@ cacheCanonical(const Circuit &circuit, const CompileOptions &options)
 {
     std::string out;
     out.reserve(64 + circuit.size() * 16);
-    out += "serve-cache-key v1\n";
+    out += "serve-cache-key v2\n";
     out += strformat("name=%s\nqubits=%d\n", circuit.name().c_str(),
                      circuit.numQubits());
     for (const Gate &g : circuit.gates())
@@ -30,12 +30,12 @@ cacheCanonical(const Circuit &circuit, const CompileOptions &options)
                          static_cast<int>(g.kind), g.q0, g.q1,
                          g.angle);
     out += strformat(
-        "policy=%s backend=%s distance=%d cycle_us=%a p=%a "
+        "policy=%s backend=%s distance=%d p=%a "
         "maslov=%d seed=%llu best_of_p0=%d teleport=%llu "
         "baseline_order=%d trace=%d lifecycle=%d\n",
         policyName(options.policy), backendName(options.backend),
-        options.cost.distance, options.cost.cycle_us,
-        options.p_threshold, options.allow_maslov ? 1 : 0,
+        options.cost.distance, options.p_threshold,
+        options.allow_maslov ? 1 : 0,
         static_cast<unsigned long long>(options.seed),
         options.best_of_p0 ? 1 : 0,
         static_cast<unsigned long long>(options.channel_hold_cycles),
@@ -47,17 +47,14 @@ cacheCanonical(const Circuit &circuit, const CompileOptions &options)
         out += strformat("%d,", v);
     out += "\n";
     const InitialPlacementConfig &pl = options.placement;
-    out += strformat(
-        "placement=%d,%d,%d part=%d,%d anneal=%a,%a,%zu,%ld,%d,%d\n",
-        pl.use_partitioner ? 1 : 0, pl.use_annealer ? 1 : 0,
-        pl.use_linear_special ? 1 : 0, pl.partition.refine_rounds,
-        pl.partition.leaf_cells, pl.anneal.t_start, pl.anneal.t_end,
-        pl.anneal.max_sets, pl.anneal.op_budget,
-        pl.anneal.min_iterations, pl.anneal.max_iterations);
+    out += strformat("placement=%d,%d,%d leaf_cells=%d\n",
+                     pl.use_partitioner ? 1 : 0,
+                     pl.use_annealer ? 1 : 0,
+                     pl.use_linear_special ? 1 : 0, pl.leaf_cells);
     out += strformat("lint=%d werror=%d suppress=",
-                     static_cast<int>(options.lint_level),
-                     options.lint_werror ? 1 : 0);
-    for (const std::string &s : options.lint_suppressions)
+                     static_cast<int>(options.lint.level),
+                     options.lint.werror ? 1 : 0);
+    for (const std::string &s : options.lint.suppressions)
         out += s + ",";
     out += "\n";
     return out;

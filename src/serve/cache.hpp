@@ -9,14 +9,16 @@
  * are answered from the stored bytes, so a hit is byte-identical to
  * the cold compile that populated it by construction.
  *
- * Key canonicalization rules (docs/serving.md):
+ * Key canonicalization rules (docs/serving.md), tagged
+ * `serve-cache-key v2`:
  *  - the circuit contributes its name, qubit count, and every gate
  *    (kind, operands, exact angle bits);
- *  - schedule-relevant options contribute: policy, backend, cost
- *    model (distance, cycle_us), p_threshold, allow_maslov, seed,
- *    best_of_p0, channel_hold_cycles, baseline_order, dead vertices,
- *    placement configuration, record_trace/record_lifecycle, and the
- *    lint settings (they alter the report's diagnostics);
+ *  - schedule-relevant options contribute: policy, backend, distance,
+ *    p_threshold, allow_maslov, seed, best_of_p0,
+ *    channel_hold_cycles, baseline_order, record_trace,
+ *    record_lifecycle, dead vertices, the placement switches and
+ *    leaf_cells, and the lint options (they alter the report's
+ *    diagnostics);
  *  - wall-clock-only and side-effect-only fields are excluded:
  *    route_jobs (schedules are byte-identical for every value),
  *    telemetry switches, and schedule_out.

@@ -1,7 +1,6 @@
 #include "surgery/surgery_model.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "common/error.hpp"
 #include "telemetry/telemetry.hpp"
@@ -80,20 +79,16 @@ LatticeSurgeryResourceModel::buildRegion(const CxTask &task, Path &out)
         in_region_[static_cast<size_t>(v)] = 1;
         region_.push_back(v);
     }
-    std::array<VertexId, 8> extras;
-    size_t num_extras = 0;
+    const auto bus_end = static_cast<long>(region_.size());
     for (const auto &corners : {corners_a, corners_b})
         for (VertexId v : corners) {
             const auto vi = static_cast<size_t>(v);
             if (dead_.test(vi) || in_region_[vi])
                 continue;
             in_region_[vi] = 1;
-            extras[num_extras++] = v;
+            region_.push_back(v);
         }
-    std::sort(extras.begin(), extras.begin() +
-                                  static_cast<long>(num_extras));
-    region_.insert(region_.end(), extras.begin(),
-                   extras.begin() + static_cast<long>(num_extras));
+    std::sort(region_.begin() + bus_end, region_.end());
     for (VertexId v : region_)
         in_region_[static_cast<size_t>(v)] = 0;
     out.vertices = region_;

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "common/text.hpp"
 
 namespace autobraid {
 namespace telemetry {
@@ -15,15 +14,6 @@ namespace {
  * doubles stay exact and ratios stable, without %f's trailing zeros.
  */
 constexpr int kDigits = 9;
-
-/** A metric double as the JSON document renders it. */
-std::string
-num(double v)
-{
-    std::string s;
-    json::Writer(s).significant(v, kDigits);
-    return s;
-}
 
 } // namespace
 
@@ -208,46 +198,6 @@ MetricsRegistry::merge(const MetricsRegistry &other)
         else
             it->second.merge(hist);
     }
-}
-
-std::string
-MetricsRegistry::toText() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    std::string out;
-    for (const auto &[name, value] : counters_)
-        out += strformat("counter %-32s %lld\n", name.c_str(), value);
-    for (const auto &[name, value] : gauges_)
-        out += strformat("gauge   %-32s %s\n", name.c_str(),
-                         num(value).c_str());
-    for (const auto &[name, h] : histograms_) {
-        out += strformat("hist    %-32s count=%llu sum=%s min=%s "
-                         "max=%s mean=%s\n",
-                         name.c_str(),
-                         static_cast<unsigned long long>(h.count),
-                         num(h.sum).c_str(), num(h.min).c_str(),
-                         num(h.max).c_str(), num(h.mean()).c_str());
-        out += strformat(
-            "        p50=%s p90=%s p99=%s underflow=%llu "
-            "overflow=%llu\n",
-            num(h.quantile(0.50)).c_str(),
-            num(h.quantile(0.90)).c_str(),
-            num(h.quantile(0.99)).c_str(),
-            static_cast<unsigned long long>(h.underflow()),
-            static_cast<unsigned long long>(h.overflow()));
-        std::string line = "        buckets:";
-        for (size_t i = 0; i < h.counts.size(); ++i) {
-            const std::string label =
-                i < h.bounds.size()
-                    ? strformat("le%s", num(h.bounds[i]).c_str())
-                    : std::string("inf");
-            line += strformat(" %s=%llu", label.c_str(),
-                              static_cast<unsigned long long>(
-                                  h.counts[i]));
-        }
-        out += line + "\n";
-    }
-    return out;
 }
 
 std::string

@@ -71,9 +71,9 @@ const std::vector<double> &powerOfTwoBounds();
 const std::vector<double> &ratioBounds();
 
 /**
- * Thread-safe named metrics store. Renderings (toText, toJson) iterate
- * the sorted maps, so two registries fed the same values in the same
- * order serialize byte-identically.
+ * Thread-safe named metrics store. toJson() iterates the sorted maps,
+ * so two registries fed the same values in the same order serialize
+ * byte-identically.
  */
 class MetricsRegistry
 {
@@ -105,9 +105,6 @@ class MetricsRegistry
     /** Accumulate @p other: counters add, histograms merge, gauges
      *  overwrite. Call in a deterministic order for determinism. */
     void merge(const MetricsRegistry &other);
-
-    /** One-page deterministic text snapshot (sorted by name). */
-    std::string toText() const;
 
     /** Deterministic JSON snapshot:
      *  {"counters":{},"gauges":{},"histograms":{}}. */

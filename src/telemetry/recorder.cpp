@@ -1,5 +1,8 @@
 #include "telemetry/recorder.hpp"
 
+#include <algorithm>
+
+#include "common/error.hpp"
 #include "common/json.hpp"
 
 namespace autobraid {
@@ -9,6 +12,88 @@ namespace {
 
 /** Sentinel for "no pending cause" in FlightRecorder::pending_. */
 constexpr uint8_t kNoPending = static_cast<uint8_t>(kNumStallCauses);
+
+const json::Value &
+field(const json::Value &obj, const char *key)
+{
+    const json::Value *v = obj.find(key);
+    if (!v)
+        fatal("recording is missing \"%s\"", key);
+    return *v;
+}
+
+const std::string &
+text(const json::Value &obj, const char *key)
+{
+    const json::Value &v = field(obj, key);
+    if (!v.isString())
+        fatal("recording field \"%s\" is not a string", key);
+    return v.asString();
+}
+
+const json::Array &
+list(const json::Value &obj, const char *key)
+{
+    const json::Value &v = field(obj, key);
+    if (!v.isArray())
+        fatal("recording field \"%s\" is not an array", key);
+    return v.asArray();
+}
+
+// 2^64, 2^32 and 2^31: one past the largest uint64_t, uint32_t and int.
+constexpr double kU64Limit = 18446744073709551616.0;
+constexpr double kU32Limit = 4294967296.0;
+constexpr double kIntLimit = 2147483648.0;
+
+/** @p v as an integer in [0, @p limit), checked before the cast. */
+uint64_t
+natural(const json::Value &v, const char *what, double limit)
+{
+    const double d = v.isNumber() ? v.asNumber() : -1.0;
+    if (d >= 0.0 && d < limit) {
+        const auto n = static_cast<uint64_t>(d);
+        if (static_cast<double>(n) == d)
+            return n;
+    }
+    fatal("recording field \"%s\" must be an integer in [0, %.0f)", what,
+          limit);
+}
+
+uint64_t
+naturalAt(const json::Value &obj, const char *key,
+          double limit = kU64Limit)
+{
+    return natural(field(obj, key), key, limit);
+}
+
+/** A gate operand: -1 (none) or an index below @p vertices. */
+int32_t
+operand(const json::Value &gate, const char *key, uint64_t vertices)
+{
+    const json::Value &v = field(gate, key);
+    if (v.isNumber() && v.asNumber() == -1.0)
+        return -1;
+    return static_cast<int32_t>(natural(
+        v, key, std::min(static_cast<double>(vertices), kIntLimit)));
+}
+
+void
+stalls(const json::Value &obj, const char *key, uint64_t *by_cause)
+{
+    const json::Value &causes = field(obj, key);
+    for (size_t c = 0; c < kNumStallCauses; ++c)
+        by_cause[c] = naturalAt(
+            causes, stallCauseName(static_cast<StallCause>(c)));
+}
+
+StallCause
+causeNamed(const std::string &name)
+{
+    for (size_t c = 0; c < kNumStallCauses; ++c)
+        if (name == stallCauseName(static_cast<StallCause>(c)))
+            return static_cast<StallCause>(c);
+    fatal("recording has unknown stall cause \"%s\"", name.c_str());
+}
 
 } // namespace
 
@@ -201,6 +286,68 @@ FlightRecording::toJson() const
         w.value(busy);
     w.end().end();
     return out;
+}
+
+FlightRecording
+decodeRecording(const json::Value &doc)
+{
+    if (doc.stringOr("format", "") != "autobraid-recording")
+        fatal("not an autobraid recording (missing "
+              "\"format\":\"autobraid-recording\")");
+    const uint64_t version = naturalAt(doc, "version");
+    if (version != 1)
+        fatal("unsupported recording version %llu",
+              static_cast<unsigned long long>(version));
+
+    FlightRecording rec;
+    rec.circuit = text(doc, "circuit");
+    rec.policy = text(doc, "policy");
+    rec.backend = text(doc, "backend");
+    rec.grid_rows =
+        static_cast<int>(naturalAt(doc, "grid_rows", kIntLimit));
+    rec.grid_cols =
+        static_cast<int>(naturalAt(doc, "grid_cols", kIntLimit));
+    rec.makespan = naturalAt(doc, "makespan");
+    stalls(doc, "stall_totals", rec.stall_totals);
+
+    const uint64_t vertices = static_cast<uint64_t>(rec.grid_rows) *
+                              static_cast<uint64_t>(rec.grid_cols);
+    const json::Array &busy = list(doc, "vertex_busy_cycles");
+    if (busy.size() != vertices)
+        fatal("recording field \"vertex_busy_cycles\" has %zu entries "
+              "for grid_rows x grid_cols %dx%d",
+              busy.size(), rec.grid_rows, rec.grid_cols);
+    rec.vertex_busy_cycles.reserve(busy.size());
+    for (const json::Value &v : busy)
+        rec.vertex_busy_cycles.push_back(
+            natural(v, "vertex_busy_cycles", kU64Limit));
+
+    const json::Array &gates = list(doc, "gates");
+    rec.gates.reserve(gates.size());
+    for (const json::Value &g : gates) {
+        if (naturalAt(g, "gate") != rec.gates.size())
+            fatal("recording gate %zu is out of order",
+                  rec.gates.size());
+        GateRecord &gate = rec.gates.emplace_back();
+        gate.kind = text(g, "kind");
+        gate.q0 = operand(g, "q0", vertices);
+        gate.q1 = operand(g, "q1", vertices);
+        for (const auto &[key, cycle] :
+             {std::pair{"ready", &gate.ready},
+              std::pair{"dispatched", &gate.dispatched},
+              std::pair{"retired", &gate.retired}})
+            if (const json::Value *v = g.find(key))
+                *cycle = natural(*v, key, kU64Limit);
+        gate.blocked_attempts = static_cast<uint32_t>(
+            naturalAt(g, "blocked_attempts", kU32Limit));
+        stalls(g, "stall", gate.stall);
+    }
+
+    for (const json::Value &ev : list(doc, "blocked_events"))
+        rec.blocked.push_back(BlockedEvent{naturalAt(ev, "gate"),
+                                           naturalAt(ev, "cycle"),
+                                           causeNamed(text(ev, "cause"))});
+    return rec;
 }
 
 } // namespace telemetry

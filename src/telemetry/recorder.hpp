@@ -45,6 +45,11 @@
 #include <vector>
 
 namespace autobraid {
+
+namespace json {
+class Value;
+}
+
 namespace telemetry {
 
 /** Why a ready gate failed to dispatch at a scheduling instant. */
@@ -161,6 +166,18 @@ struct FlightRecording
      */
     std::string toJson() const;
 };
+
+/**
+ * Decode a document written by FlightRecording::toJson, blocked events
+ * included, so toJson() of the result reproduces it. Raises UserError
+ * naming the field when @p doc is not one: every number must be an
+ * exact non-negative integer (a gate operand may also be -1, none),
+ * vertex_busy_cycles must have grid_rows x grid_cols entries, and each
+ * gate operand must be below that count. Recordings always satisfy
+ * both: the heatmap has one entry per vertex, and a qubit index is
+ * below the tile count.
+ */
+FlightRecording decodeRecording(const json::Value &doc);
 
 /**
  * Live recorder for one scheduling run. The scheduler calls the on*

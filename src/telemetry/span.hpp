@@ -39,7 +39,7 @@ int threadTrackId();
 class Tracer
 {
   public:
-    explicit Tracer(size_t max_spans = 1 << 20);
+    explicit Tracer(size_t max_spans);
 
     /** Microseconds elapsed since the tracer epoch. */
     double nowUs() const;

@@ -35,15 +35,17 @@ struct TelemetryOptions
 {
     bool enabled = false;  ///< master switch; off = zero overhead
     bool spans = true;     ///< record wall-clock spans when enabled
-    size_t max_spans = 1 << 20; ///< span buffer cap per compilation
 };
+
+/** Span buffer cap per compilation; later spans count as dropped. */
+constexpr size_t kMaxSpans = size_t{1} << 20;
 
 /** One compilation's telemetry sink. */
 class Telemetry
 {
   public:
     explicit Telemetry(const TelemetryOptions &options = {})
-        : options_(options), tracer_(options.max_spans)
+        : options_(options), tracer_(kMaxSpans)
     {}
 
     MetricsRegistry &metrics() { return metrics_; }

@@ -486,7 +486,7 @@ runDifferentialCase(const FuzzCase &c, unsigned mask,
         opt.record_trace = true;
         opt.record_lifecycle = true;
         if (lint_oracle)
-            opt.lint_level = lint::LintLevel::All;
+            opt.lint.level = lint::LintLevel::All;
         PolicyOutcome run = compileRun(c, opt);
         AUTOBRAID_COUNT("fuzz.policy_runs");
         const std::string label = policyLabel(c, run.policy);
@@ -532,7 +532,7 @@ runCrossBackendCase(const FuzzCase &c)
         opt.backend = backend;
         opt.record_trace = true;
         opt.record_lifecycle = true;
-        opt.lint_level = lint::LintLevel::Off;
+        opt.lint.level = lint::LintLevel::Off;
         const PolicyOutcome run = compileRun(c, opt);
         checkPolicyRun(c, strformat("cross/%s", backendCliName(backend)),
                        run, out.failures);

@@ -89,7 +89,7 @@ struct DifferentialResult
 
 /**
  * Compile @p c under every policy in @p mask and cross-check. When
- * @p lint_oracle is set, the pipeline runs with lint_level = All and
+ * @p lint_oracle is set, the pipeline runs with lint level All and
  * the lint invariants above are checked alongside the schedule ones.
  * The case's CompileOptions::backend selects the
  * communication backend; every per-policy oracle is backend-aware

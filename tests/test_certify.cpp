@@ -251,6 +251,70 @@ TEST(Certify, StructuralProblemsThrowUserError)
                  UserError);
 }
 
+/** The UserError text of certifying @p doc ("" when none). */
+std::string
+certifyError(const std::string &doc)
+{
+    try {
+        certify::certifyScheduleText(doc);
+    } catch (const UserError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** The valid hand-built document with each @p edits pair applied. */
+std::string
+handDocWith(
+    const std::vector<std::pair<std::string, std::string>> &edits)
+{
+    std::string doc = handDoc("14", kGoodSchedule);
+    for (const auto &[from, to] : edits)
+        doc.replace(doc.find(from), from.size(), to);
+    return doc;
+}
+
+TEST(Certify, HostileNumbersRejectedBeforeAllocation)
+{
+    // Each header would otherwise size per-vertex or per-qubit vectors,
+    // or overflow a cast, before any rule runs.
+    EXPECT_NE(certifyError(handDocWith({{"\"grid_rows\": 2",
+                                         "\"grid_rows\": 1000000000"},
+                                        {"\"grid_cols\": 2",
+                                         "\"grid_cols\": 1000000000"}}))
+                  .find("grid_rows x grid_cols"),
+              std::string::npos);
+    EXPECT_NE(certifyError(handDocWith({{"\"num_qubits\": 2",
+                                         "\"num_qubits\": 2000000000"}}))
+                  .find("num_qubits"),
+              std::string::npos);
+    EXPECT_NE(certifyError(handDocWith(
+                  {{"\"num_qubits\": 2", "\"num_qubits\": 5"}}))
+                  .find("4 tiles"),
+              std::string::npos);
+    EXPECT_NE(certifyError(handDocWith({{"\"distance\": 3",
+                                         "\"distance\": 1e15"}}))
+                  .find("\"distance\" is out of range"),
+              std::string::npos);
+    EXPECT_NE(certifyError(handDocWith(
+                  {{"[0, 1, 2]", "[0, 1, 1e300]"}}))
+                  .find("\"path\" is out of range"),
+              std::string::npos);
+    EXPECT_NE(certifyError(handDocWith(
+                  {{"{\"gate\": 0,", "{\"gate\": -1e19,"}}))
+                  .find("\"gate\" is out of range"),
+              std::string::npos);
+    EXPECT_NE(certifyError(handDocWith({{"\"makespan\": 14",
+                                         "\"makespan\": -14"}}))
+                  .find("\"makespan\" is out of range"),
+              std::string::npos);
+    EXPECT_NE(certifyError(handDocWith(
+                  {{"\"num_qubits\": 2", "\"num_qubits\": 2.5"}}))
+                  .find("\"num_qubits\" is not an integer"),
+              std::string::npos);
+    EXPECT_EQ(certifyError(handDocWith({})), "");
+}
+
 // --------------------------------------------------------------------
 // Real compiles: the text round trip, and the in-memory and text
 // front ends giving the same certificate

@@ -50,7 +50,7 @@ TEST(Driver, StageSequence)
     EXPECT_EQ(stageNames(compileCircuit(smallCircuit())), standard);
 
     CompileOptions opt;
-    opt.lint_level = lint::LintLevel::All;
+    opt.lint.level = lint::LintLevel::All;
     opt.schedule_out = ::testing::TempDir() + "ab_stage_sequence.json";
     const std::vector<std::string> all{
         "parallelism-analysis", "initial-placement", "lint",

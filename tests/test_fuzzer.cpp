@@ -60,15 +60,19 @@ TEST(FuzzGenerator, ShapesProduceTheirStructure)
     opt.num_gates = 40;
     const Circuit chain =
         fuzz::makeFuzzCircuit(fuzz::FuzzShape::Chain, opt, rng);
-    for (const Gate &g : chain.gates())
-        if (g.kind == GateKind::CX)
+    for (const Gate &g : chain.gates()) {
+        if (g.kind == GateKind::CX) {
             EXPECT_EQ(g.q1 - g.q0, 1); // nearest neighbour only
+        }
+    }
 
     const Circuit tree =
         fuzz::makeFuzzCircuit(fuzz::FuzzShape::FanoutTree, opt, rng);
-    for (const Gate &g : tree.gates())
-        if (g.kind == GateKind::CX)
+    for (const Gate &g : tree.gates()) {
+        if (g.kind == GateKind::CX) {
             EXPECT_EQ(g.q0, (g.q1 - 1) / 2); // parent -> child edges
+        }
+    }
 }
 
 TEST(FuzzGenerator, RejectsDegenerateSizes)

@@ -270,7 +270,6 @@ TEST(CostModel, Durations)
 TEST(CostModel, MicrosConversion)
 {
     CostModel cost;
-    cost.cycle_us = 2.2;
     EXPECT_DOUBLE_EQ(cost.micros(1000), 2200.0);
     EXPECT_DOUBLE_EQ(cost.seconds(1000), 2.2e-3);
 }

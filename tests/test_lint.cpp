@@ -369,10 +369,8 @@ TEST(CircuitLints, AB108TreatsResetAsKill)
                             "measure q[0] -> c[0];\n";
     const qasm::ElaboratedCircuit ec =
         qasm::elaborateWithLines(qasm::parse(src), "reset");
-    lint::CircuitLintOptions options;
-    options.reset_gates = &ec.reset_gates;
     DiagnosticEngine e;
-    lint::lintCircuit(ec.circuit, e, nullptr, options);
+    lint::lintCircuit(ec.circuit, e, nullptr, &ec.reset_gates);
     EXPECT_EQ(codeCount(e, "AB108"), 1u);
 
     // Without the reset table the lowered Measure masquerades as an
@@ -689,23 +687,21 @@ TEST(LlgLints, SparseLayerIsClean)
 
 TEST(LlgLints, AggregatesBeyondReportCap)
 {
-    // Five sequential crossing layers with max_reports = 2: two
-    // individual reports plus one aggregate note.
+    // Seven sequential crossing layers against the cap of four
+    // individual reports: four reports plus one aggregate note.
     const Grid grid(1, 8);
     Circuit c(8, "many-layers");
-    for (int layer = 0; layer < 5; ++layer) {
+    for (int layer = 0; layer < 7; ++layer) {
         c.cx(0, 4);
         c.cx(1, 5);
         c.cx(2, 6);
         c.cx(3, 7);
     }
     const Placement placement(grid, 8);
-    lint::LlgLintOptions opt;
-    opt.max_reports = 2;
     DiagnosticEngine e;
-    lint::lintLlgs(c, placement, e, opt);
-    EXPECT_EQ(codeCount(e, "AB301"), 3u);
-    EXPECT_EQ(e.metrics().at("llg_hard_total"), 5);
+    lint::lintLlgs(c, placement, e);
+    EXPECT_EQ(codeCount(e, "AB301"), 5u);
+    EXPECT_EQ(e.metrics().at("llg_hard_total"), 7);
 }
 
 // --------------------------------------------------------------------
@@ -775,7 +771,7 @@ TEST(LintPass, RunsAfterInitialPlacement)
 {
     const Circuit c = gen::make("ghz:8");
     CompileOptions opt;
-    opt.lint_level = LintLevel::All;
+    opt.lint.level = LintLevel::All;
     const CompileReport report = compileCircuit(c, opt);
     ASSERT_NE(report.lint, nullptr);
     int placement_at = -1;
@@ -804,7 +800,7 @@ TEST(LintPass, BenchmarksLintCleanAndBoundSound)
                                        SchedulerPolicy::AutobraidFull}) {
             CompileOptions opt;
             opt.policy = policy;
-            opt.lint_level = LintLevel::All;
+            opt.lint.level = LintLevel::All;
             const CompileReport report = compileCircuit(c, opt);
             ASSERT_NE(report.lint, nullptr) << spec;
             EXPECT_EQ(report.lint->count(Severity::Error), 0u)
@@ -835,14 +831,14 @@ TEST(LintPass, WerrorAndSuppressionFlow)
     c.cx(0, 1);
 
     CompileOptions warn;
-    warn.lint_level = LintLevel::All;
+    warn.lint.level = LintLevel::All;
     const CompileReport r1 = compileCircuit(c, warn);
     ASSERT_NE(r1.lint, nullptr);
     EXPECT_EQ(r1.lint->count(Severity::Warning), 1u);
     EXPECT_FALSE(r1.lint->hasErrors());
 
     CompileOptions werror = warn;
-    werror.lint_werror = true;
+    werror.lint.werror = true;
     const CompileReport r2 = compileCircuit(c, werror);
     ASSERT_NE(r2.lint, nullptr);
     EXPECT_TRUE(r2.lint->hasErrors());
@@ -850,7 +846,7 @@ TEST(LintPass, WerrorAndSuppressionFlow)
     EXPECT_TRUE(r2.result.valid);
 
     CompileOptions hush = werror;
-    hush.lint_suppressions = {"AB1xx"};
+    hush.lint.suppressions = {"AB1xx"};
     const CompileReport r3 = compileCircuit(c, hush);
     ASSERT_NE(r3.lint, nullptr);
     EXPECT_FALSE(r3.lint->hasErrors());
@@ -861,12 +857,12 @@ TEST(LintPass, UnknownSuppressionRejected)
 {
     const Circuit c = gen::make("ghz:8");
     CompileOptions opt;
-    opt.lint_level = LintLevel::All;
-    opt.lint_suppressions = {"AB404"};
+    opt.lint.level = LintLevel::All;
+    opt.lint.suppressions = {"AB404"};
     EXPECT_THROW(compileCircuit(c, opt), UserError);
-    opt.lint_suppressions = {"AB9xx"};
+    opt.lint.suppressions = {"AB9xx"};
     EXPECT_THROW(compileCircuit(c, opt), UserError);
-    opt.lint_suppressions = {"AB101", "AB3xx"};
+    opt.lint.suppressions = {"AB101", "AB3xx"};
     EXPECT_NO_THROW(compileCircuit(c, opt));
 }
 
@@ -979,9 +975,7 @@ lintQasmText(const std::string &text, const std::string &file)
     lint::GateProvenance prov;
     prov.file = file;
     prov.lines = ec.gate_lines;
-    lint::CircuitLintOptions options;
-    options.reset_gates = &ec.reset_gates;
-    lint::lintCircuit(ec.circuit, engine, &prov, options);
+    lint::lintCircuit(ec.circuit, engine, &prov, &ec.reset_gates);
     return engine;
 }
 

@@ -163,17 +163,13 @@ TEST(Partitioner, LeafCellsCoarsensArrangement)
         return total / static_cast<double>(edges);
     };
     Rng r2(8);
-    PartitionConfig coarse;
-    coarse.leaf_cells = 4;
-    const Placement pc = partitionPlacement(g, grid, r2, coarse);
+    const Placement pc = partitionPlacement(g, grid, r2, 4);
     pc.check();
     EXPECT_LT(avg_dist(pc), 2.8);
 
     // Degenerate: a leaf covering the whole grid is identity-order.
     Rng r3(8);
-    PartitionConfig whole;
-    whole.leaf_cells = grid.numCells();
-    const Placement pw = partitionPlacement(g, grid, r3, whole);
+    const Placement pw = partitionPlacement(g, grid, r3, grid.numCells());
     for (Qubit q = 0; q < 36; ++q)
         EXPECT_EQ(pw.cellIdOf(q), q);
 }
@@ -187,9 +183,7 @@ TEST(Annealer, ObjectiveNonNegativeAndDecreases)
     EXPECT_GE(before, 0);
 
     Rng rng(3);
-    AnnealConfig cfg;
-    cfg.max_iterations = 600;
-    Placement annealed = annealPlacement(c, identity, rng, cfg);
+    Placement annealed = annealPlacement(c, identity, rng);
     annealed.check();
     EXPECT_LE(llgObjective(c, annealed), before);
 }

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/error.hpp"
 #include "common/json.hpp"
 #include "compiler/batch.hpp"
 #include "compiler/driver.hpp"
@@ -174,6 +175,17 @@ TEST_P(RecorderLifecycle, UtilizationClampedToScheduleWindow)
     }
 }
 
+TEST_P(RecorderLifecycle, DecodeRoundTripsToJson)
+{
+    const CompileReport report = compileRecorded("qft:12", GetParam());
+    ASSERT_NE(report.result.recording, nullptr);
+    const std::string text = report.result.recording->toJson();
+    const telemetry::FlightRecording back =
+        telemetry::decodeRecording(json::parse(text));
+    EXPECT_FALSE(back.blocked.empty());
+    EXPECT_EQ(back.toJson(), text);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, RecorderLifecycle,
     testing::Values(SchedulerBackend::Braiding,
@@ -228,6 +240,60 @@ TEST(Recorder, JsonRoundTripsThroughReader)
     ASSERT_NE(doc.find("vertex_busy_cycles"), nullptr);
     EXPECT_EQ(doc.find("vertex_busy_cycles")->asArray().size(),
               rec.vertex_busy_cycles.size());
+}
+
+/** The UserError text of decoding @p text ("" when it decodes). */
+std::string
+decodeError(const std::string &text)
+{
+    try {
+        telemetry::decodeRecording(json::parse(text));
+    } catch (const UserError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Recorder, DecodeRejectsHostileDocumentsByField)
+{
+    telemetry::FlightRecorder recorder(1, 4);
+    recorder.meta().grid_rows = 2;
+    recorder.meta().grid_cols = 2;
+    recorder.gate(0).kind = "h";
+    recorder.gate(0).q0 = 3;
+    recorder.onRetired(0, 2);
+    const std::string good = recorder.finish(2).toJson();
+    EXPECT_EQ(decodeError(good), "");
+
+    // Each mutation would have sized a loop or a cast from the field.
+    const auto mutated = [&good](const std::string &from,
+                                 const std::string &to) {
+        std::string doc = good;
+        doc.replace(doc.find(from), from.size(), to);
+        return decodeError(doc);
+    };
+    const auto names = [](const std::string &error, const char *field) {
+        return error.find(field) != std::string::npos;
+    };
+    EXPECT_TRUE(names(mutated("\"grid_rows\": 2", "\"grid_rows\": 1e9"),
+                      "vertex_busy_cycles"));
+    EXPECT_TRUE(names(mutated("\"q0\": 3", "\"q0\": 4"), "q0"));
+    EXPECT_TRUE(names(mutated("\"q1\": -1", "\"q1\": 1e9"), "q1"));
+    EXPECT_TRUE(names(mutated("\"makespan\": 2", "\"makespan\": -5"),
+                      "makespan"));
+    EXPECT_TRUE(names(mutated("\"retired\": 2", "\"retired\": 1e300"),
+                      "retired"));
+    EXPECT_TRUE(names(mutated("[0, 0, 0, 0]", "[0, 0, 0, -1]"),
+                      "vertex_busy_cycles"));
+    EXPECT_TRUE(names(mutated("\"blocked_attempts\": 0",
+                              "\"blocked_attempts\": 0.5"),
+                      "blocked_attempts"));
+    EXPECT_TRUE(names(mutated("\"circuit\": \"\"", "\"circuit\": 7"),
+                      "circuit"));
+    EXPECT_TRUE(names(mutated("\"blocked_events\": [",
+                              "\"blocked_events\": [{\"gate\": 0, "
+                              "\"cycle\": 1, \"cause\": \"x\"}"),
+                      "stall cause"));
 }
 
 TEST(Recorder, TrimVertexBusyMirrorsUtilizationClamp)

@@ -97,7 +97,7 @@ struct WorkerGate
 
 TEST(Frame, RoundTripsPayloads)
 {
-    for (const std::string payload :
+    for (const std::string &payload :
          {std::string(""), std::string("{}"),
           std::string("hello\nworld\0with null", 21),
           std::string(100000, 'x')}) {
@@ -226,7 +226,6 @@ TEST(Cache, KeyIsDeterministicAndOptionSensitive)
         o.backend = SchedulerBackend::LatticeSurgery;
     }));
     EXPECT_TRUE(moves([](CompileOptions &o) { o.cost.distance = 5; }));
-    EXPECT_TRUE(moves([](CompileOptions &o) { o.cost.cycle_us = 1.0; }));
     EXPECT_TRUE(moves([](CompileOptions &o) { o.p_threshold = 0.5; }));
     EXPECT_TRUE(moves([](CompileOptions &o) { o.allow_maslov = false; }));
     EXPECT_TRUE(moves([](CompileOptions &o) { o.seed = 7; }));
@@ -247,12 +246,12 @@ TEST(Cache, KeyIsDeterministicAndOptionSensitive)
     EXPECT_FALSE(
         moves([](CompileOptions &o) { o.telemetry.enabled = true; }));
     EXPECT_TRUE(moves([](CompileOptions &o) {
-        o.lint_level = lint::LintLevel::All;
+        o.lint.level = lint::LintLevel::All;
     }));
     EXPECT_TRUE(moves([](CompileOptions &o) {
-        o.lint_suppressions = {"AB101"};
+        o.lint.suppressions = {"AB101"};
     }));
-    EXPECT_TRUE(moves([](CompileOptions &o) { o.lint_werror = true; }));
+    EXPECT_TRUE(moves([](CompileOptions &o) { o.lint.werror = true; }));
     EXPECT_FALSE(
         moves([](CompileOptions &o) { o.schedule_out = "s.json"; }));
 }

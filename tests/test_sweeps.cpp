@@ -55,9 +55,10 @@ TEST_P(DistanceSweep, LogicalErrorRateDecreases)
 {
     SurfaceCodeParams params;
     const int d = GetParam();
-    if (d >= 19)
+    if (d >= 19) {
         EXPECT_LT(params.logicalErrorRate(d),
                   params.logicalErrorRate(d - 2));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Distances, DistanceSweep,

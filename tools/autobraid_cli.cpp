@@ -178,18 +178,18 @@ parseArgs(int argc, char **argv)
         } else if (std::strcmp(arg, "--draw") == 0) {
             opts.draw = true;
         } else if (std::strcmp(arg, "--lint") == 0) {
-            opts.compile.lint_level = lint::LintLevel::All;
+            opts.compile.lint.level = lint::LintLevel::All;
         } else if (matchValue(arg, "--lint-out", value)) {
             opts.lint_out = value;
-            if (opts.compile.lint_level == lint::LintLevel::Off)
-                opts.compile.lint_level = lint::LintLevel::All;
+            if (opts.compile.lint.level == lint::LintLevel::Off)
+                opts.compile.lint.level = lint::LintLevel::All;
         } else if (std::strcmp(arg, "--lint-werror") == 0) {
-            opts.compile.lint_werror = true;
-            if (opts.compile.lint_level == lint::LintLevel::Off)
-                opts.compile.lint_level = lint::LintLevel::All;
+            opts.compile.lint.werror = true;
+            if (opts.compile.lint.level == lint::LintLevel::Off)
+                opts.compile.lint.level = lint::LintLevel::All;
         } else if (matchValue(arg, "--lint-suppress", value)) {
             for (const std::string &code : split(value, ','))
-                opts.compile.lint_suppressions.push_back(code);
+                opts.compile.lint.suppressions.push_back(code);
         } else if (arg[0] == '-') {
             std::fprintf(stderr, "unknown option '%s'\n", arg);
             usage(2);
@@ -350,7 +350,7 @@ runOne(const CliOptions &opts, const std::string &input,
             if (!opts.lint_out.empty())
                 writeTextFile(opts.lint_out,
                               report.lint->toSarif() + "\n");
-            if (o.lint_werror && report.lint->hasErrors())
+            if (o.lint.werror && report.lint->hasErrors())
                 rc = 1;
         }
         if (!opts.trace_out.empty())
@@ -419,7 +419,7 @@ runBatch(const CliOptions &opts)
             if (!text.empty())
                 std::fprintf(stderr, "%s: %s", res.label.c_str(),
                              text.c_str());
-            if (opts.compile.lint_werror &&
+            if (opts.compile.lint.werror &&
                 res.report.lint->hasErrors())
                 rc = 1;
         }

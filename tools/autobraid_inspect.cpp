@@ -78,35 +78,6 @@ writeOut(const std::string &path, const std::string &text)
         writeTextFile(path, text);
 }
 
-/** A recording JSON loaded back into (a subset of) FlightRecording. */
-struct LoadedRecording
-{
-    std::string circuit;
-    std::string policy;
-    std::string backend;
-    int grid_rows = 0;
-    int grid_cols = 0;
-    uint64_t makespan = 0;
-    uint64_t stall_totals[telemetry::kNumStallCauses] = {0, 0, 0, 0};
-    std::vector<telemetry::GateRecord> gates;
-    std::vector<uint64_t> vertex_busy_cycles;
-
-    uint64_t stallTotal() const
-    {
-        uint64_t total = 0;
-        for (uint64_t s : stall_totals)
-            total += s;
-        return total;
-    }
-};
-
-uint64_t
-cycleOr(const json::Value &obj, const char *key, uint64_t fallback)
-{
-    const json::Value *v = obj.find(key);
-    return v ? static_cast<uint64_t>(v->asNumber()) : fallback;
-}
-
 bool
 isRecordingDoc(const json::Value &doc)
 {
@@ -118,68 +89,6 @@ isMetricsDoc(const json::Value &doc)
 {
     return doc.find("counters") != nullptr &&
            doc.find("gauges") != nullptr;
-}
-
-LoadedRecording
-loadRecording(const std::string &path)
-{
-    const json::Value doc = json::parseFile(path);
-    if (!isRecordingDoc(doc))
-        fatal("%s: not an autobraid recording (missing "
-              "\"format\":\"autobraid-recording\")",
-              path.c_str());
-    const int version =
-        static_cast<int>(doc.numberOr("version", 0));
-    if (version != 1)
-        fatal("%s: unsupported recording version %d", path.c_str(),
-              version);
-
-    LoadedRecording rec;
-    rec.circuit = doc.stringOr("circuit", "?");
-    rec.policy = doc.stringOr("policy", "?");
-    rec.backend = doc.stringOr("backend", "?");
-    rec.grid_rows = static_cast<int>(doc.numberOr("grid_rows", 0));
-    rec.grid_cols = static_cast<int>(doc.numberOr("grid_cols", 0));
-    rec.makespan = static_cast<uint64_t>(doc.numberOr("makespan", 0));
-
-    if (const json::Value *totals = doc.find("stall_totals")) {
-        for (size_t c = 0; c < telemetry::kNumStallCauses; ++c)
-            rec.stall_totals[c] = static_cast<uint64_t>(
-                totals->numberOr(telemetry::stallCauseName(
-                                     static_cast<telemetry::StallCause>(
-                                         c)),
-                                 0));
-    }
-    if (const json::Value *gates = doc.find("gates")) {
-        for (const json::Value &g : gates->asArray()) {
-            telemetry::GateRecord rec_g;
-            rec_g.kind = g.stringOr("kind", "?");
-            rec_g.q0 = static_cast<int32_t>(g.numberOr("q0", -1));
-            rec_g.q1 = static_cast<int32_t>(g.numberOr("q1", -1));
-            rec_g.ready = cycleOr(g, "ready", telemetry::kNoCycle);
-            rec_g.dispatched =
-                cycleOr(g, "dispatched", telemetry::kNoCycle);
-            rec_g.retired = cycleOr(g, "retired", telemetry::kNoCycle);
-            rec_g.blocked_attempts = static_cast<uint32_t>(
-                g.numberOr("blocked_attempts", 0));
-            if (const json::Value *stall = g.find("stall")) {
-                for (size_t c = 0; c < telemetry::kNumStallCauses;
-                     ++c)
-                    rec_g.stall[c] = static_cast<uint64_t>(
-                        stall->numberOr(
-                            telemetry::stallCauseName(
-                                static_cast<telemetry::StallCause>(c)),
-                            0));
-            }
-            rec.gates.push_back(std::move(rec_g));
-        }
-    }
-    if (const json::Value *busy = doc.find("vertex_busy_cycles")) {
-        for (const json::Value &v : busy->asArray())
-            rec.vertex_busy_cycles.push_back(
-                static_cast<uint64_t>(v.asNumber()));
-    }
-    return rec;
 }
 
 // ---------------------------------------------------------------- timeline
@@ -202,7 +111,7 @@ causeColor(telemetry::StallCause cause)
 }
 
 std::string
-runTimeline(const LoadedRecording &rec)
+runTimeline(const telemetry::FlightRecording &rec)
 {
     std::string out;
     json::Writer w(out);
@@ -270,19 +179,17 @@ runTimeline(const LoadedRecording &rec)
 
 // ----------------------------------------------------------------- heatmap
 
-/** Busy cycles of the vertex at row @p r, column @p c (0 if absent). */
+/** Busy cycles of the vertex at row @p r, column @p c. */
 uint64_t
-busyAt(const LoadedRecording &rec, int r, int c)
+busyAt(const telemetry::FlightRecording &rec, int r, int c)
 {
-    const size_t v = static_cast<size_t>(r) *
-                         static_cast<size_t>(rec.grid_cols) +
-                     static_cast<size_t>(c);
-    return v < rec.vertex_busy_cycles.size() ? rec.vertex_busy_cycles[v]
-                                             : 0;
+    return rec.vertex_busy_cycles[static_cast<size_t>(r) *
+                                      static_cast<size_t>(rec.grid_cols) +
+                                  static_cast<size_t>(c)];
 }
 
 std::string
-runHeatmapJson(const LoadedRecording &rec)
+runHeatmapJson(const telemetry::FlightRecording &rec)
 {
     std::string out;
     json::Writer w(out);
@@ -303,7 +210,7 @@ runHeatmapJson(const LoadedRecording &rec)
 }
 
 std::string
-runHeatmapCsv(const LoadedRecording &rec)
+runHeatmapCsv(const telemetry::FlightRecording &rec)
 {
     std::string out;
     for (int r = 0; r < rec.grid_rows; ++r) {
@@ -320,7 +227,7 @@ runHeatmapCsv(const LoadedRecording &rec)
 // ----------------------------------------------------------------- summary
 
 std::string
-runSummary(const LoadedRecording &rec, int top_k)
+runSummary(const telemetry::FlightRecording &rec, int top_k)
 {
     std::string out = strformat(
         "recording: %s  policy=%s backend=%s grid=%dx%d "
@@ -424,7 +331,8 @@ flatten(const std::string &path)
     FlatDoc flat;
     if (isRecordingDoc(doc)) {
         flat.kind = "recording";
-        const LoadedRecording rec = loadRecording(path);
+        const telemetry::FlightRecording rec =
+            telemetry::decodeRecording(doc);
         flat.entries.emplace_back(
             "makespan", static_cast<double>(rec.makespan));
         for (size_t c = 0; c < telemetry::kNumStallCauses; ++c)
@@ -435,11 +343,8 @@ flatten(const std::string &path)
                 static_cast<double>(rec.stall_totals[c]));
         flat.entries.emplace_back(
             "stall_total", static_cast<double>(rec.stallTotal()));
-        uint64_t heatmap = 0;
-        for (uint64_t v : rec.vertex_busy_cycles)
-            heatmap += v;
-        flat.entries.emplace_back("heatmap_sum",
-                                  static_cast<double>(heatmap));
+        flat.entries.emplace_back(
+            "heatmap_sum", static_cast<double>(rec.heatmapSum()));
         flat.entries.emplace_back(
             "gates", static_cast<double>(rec.gates.size()));
         return flat;
@@ -612,23 +517,18 @@ run(int argc, char **argv)
         }
     }
 
-    if (cmd == "timeline") {
+    if (cmd == "timeline" || cmd == "heatmap" || cmd == "summary") {
         if (inputs.size() != 1)
-            fatal("timeline needs exactly one recording");
-        writeOut(out, runTimeline(loadRecording(inputs[0])));
-        return 0;
-    }
-    if (cmd == "heatmap") {
-        if (inputs.size() != 1)
-            fatal("heatmap needs exactly one recording");
-        const LoadedRecording rec = loadRecording(inputs[0]);
-        writeOut(out, csv ? runHeatmapCsv(rec) : runHeatmapJson(rec));
-        return 0;
-    }
-    if (cmd == "summary") {
-        if (inputs.size() != 1)
-            fatal("summary needs exactly one recording");
-        writeOut(out, runSummary(loadRecording(inputs[0]), top_k));
+            fatal("%s needs exactly one recording", cmd.c_str());
+        const telemetry::FlightRecording rec =
+            telemetry::decodeRecording(json::parseFile(inputs[0]));
+        if (cmd == "timeline")
+            writeOut(out, runTimeline(rec));
+        else if (cmd == "summary")
+            writeOut(out, runSummary(rec, top_k));
+        else
+            writeOut(out,
+                     csv ? runHeatmapCsv(rec) : runHeatmapJson(rec));
         return 0;
     }
     if (cmd == "diff") {

@@ -67,8 +67,10 @@ namespace {
 
 struct LintCliOptions
 {
-    lint::LintOptions diag;
-    /** Policy, distance, teleport and seed shape the layout lints. */
+    /**
+     * The lint level, suppressions and werror, plus the policy,
+     * distance, teleport and seed that shape the layout lints.
+     */
     CompileOptions compile;
     int defects = 0;
     std::vector<VertexId> dead;
@@ -108,6 +110,7 @@ LintCliOptions
 parseArgs(int argc, char **argv)
 {
     LintCliOptions opts;
+    opts.compile.lint.level = lint::LintLevel::All; // --level's default
     // parseArgs runs outside main's try block, so checked-parse,
     // option and range rejections (UserError) are reported here
     // instead of propagating.
@@ -127,20 +130,21 @@ parseArgs(int argc, char **argv)
                             info.summary);
             std::exit(0);
         } else if (matchValue(arg, "--level", value)) {
+            lint::LintLevel &level = opts.compile.lint.level;
             if (value == "errors")
-                opts.diag.level = lint::LintLevel::Errors;
+                level = lint::LintLevel::Errors;
             else if (value == "warnings")
-                opts.diag.level = lint::LintLevel::Warnings;
+                level = lint::LintLevel::Warnings;
             else if (value == "all")
-                opts.diag.level = lint::LintLevel::All;
+                level = lint::LintLevel::All;
             else
                 usage(2);
         } else if (matchValue(arg, "--suppress", value)) {
             for (const std::string &code : split(value, ','))
-                opts.diag.suppressions.push_back(code);
+                opts.compile.lint.suppressions.push_back(code);
         } else if (std::strcmp(arg, "--werror") == 0 ||
                    std::strcmp(arg, "--lint-werror") == 0) {
-            opts.diag.werror = true;
+            opts.compile.lint.werror = true;
         } else if (matchValue(arg, "--sarif-out", value)) {
             opts.sarif_out = value;
         } else if (matchValue(arg, "--metrics-out", value)) {
@@ -237,7 +241,7 @@ lintInput(const LintCliOptions &opts, const std::string &input,
     lint::LintRunConfig run;
     run.hold = lint::effectiveHold(opts.compile.cost,
                                    opts.compile.channel_hold_cycles);
-    run.circuit.reset_gates = &reset_gates;
+    run.reset_gates = &reset_gates;
     lint::runCircuitAnalyses(circuit, grid, dead, &placement, engine,
                              prov_ptr, run);
     return true;
@@ -271,7 +275,7 @@ int
 main(int argc, char **argv)
 {
     const LintCliOptions opts = parseArgs(argc, argv);
-    lint::DiagnosticEngine engine(opts.diag);
+    lint::DiagnosticEngine engine(opts.compile.lint);
     // One telemetry sink for the whole run; installed only when the
     // caller asked for metrics so default runs stay zero-overhead
     // (the same exporter path as autobraid_cli / autobraid_fuzz).
