@@ -13,6 +13,7 @@
 #include "circuit/dag.hpp"
 #include "common/rng.hpp"
 #include "gen/qft.hpp"
+#include "gen/registry.hpp"
 #include "llg/llg.hpp"
 #include "place/annealer.hpp"
 #include "lattice/occupancy.hpp"
@@ -265,6 +266,25 @@ BM_LlgObjective(benchmark::State &state)
     }
 }
 BENCHMARK(BM_LlgObjective)->Arg(16)->Arg(50);
+
+void
+BM_AnnealPlacement(benchmark::State &state, const char *spec)
+{
+    // One full stage-2 anneal from the identity layout: each proposal
+    // re-scores its affected sets through the LLG merge kernel.
+    const Circuit circuit = gen::make(spec);
+    const Grid grid = Grid::forQubits(circuit.numQubits());
+    for (auto _ : state) {
+        Rng rng(1);
+        Placement placement = annealPlacement(
+            circuit, Placement(grid, circuit.numQubits()), rng);
+        benchmark::DoNotOptimize(placement);
+    }
+}
+BENCHMARK_CAPTURE(BM_AnnealPlacement, qft32, "qft:32")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_AnnealPlacement, qaoa32, "qaoa:32")
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

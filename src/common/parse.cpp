@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -101,9 +102,13 @@ parseCheckedDouble(const std::string &text, const char *flag,
         reject(text, flag, "a number");
     if (errno == ERANGE || !std::isfinite(value) || value < min ||
         value > max) {
-        const std::string range = "a finite number in [" +
-                                  std::to_string(min) + ", " +
-                                  std::to_string(max) + "]";
+        const bool bounded =
+            min != std::numeric_limits<double>::lowest() ||
+            max != std::numeric_limits<double>::max();
+        const std::string range =
+            bounded ? "a finite number in [" + std::to_string(min) + ", " +
+                          std::to_string(max) + "]"
+                    : "a finite number";
         reject(text, flag, range.c_str());
     }
     return value;

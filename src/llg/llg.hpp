@@ -8,12 +8,24 @@
  * bounding box. Theorem 2: a strictly nested LLG of any size does too.
  * The placement annealer minimizes the number of LLGs violating both
  * conditions, and Table 1 reports the count of LLGs with size > 3.
+ *
+ * computeLlgs() and llgStats() run one merge kernel, LlgMerger, as do
+ * the annealer's objectives. It inserts the task boxes one at a time: a new box absorbs every group whose joint
+ * box it meets, grows, and rescans until it meets none, so the groups
+ * stay pairwise disjoint. Each merge is forced: in any grouping with
+ * pairwise-disjoint joint boxes that keeps both groups whole, the two
+ * groups whose joint boxes meet land in one LLG. The result is therefore
+ * the unique finest such partition, whatever the insertion order
+ * (docs/llg-theory.md).
  */
 
 #ifndef AUTOBRAID_LLG_LLG_HPP
 #define AUTOBRAID_LLG_LLG_HPP
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "llg/bbox.hpp"
@@ -29,10 +41,52 @@ struct Llg
     size_t size() const { return members.size(); }
 };
 
+/** Summary statistics over one concurrent set's LLGs. */
+struct LlgStats
+{
+    size_t num_llgs = 0;       ///< total groups
+    size_t oversize = 0;       ///< groups with size > 3 (Table 1 metric)
+    size_t hard = 0;           ///< size > 3 and not strictly nested
+    size_t largest = 0;        ///< size of the largest group
+};
+
 /**
- * Partition concurrent CX @p tasks into LLGs by transitively merging
- * tasks with intersecting bounding boxes until all joint boxes are
- * pairwise disjoint.
+ * The LLG merge kernel. It owns its scratch, so once that scratch has
+ * grown to the largest set it merges, a merge allocates nothing.
+ */
+class LlgMerger
+{
+  public:
+    /** Partition @p boxes into LLGs and summarize them. */
+    LlgStats stats(std::span<const BBox> boxes);
+
+    /**
+     * Partition @p boxes into LLGs, ordered by smallest member index,
+     * members ascending.
+     */
+    std::vector<Llg> groups(std::span<const BBox> boxes);
+
+  private:
+    /** A group: its joint box and its member chain through next_. */
+    struct Group
+    {
+        BBox joint;
+        uint32_t head;
+        uint32_t tail;
+        uint32_t size;
+    };
+
+    void merge(std::span<const BBox> boxes);
+    bool nested(std::span<const BBox> boxes, const Group &group);
+
+    std::vector<Group> groups_;
+    std::vector<uint32_t> next_;                 ///< member -> next member
+    std::vector<std::pair<long, uint32_t>> order_; ///< (area, member)
+};
+
+/**
+ * Partition concurrent CX @p tasks into LLGs: the finest grouping whose
+ * joint bounding boxes are pairwise disjoint.
  */
 std::vector<Llg> computeLlgs(const std::vector<CxTask> &tasks);
 
@@ -42,15 +96,6 @@ std::vector<Llg> computeLlgs(const std::vector<CxTask> &tasks);
  * Singletons count as nested.
  */
 bool isStrictlyNested(const Llg &llg, const std::vector<CxTask> &tasks);
-
-/** Summary statistics over one concurrent set's LLGs. */
-struct LlgStats
-{
-    size_t num_llgs = 0;       ///< total groups
-    size_t oversize = 0;       ///< groups with size > 3 (Table 1 metric)
-    size_t hard = 0;           ///< size > 3 and not strictly nested
-    size_t largest = 0;        ///< size of the largest group
-};
 
 /** Compute statistics for one concurrent CX set. */
 LlgStats llgStats(const std::vector<CxTask> &tasks);

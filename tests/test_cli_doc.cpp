@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -300,6 +301,31 @@ TEST(ToolExit, MalformedNumericFlagsExitTwo)
             runTool(std::string(c.bin) + " " + c.args);
         EXPECT_EQ(code, 2)
             << c.tool << " " << c.args << " exited " << code;
+    }
+}
+
+/** The hostile QASM corpus: inputs that once crashed the front end. */
+std::vector<std::string>
+hostileQasmFiles()
+{
+    std::vector<std::string> files;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(AB_HOSTILE_QASM_DIR))
+        if (entry.path().extension() == ".qasm")
+            files.push_back(entry.path().string());
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
+TEST(ToolExit, HostileQasmExitsTwo)
+{
+    const std::vector<std::string> files = hostileQasmFiles();
+    EXPECT_GE(files.size(), 4u);
+    for (const std::string &file : files) {
+        for (const char *bin : {AB_CLI_BIN, AB_LINT_BIN}) {
+            const int code = runTool(std::string(bin) + " " + file);
+            EXPECT_EQ(code, 2) << bin << " " << file << " exited " << code;
+        }
     }
 }
 

@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "llg/bbox.hpp"
 #include "llg/llg.hpp"
+#include "llg_reference.hpp"
 #include "route/stack_finder.hpp"
 
 namespace autobraid {
@@ -253,6 +254,116 @@ TEST(Llg, EmptyInput)
     EXPECT_TRUE(computeLlgs({}).empty());
     const auto stats = llgStats({});
     EXPECT_EQ(stats.num_llgs, 0u);
+}
+
+/** A task between random tiles of a @p rows x @p cols grid. */
+CxTask
+randomTask(GateIdx gate, int rows, int cols, Rng &rng)
+{
+    const auto pick = [&rng](int n) {
+        return static_cast<int>(rng.index(static_cast<size_t>(n)));
+    };
+    return CxTask::make(gate, Cell{pick(rows), pick(cols)},
+                        Cell{pick(rows), pick(cols)});
+}
+
+/**
+ * A seeded task set: random tiles, plus by @p shape concentric
+ * strictly nested chains, equal-area duplicates or a staircase of
+ * boxes that touch at one corner.
+ */
+std::vector<CxTask>
+shapedTasks(int shape, Rng &rng)
+{
+    const int rows = 2 + static_cast<int>(rng.index(31));
+    const int cols = 2 + static_cast<int>(rng.index(31));
+    const size_t n = rng.index(257);
+    std::vector<CxTask> tasks;
+    const auto add = [&tasks](const Cell &a, const Cell &b) {
+        tasks.push_back(CxTask::make(
+            static_cast<GateIdx>(tasks.size()), a, b));
+    };
+    if (shape == 1) {
+        // Chains of tiles (r-k, c-k)..(r+k, c+k): each box strictly
+        // encloses the one before.
+        for (int chain = 0; chain < 3; ++chain) {
+            const int r = static_cast<int>(rng.index(
+                static_cast<size_t>(rows)));
+            const int c = static_cast<int>(rng.index(
+                static_cast<size_t>(cols)));
+            for (int k = 0; r - k >= 0 && c - k >= 0 && r + k < rows &&
+                            c + k < cols;
+                 ++k)
+                add(Cell{r - k, c - k}, Cell{r + k, c + k});
+        }
+    } else if (shape == 2) {
+        // Exact duplicates and transposed boxes of equal area.
+        for (size_t i = 0; i < n / 4; ++i) {
+            const CxTask t =
+                randomTask(0, std::min(rows, cols), std::min(rows, cols),
+                           rng);
+            add(t.a, t.b);
+            add(t.a, t.b);
+            add(Cell{t.a.c, t.a.r}, Cell{t.b.c, t.b.r});
+        }
+    } else if (shape == 3) {
+        // Horizontal pairs stepping one row down and two columns right:
+        // neighbours share exactly one vertex.
+        for (int r = 0, c = 0; r < rows && c + 1 < cols; ++r, c += 2)
+            add(Cell{r, c}, Cell{r, c + 1});
+    }
+    while (tasks.size() < n)
+        tasks.push_back(randomTask(static_cast<GateIdx>(tasks.size()),
+                                   rows, cols, rng));
+    rng.shuffle(tasks);
+    return tasks;
+}
+
+TEST(Llg, KernelMatchesReference)
+{
+    // One merger for every set, so each merge runs in scratch a larger
+    // earlier set left behind.
+    LlgMerger merger;
+    std::vector<BBox> boxes;
+    size_t nested_oversize = 0; // Theorem 2 groups: the sort path runs
+    size_t hard = 0;
+    Rng rng(2021);
+    for (int trial = 0; trial < 1600; ++trial) {
+        const auto tasks = shapedTasks(trial % 4, rng);
+        SCOPED_TRACE(testing::Message()
+                     << "trial " << trial << ", " << tasks.size()
+                     << " tasks");
+        const auto want = reference::computeLlgs(tasks);
+        const auto got = computeLlgs(tasks);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].members, want[i].members) << "group " << i;
+            ASSERT_EQ(got[i].bbox, want[i].bbox) << "group " << i;
+            ASSERT_EQ(isStrictlyNested(got[i], tasks),
+                      reference::isStrictlyNested(want[i], tasks))
+                << "group " << i;
+        }
+
+        const LlgStats ref = reference::llgStats(tasks);
+        nested_oversize += ref.oversize - ref.hard;
+        hard += ref.hard;
+        boxes.clear();
+        for (const CxTask &t : tasks)
+            boxes.push_back(t.bbox);
+        for (const LlgStats &stats :
+             {llgStats(tasks), merger.stats(boxes)}) {
+            EXPECT_EQ(stats.num_llgs, ref.num_llgs);
+            EXPECT_EQ(stats.oversize, ref.oversize);
+            EXPECT_EQ(stats.hard, ref.hard);
+            EXPECT_EQ(stats.largest, ref.largest);
+        }
+        const auto regrouped = merger.groups(boxes);
+        ASSERT_EQ(regrouped.size(), want.size());
+        for (size_t i = 0; i < regrouped.size(); ++i)
+            ASSERT_EQ(regrouped[i].members, want[i].members);
+    }
+    EXPECT_GT(nested_oversize, 0u);
+    EXPECT_GT(hard, 0u);
 }
 
 /** Property sweep: random small LLGs of a given size. */

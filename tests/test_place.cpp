@@ -12,7 +12,10 @@
 #include "common/error.hpp"
 #include "gen/ising.hpp"
 #include "gen/qft.hpp"
+#include "gen/registry.hpp"
+#include "llg_reference.hpp"
 #include "place/initial.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace autobraid {
 namespace {
@@ -198,6 +201,89 @@ TEST(Annealer, Table1MetricImproves)
     const Placement annealed = annealPlacement(c, identity, rng);
     EXPECT_LE(countOversizeLlgs(c, annealed),
               countOversizeLlgs(c, identity));
+}
+
+/** One anneal's result: its cells and its proposal/accept counters. */
+struct AnnealTrace
+{
+    std::vector<CellId> cells;
+    long long proposals = 0;
+    long long accepts = 0;
+};
+
+template <typename Anneal>
+AnnealTrace
+traceAnneal(Anneal anneal, const Circuit &circuit, const Grid &grid,
+            uint64_t seed)
+{
+    telemetry::Telemetry sink;
+    AnnealTrace trace;
+    {
+        telemetry::TelemetryScope scope(&sink);
+        Rng rng(seed);
+        const Placement out =
+            anneal(circuit, Placement(grid, circuit.numQubits()), rng);
+        for (Qubit q = 0; q < out.numQubits(); ++q)
+            trace.cells.push_back(out.cellIdOf(q));
+    }
+    trace.proposals = sink.metrics().counter("place.anneal_proposals");
+    trace.accepts = sink.metrics().counter("place.anneal_accepts");
+    return trace;
+}
+
+TEST(Annealer, MatchesReferenceTrajectory)
+{
+    // Same RNG draws, same integer costs, same accept decisions: the
+    // kernel-scored annealer must retrace the reference exactly.
+    struct Case
+    {
+        const char *spec;
+        int side; ///< 0: Grid::forQubits; else a side x side grid
+    };
+    const Case cases[] = {
+        {"qft:16", 0},         {"qpe:6:3", 0}, {"randct:9:200:1", 0},
+        {"adder:8", 0},        {"qaoa:16:2", 0},
+        {"qpe:6:3", 4}, // seven spare tiles: the moveTo path runs
+    };
+    for (const Case &c : cases) {
+        const Circuit circuit = gen::make(c.spec);
+        const Grid grid = c.side > 0
+                              ? Grid(c.side, c.side)
+                              : Grid::forQubits(circuit.numQubits());
+        for (uint64_t seed = 1; seed <= 3; ++seed) {
+            SCOPED_TRACE(testing::Message() << c.spec << " on "
+                                            << grid.rows() << "x"
+                                            << grid.cols() << ", seed "
+                                            << seed);
+            const AnnealTrace want = traceAnneal(
+                reference::annealPlacement, circuit, grid, seed);
+            const AnnealTrace got =
+                traceAnneal(annealPlacement, circuit, grid, seed);
+            EXPECT_EQ(got.cells, want.cells);
+            EXPECT_GT(want.proposals, 0);
+            EXPECT_EQ(got.proposals, want.proposals);
+            EXPECT_EQ(got.accepts, want.accepts);
+        }
+    }
+}
+
+TEST(Annealer, ObjectivesMatchReference)
+{
+    const Circuit circuit = gen::make("qft:16");
+    const Grid grid = Grid::forQubits(circuit.numQubits());
+    const Placement identity(grid, circuit.numQubits());
+    for (size_t max_sets : {size_t{0}, size_t{16}, kAnnealMaxSets}) {
+        long want = 0;
+        for (const auto &set : reference::sampleSets(circuit, max_sets))
+            want += reference::setCost(circuit, identity, set);
+        EXPECT_EQ(llgObjective(circuit, identity, max_sets), want)
+            << "max_sets " << max_sets;
+    }
+    long oversize = 0;
+    for (const auto &set : concurrentCxSets(circuit))
+        oversize += static_cast<long>(
+            reference::llgStats(identity.tasks(circuit, set)).oversize);
+    EXPECT_EQ(countOversizeLlgs(circuit, identity), oversize);
 }
 
 TEST(Annealer, NoCxCircuitIsNoop)
