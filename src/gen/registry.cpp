@@ -104,6 +104,13 @@ make(const std::string &spec)
     fatal("unknown benchmark family '%s'", family.c_str());
 }
 
+std::string
+family(const std::string &spec)
+{
+    const auto fields = split(spec, ':');
+    return fields.empty() ? std::string() : fields[0];
+}
+
 std::vector<std::string>
 exampleSpecs()
 {

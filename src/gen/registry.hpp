@@ -24,6 +24,12 @@ namespace gen {
 /** Build the circuit described by @p spec; raises UserError when bad. */
 Circuit make(const std::string &spec);
 
+/**
+ * The family make() dispatches @p spec to: its first non-empty
+ * ':'-separated field, or "" when it has none.
+ */
+std::string family(const std::string &spec);
+
 /** Example specs for every supported family (docs and --list output). */
 std::vector<std::string> exampleSpecs();
 

@@ -42,6 +42,9 @@ class Placement
     /** Dense tile id of qubit @p q. */
     CellId cellIdOf(Qubit q) const;
 
+    /** Dense tile id of every qubit: cellIds()[q] is cellIdOf(q). */
+    const std::vector<CellId> &cellIds() const { return cell_of_; }
+
     /** Qubit at tile @p c, or kNoQubit when the tile is empty. */
     Qubit qubitAt(CellId c) const;
 

@@ -317,6 +317,19 @@ TEST(Registry, Errors)
     EXPECT_THROW(make("qasm"), UserError);
 }
 
+TEST(Registry, FamilyIsWhatMakeDispatchesOn)
+{
+    // make() drops empty ':' fields, so leading colons do not hide the
+    // family from a caller that screens specs by family().
+    for (const char *spec : {"qft:8", ":qft:8", "::qft:8", "qft::8"}) {
+        EXPECT_EQ(family(spec), "qft") << spec;
+        EXPECT_EQ(make(spec).numQubits(), 8) << spec;
+    }
+    EXPECT_EQ(family(":qasm:x.qasm"), "qasm");
+    EXPECT_EQ(family(""), "");
+    EXPECT_EQ(family(":::"), "");
+}
+
 TEST(Registry, ExampleSpecsAllBuild)
 {
     for (const std::string &spec : exampleSpecs()) {
