@@ -2,23 +2,32 @@
  * @file
  * Micro-benchmarks (google-benchmark) for the hot kernels: A* routing,
  * interference-graph construction, the stack-based finder on random
- * concurrent layers, LLG computation, DAG construction, and the
- * annealer objective.
+ * concurrent layers, LLG computation, DAG construction, the annealer
+ * objective, and the JSON readers: certifying a schedule export from
+ * its text, decoding a recording, and parsing a serve request.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
+#include "analysis/certify.hpp"
 #include "circuit/dag.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
+#include "common/text.hpp"
+#include "compiler/driver.hpp"
 #include "gen/qft.hpp"
 #include "gen/registry.hpp"
 #include "llg/llg.hpp"
 #include "place/annealer.hpp"
+#include "place/initial.hpp"
 #include "lattice/occupancy.hpp"
+#include "qasm/exporter.hpp"
 #include "route/greedy_finder.hpp"
 #include "route/stack_finder.hpp"
+#include "sched/schedule_export.hpp"
+#include "telemetry/recorder.hpp"
 
 namespace {
 
@@ -285,6 +294,64 @@ BENCHMARK_CAPTURE(BM_AnnealPlacement, qft32, "qft:32")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_AnnealPlacement, qaoa32, "qaoa:32")
     ->Unit(benchmark::kMillisecond);
+
+void
+BM_CertifyScheduleText(benchmark::State &state)
+{
+    // What --schedule-out writes for a qft:64 braiding compile, with
+    // its initial placement embedded, decoded and certified whole.
+    const Circuit circuit = gen::make("qft:64");
+    const Grid grid = Grid::forQubits(circuit.numQubits());
+    CompileOptions opt;
+    opt.record_trace = true;
+    const CompileReport report = compileCircuit(circuit, opt);
+    Rng rng(opt.seed);
+    const Placement initial = initialPlacement(
+        circuit, grid, rng, opt.placementFor(opt.policy));
+    const std::string text = scheduleToJson(
+        scheduleExportInfo(circuit, grid, opt, report, &initial),
+        report.result);
+    for (auto _ : state) {
+        certify::Certificate cert = certify::certifyScheduleText(text);
+        benchmark::DoNotOptimize(cert);
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_CertifyScheduleText)->Unit(benchmark::kMillisecond);
+
+void
+BM_DecodeRecording(benchmark::State &state)
+{
+    // A qft:32 braiding compile's flight recording, as --record-out
+    // writes it.
+    CompileOptions opt;
+    opt.record_trace = true;
+    opt.record_lifecycle = true;
+    const CompileReport report = compileCircuit(gen::make("qft:32"), opt);
+    const std::string text = report.result.recording->toJson();
+    for (auto _ : state) {
+        telemetry::FlightRecording rec = telemetry::decodeRecording(text);
+        benchmark::DoNotOptimize(rec);
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_DecodeRecording)->Unit(benchmark::kMillisecond);
+
+void
+BM_JsonParseRequest(benchmark::State &state)
+{
+    // One serve request with inline QASM, the kind a cache hit parses.
+    const std::string request =
+        "{\"qasm\":\"" + jsonEscape(qasm::toQasm(gen::make("qft:8"))) +
+        "\",\"options\":{\"seed\":7}}";
+    for (auto _ : state) {
+        json::Value doc = json::parse(request);
+        benchmark::DoNotOptimize(doc);
+    }
+}
+BENCHMARK(BM_JsonParseRequest);
 
 } // namespace
 

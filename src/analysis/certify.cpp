@@ -28,44 +28,75 @@ constexpr size_t kMaxViolations = 64;
  */
 constexpr long long kMaxTiles = 1 << 20;
 
-const json::Value &
-need(const json::Value &doc, const char *key)
+/**
+ * The first failure of a member checked as @p key: absent, or the
+ * first check its value failed. Optional members pass when absent.
+ */
+std::string
+firstError(const json::Member &m, const char *key, bool optional = false)
 {
-    const json::Value *v = doc.find(key);
-    if (!v)
-        fatal("schedule document is missing \"%s\"", key);
-    return *v;
+    if (m.seen || optional)
+        return m.error;
+    return strformat("schedule document is missing \"%s\"", key);
 }
 
 /**
- * @p v as an Int. The range is checked on the double, before the cast:
- * lowest() and max() + 1 are powers of two, so both are exact.
+ * Read the number at the cursor into @p out as an Int. The range is
+ * checked on the double, before the cast: lowest() and max() + 1 are
+ * powers of two, so both are exact.
  */
 template <typename Int>
-Int
-asInt(const json::Value &v, const char *what)
+std::string
+readInt(json::Reader &r, const char *what, Int &out)
 {
-    const double d = v.asNumber();
+    if (r.peek() != json::Value::Kind::Number)
+        return r.mismatch("number");
+    const double d = r.number();
     using Limits = std::numeric_limits<Int>;
     if (!(d >= static_cast<double>(Limits::lowest()) &&
           d < std::ldexp(1.0, Limits::digits)))
-        fatal("schedule field \"%s\" is out of range (%.17g)", what, d);
-    const Int i = static_cast<Int>(d);
-    if (static_cast<double>(i) != d)
-        fatal("schedule field \"%s\" is not an integer", what);
-    return i;
+        return strformat("schedule field \"%s\" is out of range (%.17g)",
+                         what, d);
+    out = static_cast<Int>(d);
+    if (static_cast<double>(out) != d)
+        return strformat("schedule field \"%s\" is not an integer",
+                         what);
+    return {};
 }
 
-template <typename Int>
-Int
-needInt(const json::Value &doc, const char *key)
+std::string
+readString(json::Reader &r, std::string &out)
 {
-    return asInt<Int>(need(doc, key), key);
+    if (r.peek() != json::Value::Kind::String)
+        return r.mismatch("string");
+    out = r.string();
+    return {};
 }
 
-/** Reverse of gateName(); fatal on an unknown mnemonic. */
-GateKind
-kindFromName(const std::string &name)
+std::string
+readBool(json::Reader &r, bool &out)
+{
+    if (r.peek() != json::Value::Kind::Bool)
+        return r.mismatch("bool");
+    out = r.boolean();
+    return {};
+}
+
+/** Read an array of Ints into @p out, replacing what it held. */
+template <typename Int>
+std::string
+readInts(json::Reader &r, const char *what, std::vector<Int> &out)
+{
+    if (r.peek() != json::Value::Kind::Array)
+        return r.mismatch("array");
+    out.clear();
+    return json::readElements(
+        r, [&] { return readInt(r, what, out.emplace_back()); });
+}
+
+/** Reverse of gateName(); false on an unknown mnemonic. */
+bool
+kindFromName(std::string_view name, GateKind &out)
 {
     static const GateKind kAll[] = {
         GateKind::I,       GateKind::X,  GateKind::Y,
@@ -75,9 +106,164 @@ kindFromName(const std::string &name)
         GateKind::Measure, GateKind::CX, GateKind::Swap,
         GateKind::Barrier};
     for (GateKind k : kAll)
-        if (name == gateName(k))
-            return k;
-    fatal("schedule gate list has unknown kind \"%s\"", name.c_str());
+        if (name == gateName(k)) {
+            out = k;
+            return true;
+        }
+    return false;
+}
+
+/** One gate-list element into @p g, or the first check it fails. */
+std::string
+readGate(json::Reader &r, Gate &g)
+{
+    static constexpr const char *kKeys[] = {"kind", "q0", "q1"};
+    json::Member m[std::size(kKeys)];
+    std::string kind;
+    json::readMembers(r, kKeys, m, [&](size_t i) {
+        if (i == 0)
+            return readString(r, kind);
+        return readInt(r, kKeys[i], i == 1 ? g.q0 : g.q1);
+    });
+    if (std::string e = firstError(m[0], "kind"); !e.empty())
+        return e;
+    if (!kindFromName(kind, g.kind))
+        return strformat("schedule gate list has unknown kind \"%s\"",
+                         kind.c_str());
+    if (std::string e = firstError(m[1], "q0"); !e.empty())
+        return e;
+    return firstError(m[2], "q1");
+}
+
+/** One schedule entry into @p e, or the first check it fails. */
+std::string
+readEntry(json::Reader &r, Entry &e)
+{
+    // In check order; swap_a and swap_b may be absent.
+    static constexpr const char *kKeys[] = {
+        "gate", "start", "finish", "release", "swap_a", "swap_b", "path"};
+    json::Member m[std::size(kKeys)];
+    json::readMembers(r, kKeys, m, [&](size_t i) {
+        switch (i) {
+        case 0:
+            return readInt(r, kKeys[i], e.gate);
+        case 1:
+            return readInt(r, kKeys[i], e.start);
+        case 2:
+            return readInt(r, kKeys[i], e.finish);
+        case 3:
+            return readInt(r, kKeys[i], e.release);
+        case 4:
+            return readInt(r, kKeys[i], e.swap_a);
+        case 5:
+            return readInt(r, kKeys[i], e.swap_b);
+        default:
+            return readInts(r, kKeys[i], e.path);
+        }
+    });
+    for (size_t i = 0; i < std::size(kKeys); ++i)
+        if (std::string error = firstError(m[i], kKeys[i], i == 4 || i == 5);
+            !error.empty())
+            return error;
+    return {};
+}
+
+/** The document's members, in the order their checks run. */
+enum Field : size_t
+{
+    kFormat,
+    kVersion,
+    kCircuit,
+    kPolicy,
+    kBackend,
+    kDistance,
+    kGridRows,
+    kGridCols,
+    kNumQubits,
+    kChannelHold,
+    kUsedMaslov,
+    kSwapsInserted,
+    kBraidsRouted,
+    kMakespan,
+    kDeadVertices,
+    kPlacement, ///< optional
+    kGates,
+    kEntries,
+    kNumFields
+};
+constexpr const char *kFieldNames[kNumFields] = {
+    "format",        "version",        "circuit",
+    "policy",        "backend",        "distance",
+    "grid_rows",     "grid_cols",      "num_qubits",
+    "channel_hold_cycles", "used_maslov", "swaps_inserted",
+    "braids_routed", "makespan",       "dead_vertices",
+    "placement",     "gates",          "schedule"};
+
+/** Read member @p field of the document into @p s. */
+std::string
+readField(json::Reader &r, Field field, Schedule &s)
+{
+    switch (field) {
+    case kFormat: {
+        std::string format;
+        std::string error = readString(r, format);
+        if (error.empty() && format != "autobraid-schedule")
+            error = strformat(
+                "not an autobraid-schedule document (format \"%s\")",
+                format.c_str());
+        return error;
+    }
+    case kVersion: {
+        int version = 0;
+        std::string error = readInt(r, "version", version);
+        if (error.empty() && version != 1)
+            error = strformat("unsupported autobraid-schedule version %d",
+                              version);
+        return error;
+    }
+    case kCircuit:
+        return readString(r, s.circuit);
+    case kPolicy:
+        return readString(r, s.policy);
+    case kBackend:
+        return readString(r, s.backend);
+    case kDistance:
+        return readInt(r, "distance", s.distance);
+    case kGridRows:
+        return readInt(r, "grid_rows", s.grid_rows);
+    case kGridCols:
+        return readInt(r, "grid_cols", s.grid_cols);
+    case kNumQubits:
+        return readInt(r, "num_qubits", s.num_qubits);
+    case kChannelHold:
+        return readInt(r, "channel_hold_cycles", s.channel_hold_cycles);
+    case kUsedMaslov:
+        return readBool(r, s.used_maslov);
+    case kSwapsInserted:
+        return readInt(r, "swaps_inserted", s.swaps_inserted);
+    case kBraidsRouted:
+        return readInt(r, "braids_routed", s.braids_routed);
+    case kMakespan:
+        return readInt(r, "makespan", s.makespan);
+    case kDeadVertices:
+        return readInts(r, "dead", s.dead_vertices);
+    case kPlacement:
+        return readInts(r, "placement", s.placement.emplace());
+    case kGates:
+        if (r.peek() != json::Value::Kind::Array)
+            return r.mismatch("array");
+        s.gates.clear();
+        return json::readElements(
+            r, [&] { return readGate(r, s.gates.emplace_back()); });
+    case kEntries:
+    case kNumFields:
+        break;
+    }
+    if (r.peek() != json::Value::Kind::Array)
+        return r.mismatch("array");
+    s.entries.clear();
+    return json::readElements(
+        r, [&] { return readEntry(r, s.entries.emplace_back()); });
 }
 
 } // namespace
@@ -119,56 +305,22 @@ Certificate::toJson() const
 }
 
 Schedule
-decodeSchedule(const json::Value &doc)
+decodeSchedule(std::string_view text)
 {
-    if (need(doc, "format").asString() != "autobraid-schedule")
-        fatal("not an autobraid-schedule document (format \"%s\")",
-              doc.stringOr("format", "?").c_str());
-    const int version = needInt<int>(doc, "version");
-    if (version != 1)
-        fatal("unsupported autobraid-schedule version %d", version);
-
+    json::Reader r(text);
     Schedule s;
-    s.circuit = need(doc, "circuit").asString();
-    s.policy = need(doc, "policy").asString();
-    s.backend = need(doc, "backend").asString();
-    s.distance = needInt<int>(doc, "distance");
-    s.grid_rows = needInt<int>(doc, "grid_rows");
-    s.grid_cols = needInt<int>(doc, "grid_cols");
-    s.num_qubits = needInt<int>(doc, "num_qubits");
-    s.channel_hold_cycles = needInt<Cycles>(doc, "channel_hold_cycles");
-    s.used_maslov = need(doc, "used_maslov").asBool();
-    s.swaps_inserted = needInt<size_t>(doc, "swaps_inserted");
-    s.braids_routed = needInt<size_t>(doc, "braids_routed");
-    s.makespan = needInt<Cycles>(doc, "makespan");
-    for (const json::Value &jv : need(doc, "dead_vertices").asArray())
-        s.dead_vertices.push_back(asInt<VertexId>(jv, "dead"));
-    if (const json::Value *placement = doc.find("placement")) {
-        s.placement.emplace();
-        for (const json::Value &jc : placement->asArray())
-            s.placement->push_back(asInt<CellId>(jc, "placement"));
-    }
-    for (const json::Value &jg : need(doc, "gates").asArray()) {
-        Gate g;
-        g.kind = kindFromName(need(jg, "kind").asString());
-        g.q0 = needInt<Qubit>(jg, "q0");
-        g.q1 = needInt<Qubit>(jg, "q1");
-        s.gates.push_back(g);
-    }
-    for (const json::Value &je : need(doc, "schedule").asArray()) {
-        Entry e;
-        e.gate = needInt<long long>(je, "gate");
-        e.start = needInt<Cycles>(je, "start");
-        e.finish = needInt<Cycles>(je, "finish");
-        e.release = needInt<Cycles>(je, "release");
-        if (const json::Value *a = je.find("swap_a"))
-            e.swap_a = asInt<Qubit>(*a, "swap_a");
-        if (const json::Value *b = je.find("swap_b"))
-            e.swap_b = asInt<Qubit>(*b, "swap_b");
-        for (const json::Value &jv : need(je, "path").asArray())
-            e.path.push_back(asInt<VertexId>(jv, "path"));
-        s.entries.push_back(std::move(e));
-    }
+    json::Member members[kNumFields];
+    json::readMembers(r, kFieldNames, members, [&](size_t field) {
+        return readField(r, static_cast<Field>(field), s);
+    });
+    // The whole text has been read, so a syntax error anywhere has
+    // already won; decode errors come out in check order.
+    r.finish();
+    for (size_t f = 0; f < kNumFields; ++f)
+        if (std::string error =
+                firstError(members[f], kFieldNames[f], f == kPlacement);
+            !error.empty())
+            throw UserError(error);
     return s;
 }
 
@@ -561,9 +713,7 @@ certifySchedule(const Schedule &s)
 Certificate
 certifyScheduleText(const std::string &text)
 {
-    // The parsed tree dies here, before the rules allocate their maps.
-    const Schedule schedule = decodeSchedule(json::parse(text));
-    return certifySchedule(schedule);
+    return certifySchedule(decodeSchedule(text));
 }
 
 } // namespace certify

@@ -6,8 +6,9 @@
  * A format=autobraid-schedule v1 document (see
  * src/sched/schedule_export.hpp and docs/observability.md) reaches the
  * rules as a plain Schedule value through one of two front ends: the
- * JSON decoder below (tools/autobraid_certify, certifyScheduleText) or
- * the in-memory builder scheduleDocument() beside the exporter
+ * text decoder below (tools/autobraid_certify, certifyScheduleText),
+ * which reads straight from json::Reader and builds no tree, or the
+ * in-memory builder scheduleDocument() beside the exporter
  * (validateSchedule, the compiler's validate stage, the fuzz oracle).
  * Both yield the same value for the same schedule, so both produce
  * the same certificate.
@@ -31,6 +32,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "circuit/dag.hpp"
@@ -125,10 +127,14 @@ struct Certificate
 };
 
 /**
- * Decode a parsed autobraid-schedule document. Wrong format/version,
- * missing or mistyped fields and unknown gate kinds raise UserError.
+ * Decode autobraid-schedule @p text. Malformed JSON, wrong
+ * format/version, missing or mistyped fields and unknown gate kinds
+ * raise UserError. Decode errors wait until the whole text has been
+ * read, so a syntax error anywhere wins; among decode errors the first
+ * in a fixed field order wins, whatever order the members come in,
+ * and a repeated member counts only as its last occurrence.
  */
-Schedule decodeSchedule(const json::Value &doc);
+Schedule decodeSchedule(std::string_view text);
 
 /**
  * Run every rule over @p schedule. Structural problems (unknown
@@ -137,7 +143,7 @@ Schedule decodeSchedule(const json::Value &doc);
  */
 Certificate certifySchedule(const Schedule &schedule);
 
-/** Parse @p text as JSON, decode it and certify it. */
+/** Decode @p text and certify it. */
 Certificate certifyScheduleText(const std::string &text);
 
 } // namespace certify

@@ -1,7 +1,9 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -32,306 +34,68 @@ kindName(Value::Kind kind)
     return "unknown";
 }
 
-/** Recursive-descent parser over the whole input string. */
-class Parser
+/** Bytes a number token may hold; strtod then judges the token. */
+bool
+isNumberByte(char c)
 {
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
+           c == '+' || c == '-';
+}
 
-    Value parseDocument()
-    {
-        skipWs();
-        Value v = parseValue();
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing content after JSON value");
-        return v;
+/** Append code point @p code to @p out as UTF-8. */
+void
+appendUtf8(std::string &out, unsigned code)
+{
+    if (code < 0x80) {
+        out += static_cast<char>(code);
+    } else if (code < 0x800) {
+        out += static_cast<char>(0xC0 | (code >> 6));
+        out += static_cast<char>(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+        out += static_cast<char>(0xE0 | (code >> 12));
+        out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+        out += static_cast<char>(0x80 | (code & 0x3F));
+    } else {
+        out += static_cast<char>(0xF0 | (code >> 18));
+        out += static_cast<char>(0x80 | ((code >> 12) & 0x3F));
+        out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+        out += static_cast<char>(0x80 | (code & 0x3F));
     }
+}
 
-  private:
-    // Containers may nest at most this deep; recursive descent means
-    // unbounded input depth would otherwise exhaust the stack.
-    static constexpr int kMaxDepth = 64;
-
-    const std::string &text_;
-    size_t pos_ = 0;
-    int depth_ = 0;
-
-    [[noreturn]] void fail(const char *what)
-    {
-        size_t line = 1;
-        size_t col = 1;
-        for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
-            if (text_[i] == '\n') {
-                ++line;
-                col = 1;
-            } else {
-                ++col;
-            }
-        }
-        fatal("JSON parse error at line %zu column %zu (byte %zu): "
-              "%s",
-              line, col, pos_, what);
-    }
-
-    bool eof() const { return pos_ >= text_.size(); }
-    char peek() const { return text_[pos_]; }
-
-    void skipWs()
-    {
-        while (!eof()) {
-            const char c = peek();
-            if (c == ' ' || c == '\t' || c == '\n' || c == '\r')
-                ++pos_;
-            else
-                break;
-        }
-    }
-
-    void expect(char c)
-    {
-        if (eof() || peek() != c)
-            fail("unexpected character");
-        ++pos_;
-    }
-
-    bool consumeWord(const char *word)
-    {
-        size_t len = 0;
-        while (word[len])
-            ++len;
-        if (text_.compare(pos_, len, word) != 0)
-            return false;
-        pos_ += len;
-        return true;
-    }
-
-    Value parseValue()
-    {
-        if (eof())
-            fail("unexpected end of input");
-        switch (peek()) {
-        case '{': {
-            if (++depth_ > kMaxDepth)
-                fail("nesting depth exceeds 64");
-            Value v = parseObject();
-            --depth_;
-            return v;
-        }
-        case '[': {
-            if (++depth_ > kMaxDepth)
-                fail("nesting depth exceeds 64");
-            Value v = parseArray();
-            --depth_;
-            return v;
-        }
-        case '"':
-            return Value(parseString());
-        case 't':
-            if (!consumeWord("true"))
-                fail("invalid literal");
-            return Value(true);
-        case 'f':
-            if (!consumeWord("false"))
-                fail("invalid literal");
-            return Value(false);
-        case 'n':
-            if (!consumeWord("null"))
-                fail("invalid literal");
-            return Value();
-        default:
-            return parseNumber();
-        }
-    }
-
-    Value parseObject()
-    {
-        expect('{');
+/** The value at @p r's cursor as a tree. */
+Value
+readValue(Reader &r)
+{
+    switch (r.peek()) {
+    case Value::Kind::Object: {
         Object members;
-        skipWs();
-        if (!eof() && peek() == '}') {
-            ++pos_;
-            return Value(std::move(members));
+        r.beginObject();
+        for (std::string_view key; r.nextKey(key);) {
+            std::string name(key);
+            members[std::move(name)] = readValue(r);
         }
-        for (;;) {
-            skipWs();
-            if (eof() || peek() != '"')
-                fail("expected object key");
-            std::string key = parseString();
-            skipWs();
-            expect(':');
-            skipWs();
-            members[std::move(key)] = parseValue();
-            skipWs();
-            if (eof())
-                fail("unterminated object");
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect('}');
-            return Value(std::move(members));
-        }
+        return Value(std::move(members));
     }
-
-    Value parseArray()
-    {
-        expect('[');
+    case Value::Kind::Array: {
         Array items;
-        skipWs();
-        if (!eof() && peek() == ']') {
-            ++pos_;
-            return Value(std::move(items));
-        }
-        for (;;) {
-            skipWs();
-            items.push_back(parseValue());
-            skipWs();
-            if (eof())
-                fail("unterminated array");
-            if (peek() == ',') {
-                ++pos_;
-                continue;
-            }
-            expect(']');
-            return Value(std::move(items));
-        }
+        r.beginArray();
+        while (r.nextElement())
+            items.push_back(readValue(r));
+        return Value(std::move(items));
     }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        for (;;) {
-            if (eof())
-                fail("unterminated string");
-            char c = text_[pos_++];
-            if (c == '"')
-                return out;
-            if (static_cast<unsigned char>(c) < 0x20)
-                fail("raw control character in string");
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (eof())
-                fail("unterminated escape");
-            c = text_[pos_++];
-            switch (c) {
-            case '"':
-            case '\\':
-            case '/':
-                out += c;
-                break;
-            case 'b':
-                out += '\b';
-                break;
-            case 'f':
-                out += '\f';
-                break;
-            case 'n':
-                out += '\n';
-                break;
-            case 'r':
-                out += '\r';
-                break;
-            case 't':
-                out += '\t';
-                break;
-            case 'u': {
-                unsigned code = readHex4();
-                if (code >= 0xDC00 && code <= 0xDFFF)
-                    fail("lone low surrogate in \\u escape");
-                if (code >= 0xD800 && code <= 0xDBFF) {
-                    // A high surrogate is only valid when paired with
-                    // an immediately following \u low surrogate.
-                    if (pos_ + 1 >= text_.size() ||
-                        text_[pos_] != '\\' || text_[pos_ + 1] != 'u')
-                        fail("lone high surrogate in \\u escape");
-                    pos_ += 2;
-                    const unsigned lo = readHex4();
-                    if (lo < 0xDC00 || lo > 0xDFFF)
-                        fail("high surrogate not followed by low "
-                             "surrogate in \\u escape");
-                    code = 0x10000 + ((code - 0xD800) << 10) +
-                           (lo - 0xDC00);
-                }
-                // UTF-8 encode; our exporters only emit \u00XX
-                // control escapes, but accept the full code-point
-                // range including supplementary-plane pairs.
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xC0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                } else if (code < 0x10000) {
-                    out += static_cast<char>(0xE0 | (code >> 12));
-                    out += static_cast<char>(0x80 |
-                                             ((code >> 6) & 0x3F));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                } else {
-                    out += static_cast<char>(0xF0 | (code >> 18));
-                    out += static_cast<char>(0x80 |
-                                             ((code >> 12) & 0x3F));
-                    out += static_cast<char>(0x80 |
-                                             ((code >> 6) & 0x3F));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                }
-                break;
-            }
-            default:
-                fail("invalid escape character");
-            }
-        }
+    case Value::Kind::String:
+        return Value(std::string(r.string()));
+    case Value::Kind::Bool:
+        return Value(r.boolean());
+    case Value::Kind::Null:
+        r.null();
+        return Value();
+    case Value::Kind::Number:
+        break;
     }
-
-    unsigned readHex4()
-    {
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-            if (eof())
-                fail("truncated \\u escape");
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9')
-                code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-                code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-                code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-                fail("invalid \\u escape");
-        }
-        return code;
-    }
-
-    Value parseNumber()
-    {
-        const size_t start = pos_;
-        if (!eof() && peek() == '-')
-            ++pos_;
-        while (!eof()) {
-            const char c = peek();
-            if ((c >= '0' && c <= '9') || c == '.' || c == 'e' ||
-                c == 'E' || c == '+' || c == '-')
-                ++pos_;
-            else
-                break;
-        }
-        if (pos_ == start)
-            fail("expected a value");
-        const std::string token = text_.substr(start, pos_ - start);
-        char *end = nullptr;
-        const double v = std::strtod(token.c_str(), &end);
-        if (end == token.c_str() || *end != '\0')
-            fail("malformed number");
-        // JSON has no NaN/Infinity; also reject finite-looking
-        // tokens that overflow to infinity (e.g. 1e999).
-        if (!std::isfinite(v))
-            fail("number is not finite");
-        return Value(v);
-    }
-};
+    return Value(r.number());
+}
 
 /** Append @p s with jsonEscape()'s rules; runs of plain bytes copy whole. */
 void
@@ -427,17 +191,347 @@ Value::stringOr(const std::string &key,
     return (v && v->isString()) ? v->asString() : fallback;
 }
 
-Value
-parse(const std::string &text)
+void
+Reader::fail(const char *what) const
 {
-    Parser parser(text);
-    return parser.parseDocument();
+    size_t line = 1;
+    size_t col = 1;
+    for (size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+        if (text_[i] == '\n') {
+            ++line;
+            col = 1;
+        } else {
+            ++col;
+        }
+    }
+    fatal("JSON parse error at line %zu column %zu (byte %zu): %s", line,
+          col, pos_, what);
+}
+
+void
+Reader::skipWs()
+{
+    while (!eof()) {
+        const char c = text_[pos_];
+        if (c != ' ' && c != '\t' && c != '\n' && c != '\r')
+            break;
+        ++pos_;
+    }
+}
+
+void
+Reader::expect(char c)
+{
+    if (eof() || text_[pos_] != c)
+        fail("unexpected character");
+    ++pos_;
+}
+
+void
+Reader::literal(std::string_view word)
+{
+    if (text_.substr(pos_, word.size()) != word)
+        fail("invalid literal");
+    pos_ += word.size();
+}
+
+Value::Kind
+Reader::peek()
+{
+    skipWs();
+    if (eof())
+        fail("unexpected end of input");
+    switch (text_[pos_]) {
+    case '{':
+        return Value::Kind::Object;
+    case '[':
+        return Value::Kind::Array;
+    case '"':
+        return Value::Kind::String;
+    case 't':
+    case 'f':
+        return Value::Kind::Bool;
+    case 'n':
+        return Value::Kind::Null;
+    default:
+        return Value::Kind::Number;
+    }
+}
+
+void
+Reader::open(char bracket)
+{
+    skipWs();
+    // The cap bounds every reader that recurses once per level.
+    if (depth_ == kMaxDepth)
+        fail("nesting depth exceeds 64");
+    expect(bracket);
+    first_[depth_++] = true;
+}
+
+bool
+Reader::nextKey(std::string_view &key)
+{
+    skipWs();
+    bool &first = first_[depth_ - 1];
+    if (first) {
+        first = false;
+        if (!eof() && text_[pos_] == '}') {
+            ++pos_;
+            --depth_;
+            return false;
+        }
+    } else {
+        if (eof())
+            fail("unterminated object");
+        if (text_[pos_] != ',') {
+            expect('}');
+            --depth_;
+            return false;
+        }
+        ++pos_;
+        skipWs();
+    }
+    if (eof() || text_[pos_] != '"')
+        fail("expected object key");
+    key = string();
+    skipWs();
+    expect(':');
+    return true;
+}
+
+bool
+Reader::nextElement()
+{
+    skipWs();
+    bool &first = first_[depth_ - 1];
+    if (first) {
+        first = false;
+        if (!eof() && text_[pos_] == ']') {
+            ++pos_;
+            --depth_;
+            return false;
+        }
+        return true;
+    }
+    if (eof())
+        fail("unterminated array");
+    if (text_[pos_] != ',') {
+        expect(']');
+        --depth_;
+        return false;
+    }
+    ++pos_;
+    return true;
+}
+
+bool
+Reader::boolean()
+{
+    skipWs();
+    const bool value = !eof() && text_[pos_] == 't';
+    literal(value ? "true" : "false");
+    return value;
+}
+
+void
+Reader::null()
+{
+    skipWs();
+    literal("null");
+}
+
+double
+Reader::number()
+{
+    skipWs();
+    const size_t start = pos_;
+    if (!eof() && text_[pos_] == '-')
+        ++pos_;
+    while (!eof() && isNumberByte(text_[pos_]))
+        ++pos_;
+    if (pos_ == start)
+        fail("expected a value");
+    const std::string_view token = text_.substr(start, pos_ - start);
+    // Up to 18 digits convert exactly as strtod would: the integer is
+    // exact and the conversion to double rounds to nearest.
+    const size_t sign = token[0] == '-' ? 1 : 0;
+    if (token.size() > sign && token.size() - sign <= 18 &&
+        std::all_of(token.begin() + sign, token.end(),
+                    [](char c) { return c >= '0' && c <= '9'; })) {
+        uint64_t n = 0;
+        for (size_t i = sign; i < token.size(); ++i)
+            n = 10 * n + static_cast<uint64_t>(token[i] - '0');
+        const double v = static_cast<double>(n);
+        return sign ? -v : v;
+    }
+    scratch_.assign(token);
+    char *end = nullptr;
+    const double v = std::strtod(scratch_.c_str(), &end);
+    if (end == scratch_.c_str() || *end != '\0')
+        fail("malformed number");
+    // JSON has no NaN/Infinity; also reject finite-looking tokens that
+    // overflow to infinity (e.g. 1e999).
+    if (!std::isfinite(v))
+        fail("number is not finite");
+    return v;
+}
+
+unsigned
+Reader::hex4()
+{
+    unsigned code = 0;
+    for (int i = 0; i < 4; ++i) {
+        if (eof())
+            fail("truncated \\u escape");
+        const char h = text_[pos_++];
+        code <<= 4;
+        if (h >= '0' && h <= '9')
+            code |= static_cast<unsigned>(h - '0');
+        else if (h >= 'a' && h <= 'f')
+            code |= static_cast<unsigned>(h - 'a' + 10);
+        else if (h >= 'A' && h <= 'F')
+            code |= static_cast<unsigned>(h - 'A' + 10);
+        else
+            fail("invalid \\u escape");
+    }
+    return code;
+}
+
+std::string_view
+Reader::string()
+{
+    skipWs();
+    expect('"');
+    // Runs of plain bytes are taken whole: a string with no escape is
+    // a view of the text, and one with escapes is built in scratch_.
+    bool escaped = false;
+    size_t run = pos_;
+    for (;;) {
+        while (!eof()) {
+            const char c = text_[pos_];
+            if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20)
+                break;
+            ++pos_;
+        }
+        if (eof())
+            fail("unterminated string");
+        const char c = text_[pos_++];
+        if (c == '"') {
+            if (!escaped)
+                return text_.substr(run, pos_ - 1 - run);
+            scratch_.append(text_.substr(run, pos_ - 1 - run));
+            return scratch_;
+        }
+        if (c != '\\')
+            fail("raw control character in string");
+        if (!escaped)
+            scratch_.clear();
+        escaped = true;
+        scratch_.append(text_.substr(run, pos_ - 1 - run));
+        if (eof())
+            fail("unterminated escape");
+        switch (const char e = text_[pos_++]) {
+        case '"':
+        case '\\':
+        case '/':
+            scratch_ += e;
+            break;
+        case 'b':
+            scratch_ += '\b';
+            break;
+        case 'f':
+            scratch_ += '\f';
+            break;
+        case 'n':
+            scratch_ += '\n';
+            break;
+        case 'r':
+            scratch_ += '\r';
+            break;
+        case 't':
+            scratch_ += '\t';
+            break;
+        case 'u': {
+            unsigned code = hex4();
+            if (code >= 0xDC00 && code <= 0xDFFF)
+                fail("lone low surrogate in \\u escape");
+            if (code >= 0xD800 && code <= 0xDBFF) {
+                // A high surrogate is only valid when paired with an
+                // immediately following \u low surrogate.
+                if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
+                    text_[pos_ + 1] != 'u')
+                    fail("lone high surrogate in \\u escape");
+                pos_ += 2;
+                const unsigned lo = hex4();
+                if (lo < 0xDC00 || lo > 0xDFFF)
+                    fail("high surrogate not followed by low surrogate "
+                         "in \\u escape");
+                code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
+            }
+            appendUtf8(scratch_, code);
+            break;
+        }
+        default:
+            fail("invalid escape character");
+        }
+        run = pos_;
+    }
+}
+
+void
+Reader::skip()
+{
+    switch (peek()) {
+    case Value::Kind::Object:
+        beginObject();
+        for (std::string_view key; nextKey(key);)
+            skip();
+        return;
+    case Value::Kind::Array:
+        beginArray();
+        while (nextElement())
+            skip();
+        return;
+    case Value::Kind::String:
+        string();
+        return;
+    case Value::Kind::Bool:
+        boolean();
+        return;
+    case Value::Kind::Null:
+        null();
+        return;
+    case Value::Kind::Number:
+        number();
+        return;
+    }
+}
+
+std::string
+Reader::mismatch(const char *expected)
+{
+    const Value::Kind kind = peek();
+    skip();
+    return std::string("JSON value is ") + kindName(kind) + ", expected " +
+           expected;
+}
+
+void
+Reader::finish()
+{
+    skipWs();
+    if (!eof())
+        fail("trailing content after JSON value");
 }
 
 Value
-parseFile(const std::string &path)
+parse(std::string_view text)
 {
-    return parse(readTextFile(path));
+    Reader reader(text);
+    Value value = readValue(reader);
+    reader.finish();
+    return value;
 }
 
 void

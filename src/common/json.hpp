@@ -1,11 +1,13 @@
 /**
  * @file
- * The repo's one JSON module. The reader parses strict JSON (no
- * comments, no trailing commas) into a small value tree for the tools
- * that load documents back in; parse errors raise UserError with a
- * line/column position. Every exporter writes through the Writer,
- * which makes all syntax decisions; docs/observability.md states the
- * resulting format contract.
+ * The repo's one JSON module. The Reader pulls strict JSON (no
+ * comments, no trailing commas) one value at a time; it is the only
+ * reader, and syntax errors raise UserError with a line/column
+ * position. parse() builds a small value tree on it for the small
+ * documents (serve requests, option values, metrics); the schedule
+ * and recording decoders read straight from it. Every exporter writes
+ * through the Writer, which makes all syntax decisions;
+ * docs/observability.md states the resulting format contract.
  */
 
 #ifndef AUTOBRAID_COMMON_JSON_HPP
@@ -92,11 +94,146 @@ class Value
     std::shared_ptr<Object> obj_;
 };
 
-/** Parse @p text as one JSON document; UserError on malformed input. */
-Value parse(const std::string &text);
+/**
+ * Pull reader over one JSON document. It builds nothing: the caller
+ * peeks at the kind of the value at the cursor and reads it, enters
+ * it, or skips it. Every value the cursor passes, skipped ones too, is
+ * checked by the same rules, and the first violation raises UserError
+ * with its line, column and byte. Containers nest at most 64 deep, so
+ * a reader that recurses once per level stays bounded. The caller
+ * must consume each value it steps onto, then call finish().
+ */
+class Reader
+{
+  public:
+    /** Reads @p text, which must outlive the reader. */
+    explicit Reader(std::string_view text) : text_(text) {}
 
-/** Read and parse @p path; UserError on IO or parse failure. */
-Value parseFile(const std::string &path);
+    /** Kind of the value at the cursor; raises at end of input. */
+    Value::Kind peek();
+
+    /** Enter the object or array at the cursor. */
+    void beginObject() { open('{'); }
+    void beginArray() { open('['); }
+
+    /**
+     * Step to the next member of the innermost object: true with the
+     * cursor on its value and @p key naming it, false past the '}'.
+     */
+    bool nextKey(std::string_view &key);
+
+    /** Step to the next element of the innermost array; false past ']'. */
+    bool nextElement();
+
+    /** Read the scalar at the cursor, of the kind peek() returned. */
+    bool boolean();
+    double number();
+    void null();
+    /**
+     * Read the string at the cursor, escapes decoded. The view, like a
+     * key from nextKey(), is valid until the next call.
+     */
+    std::string_view string();
+
+    /** Read past the value at the cursor. */
+    void skip();
+
+    /**
+     * Skip the value at the cursor and return the error Value's typed
+     * accessors raise for it: "JSON value is K, expected @p expected".
+     */
+    std::string mismatch(const char *expected);
+
+    /** Raise unless only whitespace follows the top-level value. */
+    void finish();
+
+  private:
+    static constexpr int kMaxDepth = 64;
+
+    [[noreturn]] void fail(const char *what) const;
+    bool eof() const { return pos_ >= text_.size(); }
+    void skipWs();
+    void expect(char c);
+    void literal(std::string_view word);
+    void open(char bracket);
+    unsigned hex4();
+
+    std::string_view text_;
+    size_t pos_ = 0;
+    int depth_ = 0;
+    /** Per open container: nothing read inside it yet. */
+    bool first_[kMaxDepth] = {};
+    std::string scratch_; ///< strings with escapes, number tokens
+};
+
+/** Parse @p text as one JSON document; UserError on malformed input. */
+Value parse(std::string_view text);
+
+/**
+ * One object member as a decoder sees it when it reads members in
+ * document order but must fail in a fixed order of checks: whether the
+ * member was present, and the first check its value failed. A repeated
+ * member replaces the earlier one, as in parse()'s tree.
+ */
+struct Member
+{
+    bool seen = false;
+    std::string error;
+
+    void set(std::string first_error)
+    {
+        seen = true;
+        error = std::move(first_error);
+    }
+};
+
+/**
+ * Read the value at @p r's cursor as an object whose members of
+ * interest are named by @p keys: call @p read(i) on the value of each
+ * member named keys[i] and keep what it returns as members[i]'s error,
+ * and skip every other member. A value that is not an object is
+ * skipped and leaves every Member unseen, as find() on it would.
+ */
+template <size_t N, typename Read>
+void
+readMembers(Reader &r, const char *const (&keys)[N], Member (&members)[N],
+            Read read)
+{
+    if (r.peek() != Value::Kind::Object) {
+        r.skip();
+        return;
+    }
+    r.beginObject();
+    for (std::string_view key; r.nextKey(key);) {
+        size_t i = 0;
+        while (i < N && key != keys[i])
+            ++i;
+        if (i < N)
+            members[i].set(read(i));
+        else
+            r.skip();
+    }
+}
+
+/**
+ * Read the array at @p r's cursor, which the caller has checked is
+ * one: call @p element for each element until it returns an error,
+ * skip the rest, and return that error ("" when none).
+ */
+template <typename Element>
+std::string
+readElements(Reader &r, Element element)
+{
+    std::string error;
+    r.beginArray();
+    while (r.nextElement()) {
+        if (error.empty())
+            error = element();
+        else
+            r.skip();
+    }
+    return error;
+}
 
 /**
  * Streaming JSON writer appending to a caller-owned string. It builds

@@ -62,8 +62,8 @@ std::string scheduleToJson(const ScheduleExportInfo &info,
 
 /**
  * The same document as plain values, for certifying without a text
- * round trip: equal, field for field, to decoding scheduleToJson()'s
- * output with certify::decodeSchedule().
+ * round trip: equal, field for field, to certify::decodeSchedule() of
+ * scheduleToJson()'s text.
  */
 certify::Schedule scheduleDocument(const ScheduleExportInfo &info,
                                    const ScheduleResult &result);

@@ -42,13 +42,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace autobraid {
-
-namespace json {
-class Value;
-}
 
 namespace telemetry {
 
@@ -168,16 +165,21 @@ struct FlightRecording
 };
 
 /**
- * Decode a document written by FlightRecording::toJson, blocked events
- * included, so toJson() of the result reproduces it. Raises UserError
- * naming the field when @p doc is not one: every number must be an
+ * Decode @p text, a document written by FlightRecording::toJson,
+ * blocked events included, so toJson() of the result reproduces it.
+ * It reads straight from json::Reader and builds no tree. Raises
+ * UserError on malformed JSON, and naming the field when @p text is
+ * not a recording: every number must be an
  * exact non-negative integer (a gate operand may also be -1, none),
  * vertex_busy_cycles must have grid_rows x grid_cols entries, and each
  * gate operand must be below that count. Recordings always satisfy
  * both: the heatmap has one entry per vertex, and a qubit index is
- * below the tile count.
+ * below the tile count. Decode errors wait until the whole text has
+ * been read, so a syntax error anywhere wins; among decode errors the
+ * first in a fixed field order wins, whatever order the members come
+ * in, and a repeated member counts only as its last occurrence.
  */
-FlightRecording decodeRecording(const json::Value &doc);
+FlightRecording decodeRecording(std::string_view text);
 
 /**
  * Live recorder for one scheduling run. The scheduler calls the on*

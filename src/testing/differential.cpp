@@ -153,8 +153,11 @@ checkCertificate(const FuzzCase &c, const char *name,
             std::string what = "rejected the schedule:";
             const size_t shown =
                 std::min<size_t>(cert.violations.size(), 3);
-            for (size_t i = 0; i < shown; ++i)
-                what += " " + cert.violations[i].toString() + ";";
+            for (size_t i = 0; i < shown; ++i) {
+                what += ' ';
+                what += cert.violations[i].toString();
+                what += ';';
+            }
             if (cert.violations.size() > shown)
                 what += strformat(" (+%zu more)",
                                   cert.violations.size() - shown);

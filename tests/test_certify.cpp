@@ -6,12 +6,15 @@
  * agreement of the in-memory and text front ends (clean schedules and
  * seeded corruptions alike), the --schedule-out pipeline pass,
  * certificate JSON shape, the AB4xx schedule lints, and the
- * fix-application engine.
+ * fix-application engine, and the streaming decoders against the tree
+ * decoders they replaced (json_reference.hpp) on every truncation and
+ * single-byte edit of a small corpus.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/certify.hpp"
@@ -22,7 +25,9 @@
 #include "common/text.hpp"
 #include "compiler/driver.hpp"
 #include "gen/registry.hpp"
+#include "json_reference.hpp"
 #include "sched/schedule_export.hpp"
+#include "telemetry/recorder.hpp"
 
 namespace autobraid {
 namespace {
@@ -263,15 +268,22 @@ certifyError(const std::string &doc)
     return "";
 }
 
+/** @p doc with each @p edits pair's first occurrence replaced. */
+std::string
+edited(std::string doc,
+       const std::vector<std::pair<std::string, std::string>> &edits)
+{
+    for (const auto &[from, to] : edits)
+        doc.replace(doc.find(from), from.size(), to);
+    return doc;
+}
+
 /** The valid hand-built document with each @p edits pair applied. */
 std::string
 handDocWith(
     const std::vector<std::pair<std::string, std::string>> &edits)
 {
-    std::string doc = handDoc("14", kGoodSchedule);
-    for (const auto &[from, to] : edits)
-        doc.replace(doc.find(from), from.size(), to);
-    return doc;
+    return edited(handDoc("14", kGoodSchedule), edits);
 }
 
 TEST(Certify, HostileNumbersRejectedBeforeAllocation)
@@ -508,6 +520,275 @@ TEST(Certify, CertificateJsonParses)
     EXPECT_DOUBLE_EQ(doc.find("optimality_gap")->asNumber(), 1.0);
     ASSERT_NE(doc.find("violations"), nullptr);
     EXPECT_TRUE(doc.find("violations")->asArray().empty());
+}
+
+// --------------------------------------------------------------------
+// The streaming decoders against the tree decoders they replaced
+// --------------------------------------------------------------------
+
+/** @p decode's output, or "UserError: " and its text. */
+template <typename Decode>
+std::string
+outcome(Decode decode)
+{
+    try {
+        return decode();
+    } catch (const UserError &e) {
+        return std::string("UserError: ") + e.what();
+    }
+}
+
+/** @p v in one canonical compact form, numbers to 17 digits. */
+void
+dump(const json::Value &v, json::Writer &w)
+{
+    switch (v.kind()) {
+    case json::Value::Kind::Null:
+        w.null();
+        break;
+    case json::Value::Kind::Bool:
+        w.value(v.asBool());
+        break;
+    case json::Value::Kind::Number:
+        w.significant(v.asNumber(), 17);
+        break;
+    case json::Value::Kind::String:
+        w.value(v.asString());
+        break;
+    case json::Value::Kind::Array:
+        w.beginArray();
+        for (const json::Value &item : v.asArray())
+            dump(item, w);
+        w.end();
+        break;
+    case json::Value::Kind::Object:
+        w.beginObject();
+        for (const auto &[key, member] : v.asObject()) {
+            w.key(key);
+            dump(member, w);
+        }
+        w.end();
+        break;
+    }
+}
+
+std::string
+dumped(const json::Value &v)
+{
+    std::string out;
+    json::Writer w(out);
+    dump(v, w);
+    return out;
+}
+
+/** Where the library and the reference first disagree, if anywhere. */
+struct Differences
+{
+    size_t cases = 0;
+    size_t count = 0;
+    std::string first;
+
+    void
+    compare(const char *what, const std::string &doc,
+            const std::string &library, const std::string &reference)
+    {
+        ++cases;
+        if (library == reference)
+            return;
+        if (count++ == 0)
+            first = std::string(what) + " differs on:\n" + doc +
+                    "\nlibrary:   " + library +
+                    "\nreference: " + reference;
+    }
+};
+
+/**
+ * Run @p check on @p doc and on every truncation, every single-byte
+ * deletion and every substitution from @p bytes of it.
+ */
+template <typename Check>
+void
+forEachEdit(const std::string &doc, std::string_view bytes, Check check)
+{
+    check(doc);
+    for (size_t n = 0; n < doc.size(); ++n)
+        check(doc.substr(0, n));
+    for (size_t i = 0; i < doc.size(); ++i) {
+        std::string edited = doc;
+        edited.erase(i, 1);
+        check(edited);
+        for (char b : bytes) {
+            if (b == doc[i])
+                continue;
+            edited = doc;
+            edited[i] = b;
+            check(edited);
+        }
+    }
+}
+
+TEST(TreeReference, ParseAgreesOnEveryEdit)
+{
+    const std::string docs[] = {
+        handDoc("14", kGoodSchedule),
+        R"({"s": ["a\u00e9\ud83d\ude00\n\/", ""], "n": [-0, 1e-400, )"
+        R"(15E-1, 01, +1, -2.5e+3], "t": true, "f": false, "z": null})"};
+    Differences diff;
+    const auto compare = [&diff](const std::string &text) {
+        diff.compare("json::parse", text,
+                     outcome([&] { return dumped(json::parse(text)); }),
+                     outcome([&] { return dumped(reference::parse(text)); }));
+    };
+    for (const std::string &doc : docs)
+        forEachEdit(doc, "\"\\,:[]{}0-.e +ux\n", compare);
+    EXPECT_EQ(diff.count, 0u) << diff.first;
+}
+
+/** Compare @p decode with @p reference_decode of the reference tree. */
+template <typename Decode, typename ReferenceDecode>
+void
+compareDecoders(Differences &diff, const std::string &doc, Decode decode,
+                ReferenceDecode reference_decode)
+{
+    diff.compare("decoder", doc, outcome([&] { return decode(doc); }),
+                 outcome([&] {
+                     return reference_decode(reference::parse(doc));
+                 }));
+}
+
+std::string
+certified(const std::string &doc)
+{
+    return certify::certifySchedule(certify::decodeSchedule(doc)).toJson();
+}
+
+std::string
+referenceCertified(const json::Value &tree)
+{
+    return certify::certifySchedule(reference::decodeSchedule(tree))
+        .toJson();
+}
+
+std::string
+recordingJson(const std::string &doc)
+{
+    return telemetry::decodeRecording(doc).toJson();
+}
+
+std::string
+referenceRecordingJson(const json::Value &tree)
+{
+    return reference::decodeRecording(tree).toJson();
+}
+
+/** A traced compile whose exports embed an identity placement. */
+struct SmallExport : Compiled
+{
+    Placement placement;
+
+    SmallExport(const char *spec, CompileOptions options)
+        : Compiled(spec, std::move(options)),
+          placement(grid, circuit.numQubits())
+    {}
+
+    std::string
+    json(const ScheduleResult &result) const
+    {
+        ScheduleExportInfo with_placement = info();
+        with_placement.placement = &placement;
+        return scheduleToJson(with_placement, result);
+    }
+};
+
+/** A CX on a 2x2 vertex grid that waits two cycles for a channel. */
+std::string
+smallRecording()
+{
+    telemetry::FlightRecorder recorder(2, 4);
+    recorder.meta().grid_rows = 2;
+    recorder.meta().grid_cols = 2;
+    recorder.gate(0).kind = "h";
+    recorder.gate(0).q0 = 0;
+    recorder.gate(1).kind = "cx";
+    recorder.gate(1).q0 = 0;
+    recorder.gate(1).q1 = 3;
+    recorder.onRetired(0, 1);
+    recorder.onBlocked(1, 1, telemetry::StallCause::Congestion);
+    recorder.onDispatched(1, 3);
+    const int32_t held[] = {1, 2};
+    recorder.onRegionHeld(held, 2, 3, 5);
+    recorder.onRetired(1, 5);
+    return recorder.finish(5).toJson();
+}
+
+TEST(TreeReference, DecodersAgreeOnEveryEdit)
+{
+    const SmallExport braiding("ghz:2", traced(SchedulerBackend::Braiding));
+    const SmallExport surgery("ghz:2",
+                              traced(SchedulerBackend::LatticeSurgery));
+    // The braiding run again, with a SWAP inserted after its CX.
+    ScheduleResult swapped = braiding.report.result;
+    TraceEntry swap = swapped.trace.back();
+    swap.gate = kNoGate;
+    swap.swap_a = 0;
+    swap.swap_b = 1;
+    swapped.trace.push_back(swap);
+    swapped.swaps_inserted = 1;
+    const std::string schedules[] = {
+        handDoc("14", kGoodSchedule), braiding.json(braiding.report.result),
+        surgery.json(surgery.report.result), braiding.json(swapped)};
+
+    Differences diff;
+    constexpr std::string_view kBytes = ",]}09-.e";
+    for (const std::string &doc : schedules)
+        forEachEdit(doc, kBytes, [&](const std::string &text) {
+            compareDecoders(diff, text, certified, referenceCertified);
+        });
+    forEachEdit(smallRecording(), kBytes, [&](const std::string &text) {
+        compareDecoders(diff, text, recordingJson, referenceRecordingJson);
+    });
+    EXPECT_EQ(diff.count, 0u) << diff.first;
+}
+
+TEST(TreeReference, DecodersPickTheSameFault)
+{
+    // With several faults in one document, a syntax error anywhere
+    // wins, decode errors come out in check order, not document order,
+    // and a repeated member counts only as its last occurrence.
+    const std::string hand = handDoc("14", kGoodSchedule);
+    const std::string recording = smallRecording();
+    Differences diff;
+    for (const std::string &doc :
+         {edited(hand, {{"\"dead_vertices\": []", "\"dead_vertices\": 1"},
+                        {"\n}", ", \"version\": 2\n}"}}),
+          edited(hand, {{"\"version\": 1", "\"version\": 2"},
+                        {"[0, 1, 2]", "[0, 1 2]"}}),
+          edited(hand, {{"\"version\": 1", "\"version\": 2"}}) + "x",
+          edited(hand, {{"{\n", "{\"makespan\": \"x\", \"gates\": 1,\n"}}),
+          edited(hand, {{"\"q1\": 1}", "\"q1\": 1, \"q0\": -1e300, "
+                                        "\"kind\": 4}"},
+                        {"\"path\": []", "\"path\": [], \"gate\": 2"}}),
+          "[" + hand + "]"})
+        compareDecoders(diff, doc, certified, referenceCertified);
+    for (const std::string &doc :
+         {edited(recording, {{"\n}", ", \"grid_rows\": 1\n}"}}),
+          edited(recording, {{"[0, 2, 2, 0]", "[0, 2, -2, 0, 5]"}}),
+          edited(recording, {{"\"q1\": 3", "\"q1\": 7"},
+                             {"\"blocked_attempts\": 1",
+                              "\"blocked_attempts\": -1"}}),
+          edited(recording, {{"\"kind\": \"cx\"", "\"kinds\": \"cx\""},
+                             {"\"q0\": 0, \"q1\": 3", "\"q0\": 9, \"q1\": 3"}}),
+          edited(recording, {{"\"gate\": 1, \"kind\"",
+                              "\"q1\": 9, \"gate\": 1, \"kind\""}}),
+          edited(recording, {{"\"version\": 1", "\"version\": 1, "
+                                                "\"format\": 0"}}),
+          edited(recording, {{"[0, 2, 2, 0]", "[0, 2]"},
+                             {"\n}", ", \"grid_rows\": 1\n}"}}),
+          edited(recording, {{"\"version\": 1", "\"version\": 7"},
+                             {"[0, 2, 2, 0]", "[0, 2, 2, 0"}})})
+        compareDecoders(diff, doc, recordingJson, referenceRecordingJson);
+    EXPECT_EQ(diff.count, 0u) << diff.first;
+    EXPECT_EQ(diff.cases, 14u);
 }
 
 // --------------------------------------------------------------------

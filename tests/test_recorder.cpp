@@ -181,7 +181,7 @@ TEST_P(RecorderLifecycle, DecodeRoundTripsToJson)
     ASSERT_NE(report.result.recording, nullptr);
     const std::string text = report.result.recording->toJson();
     const telemetry::FlightRecording back =
-        telemetry::decodeRecording(json::parse(text));
+        telemetry::decodeRecording(text);
     EXPECT_FALSE(back.blocked.empty());
     EXPECT_EQ(back.toJson(), text);
 }
@@ -247,7 +247,7 @@ std::string
 decodeError(const std::string &text)
 {
     try {
-        telemetry::decodeRecording(json::parse(text));
+        telemetry::decodeRecording(text);
     } catch (const UserError &e) {
         return e.what();
     }

@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -78,10 +79,28 @@ writeOut(const std::string &path, const std::string &text)
         writeTextFile(path, text);
 }
 
+/**
+ * Whether @p text is a recording: its top-level "format", the last
+ * one when repeated, is the string "autobraid-recording". It reads the
+ * whole text without a tree, so malformed JSON raises here.
+ */
 bool
-isRecordingDoc(const json::Value &doc)
+isRecordingText(std::string_view text)
 {
-    return doc.stringOr("format", "") == "autobraid-recording";
+    static constexpr const char *kFormat[] = {"format"};
+    json::Reader r(text);
+    json::Member format[1];
+    bool recording = false;
+    json::readMembers(r, kFormat, format, [&r, &recording](size_t) {
+        recording = r.peek() == json::Value::Kind::String;
+        if (recording)
+            recording = r.string() == "autobraid-recording";
+        else
+            r.skip();
+        return std::string();
+    });
+    r.finish();
+    return recording;
 }
 
 bool
@@ -327,12 +346,12 @@ struct FlatDoc
 FlatDoc
 flatten(const std::string &path)
 {
-    const json::Value doc = json::parseFile(path);
+    const std::string text = readTextFile(path);
     FlatDoc flat;
-    if (isRecordingDoc(doc)) {
+    if (isRecordingText(text)) {
         flat.kind = "recording";
         const telemetry::FlightRecording rec =
-            telemetry::decodeRecording(doc);
+            telemetry::decodeRecording(text);
         flat.entries.emplace_back(
             "makespan", static_cast<double>(rec.makespan));
         for (size_t c = 0; c < telemetry::kNumStallCauses; ++c)
@@ -349,6 +368,7 @@ flatten(const std::string &path)
             "gates", static_cast<double>(rec.gates.size()));
         return flat;
     }
+    const json::Value doc = json::parse(text);
     if (isMetricsDoc(doc)) {
         flat.kind = "metrics";
         for (const auto &[name, v] :
@@ -521,7 +541,7 @@ run(int argc, char **argv)
         if (inputs.size() != 1)
             fatal("%s needs exactly one recording", cmd.c_str());
         const telemetry::FlightRecording rec =
-            telemetry::decodeRecording(json::parseFile(inputs[0]));
+            telemetry::decodeRecording(readTextFile(inputs[0]));
         if (cmd == "timeline")
             writeOut(out, runTimeline(rec));
         else if (cmd == "summary")
