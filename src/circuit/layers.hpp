@@ -27,9 +27,12 @@ std::vector<std::vector<GateIdx>> asapLayers(const Circuit &circuit);
 
 /**
  * The per-layer sets of concurrent braid-requiring gates (CX and Swap).
- * Layers with no such gates are dropped.
+ * Layers with no such gates are dropped. With @p max_sets > 0, at most
+ * that many sets are built, sampled evenly by index from the full list
+ * (stride total / max_sets) and kept in layer order.
  */
-std::vector<std::vector<GateIdx>> concurrentCxSets(const Circuit &circuit);
+std::vector<std::vector<GateIdx>>
+concurrentCxSets(const Circuit &circuit, size_t max_sets = 0);
 
 } // namespace autobraid
 

@@ -4,12 +4,15 @@
  *
  * These are the union-find fixpoint `computeLlgs`, `isStrictlyNested`
  * and `llgStats`, the per-set `setCost` and the `annealPlacement` loop
- * that the library used before the allocation-free kernel, copied
- * unchanged apart from `inline`, the namespace, and `reference::` on
- * the calls that argument-dependent lookup would make ambiguous with
- * the library's functions of the same name. Tests compare the
- * library against them: the same groups and statistics for every task
- * set, and the same placement and counters for every anneal.
+ * that the library used before the allocation-free kernel, and the
+ * layer-by-layer `asapLayers`, `concurrentCxSets` and `sampleSets` it
+ * used before the one-pass layering, copied unchanged apart from
+ * `inline`, the namespace, and `reference::` on the calls that
+ * argument-dependent lookup would make ambiguous with the library's
+ * functions of the same name. Tests compare the library against them:
+ * the same layers and sampled sets for every circuit, the same groups
+ * and statistics for every task set, and the same placement and
+ * counters for every anneal.
  */
 
 #ifndef AUTOBRAID_TESTS_LLG_REFERENCE_HPP
@@ -154,11 +157,47 @@ constexpr long kOpBudget = 40'000'000;
 constexpr int kMinIterations = 64;
 constexpr int kMaxIterations = 4000;
 
+inline std::vector<std::vector<GateIdx>>
+asapLayers(const Circuit &circuit)
+{
+    std::vector<size_t> qubit_depth(
+        static_cast<size_t>(circuit.numQubits()), 0);
+    std::vector<std::vector<GateIdx>> layers;
+    for (GateIdx g = 0; g < circuit.size(); ++g) {
+        const Gate &gate = circuit.gate(g);
+        size_t d = qubit_depth[static_cast<size_t>(gate.q0)];
+        if (gate.q1 != kNoQubit)
+            d = std::max(d, qubit_depth[static_cast<size_t>(gate.q1)]);
+        if (d >= layers.size())
+            layers.resize(d + 1);
+        layers[d].push_back(g);
+        qubit_depth[static_cast<size_t>(gate.q0)] = d + 1;
+        if (gate.q1 != kNoQubit)
+            qubit_depth[static_cast<size_t>(gate.q1)] = d + 1;
+    }
+    return layers;
+}
+
+inline std::vector<std::vector<GateIdx>>
+concurrentCxSets(const Circuit &circuit)
+{
+    std::vector<std::vector<GateIdx>> sets;
+    for (auto &layer : reference::asapLayers(circuit)) {
+        std::vector<GateIdx> cxs;
+        for (GateIdx g : layer)
+            if (needsBraid(circuit.gate(g).kind))
+                cxs.push_back(g);
+        if (!cxs.empty())
+            sets.push_back(std::move(cxs));
+    }
+    return sets;
+}
+
 /** Evenly sample at most @p max_sets concurrent sets. */
 inline std::vector<std::vector<GateIdx>>
 sampleSets(const Circuit &circuit, size_t max_sets)
 {
-    auto sets = concurrentCxSets(circuit);
+    auto sets = reference::concurrentCxSets(circuit);
     if (sets.size() <= max_sets || max_sets == 0)
         return sets;
     std::vector<std::vector<GateIdx>> sampled;

@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -220,12 +221,10 @@ TEST(ToolDoc, SharedExitCodeConvention)
 // std::terminate/abort (the raw-stoi failure mode) and never a silent
 // success.
 
-/** Run @p command with silenced output; returns the exit code. */
+/** The exit code of a finished command's wait @p status. */
 int
-runTool(const std::string &command)
+exitCode(int status)
 {
-    const int status =
-        std::system((command + " >/dev/null 2>&1").c_str());
     if (status < 0)
         return -1;
 #ifdef WEXITSTATUS
@@ -235,6 +234,32 @@ runTool(const std::string &command)
 #else
     return status;
 #endif
+}
+
+/** Run @p command with silenced output; returns the exit code. */
+int
+runTool(const std::string &command)
+{
+    return exitCode(
+        std::system((command + " >/dev/null 2>&1").c_str()));
+}
+
+/**
+ * Run @p command; returns the exit code and puts what it wrote to
+ * stdout and stderr in @p output.
+ */
+int
+runToolCapture(const std::string &command, std::string &output)
+{
+    output.clear();
+    std::FILE *pipe = ::popen((command + " 2>&1").c_str(), "r");
+    if (!pipe)
+        return -1;
+    char buf[4096];
+    size_t got;
+    while ((got = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
+        output.append(buf, got);
+    return exitCode(::pclose(pipe));
 }
 
 struct BadFlagCase
@@ -326,6 +351,22 @@ TEST(ToolExit, HostileQasmExitsTwo)
             const int code = runTool(std::string(bin) + " " + file);
             EXPECT_EQ(code, 2) << bin << " " << file << " exited " << code;
         }
+    }
+}
+
+TEST(ToolExit, DirectoryInputIsAReadError)
+{
+    // A directory opens like a file; the tools that read whole
+    // documents must report the failed read and exit 2.
+    const std::string dir = testing::TempDir();
+    for (const std::string &command :
+         {std::string(AB_CERTIFY_BIN) + " " + dir,
+          std::string(AB_INSPECT_BIN) + " summary " + dir}) {
+        std::string output;
+        EXPECT_EQ(runToolCapture(command, output), 2) << command;
+        EXPECT_NE(output.find("read error on '" + dir + "'"),
+                  std::string::npos)
+            << command << " printed: " << output;
     }
 }
 

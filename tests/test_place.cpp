@@ -280,10 +280,37 @@ TEST(Annealer, ObjectivesMatchReference)
             << "max_sets " << max_sets;
     }
     long oversize = 0;
-    for (const auto &set : concurrentCxSets(circuit))
+    for (const auto &set : reference::concurrentCxSets(circuit))
         oversize += static_cast<long>(
             reference::llgStats(identity.tasks(circuit, set)).oversize);
     EXPECT_EQ(countOversizeLlgs(circuit, identity), oversize);
+}
+
+TEST(Layers, OnePassMatchesReference)
+{
+    // Every caller's layers come from one depth pass: its ASAP layers
+    // and its sampled concurrent sets must equal the layer-by-layer
+    // reference's, in the same order.
+    std::vector<Circuit> circuits;
+    for (const char *spec : {"qft:16", "qft:40", "qpe:6:3",
+                             "randct:9:200:1", "adder:8", "qaoa:16:2"})
+        circuits.push_back(gen::make(spec));
+    Circuit no_cx(3);
+    no_cx.h(0);
+    no_cx.h(2);
+    circuits.push_back(no_cx);
+    circuits.emplace_back(2);
+    for (const Circuit &circuit : circuits) {
+        SCOPED_TRACE(testing::Message()
+                     << circuit.size() << " gates on "
+                     << circuit.numQubits() << " qubits");
+        EXPECT_EQ(asapLayers(circuit), reference::asapLayers(circuit));
+        for (size_t max_sets :
+             {size_t{0}, size_t{1}, size_t{7}, size_t{16}, kAnnealMaxSets})
+            EXPECT_EQ(concurrentCxSets(circuit, max_sets),
+                      reference::sampleSets(circuit, max_sets))
+                << "max_sets " << max_sets;
+    }
 }
 
 TEST(Annealer, NoCxCircuitIsNoop)
