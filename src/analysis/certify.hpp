@@ -39,6 +39,7 @@
 #include "circuit/gate.hpp"
 #include "common/json.hpp"
 #include "lattice/geometry.hpp"
+#include "sched/backend.hpp"
 
 namespace autobraid {
 namespace certify {
@@ -125,6 +126,16 @@ struct Certificate
     /** format=autobraid-certificate v1 JSON. */
     std::string toJson() const;
 };
+
+/**
+ * The certifier's own duration of a @p kind gate at code distance
+ * @p distance (>= 1) under @p backend, written from the documented cost
+ * model rather than taken from the scheduler's: CX 2d+2 and SWAP
+ * 3(2d+2) when braiding, 2d and 3*2d under lattice surgery; H and
+ * measurement d; S/Sdg 1; T/Tdg/RX/RY/RZ 2; I, X, Y, Z and barrier 0.
+ */
+Cycles expectedDuration(GateKind kind, SchedulerBackend backend,
+                        int distance);
 
 /**
  * Decode autobraid-schedule @p text. Malformed JSON, wrong

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/join_guard.hpp"
 #include "gen/registry.hpp"
 
 namespace autobraid {
@@ -115,24 +116,13 @@ BatchCompiler::compileAll()
         worker();
         return results;
     }
-    // Scope guard: if emplace_back throws mid-spawn (thread-resource
-    // exhaustion), the threads already running must still be joined
-    // on the way out or ~thread() calls std::terminate.
-    struct JoinGuard
-    {
-        std::vector<std::thread> threads;
-        ~JoinGuard()
-        {
-            for (std::thread &t : threads)
-                if (t.joinable())
-                    t.join();
-        }
-    } guard;
+    // If emplace_back throws mid-spawn (thread-resource exhaustion),
+    // the guard still joins the threads already running.
+    JoinGuard guard;
     guard.threads.reserve(pool);
     for (size_t t = 0; t < pool; ++t)
         guard.threads.emplace_back(worker);
-    for (std::thread &t : guard.threads)
-        t.join();
+    guard.join();
     return results;
 }
 

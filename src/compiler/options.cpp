@@ -104,6 +104,11 @@ CompileOptions::validate() const
     if (route_jobs < 1 || route_jobs > kMaxWorkerThreads)
         fatal("option 'route_jobs' must be an integer in [1, %d], got %d",
               kMaxWorkerThreads, route_jobs);
+    for (const std::string &s : lint.suppressions)
+        if (!knownSuppression(s))
+            fatal("unknown lint suppression '%s' (expected a "
+                  "diagnostic code like AB101 or a family like AB1xx)",
+                  s.c_str());
 }
 
 void
@@ -119,11 +124,6 @@ CompileOptions::validate(const Circuit &circuit) const
             fatal("dead vertex %d outside the %dx%d grid "
                   "(%d routing vertices)",
                   v, grid.rows(), grid.cols(), grid.numVertices());
-    for (const std::string &s : lint.suppressions)
-        if (!knownSuppression(s))
-            fatal("unknown lint suppression '%s' (expected a "
-                  "diagnostic code like AB101 or a family like AB1xx)",
-                  s.c_str());
 }
 
 bool

@@ -62,7 +62,7 @@ struct CompileOptions : SchedulerConfig
      * Static analysis. Level Off (the default) skips the lint and
      * schedule-lint stages entirely; any other level runs them and
      * surfaces their diagnostics as CompileReport::lint. Suppressions
-     * are validated against the catalog by validate(circuit).
+     * are validated against the catalog by validate().
      */
     lint::LintOptions lint{lint::LintLevel::Off, {}, false};
 
@@ -82,18 +82,20 @@ struct CompileOptions : SchedulerConfig
     /**
      * Reject an option outside its one range with a UserError naming
      * it: distance in [1, 9999], p in [0, 1] (NaN too), teleport in
-     * [0, 10^9] and route_jobs in [1, kMaxWorkerThreads]. The seed is
-     * unbounded here, since the BatchCompiler derives 64-bit seeds.
+     * [0, 10^9], route_jobs in [1, kMaxWorkerThreads], and every lint
+     * suppression a diagnostic code or family of the catalog. The seed
+     * is unbounded here, since the BatchCompiler derives 64-bit seeds.
      * The front ends call this right after parsing, so a bad option
-     * fails before any circuit is built.
+     * fails before any circuit is built, and with the same exit code
+     * whether the compiles then run in a batch or not.
      */
     void validate() const;
 
     /**
      * validate(), then reject what only @p circuit can show: a
-     * zero-qubit circuit, dead vertices outside its grid, and unknown
-     * lint suppressions. Called by compileCircuit, so every compile
-     * (batch and serve jobs included) passes through it.
+     * zero-qubit circuit and dead vertices outside its grid. Called by
+     * compileCircuit, so every compile (batch and serve jobs included)
+     * passes through it.
      */
     void validate(const Circuit &circuit) const;
 };

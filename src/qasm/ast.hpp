@@ -12,6 +12,7 @@
 #ifndef AUTOBRAID_QASM_AST_HPP
 #define AUTOBRAID_QASM_AST_HPP
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -114,6 +115,12 @@ struct GateDecl
     std::vector<std::string> qargs;
     std::vector<GateCall> body;
     int line = 0;
+    /**
+     * Builtin gate calls (and body barriers) one call of this gate
+     * expands to, at least 1 and saturating just past the parser's
+     * kMaxGateCalls.
+     */
+    uint64_t calls = 0;
 };
 
 /** A parsed OpenQASM 2.0 program. */

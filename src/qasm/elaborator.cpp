@@ -181,7 +181,8 @@ class Elaborator
          const std::vector<Qubit> &qubits, int line, int depth)
     {
         if (depth > 64)
-            fatal("qasm:%d: gate expansion too deep (recursive gate?)",
+            fatal("qasm:%d: gate expansion nests more than 64 gate "
+                  "definitions deep",
                   line);
         if (emitBuiltin(name, params, qubits, line))
             return;

@@ -1,7 +1,9 @@
 #include "qasm/parser.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -27,6 +29,7 @@ class Parser
         expectHeader();
         while (!peek(TokenKind::Eof))
             parseStatement(prog);
+        checkExpansion(prog);
         return prog;
     }
 
@@ -43,6 +46,8 @@ class Parser
     int depth_ = 0;
     int qubits_ = 0; ///< qubits declared so far
     int clbits_ = 0; ///< classical bits declared so far
+    /** Non-barrier names gate bodies called before their definition. */
+    std::map<std::string, int> called_undefined_;
 
     const Token &cur() const { return tokens_[pos_]; }
 
@@ -272,7 +277,72 @@ class Parser
         if (prog.gates.count(decl.name))
             fatal("qasm:%d: gate '%s' redeclared", decl.line,
                   decl.name.c_str());
+        // The size counts a callee defined above as its own size and
+        // any other name as one builtin call, which holds only while
+        // no gate of that name is defined later. An empty body counts
+        // as one call, so that calling it still costs the elaborator.
+        for (const GateCall &call : decl.body) {
+            uint64_t calls = 1;
+            if (const auto it = prog.gates.find(call.name);
+                it != prog.gates.end())
+                calls = it->second.calls;
+            else if (call.name != "barrier")
+                called_undefined_.emplace(call.name, call.line);
+            decl.calls = std::min(decl.calls + calls, kMaxGateCalls + 1);
+        }
+        decl.calls = std::max<uint64_t>(decl.calls, 1);
+        if (const auto it = called_undefined_.find(decl.name);
+            it != called_undefined_.end())
+            fatal("qasm:%d: gate '%s' is defined after the gate body "
+                  "that calls it on line %d",
+                  decl.line, decl.name.c_str(), it->second);
         prog.gates.emplace(decl.name, std::move(decl));
+    }
+
+    /**
+     * Reject @p prog, naming the statement, once its top-level
+     * statements add up to more than kMaxGateCalls builtin gate calls:
+     * each call's expanded size times its broadcast width, and one
+     * call per measured, reset or barrier qubit.
+     */
+    static void
+    checkExpansion(const Program &prog)
+    {
+        const auto width = [&prog](const Argument &arg) -> uint64_t {
+            if (!arg.wholeRegister())
+                return 1;
+            const int size = prog.qregSize(arg.reg);
+            return size > 0 ? size : 1;
+        };
+        uint64_t total = 0;
+        for (const Statement &stmt : prog.statements) {
+            int line = 0;
+            if (const auto *call = std::get_if<GateCall>(&stmt)) {
+                uint64_t broadcast = 1;
+                for (const Argument &arg : call->args)
+                    broadcast = std::max(broadcast, width(arg));
+                const auto it = prog.gates.find(call->name);
+                total += broadcast *
+                         (it == prog.gates.end() ? 1 : it->second.calls);
+                line = call->line;
+            } else if (const auto *m = std::get_if<MeasureStmt>(&stmt)) {
+                total += width(m->src);
+                line = m->line;
+            } else if (const auto *r = std::get_if<ResetStmt>(&stmt)) {
+                total += width(r->arg);
+                line = r->line;
+            } else {
+                const auto &b = std::get<BarrierStmt>(stmt);
+                for (const Argument &arg : b.args)
+                    total += width(arg);
+                line = b.line;
+            }
+            if (total > kMaxGateCalls)
+                fatal("qasm:%d: statement takes the program past %llu "
+                      "builtin gate calls",
+                      line,
+                      static_cast<unsigned long long>(kMaxGateCalls));
+        }
     }
 
     GateCall

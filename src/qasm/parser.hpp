@@ -15,11 +15,18 @@
  * tree it builds stays shallow enough for the recursive eval, clone and
  * destructor, and a program declares at most kMaxQubits qubits and
  * kMaxQubits classical bits, checked before anything is allocated.
+ * Nor can a short program expand to a huge circuit: each gate
+ * definition's expanded size is computed when it is defined, a gate
+ * body may call only builtins and the gates defined above it (as
+ * OpenQASM 2.0 requires), and a program whose top-level statements
+ * expand past kMaxGateCalls builtin gate calls is rejected before
+ * anything expands.
  */
 
 #ifndef AUTOBRAID_QASM_PARSER_HPP
 #define AUTOBRAID_QASM_PARSER_HPP
 
+#include <cstdint>
 #include <string>
 
 #include "qasm/ast.hpp"
@@ -29,6 +36,14 @@ namespace qasm {
 
 /** Most qubits a program may declare: 2^20, the certifier's tile cap. */
 constexpr int kMaxQubits = 1 << 20;
+
+/**
+ * Most builtin gate calls a program may expand to, counting each
+ * statement's calls times its broadcast width: 2^22, over 20 times the
+ * 179,235 gates of shor:234, the largest generator circuit. A builtin
+ * lowers to at most 17 gates (cswap).
+ */
+constexpr uint64_t kMaxGateCalls = uint64_t{1} << 22;
 
 /** Parse OpenQASM 2.0 source text. Raises UserError on syntax errors. */
 Program parse(const std::string &source);

@@ -1,9 +1,11 @@
 #include "route/stack_finder.hpp"
 
 #include <algorithm>
-#include <thread>
+#include <exception>
+#include <utility>
 
 #include "common/error.hpp"
+#include "common/join_guard.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace autobraid {
@@ -127,32 +129,37 @@ StackPathFinder::findPaths(const std::vector<CxTask> &tasks,
             runStack(s.comp_tasks, &s.comp_index, base, s.ig, s, p);
         };
 
-        int nworkers = 1;
+        size_t nworkers = 1;
         if (jobs_ > 1 && tasks.size() >= kParallelTaskFloor)
-            nworkers = static_cast<int>(
-                std::min<size_t>(static_cast<size_t>(jobs_), ncomp));
-        if (nworkers <= 1) {
-            for (size_t c = 0; c < ncomp; ++c)
-                route_comp(c, *scratch_[0], blocked, proposals_[c]);
-        } else {
-            while (scratch_.size() < static_cast<size_t>(nworkers))
-                scratch_.push_back(
-                    std::make_unique<RouteScratch>(*grid_));
-            std::vector<std::thread> threads;
-            threads.reserve(static_cast<size_t>(nworkers) - 1);
-            for (int w = 1; w < nworkers; ++w)
-                threads.emplace_back([&, w] {
-                    for (size_t c = static_cast<size_t>(w); c < ncomp;
-                         c += static_cast<size_t>(nworkers))
-                        route_comp(c, *scratch_[static_cast<size_t>(w)],
-                                   blocked, proposals_[c]);
-                });
-            for (size_t c = 0; c < ncomp;
-                 c += static_cast<size_t>(nworkers))
-                route_comp(c, *scratch_[0], blocked, proposals_[c]);
-            for (std::thread &t : threads)
-                t.join();
+            nworkers = std::min<size_t>(static_cast<size_t>(jobs_), ncomp);
+        while (scratch_.size() < nworkers)
+            scratch_.push_back(std::make_unique<RouteScratch>(*grid_));
+
+        // Worker w proposes components w, w + nworkers, ...; the
+        // calling thread is worker 0. A worker keeps what it throws,
+        // the guard joins every spawned thread even when a spawn or
+        // worker 0 fails, and the lowest worker's throw is rethrown
+        // here once all have stopped.
+        auto work = [&](size_t w) {
+            RouteScratch &s = *scratch_[w];
+            try {
+                for (size_t c = w; c < ncomp; c += nworkers)
+                    route_comp(c, s, blocked, proposals_[c]);
+            } catch (...) {
+                s.error = std::current_exception();
+            }
+        };
+        {
+            JoinGuard guard;
+            guard.threads.reserve(nworkers - 1);
+            for (size_t w = 1; w < nworkers; ++w)
+                guard.threads.emplace_back(work, w);
+            work(0);
         }
+        for (size_t w = 0; w < nworkers; ++w)
+            if (std::exception_ptr e =
+                    std::exchange(scratch_[w]->error, nullptr))
+                std::rethrow_exception(e);
 
         // Merge in ascending component order. Proposals avoided the
         // base mask but not each other; when a later component's path

@@ -41,6 +41,7 @@
 #ifndef AUTOBRAID_ROUTE_STACK_FINDER_HPP
 #define AUTOBRAID_ROUTE_STACK_FINDER_HPP
 
+#include <exception>
 #include <memory>
 #include <vector>
 
@@ -113,6 +114,8 @@ class StackPathFinder : public PathFinder
         std::vector<CxTask> comp_tasks;
         /** Global task index per local task. */
         std::vector<size_t> comp_index;
+        /** What this worker threw, rethrown after the join. */
+        std::exception_ptr error;
     };
 
     /**

@@ -2,16 +2,19 @@
  * @file
  * Scheduler backend selector and backend-aware gate timing.
  *
- * The scheduling core is backend-agnostic (see sched/resource_model.hpp);
- * this header names the two communication backends the repo compares:
+ * The scheduling core routes every backend through one PathFinder
+ * (route/stack_finder.hpp) and times every gate with
+ * backendGateDuration below; this header names the two communication
+ * backends the repo compares:
  *  - Braiding: a CX is a vertex-disjoint corner-to-corner path held for
  *    the 2d+2-cycle braid window (the paper's model);
  *  - LatticeSurgery: a CX is a patch merge + split occupying an
  *    ancilla-bus region for 2d cycles (Horsman-style lattice surgery,
  *    via Paler's braid<->LS translation; see docs/backends.md).
  *
- * Header-only so layers below the scheduler (src/surgery/) can use the
- * enum and the timing helpers without linking ab_sched.
+ * Header-only so layers below the scheduler (the certifier in
+ * ab_analysis) can use the enum and its names without linking
+ * ab_sched.
  */
 
 #ifndef AUTOBRAID_SCHED_BACKEND_HPP

@@ -9,7 +9,7 @@
 #include "sched/event_queue.hpp"
 #include "sched/layout_optimizer.hpp"
 #include "sched/maslov.hpp"
-#include "sched/resource_model.hpp"
+#include "surgery/surgery_model.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -22,6 +22,27 @@ struct SwapRecord
     Qubit a = kNoQubit;
     Qubit b = kNoQubit;
 };
+
+/**
+ * The one router of a run: merge regions under lattice surgery;
+ * otherwise braid paths from the stack finder in Maslov mode and under
+ * the AutoBraid policies, or from the greedy baseline, which takes
+ * every corner as an endpoint when defects may have killed its fixed
+ * NW corner.
+ */
+std::unique_ptr<PathFinder>
+makeFinder(const Grid &grid, const SchedulerConfig &config,
+           SchedulerBackend backend, bool maslov_mode)
+{
+    if (backend == SchedulerBackend::LatticeSurgery)
+        return std::make_unique<LatticeSurgeryFinder>(
+            grid, config.dead_vertices);
+    if (maslov_mode || config.policy != SchedulerPolicy::Baseline)
+        return std::make_unique<StackPathFinder>(grid,
+                                                 config.route_jobs);
+    return std::make_unique<GreedyPathFinder>(
+        grid, config.baseline_order, !config.dead_vertices.empty());
+}
 
 /** One scheduling run's mutable state. */
 class Engine
@@ -41,6 +62,7 @@ class Engine
           placement_(placement),
           front_(dag),
           occ_(grid),
+          finder_(makeFinder(grid, config, backend_, maslov_mode)),
           busy_until_(static_cast<size_t>(circuit.numQubits()), 0),
           optimizer_(grid),
           network_(grid),
@@ -59,7 +81,6 @@ class Engine
         routable_vertices_ =
             static_cast<size_t>(grid.numVertices()) -
             dead_.countSet();
-        model_ = makeResourceModel(grid, config, maslov_mode);
         result_.backend = backend_;
         if (config.record_lifecycle) {
             recorder_ = std::make_unique<telemetry::FlightRecorder>(
@@ -179,9 +200,9 @@ class Engine
     Placement placement_;
     ReadyFront front_;
     TimedOccupancy occ_;
+    std::unique_ptr<PathFinder> finder_;
     EventQueue events_;
     std::vector<Cycles> busy_until_;
-    std::unique_ptr<ResourceModel> model_;
 
     /** Flight recorder (null unless SchedulerConfig::record_lifecycle). */
     std::unique_ptr<telemetry::FlightRecorder> recorder_;
@@ -254,6 +275,13 @@ class Engine
         for (GateIdx g : front_.ready())
             bound = std::max(bound, t + criticality_[g]);
         return bound >= limit_.cutoff;
+    }
+
+    /** Duration of @p gate under the run's backend, as criticality_. */
+    Cycles
+    duration(const Gate &gate) const
+    {
+        return backendGateDuration(config_->cost, backend_, gate);
     }
 
     /** Issue ready gate @p g at @p t. */
@@ -474,7 +502,7 @@ class Engine
                     !admitted(g))
                     continue;
                 issue(g, t);
-                const Cycles dur = model_->gateDuration(gate);
+                const Cycles dur = duration(gate);
                 if (config_->record_trace)
                     result_.trace.push_back(
                         TraceEntry{g, t, t + dur, Path{}, t + dur,
@@ -518,8 +546,15 @@ class Engine
     {
         const Gate &gate = circuit_->gate(g);
         issue(g, t);
-        const Cycles dur = model_->gateDuration(gate);
-        const Cycles hold = model_->regionHold(dur);
+        const Cycles dur = duration(gate);
+        // A merge region is held for the whole merge+split window; a
+        // teleported braid frees its channel after the hold prefix.
+        const Cycles channel_hold = config_->channel_hold_cycles;
+        const Cycles hold =
+            backend_ == SchedulerBackend::Braiding &&
+                    channel_hold != 0 && channel_hold < dur
+                ? channel_hold
+                : dur;
         reserveChannel(t, path, t + hold);
         markBusy(gate, t + dur);
         events_.push(Event{t + dur, Event::Kind::GateFinish,
@@ -578,7 +613,7 @@ class Engine
         if (recorder_)
             route_fail_cause_ = routeFailCause(occ_.busyCount(t));
         auto outcome =
-            model_->acquire(tasks, BlockedMask(blocked_mask_));
+            finder_->findPaths(tasks, BlockedMask(blocked_mask_));
         for (const auto &[idx, path] : outcome.routed)
             issueBraid(t, gates[idx], path);
         result_.routing_failures += outcome.failed.size();
@@ -631,7 +666,7 @@ class Engine
         if (!adjacent_.empty()) {
             const auto &tasks = makeTasks(adjacent_);
             auto outcome =
-                model_->acquire(tasks, BlockedMask(blocked_mask_));
+                finder_->findPaths(tasks, BlockedMask(blocked_mask_));
             for (const auto &[idx, path] : outcome.routed)
                 issueBraid(t, adjacent_[idx], path);
             issued = outcome.routed.size();
@@ -664,7 +699,7 @@ class Engine
                 CxTask::make(i, placement_.cellOf(pairs[i].first),
                              placement_.cellOf(pairs[i].second)));
         auto outcome =
-            model_->acquire(swap_tasks_, BlockedMask(blocked_mask_));
+            finder_->findPaths(swap_tasks_, BlockedMask(blocked_mask_));
         for (const auto &[idx, path] : outcome.routed)
             issueSwap(t, pairs[idx].first, pairs[idx].second, path);
     }

@@ -7,34 +7,22 @@
 
 namespace autobraid {
 
-LatticeSurgeryResourceModel::LatticeSurgeryResourceModel(
-    const Grid &grid, const CostModel &cost,
-    const std::vector<VertexId> &dead_vertices)
+LatticeSurgeryFinder::LatticeSurgeryFinder(
+    const Grid &grid, const std::vector<VertexId> &dead_vertices)
     : grid_(&grid),
-      cost_(cost),
       router_(grid),
       dead_(static_cast<size_t>(grid.numVertices())),
       in_region_(static_cast<size_t>(grid.numVertices()), 0)
 {
     for (VertexId v : dead_vertices) {
         require(v >= 0 && v < grid.numVertices(),
-                "LatticeSurgeryResourceModel: dead vertex out of range");
+                "LatticeSurgeryFinder: dead vertex out of range");
         dead_.set(static_cast<size_t>(v));
     }
 }
 
-Cycles
-LatticeSurgeryResourceModel::gateDuration(const Gate &g) const
-{
-    if (g.kind == GateKind::CX)
-        return cost_.lsCxCycles();
-    if (g.kind == GateKind::Swap)
-        return cost_.lsSwapCycles();
-    return cost_.duration(g);
-}
-
 unsigned
-LatticeSurgeryResourceModel::liveCornerMask(const Cell &cell) const
+LatticeSurgeryFinder::liveCornerMask(const Cell &cell) const
 {
     const auto ids = grid_->cornerIds(cell);
     unsigned mask = 0;
@@ -45,7 +33,7 @@ LatticeSurgeryResourceModel::liveCornerMask(const Cell &cell) const
 }
 
 bool
-LatticeSurgeryResourceModel::buildRegion(const CxTask &task, Path &out)
+LatticeSurgeryFinder::buildRegion(const CxTask &task, Path &out)
 {
     // A merge needs every live corner of both patches: the merged
     // boundary runs along the tiles, not just along the bus. Any
@@ -96,8 +84,8 @@ LatticeSurgeryResourceModel::buildRegion(const CxTask &task, Path &out)
 }
 
 RoutingOutcome
-LatticeSurgeryResourceModel::acquire(const std::vector<CxTask> &tasks,
-                                     BlockedMask blocked)
+LatticeSurgeryFinder::findPaths(const std::vector<CxTask> &tasks,
+                                BlockedMask blocked)
 {
     AUTOBRAID_SPAN("surgery.acquire");
     RoutingOutcome outcome;

@@ -1,18 +1,18 @@
 /**
  * @file
- * Lattice-surgery resource model.
+ * Lattice-surgery path finder.
  *
  * A CX is implemented as a patch merge followed by a split (Horsman et
  * al.'s lattice surgery; Paler's braid<->LS translation maps the
  * paper's braids onto it, and Lao et al. treat LS scheduling as the
  * same resource-reservation problem this repo already solves for
- * braids). Instead of holding a thin vertex-disjoint path for the
- * 2d+2-cycle braid window, this backend reserves a merge *region* — an
- * ancilla bus routed corner-to-corner between the operand tiles plus
- * every live corner of both tiles — for the merge+split window
- * (CostModel::lsCxCycles = 2d cycles). Concurrent regions must be
- * vertex-disjoint, mirroring the requirement that simultaneous merges
- * not share patch boundary.
+ * braids). Instead of a thin vertex-disjoint path for the 2d+2-cycle
+ * braid window, this finder returns a merge *region* — an ancilla bus
+ * routed corner-to-corner between the operand tiles plus every live
+ * corner of both tiles — which the scheduler holds for the whole
+ * merge+split window (CostModel::lsCxCycles = 2d cycles). Concurrent
+ * regions must be vertex-disjoint, mirroring the requirement that
+ * simultaneous merges not share patch boundary.
  *
  * Defect robustness: a region only ever contains *live* vertices (dead
  * corners are excluded from both the bus search and the corner set),
@@ -29,35 +29,28 @@
 #include <vector>
 
 #include "route/astar.hpp"
-#include "sched/resource_model.hpp"
+#include "route/stack_finder.hpp"
 
 namespace autobraid {
 
-/** Lattice-surgery backend behind the ResourceModel seam. */
-class LatticeSurgeryResourceModel final : public ResourceModel
+/** Lattice-surgery backend: merge regions as PathFinder paths. */
+class LatticeSurgeryFinder final : public PathFinder
 {
   public:
-    LatticeSurgeryResourceModel(
-        const Grid &grid, const CostModel &cost,
-        const std::vector<VertexId> &dead_vertices);
+    LatticeSurgeryFinder(const Grid &grid,
+                         const std::vector<VertexId> &dead_vertices);
 
-    RoutingOutcome acquire(const std::vector<CxTask> &tasks,
-                           BlockedMask blocked) override;
-
-    Cycles gateDuration(const Gate &g) const override;
-
-    /** Merge regions are held for the whole merge+split window. */
-    Cycles regionHold(Cycles dur) const override { return dur; }
+    RoutingOutcome findPaths(const std::vector<CxTask> &tasks,
+                             BlockedMask blocked) override;
 
     const char *name() const override { return "lattice-surgery"; }
 
   private:
     const Grid *grid_;
-    const CostModel cost_;
     AStarRouter router_;
     BlockedBitset dead_;
 
-    // Persistent scratch reused across acquire() calls, mirroring
+    // Persistent scratch reused across findPaths() calls, mirroring
     // StackPathFinder's allocation-free inner loop.
     BlockedBitset unavailable_;
     std::vector<size_t> order_;

@@ -252,7 +252,7 @@ checkPolicyRun(const FuzzCase &c, const std::string &label,
  * heatmap must account for every region-hold the trace reserved
  * (Σ path.length × hold). Runs on every fuzz case under whichever
  * backend the case selected, so both backends prove they attribute
- * stalls identically through the ResourceModel seam.
+ * stalls identically through the scheduler's one PathFinder seam.
  */
 void
 checkRecorderLifecycle(const FuzzCase &c, const char *name,

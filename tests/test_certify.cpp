@@ -163,6 +163,26 @@ TEST(Certify, WrongDurationRejected)
     EXPECT_TRUE(hasCheck(cert, "duration")) << violations(cert);
 }
 
+TEST(Certify, DurationTableAgreesWithCostModel)
+{
+    // The certifier keeps its own table so that a scheduler-side
+    // cost-model regression fails certification; this pins the two
+    // together for every gate kind, backend and distance bound.
+    for (int k = 0; k <= static_cast<int>(GateKind::Barrier); ++k)
+        for (SchedulerBackend backend : {SchedulerBackend::Braiding,
+                                         SchedulerBackend::LatticeSurgery})
+            for (int d : {1, 5, 33, 9999}) {
+                Gate gate;
+                gate.kind = static_cast<GateKind>(k);
+                CostModel cost;
+                cost.distance = d;
+                EXPECT_EQ(certify::expectedDuration(gate.kind, backend, d),
+                          backendGateDuration(cost, backend, gate))
+                    << gateName(gate.kind) << " "
+                    << backendName(backend) << " d=" << d;
+            }
+}
+
 TEST(Certify, DependenceViolationRejected)
 {
     // cx starts before its q0 predecessor (the h) finishes.

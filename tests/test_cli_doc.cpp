@@ -304,6 +304,9 @@ const BadFlagCase kBadFlagCases[] = {
      "--sweep-p --seed=9007199254740992 qft:4"},
     {"autobraid_lint", AB_LINT_BIN, "--distance=10000 qft:4"},
     {"autobraid_lint", AB_LINT_BIN, "--teleport=1000000001 qft:4"},
+    // An unknown lint suppression is a usage error in batch mode too.
+    {"autobraid_cli", AB_CLI_BIN,
+     "--jobs=2 --lint --lint-suppress=AB999 qft:4 qft:5"},
     // Option values that are no whole JSON number.
     {"autobraid_cli", AB_CLI_BIN, "--distance=0x10 qft:4"},
     {"autobraid_cli", AB_CLI_BIN, "--p=inf qft:4"},
@@ -348,7 +351,9 @@ TEST(ToolExit, HostileQasmExitsTwo)
     EXPECT_GE(files.size(), 4u);
     for (const std::string &file : files) {
         for (const char *bin : {AB_CLI_BIN, AB_LINT_BIN}) {
-            const int code = runTool(std::string(bin) + " " + file);
+            // A front-end hang fails as timeout's exit 124.
+            const int code =
+                runTool("timeout 30 " + std::string(bin) + " " + file);
             EXPECT_EQ(code, 2) << bin << " " << file << " exited " << code;
         }
     }

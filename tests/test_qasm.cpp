@@ -198,6 +198,57 @@ TEST(Parser, RegisterTotalsAreCapped)
               "");
 }
 
+TEST(Parser, ExpansionIsBudgeted)
+{
+    // g<n> expands to 2^n builtin calls; 2^22 is exactly the budget.
+    std::string doubling = "qreg q[1024];\ngate g0 a { h a; }\n";
+    for (int n = 1; n <= 22; ++n)
+        doubling += "gate g" + std::to_string(n) + " a { g" +
+                    std::to_string(n - 1) + " a; g" +
+                    std::to_string(n - 1) + " a; }\n";
+    EXPECT_EQ(parseError(doubling + "g22 q[0];"), "");
+    // Broadcast multiplies: 2^12 calls over 1024 qubits is 2^22 too.
+    EXPECT_EQ(parseError(doubling + "g12 q;"), "");
+    // One call more, from any statement, is rejected at its line.
+    for (const std::string extra :
+         {"h q[0];", "measure q[0] -> c[0];", "reset q[0];",
+          "barrier q[0];"})
+        EXPECT_NE(parseError(doubling + "creg c[1];\ng12 q;\n" + extra)
+                      .find("qasm:29: statement takes the program past "
+                            "4194304 builtin gate calls"),
+                  std::string::npos)
+            << extra;
+    // Far past the budget, sizes saturate instead of overflowing.
+    std::string deep = doubling;
+    for (int n = 23; n <= 80; ++n)
+        deep += "gate g" + std::to_string(n) + " a { g" +
+                std::to_string(n - 1) + " a; g" +
+                std::to_string(n - 1) + " a; }\n";
+    EXPECT_NE(parseError(deep + "g80 q;").find("builtin gate calls"),
+              std::string::npos);
+    // An empty gate still counts as one call: calling it costs the
+    // elaborator as much as a builtin does.
+    std::string empty = "qreg q[1];\ngate f0 a { }\n";
+    for (int n = 1; n <= 23; ++n)
+        empty += "gate f" + std::to_string(n) + " a { f" +
+                 std::to_string(n - 1) + " a; f" +
+                 std::to_string(n - 1) + " a; }\n";
+    EXPECT_EQ(parseError(empty + "f22 q[0];"), "");
+    EXPECT_NE(parseError(empty + "f23 q[0];").find("builtin gate calls"),
+              std::string::npos);
+    // A body may call only gates defined above it, itself excluded.
+    EXPECT_NE(parseError("qreg q[1];\ngate a x { b x; }\n"
+                         "gate b x { h x; }")
+                  .find("qasm:5: gate 'b' is defined after the gate body "
+                        "that calls it on line 4"),
+              std::string::npos);
+    EXPECT_NE(parseError("qreg q[1];\ngate a x { a x; }")
+                  .find("gate 'a' is defined after"),
+              std::string::npos);
+    // Top-level calls may still precede the definition.
+    EXPECT_EQ(parseError("qreg q[1];\nb q[0];\ngate b x { h x; }"), "");
+}
+
 TEST(Parser, RejectsUnsupportedConstructs)
 {
     EXPECT_THROW(parse(std::string(kHeader) + "opaque magic q;"),

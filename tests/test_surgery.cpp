@@ -2,7 +2,7 @@
  * @file
  * Lattice-surgery backend tests: the cost-model windows, backend/policy
  * CLI-name round-trips and strict parse errors, the merge-region
- * semantics of LatticeSurgeryResourceModel, end-to-end surgery
+ * semantics of LatticeSurgeryFinder, end-to-end surgery
  * compiles through the validator (including defect tolerance and
  * determinism), cross-backend comparison, and the occupancy error
  * paths the backends share.
@@ -99,18 +99,26 @@ TEST(PolicyNames, RoundTripAndStrictParsing)
 }
 
 // --------------------------------------------------------------------
-// Merge-region semantics of the resource model
+// Merge-region semantics of the surgery finder
 // --------------------------------------------------------------------
+
+CompileOptions
+surgeryOptions()
+{
+    CompileOptions opt;
+    opt.backend = SchedulerBackend::LatticeSurgery;
+    opt.record_trace = true;
+    return opt;
+}
 
 TEST(SurgeryModel, RegionCoversCornersAndBus)
 {
     const Grid grid(2, 2);
-    const CostModel cost;
-    LatticeSurgeryResourceModel model(grid, cost, {});
+    LatticeSurgeryFinder finder(grid, {});
     const std::vector<CxTask> tasks{
         CxTask::make(0, Cell{0, 0}, Cell{1, 1})};
     const BlockedBitset blocked = noBlockedVertices(grid);
-    const RoutingOutcome out = model.acquire(tasks, blocked);
+    const RoutingOutcome out = finder.findPaths(tasks, blocked);
     ASSERT_EQ(out.routed.size(), 1u);
     EXPECT_TRUE(out.failed.empty());
     EXPECT_EQ(out.ratio, 1.0);
@@ -133,13 +141,12 @@ TEST(SurgeryModel, ConcurrentRegionsAreDisjoint)
 {
     // Two gates sharing tile (0,1): the second merge must wait.
     const Grid grid(2, 2);
-    const CostModel cost;
-    LatticeSurgeryResourceModel model(grid, cost, {});
+    LatticeSurgeryFinder finder(grid, {});
     std::vector<CxTask> tasks{CxTask::make(0, Cell{0, 0}, Cell{0, 1}),
                               CxTask::make(1, Cell{0, 1}, Cell{1, 1})};
     tasks[0].priority = 10; // routed first
     const BlockedBitset blocked = noBlockedVertices(grid);
-    const RoutingOutcome out = model.acquire(tasks, blocked);
+    const RoutingOutcome out = finder.findPaths(tasks, blocked);
     ASSERT_EQ(out.routed.size(), 1u);
     EXPECT_EQ(out.routed[0].first, 0u);
     ASSERT_EQ(out.failed.size(), 1u);
@@ -150,16 +157,15 @@ TEST(SurgeryModel, ConcurrentRegionsAreDisjoint)
 TEST(SurgeryModel, DeadCornersExcludedFromRegions)
 {
     const Grid grid(2, 2);
-    const CostModel cost;
     // Kill one corner of each operand tile; regions must route around
     // and never contain a dead vertex.
     const std::vector<VertexId> dead{grid.vid(Vertex{0, 0}),
                                      grid.vid(Vertex{2, 2})};
-    LatticeSurgeryResourceModel model(grid, cost, dead);
+    LatticeSurgeryFinder finder(grid, dead);
     const std::vector<CxTask> tasks{
         CxTask::make(0, Cell{0, 0}, Cell{1, 1})};
     const BlockedBitset blocked = noBlockedVertices(grid);
-    const RoutingOutcome out = model.acquire(tasks, blocked);
+    const RoutingOutcome out = finder.findPaths(tasks, blocked);
     ASSERT_EQ(out.routed.size(), 1u);
     for (VertexId v : out.routed[0].second.vertices)
         for (VertexId d : dead)
@@ -168,36 +174,42 @@ TEST(SurgeryModel, DeadCornersExcludedFromRegions)
 
 TEST(SurgeryModel, DurationsAndHold)
 {
-    const Grid grid(2, 2);
     CostModel cost;
     cost.distance = 5;
-    LatticeSurgeryResourceModel model(grid, cost, {});
     Circuit c(2, "durations");
     c.cx(0, 1);
     c.swap(0, 1);
     c.h(0);
-    EXPECT_EQ(model.gateDuration(c.gate(0)), cost.lsCxCycles());
-    EXPECT_EQ(model.gateDuration(c.gate(1)), cost.lsSwapCycles());
-    EXPECT_EQ(model.gateDuration(c.gate(2)),
-              cost.duration(c.gate(2)));
+    const auto surgery = [&cost](const Gate &g) {
+        return backendGateDuration(cost, SchedulerBackend::LatticeSurgery,
+                                   g);
+    };
+    EXPECT_EQ(surgery(c.gate(0)), cost.lsCxCycles());
+    EXPECT_EQ(surgery(c.gate(1)), cost.lsSwapCycles());
+    EXPECT_EQ(surgery(c.gate(2)), cost.duration(c.gate(2)));
+    const Grid grid(2, 2);
+    EXPECT_STREQ(LatticeSurgeryFinder(grid, {}).name(),
+                 "lattice-surgery");
+
     // Merge regions are held for the whole window, never released
     // early by teleport-style channel holds.
-    EXPECT_EQ(model.regionHold(66), 66u);
-    EXPECT_STREQ(model.name(), "lattice-surgery");
+    CompileOptions opt = surgeryOptions();
+    opt.channel_hold_cycles = 2;
+    const CompileReport report = compileCircuit(gen::make("qft:6"), opt);
+    ASSERT_TRUE(report.result.valid);
+    size_t regions = 0;
+    for (const TraceEntry &e : report.result.trace) {
+        if (e.path.vertices.empty())
+            continue;
+        ++regions;
+        EXPECT_EQ(e.channel_release, e.finish) << "gate " << e.gate;
+    }
+    EXPECT_GT(regions, 0u);
 }
 
 // --------------------------------------------------------------------
 // End-to-end surgery compiles
 // --------------------------------------------------------------------
-
-CompileOptions
-surgeryOptions()
-{
-    CompileOptions opt;
-    opt.backend = SchedulerBackend::LatticeSurgery;
-    opt.record_trace = true;
-    return opt;
-}
 
 TEST(SurgeryCompile, ValidSchedulesAcrossBenchmarks)
 {
