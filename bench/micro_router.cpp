@@ -22,7 +22,6 @@
 #include "llg/llg.hpp"
 #include "place/annealer.hpp"
 #include "place/initial.hpp"
-#include "lattice/occupancy.hpp"
 #include "qasm/exporter.hpp"
 #include "route/greedy_finder.hpp"
 #include "route/stack_finder.hpp"
@@ -128,20 +127,14 @@ BM_RoutingStage(benchmark::State &state)
 {
     // The scheduler's per-instant routing stage on the paper's 20x20
     // lattice: the stack finder routes N concurrent tasks against the
-    // dispatch-time blocked view (dead ∨ occupied vertices).
+    // blocked mask of an idle, defect-free lattice.
     Grid grid(20, 20);
     const auto tasks = randomDenseTasks(
         grid, static_cast<int>(state.range(0)), 42);
     StackPathFinder finder(grid);
-    TimedOccupancy occ(grid);
-    BlockedBitset blocked(static_cast<size_t>(grid.numVertices()));
-    const LatticeTime t = 0;
-    occ.advanceTo(t);
-    for (VertexId v = 0; v < grid.numVertices(); ++v)
-        if (!occ.freeAt(v, t))
-            blocked.set(static_cast<size_t>(v));
+    const auto free = noBlockedVertices(grid);
     for (auto _ : state) {
-        auto outcome = finder.findPaths(tasks, blocked);
+        auto outcome = finder.findPaths(tasks, free);
         benchmark::DoNotOptimize(outcome);
     }
 }

@@ -1,6 +1,7 @@
 #include "analysis/certify.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -620,7 +621,79 @@ certifySchedule(const Schedule &s)
                 occurrences[static_cast<size_t>(v)] = 0;
     }
 
-    // ---- 5. Per-instant vertex disjointness ---------------------
+    // ---- 5. Anchoring: each braid joins its operand tiles -------
+    // While no qubit has left the embedded initial placement (no
+    // inserted SWAP, no Maslov network), a braid path starts on a
+    // corner of one operand tile and ends on a corner of the other,
+    // in either order, and a merge region holds every live corner of
+    // both. Tile r * cols + c has the corners r * vcols + c, the one
+    // east of it, and the two below them.
+    if (s.placement) {
+        const std::vector<CellId> &cell_of = *s.placement;
+        if (cell_of.size() != static_cast<size_t>(num_qubits))
+            fatal("schedule placement has %zu entries for %d qubits",
+                  cell_of.size(), num_qubits);
+        for (const CellId cid : cell_of)
+            if (cid < 0 || cid >= rows * cols)
+                fatal("schedule placement cell id %d outside the "
+                      "%dx%d grid",
+                      cid, rows, cols);
+    }
+    if (s.placement && s.swaps_inserted == 0 && !s.used_maslov) {
+        std::vector<uint8_t> dead(static_cast<size_t>(nv), 0);
+        for (VertexId v : s.dead_vertices)
+            if (v >= 0 && v < nv)
+                dead[static_cast<size_t>(v)] = 1;
+        auto corners = [&](CellId cid) {
+            const VertexId nw = cid / cols * vcols + cid % cols;
+            return std::array<VertexId, 4>{nw, nw + 1, nw + vcols,
+                                           nw + vcols + 1};
+        };
+        auto on = [](const std::array<VertexId, 4> &tile, VertexId v) {
+            return std::find(tile.begin(), tile.end(), v) != tile.end();
+        };
+        for (size_t i = 0; i < entries.size(); ++i) {
+            const Entry &e = entries[i];
+            if (e.gate < 0 || static_cast<size_t>(e.gate) >= gates.size() ||
+                e.path.empty())
+                continue;
+            const Gate &gate = gates[static_cast<size_t>(e.gate)];
+            if (!needsBraid(gate.kind) || gate.q0 < 0 ||
+                gate.q0 >= num_qubits || gate.q1 < 0 ||
+                gate.q1 >= num_qubits)
+                continue;
+            const CellId ta = (*s.placement)[static_cast<size_t>(gate.q0)];
+            const CellId tb = (*s.placement)[static_cast<size_t>(gate.q1)];
+            const auto a = corners(ta);
+            const auto b = corners(tb);
+            if (contiguous) {
+                const VertexId first = e.path.front();
+                const VertexId last = e.path.back();
+                if (!(on(a, first) && on(b, last)) &&
+                    !(on(b, first) && on(a, last)))
+                    violate("anchor",
+                            strformat("entry %zu: gate %lld's path runs "
+                                      "from vertex %d to %d, not between "
+                                      "corners of its tiles %d and %d",
+                                      i, e.gate, first, last, ta, tb));
+                continue;
+            }
+            for (const VertexId v : {a[0], a[1], a[2], a[3], b[0], b[1],
+                                     b[2], b[3]}) {
+                if (dead[static_cast<size_t>(v)] ||
+                    std::find(e.path.begin(), e.path.end(), v) !=
+                        e.path.end())
+                    continue;
+                violate("anchor",
+                        strformat("entry %zu: gate %lld's merge region "
+                                  "misses live corner %d of its tiles",
+                                  i, e.gate, v));
+                break;
+            }
+        }
+    }
+
+    // ---- 6. Per-instant vertex disjointness ---------------------
     // A naive per-vertex interval map, deliberately independent of
     // the scheduler's BlockedBitset: each braid holds every path
     // vertex for [start, release).
@@ -657,7 +730,7 @@ certifySchedule(const Schedule &s)
         }
     }
 
-    // ---- 6. Makespan lower bounds and optimality gap ------------
+    // ---- 7. Makespan lower bounds and optimality gap ------------
     // Critical path over the per-qubit dependence chains, timed by
     // expectedDuration as the duration check is.
     {
@@ -690,14 +763,6 @@ certifySchedule(const Schedule &s)
         s.swaps_inserted == 0 && !s.used_maslov && s.placement) {
         const Grid grid(rows, cols);
         const std::vector<CellId> &cell_of = *s.placement;
-        if (cell_of.size() != static_cast<size_t>(num_qubits))
-            fatal("schedule placement has %zu entries for %d qubits",
-                  cell_of.size(), num_qubits);
-        for (const CellId cid : cell_of)
-            if (cid < 0 || cid >= grid.numCells())
-                fatal("schedule placement cell id %d outside the "
-                      "%dx%d grid",
-                      cid, rows, cols);
         std::vector<CxTask> tasks;
         for (size_t g = 0; g < gates.size(); ++g) {
             const Gate &gate = gates[g];

@@ -16,10 +16,11 @@
  * The rules are a deliberately separate implementation of the
  * scheduling semantics: per-qubit dependence chains instead of the
  * scheduler's Dag, a naive per-vertex interval occupancy map instead
- * of BlockedBitset, and path geometry recomputed from raw vertex-id
- * arithmetic. Every certificate also pins two makespan lower bounds —
- * the dependence-chain critical path and the AB202 channel-capacity
- * bound — so each certified schedule carries an optimality-gap ratio.
+ * of BlockedBitset, and path geometry and tile corners recomputed from
+ * raw vertex-id arithmetic. Every certificate also pins two makespan
+ * lower bounds — the dependence-chain critical path and the AB202
+ * channel-capacity bound — so each certified schedule carries an
+ * optimality-gap ratio.
  *
  * The certifier never trusts the producing binary: a shared defect
  * in, e.g., the blocked-mask bookkeeping or a backend duration table

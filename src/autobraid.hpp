@@ -36,7 +36,6 @@
 #include "lattice/cost_model.hpp"
 #include "lattice/defects.hpp"
 #include "lattice/geometry.hpp"
-#include "lattice/occupancy.hpp"
 #include "lattice/surface_code.hpp"
 
 // LLG analysis and routing.

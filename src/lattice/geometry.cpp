@@ -119,13 +119,6 @@ Grid::cid(const Cell &cell) const
     return static_cast<CellId>(cell.r * cols_ + cell.c);
 }
 
-Cell
-Grid::cell(CellId id) const
-{
-    require(id >= 0 && id < numCells(), "Grid::cell: id out of range");
-    return Cell{id / cols_, id % cols_};
-}
-
 std::array<Vertex, 4>
 Grid::corners(const Cell &cell) const
 {

@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
+
 namespace autobraid {
 
 /** A routing vertex at channel-intersection coordinates (row, col). */
@@ -167,7 +169,12 @@ class Grid
     CellId cid(const Cell &cell) const;
 
     /** Cell for dense id @p id. */
-    Cell cell(CellId id) const;
+    Cell cell(CellId id) const
+    {
+        if (id < 0 || id >= numCells()) [[unlikely]]
+            panic("Grid::cell: id out of range");
+        return Cell{id / cols_, id % cols_};
+    }
 
     /** The four corner vertices of @p cell (NW, NE, SW, SE). */
     std::array<Vertex, 4> corners(const Cell &cell) const;

@@ -21,19 +21,6 @@ Placement::Placement(const Grid &grid, int num_qubits)
     }
 }
 
-Cell
-Placement::cellOf(Qubit q) const
-{
-    return grid_->cell(cellIdOf(q));
-}
-
-CellId
-Placement::cellIdOf(Qubit q) const
-{
-    require(q >= 0 && q < numQubits(), "Placement: qubit out of range");
-    return cell_of_[static_cast<size_t>(q)];
-}
-
 Qubit
 Placement::qubitAt(CellId c) const
 {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
+#include "common/error.hpp"
 #include "lattice/geometry.hpp"
 #include "llg/bbox.hpp"
 
@@ -37,10 +38,15 @@ class Placement
     const Grid &grid() const { return *grid_; }
 
     /** Tile of qubit @p q. */
-    Cell cellOf(Qubit q) const;
+    Cell cellOf(Qubit q) const { return grid_->cell(cellIdOf(q)); }
 
     /** Dense tile id of qubit @p q. */
-    CellId cellIdOf(Qubit q) const;
+    CellId cellIdOf(Qubit q) const
+    {
+        if (q < 0 || q >= numQubits()) [[unlikely]]
+            panic("Placement: qubit out of range");
+        return cell_of_[static_cast<size_t>(q)];
+    }
 
     /** Dense tile id of every qubit: cellIds()[q] is cellIdOf(q). */
     const std::vector<CellId> &cellIds() const { return cell_of_; }

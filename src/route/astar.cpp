@@ -52,9 +52,9 @@ AStarRouter::beginMaskEpoch()
 }
 
 std::optional<Path>
-AStarRouter::route(const Cell &src, const Cell &dst, BlockedMask blocked,
-                   const BBox *confine, unsigned src_corners,
-                   unsigned dst_corners)
+AStarRouter::route(const Cell &src, const Cell &dst,
+                   const BlockedBitset &blocked, const BBox *confine,
+                   unsigned src_corners, unsigned dst_corners)
 {
     require(!(src == dst), "AStarRouter::route: source equals target");
     require(grid_->inBounds(src) && grid_->inBounds(dst),

@@ -25,48 +25,6 @@
 
 namespace autobraid {
 
-/**
- * Flat blocked mask over all grid vertices, packed 64 vertices per
- * word: bit v is set when vertex v is unavailable for routing (dead or
- * occupied). A non-owning view — the caller keeps the words alive for
- * the duration of the query (usually a BlockedBitset). The word
- * packing keeps whole-mask refreshes and contiguous-range feasibility
- * checks word-wise; the A* inner loop still reads one bit per probe.
- */
-class BlockedMask
-{
-  public:
-    BlockedMask() = default;
-
-    /** View over @p words covering @p size vertices. */
-    BlockedMask(const uint64_t *words, size_t size)
-        : words_(words), size_(size)
-    {}
-
-    /** View over an owning bitset (one bit per vertex). */
-    /* implicit */ BlockedMask(const BlockedBitset &bits)
-        : words_(bits.words()), size_(bits.size())
-    {}
-
-    /** True when vertex @p v is unavailable. */
-    bool operator[](VertexId v) const
-    {
-        const auto i = static_cast<size_t>(v);
-        return (words_[i >> 6] >> (i & 63u)) & 1u;
-    }
-
-    const uint64_t *words() const { return words_; }
-    size_t size() const { return size_; }
-    size_t numWords() const
-    {
-        return BlockedBitset::wordCount(size_);
-    }
-
-  private:
-    const uint64_t *words_ = nullptr;
-    size_t size_ = 0;
-};
-
 /** Materialize a blocked bitset from a predicate (tests, tools). */
 template <typename Pred>
 BlockedBitset
@@ -107,7 +65,7 @@ class AStarRouter
      *
      * @param src source tile (must differ from @p dst)
      * @param dst target tile
-     * @param blocked byte per grid vertex; non-zero = unavailable to
+     * @param blocked one bit per grid vertex; set = unavailable to
      *        this path (must cover every vertex of the grid)
      * @param confine optional box; when non-null the path may only use
      *        vertices inside or on it (LLG-local routing)
@@ -118,7 +76,7 @@ class AStarRouter
      * @return the path, or std::nullopt when no free path exists.
      */
     std::optional<Path> route(const Cell &src, const Cell &dst,
-                              BlockedMask blocked,
+                              const BlockedBitset &blocked,
                               const BBox *confine = nullptr,
                               unsigned src_corners = kAllCorners,
                               unsigned dst_corners = kAllCorners);

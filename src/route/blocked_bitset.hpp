@@ -2,50 +2,39 @@
  * @file
  * Word-packed blocked-vertex bitmap.
  *
- * The routing hot path keeps one "blocked" bit per grid vertex and
- * refreshes it every dispatch instant. Packing 64 vertices per word
- * makes the bulk operations the scheduler and the feasibility checks
- * actually perform — copy the whole mask, clear it, OR two masks,
- * test a contiguous corner range — word-wise instead of byte-wise,
- * which is what keeps 100x100+ lattices (10k+ vertices, ROADMAP item
- * 4) inside a few cache lines per refresh.
+ * The scheduler keeps one "blocked" bit per grid vertex (dead, or held
+ * by an in-flight region) and every path finder copies it once per
+ * call before claiming vertices of its own. Packing 64 vertices per
+ * word keeps that copy word-wise, which is what keeps 100x100+
+ * lattices (10k+ vertices) inside a few cache lines per refresh.
  */
 
 #ifndef AUTOBRAID_ROUTE_BLOCKED_BITSET_HPP
 #define AUTOBRAID_ROUTE_BLOCKED_BITSET_HPP
 
-#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/error.hpp"
 #include "lattice/geometry.hpp"
 
 namespace autobraid {
 
 /**
  * Owning bitmap with one bit per vertex; bit set = vertex blocked.
- * Tail bits of the last word are kept zero so whole-word scans
- * (countSet, anySetInRange, word comparison) need no edge masking.
+ * Copy assignment reuses the destination's words, so a finder's
+ * per-call copy of the caller's mask does not allocate.
  */
 class BlockedBitset
 {
   public:
     BlockedBitset() = default;
 
-    explicit BlockedBitset(size_t bits, bool value = false)
-    {
-        assign(bits, value);
-    }
-
-    /** Resize to @p bits bits, all set to @p value. */
-    void assign(size_t bits, bool value)
-    {
-        size_ = bits;
-        words_.assign(wordCount(bits), value ? ~uint64_t{0} : 0);
-        clearTail();
-    }
+    /** @p bits bits, all clear. */
+    explicit BlockedBitset(size_t bits)
+        : size_(bits), words_((bits + 63u) >> 6, 0)
+    {}
 
     /** Number of bits (vertices) covered. */
     size_t size() const { return size_; }
@@ -68,109 +57,16 @@ class BlockedBitset
         words_[i >> 6] &= ~(uint64_t{1} << (i & 63u));
     }
 
-    void set(size_t i, bool value)
-    {
-        if (value)
-            set(i);
-        else
-            clear(i);
-    }
-
-    /** Clear every bit without changing the size. */
-    void clearAll()
-    {
-        std::fill(words_.begin(), words_.end(), uint64_t{0});
-    }
-
-    /** Word-wise copy from raw @p words covering @p bits vertices. */
-    void assignWords(const uint64_t *words, size_t bits)
-    {
-        size_ = bits;
-        words_.assign(words, words + wordCount(bits));
-        clearTail();
-    }
-
-    /** Word-wise copy from @p other (sizes must match). */
-    void assignFrom(const BlockedBitset &other)
-    {
-        require(other.size_ == size_,
-                "BlockedBitset::assignFrom: size mismatch");
-        std::copy(other.words_.begin(), other.words_.end(),
-                  words_.begin());
-    }
-
-    /** Word-wise OR of @p other into this (sizes must match). */
-    void orWith(const BlockedBitset &other)
-    {
-        require(other.size_ == size_,
-                "BlockedBitset::orWith: size mismatch");
-        for (size_t w = 0; w < words_.size(); ++w)
-            words_[w] |= other.words_[w];
-    }
-
-    /**
-     * True when any bit in [@p begin, @p end) is set. Whole interior
-     * words are tested with a single compare; only the two edge words
-     * need masking.
-     */
-    bool anySetInRange(size_t begin, size_t end) const
-    {
-        if (begin >= end)
-            return false;
-        const size_t first = begin >> 6;
-        const size_t last = (end - 1) >> 6;
-        const uint64_t head = ~uint64_t{0} << (begin & 63u);
-        const uint64_t tail =
-            ~uint64_t{0} >> (63u - ((end - 1) & 63u));
-        if (first == last)
-            return (words_[first] & head & tail) != 0;
-        if ((words_[first] & head) != 0)
-            return true;
-        for (size_t w = first + 1; w < last; ++w)
-            if (words_[w] != 0)
-                return true;
-        return (words_[last] & tail) != 0;
-    }
-
     /** Popcount over the whole mask. */
     size_t countSet() const
     {
         size_t n = 0;
         for (const uint64_t w : words_)
-            n += static_cast<size_t>(popcount64(w));
+            n += static_cast<size_t>(std::popcount(w));
         return n;
     }
-
-    const uint64_t *words() const { return words_.data(); }
-    size_t numWords() const { return words_.size(); }
-
-    bool operator==(const BlockedBitset &other) const
-    {
-        return size_ == other.size_ && words_ == other.words_;
-    }
-
-    static size_t wordCount(size_t bits) { return (bits + 63u) >> 6; }
 
   private:
-    static int popcount64(uint64_t w)
-    {
-#if defined(__GNUC__) || defined(__clang__)
-        return __builtin_popcountll(w);
-#else
-        int n = 0;
-        for (; w; w &= w - 1)
-            ++n;
-        return n;
-#endif
-    }
-
-    /** Keep bits past size_ zero so word-level scans stay exact. */
-    void clearTail()
-    {
-        if (size_ & 63u)
-            words_.back() &= ~uint64_t{0} >> (64u - (size_ & 63u));
-    }
-
     size_t size_ = 0;
     std::vector<uint64_t> words_;
 };

@@ -30,7 +30,7 @@ GreedyPathFinder::name() const
 
 RoutingOutcome
 GreedyPathFinder::findPaths(const std::vector<CxTask> &tasks,
-                            BlockedMask blocked)
+                            const BlockedBitset &blocked)
 {
     RoutingOutcome outcome;
     if (tasks.empty())
@@ -64,12 +64,12 @@ GreedyPathFinder::findPaths(const std::vector<CxTask> &tasks,
                          });
     }
 
-    unavailable_.assignWords(blocked.words(), blocked.size());
+    unavailable_ = blocked;
     router_.beginMaskEpoch();
     for (size_t idx : order_scratch_) {
         auto path = router_.route(tasks[idx].a, tasks[idx].b,
-                                  BlockedMask(unavailable_), nullptr,
-                                  corner_mask_, corner_mask_);
+                                  unavailable_, nullptr, corner_mask_,
+                                  corner_mask_);
         if (!path) {
             outcome.failed.push_back(idx);
             continue;

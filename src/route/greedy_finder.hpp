@@ -46,7 +46,7 @@ class GreedyPathFinder : public PathFinder
                               bool all_corners = false);
 
     RoutingOutcome findPaths(const std::vector<CxTask> &tasks,
-                             BlockedMask blocked) override;
+                             const BlockedBitset &blocked) override;
 
     const char *name() const override;
 

@@ -28,8 +28,9 @@ StackPathFinder::StackPathFinder(const Grid &grid, int jobs)
 void
 StackPathFinder::runStack(const std::vector<CxTask> &tasks,
                           const std::vector<size_t> *global_index,
-                          BlockedMask blocked, InterferenceGraph &ig,
-                          RouteScratch &s, RoutingOutcome &out)
+                          const BlockedBitset &blocked,
+                          InterferenceGraph &ig, RouteScratch &s,
+                          RoutingOutcome &out)
 {
     // Stage 1-2: peel max-degree nodes onto the stack until maxdeg <= 2.
     s.stack.clear();
@@ -52,11 +53,11 @@ StackPathFinder::runStack(const std::vector<CxTask> &tasks,
     // The caller's blocked view merged with vertices claimed by paths
     // routed earlier in this call. The mask only gains bits from here
     // on, so failed A* floods can be cached for the rest of the call.
-    s.unavailable.assignWords(blocked.words(), blocked.size());
+    s.unavailable = blocked;
     s.router.beginMaskEpoch();
     auto try_route = [&](size_t idx) {
-        auto path = s.router.route(tasks[idx].a, tasks[idx].b,
-                                   BlockedMask(s.unavailable));
+        auto path =
+            s.router.route(tasks[idx].a, tasks[idx].b, s.unavailable);
         const size_t gidx = global_index ? (*global_index)[idx] : idx;
         if (!path) {
             out.failed.push_back(gidx);
@@ -80,7 +81,7 @@ StackPathFinder::runStack(const std::vector<CxTask> &tasks,
 
 RoutingOutcome
 StackPathFinder::findPaths(const std::vector<CxTask> &tasks,
-                           BlockedMask blocked)
+                           const BlockedBitset &blocked)
 {
     RoutingOutcome outcome;
     if (tasks.empty())
@@ -116,7 +117,8 @@ StackPathFinder::findPaths(const std::vector<CxTask> &tasks,
         // pure function of (component, base), so it can run on any
         // thread without changing the result.
         auto route_comp = [&](size_t c, RouteScratch &s,
-                              BlockedMask base, RoutingOutcome &p) {
+                              const BlockedBitset &base,
+                              RoutingOutcome &p) {
             s.comp_tasks.clear();
             s.comp_index.clear();
             for (const size_t i : comp_members_[c]) {
@@ -162,18 +164,18 @@ StackPathFinder::findPaths(const std::vector<CxTask> &tasks,
                 std::rethrow_exception(e);
 
         // Merge in ascending component order. Proposals avoided the
-        // base mask but not each other; when a later component's path
-        // crosses an accepted claim, re-route that whole component
+        // base mask but not each other, so a proposal vertex already
+        // set in merged_ is an accepted claim; when a later
+        // component's path crosses one, re-route that whole component
         // against base + claims (still deterministic: the merge order
         // and accumulated mask never depend on the worker count).
-        merged_.assignWords(blocked.words(), blocked.size());
-        claimed_.assign(blocked.size(), false);
+        merged_ = blocked;
         for (size_t c = 0; c < ncomp; ++c) {
             RoutingOutcome &p = proposals_[c];
             bool conflict = false;
             for (const auto &rp : p.routed) {
                 for (const VertexId v : rp.second.vertices)
-                    if (claimed_[v]) {
+                    if (merged_[v]) {
                         conflict = true;
                         break;
                     }
@@ -182,13 +184,11 @@ StackPathFinder::findPaths(const std::vector<CxTask> &tasks,
             }
             if (conflict) {
                 AUTOBRAID_COUNT("route.merge_repairs");
-                route_comp(c, *scratch_[0], BlockedMask(merged_), p);
+                route_comp(c, *scratch_[0], merged_, p);
             }
             for (auto &rp : p.routed) {
-                for (const VertexId v : rp.second.vertices) {
-                    claimed_.set(static_cast<size_t>(v));
+                for (const VertexId v : rp.second.vertices)
                     merged_.set(static_cast<size_t>(v));
-                }
                 outcome.routed.push_back(std::move(rp));
             }
             for (const size_t idx : p.failed)

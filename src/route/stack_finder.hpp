@@ -33,9 +33,9 @@
  * byte-identical outcomes.
  *
  * All scratch state — the interference graph, the peel stack, and the
- * claimed-vertex mask merged with the caller's blocked mask — persists
- * across findPaths() calls, so the scheduler's routing inner loop is
- * allocation-free across dispatch instants.
+ * copy of the caller's blocked mask that claims are merged into —
+ * persists across findPaths() calls, so the scheduler's routing inner
+ * loop is allocation-free across dispatch instants.
  */
 
 #ifndef AUTOBRAID_ROUTE_STACK_FINDER_HPP
@@ -75,7 +75,7 @@ class PathFinder
      * grid vertex, set = unavailable).
      */
     virtual RoutingOutcome findPaths(const std::vector<CxTask> &tasks,
-                                     BlockedMask blocked) = 0;
+                                     const BlockedBitset &blocked) = 0;
 
     /** Human-readable policy name for reports. */
     virtual const char *name() const = 0;
@@ -94,7 +94,7 @@ class StackPathFinder : public PathFinder
     explicit StackPathFinder(const Grid &grid, int jobs = 1);
 
     RoutingOutcome findPaths(const std::vector<CxTask> &tasks,
-                             BlockedMask blocked) override;
+                             const BlockedBitset &blocked) override;
 
     const char *name() const override { return "stack"; }
 
@@ -126,7 +126,8 @@ class StackPathFinder : public PathFinder
      */
     static void runStack(const std::vector<CxTask> &tasks,
                          const std::vector<size_t> *global_index,
-                         BlockedMask blocked, InterferenceGraph &ig,
+                         const BlockedBitset &blocked,
+                         InterferenceGraph &ig,
                          RouteScratch &s, RoutingOutcome &out);
 
     const Grid *grid_;
@@ -139,8 +140,6 @@ class StackPathFinder : public PathFinder
     std::vector<RoutingOutcome> proposals_;
     /** Base mask merged with all accepted claims (merge phase). */
     BlockedBitset merged_;
-    /** Vertices claimed by accepted proposals only (conflict test). */
-    BlockedBitset claimed_;
     /** scratch_[0] serves the calling thread; one more per worker. */
     std::vector<std::unique_ptr<RouteScratch>> scratch_;
 };

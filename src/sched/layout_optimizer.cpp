@@ -23,7 +23,7 @@ LayoutOptimizer::interferenceCount(const std::vector<BBox> &boxes)
 std::vector<PlannedSwap>
 LayoutOptimizer::propose(const std::vector<CxTask> &failed_tasks,
                          const Placement &placement,
-                         BlockedMask blocked,
+                         const BlockedBitset &blocked,
                          const std::vector<uint8_t> &movable)
 {
     AUTOBRAID_SPAN("sched.layout_optimizer");

@@ -43,13 +43,13 @@ class LayoutOptimizer
      *
      * @param failed_tasks CX gates the path finder could not place
      * @param placement current (pre-swap) qubit layout
-     * @param blocked byte mask of vertices reserved by in-flight braids
+     * @param blocked dead vertices and those held by in-flight regions
      * @param movable false for qubits that may not move (in-flight)
      * @return swaps with concrete paths; possibly empty.
      */
     std::vector<PlannedSwap> propose(
         const std::vector<CxTask> &failed_tasks,
-        const Placement &placement, BlockedMask blocked,
+        const Placement &placement, const BlockedBitset &blocked,
         const std::vector<uint8_t> &movable);
 
   private:

@@ -5,8 +5,8 @@
  * Captures everything the paper's evaluation reports: encoded-circuit
  * makespan (surface-code cycles -> microseconds), routing-resource
  * utilization (peak and time-weighted average share of occupied
- * vertices, Fig. 17), SWAP insertions, routing failures, and compile
- * time (§4.2's compilation-time analysis).
+ * vertices, Fig. 17), SWAP insertions and routing failures. Compile
+ * time (§4.2) is CompileReport::total_seconds, over every stage.
  */
 
 #ifndef AUTOBRAID_SCHED_METRICS_HPP
@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "circuit/dag.hpp"
@@ -62,7 +61,6 @@ struct ScheduleResult
     double peak_utilization = 0;   ///< max fraction of busy vertices
     double avg_utilization = 0;    ///< time-weighted busy-vertex share
     size_t max_concurrent_braids = 0;
-    double compile_seconds = 0;    ///< scheduler wall-clock
     bool valid = true;             ///< false when a mode aborted
 
     /** Full operation trace (empty unless SchedulerConfig::record_trace). */
@@ -80,9 +78,6 @@ struct ScheduleResult
     {
         return cost.micros(makespan);
     }
-
-    /** One-line summary for reports. */
-    std::string toString(const CostModel &cost) const;
 };
 
 } // namespace autobraid

@@ -1,11 +1,10 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <functional>
 #include <memory>
 
 #include "common/error.hpp"
-#include "lattice/occupancy.hpp"
 #include "sched/event_queue.hpp"
 #include "sched/layout_optimizer.hpp"
 #include "sched/maslov.hpp"
@@ -61,7 +60,6 @@ class Engine
           config_(&config),
           placement_(placement),
           front_(dag),
-          occ_(grid),
           finder_(makeFinder(grid, config, backend_, maslov_mode)),
           busy_until_(static_cast<size_t>(circuit.numQubits()), 0),
           optimizer_(grid),
@@ -70,17 +68,16 @@ class Engine
           level_sync_(!maslov_mode &&
                       config.policy == SchedulerPolicy::Baseline),
           in_level_(circuit.size(), 0),
-          dead_(static_cast<size_t>(grid.numVertices()))
+          blocked_mask_(static_cast<size_t>(grid.numVertices()))
     {
         for (VertexId v : config.dead_vertices) {
             require(v >= 0 && v < grid.numVertices(),
                     "dead vertex out of range");
-            dead_.set(static_cast<size_t>(v));
+            blocked_mask_.set(static_cast<size_t>(v));
         }
-        blocked_mask_ = dead_;
         routable_vertices_ =
             static_cast<size_t>(grid.numVertices()) -
-            dead_.countSet();
+            blocked_mask_.countSet();
         result_.backend = backend_;
         if (config.record_lifecycle) {
             recorder_ = std::make_unique<telemetry::FlightRecorder>(
@@ -107,7 +104,6 @@ class Engine
     {
         AUTOBRAID_SPAN(maslov_mode_ ? "sched.run_maslov"
                                     : "sched.run");
-        const auto wall_start = std::chrono::steady_clock::now();
         Cycles t = 0;
         while (true) {
             dispatch(t);
@@ -148,12 +144,11 @@ class Engine
         // past it (vertex_cycles_ accrues the full hold at issue
         // time), which would inflate the numerator beyond
         // makespan * routable_vertices and break the 0<=avg<=peak<=1
-        // oracle. Per-vertex reservations never overlap, so only the
-        // last one can overhang and the excess is exactly
-        // releaseTime - makespan. The recorder heatmap gets the same
-        // trim so heatmap-sum == busy-cycles stays exact.
-        for (VertexId v = 0; v < grid_->numVertices(); ++v) {
-            const Cycles release = occ_.releaseTime(v);
+        // oracle. Per-vertex holds never overlap, so only a hold still
+        // pending can overhang, and its excess is exactly
+        // release - makespan. The recorder heatmap gets the same trim
+        // so heatmap-sum == busy-cycles stays exact.
+        for (const auto &[release, v] : holds_) {
             if (release <= makespan_)
                 continue;
             const Cycles excess = release - makespan_;
@@ -169,10 +164,6 @@ class Engine
                 vertex_cycles_ /
                 (static_cast<double>(makespan_) *
                  static_cast<double>(routable_vertices_));
-        result_.compile_seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
         if (recorder_)
             result_.recording =
                 std::make_shared<telemetry::FlightRecording>(
@@ -199,7 +190,6 @@ class Engine
     const SchedulerConfig *config_;
     Placement placement_;
     ReadyFront front_;
-    TimedOccupancy occ_;
     std::unique_ptr<PathFinder> finder_;
     EventQueue events_;
     std::vector<Cycles> busy_until_;
@@ -227,16 +217,22 @@ class Engine
     const bool level_sync_;
     std::vector<uint8_t> in_level_;
     size_t level_remaining_ = 0;
-    BlockedBitset dead_;
 
     /**
-     * One bit per vertex: dead or reserved by an in-flight braid at
-     * the current instant. Maintained incrementally — set on reserve,
-     * cleared from the occupancy's expiry list on time advance — so
-     * the routing hot path reads packed words and whole-mask copies
-     * are word-wise.
+     * The run's vertex state, one bit per vertex: dead (set once, in
+     * the constructor) or held by an in-flight region now. Set on
+     * reserve and cleared when dispatch() releases the hold, so the
+     * finders read packed words and copy the mask word-wise.
      */
     BlockedBitset blocked_mask_;
+
+    /**
+     * Min-heap of (release cycle, vertex), one entry per held vertex:
+     * the finders route around blocked vertices, so a held vertex is
+     * never reserved again before its release. Its size is the number
+     * of vertices held now.
+     */
+    std::vector<std::pair<Cycles, VertexId>> holds_;
     size_t routable_vertices_ = 0;
 
     // Reused per-instant scratch (allocation-free dispatch loop).
@@ -376,12 +372,16 @@ class Engine
     {
         ++result_.dispatch_instants;
         {
-            // Refresh the per-instant blocked mask: expire channel
-            // reservations that ended by t and unblock their vertices.
+            // Release the holds that ended by t and unblock their
+            // vertices.
             AUTOBRAID_SPAN("route.mask_build");
-            for (VertexId v : occ_.advanceTo(t))
-                if (!dead_[v])
-                    blocked_mask_.clear(static_cast<size_t>(v));
+            while (!holds_.empty() && holds_.front().first <= t) {
+                blocked_mask_.clear(
+                    static_cast<size_t>(holds_.front().second));
+                std::pop_heap(holds_.begin(), holds_.end(),
+                              std::greater<>{});
+                holds_.pop_back();
+            }
         }
         if (recorder_) {
             // New ready gates only ever surface at dispatch instants
@@ -421,7 +421,7 @@ class Engine
         // Sample at every instant — including ones where braids are
         // still in flight but nothing new dispatches — so the reported
         // peak cannot miss a quiet instant.
-        const size_t busy = occ_.busyCount(t);
+        const size_t busy = holds_.size();
         AUTOBRAID_GAUGE("sched.busy_counter",
                         static_cast<double>(busy));
         const double util =
@@ -470,16 +470,16 @@ class Engine
 
     /**
      * Classify this instant's routing failures, from the fabric state
-     * *before* the winners reserved their regions: in-flight
-     * reservations mean congestion; an idle lattice with defects
-     * configured means the defects broke routability; an idle,
-     * defect-free lattice means the gate lost the same-instant
-     * vertex-disjointness competition.
+     * *before* the winners reserved their regions: in-flight holds
+     * mean congestion; an idle lattice with defects configured means
+     * the defects broke routability; an idle, defect-free lattice
+     * means the gate lost the same-instant vertex-disjointness
+     * competition.
      */
     telemetry::StallCause
-    routeFailCause(size_t busy_before) const
+    routeFailCause() const
     {
-        if (busy_before > 0)
+        if (!holds_.empty())
             return telemetry::StallCause::Congestion;
         if (routable_vertices_ <
             static_cast<size_t>(grid_->numVertices()))
@@ -521,23 +521,26 @@ class Engine
         }
     }
 
-    /** Reserve a braid channel and block its vertices for this instant. */
+    /** Hold every vertex of @p path from @p t until @p until. */
     void
     reserveChannel(Cycles t, const Path &path, Cycles until)
     {
-        occ_.reserve(path.vertices, until);
-        // Empty windows hold nothing: return before the recorder hook
-        // so a zero-length hold can never be recorded without also
-        // blocking its vertices (the recorder additionally no-ops on
-        // empty windows, keeping heatmap-sum == busy-cycles either
-        // way).
+        // Empty windows hold nothing, and the recorder hook is skipped
+        // with them, so a recorded hold always blocks its vertices.
         if (until <= t)
             return;
         if (recorder_)
             recorder_->onRegionHeld(path.vertices.data(),
                                     path.vertices.size(), t, until);
-        for (VertexId v : path.vertices)
-            blocked_mask_.set(static_cast<size_t>(v));
+        for (VertexId v : path.vertices) {
+            const auto vi = static_cast<size_t>(v);
+            require(!blocked_mask_.test(vi),
+                    "reserveChannel: vertex is dead or already held");
+            blocked_mask_.set(vi);
+            holds_.emplace_back(until, v);
+            std::push_heap(holds_.begin(), holds_.end(),
+                           std::greater<>{});
+        }
     }
 
     /** Issue one two-qubit gate on its acquired region. */
@@ -611,9 +614,8 @@ class Engine
     {
         const auto &tasks = makeTasks(gates);
         if (recorder_)
-            route_fail_cause_ = routeFailCause(occ_.busyCount(t));
-        auto outcome =
-            finder_->findPaths(tasks, BlockedMask(blocked_mask_));
+            route_fail_cause_ = routeFailCause();
+        auto outcome = finder_->findPaths(tasks, blocked_mask_);
         for (const auto &[idx, path] : outcome.routed)
             issueBraid(t, gates[idx], path);
         result_.routing_failures += outcome.failed.size();
@@ -641,9 +643,8 @@ class Engine
                         0);
         for (Qubit q = 0; q < circuit_->numQubits(); ++q)
             movable_[static_cast<size_t>(q)] = qubitFree(q, t) ? 1 : 0;
-        const auto plan =
-            optimizer_.propose(failed_tasks_, placement_,
-                               BlockedMask(blocked_mask_), movable_);
+        const auto plan = optimizer_.propose(failed_tasks_, placement_,
+                                             blocked_mask_, movable_);
         for (const PlannedSwap &s : plan)
             issueSwap(t, s.a, s.b, s.path);
     }
@@ -653,7 +654,7 @@ class Engine
     dispatchBraidsMaslov(Cycles t, const std::vector<GateIdx> &gates)
     {
         if (recorder_)
-            route_fail_cause_ = routeFailCause(occ_.busyCount(t));
+            route_fail_cause_ = routeFailCause();
         // Execute ready CX gates whose tiles are grid neighbours.
         adjacent_.clear();
         for (GateIdx g : gates) {
@@ -665,8 +666,7 @@ class Engine
         size_t issued = 0;
         if (!adjacent_.empty()) {
             const auto &tasks = makeTasks(adjacent_);
-            auto outcome =
-                finder_->findPaths(tasks, BlockedMask(blocked_mask_));
+            auto outcome = finder_->findPaths(tasks, blocked_mask_);
             for (const auto &[idx, path] : outcome.routed)
                 issueBraid(t, adjacent_[idx], path);
             issued = outcome.routed.size();
@@ -698,8 +698,7 @@ class Engine
             swap_tasks_.push_back(
                 CxTask::make(i, placement_.cellOf(pairs[i].first),
                              placement_.cellOf(pairs[i].second)));
-        auto outcome =
-            finder_->findPaths(swap_tasks_, BlockedMask(blocked_mask_));
+        auto outcome = finder_->findPaths(swap_tasks_, blocked_mask_);
         for (const auto &[idx, path] : outcome.routed)
             issueSwap(t, pairs[idx].first, pairs[idx].second, path);
     }

@@ -52,9 +52,8 @@ LatticeSurgeryFinder::buildRegion(const CxTask &task, Path &out)
     const unsigned mask_b = liveCornerMask(task.b);
     if (mask_a == 0 || mask_b == 0)
         return false;
-    const auto bus =
-        router_.route(task.a, task.b, BlockedMask(unavailable_),
-                      nullptr, mask_a, mask_b);
+    const auto bus = router_.route(task.a, task.b, unavailable_,
+                                   nullptr, mask_a, mask_b);
     if (!bus)
         return false;
 
@@ -85,13 +84,13 @@ LatticeSurgeryFinder::buildRegion(const CxTask &task, Path &out)
 
 RoutingOutcome
 LatticeSurgeryFinder::findPaths(const std::vector<CxTask> &tasks,
-                                BlockedMask blocked)
+                                const BlockedBitset &blocked)
 {
     AUTOBRAID_SPAN("surgery.acquire");
     RoutingOutcome outcome;
     if (tasks.empty())
         return outcome;
-    unavailable_.assignWords(blocked.words(), blocked.size());
+    unavailable_ = blocked;
     // Claims only ever add blocked vertices within this call, so
     // failed bus floods can be cached for the rest of it.
     router_.beginMaskEpoch();

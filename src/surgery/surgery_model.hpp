@@ -41,7 +41,7 @@ class LatticeSurgeryFinder final : public PathFinder
                          const std::vector<VertexId> &dead_vertices);
 
     RoutingOutcome findPaths(const std::vector<CxTask> &tasks,
-                             BlockedMask blocked) override;
+                             const BlockedBitset &blocked) override;
 
     const char *name() const override { return "lattice-surgery"; }
 

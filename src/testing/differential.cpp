@@ -104,6 +104,38 @@ DifferentialResult::toString() const
     return out;
 }
 
+double
+tracePeakUtilization(const std::vector<TraceEntry> &trace,
+                     const Grid &grid,
+                     const std::vector<VertexId> &dead_vertices)
+{
+    // (cycle, change in held vertices). At equal cycles the releases
+    // sort first: a hold ending at t no longer counts at t.
+    std::vector<std::pair<Cycles, long long>> steps;
+    for (const TraceEntry &e : trace) {
+        if (e.channel_release <= e.start || e.path.vertices.empty())
+            continue;
+        const auto n = static_cast<long long>(e.path.vertices.size());
+        steps.emplace_back(e.start, n);
+        steps.emplace_back(e.channel_release, -n);
+    }
+    std::sort(steps.begin(), steps.end());
+    long long held = 0;
+    long long peak = 0;
+    for (const auto &step : steps) {
+        held += step.second;
+        peak = std::max(peak, held);
+    }
+    std::vector<VertexId> dead = dead_vertices;
+    std::sort(dead.begin(), dead.end());
+    dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
+    const auto routable =
+        static_cast<size_t>(grid.numVertices()) - dead.size();
+    return routable > 0 ? static_cast<double>(peak) /
+                              static_cast<double>(routable)
+                        : 0.0;
+}
+
 namespace {
 
 void checkRecorderLifecycle(const FuzzCase &c, const char *name,
@@ -223,14 +255,20 @@ checkPolicyRun(const FuzzCase &c, const std::string &label,
     // Utilization accounting: both ratios are over the routable fabric,
     // so 0 <= avg <= peak <= 1 must hold for every valid run (the peak
     // is sampled at every dispatch instant, the average over all
-    // cycles, so the average can never exceed the peak).
+    // cycles, so the average can never exceed the peak), and the peak
+    // is exactly the one the trace implies.
+    const double trace_peak = tracePeakUtilization(
+        r.trace, Grid::forQubits(c.circuit.numQubits()),
+        c.options.dead_vertices);
     if (r.avg_utilization < 0.0 || r.peak_utilization < 0.0 ||
         r.peak_utilization > 1.0 ||
-        r.avg_utilization > r.peak_utilization + 1e-9) {
+        r.avg_utilization > r.peak_utilization + 1e-9 ||
+        r.peak_utilization != trace_peak) {
         AUTOBRAID_COUNT("fuzz.utilization_violations");
         fail(strformat("utilization invariant broken: avg %.6f "
-                       "peak %.6f",
-                       r.avg_utilization, r.peak_utilization));
+                       "peak %.6f, trace peak %.6f",
+                       r.avg_utilization, r.peak_utilization,
+                       trace_peak));
     }
     checkRecorderLifecycle(c, name, r, failures);
     // Lint oracle (when the compile ran with lint enabled): reaching

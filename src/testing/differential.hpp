@@ -7,7 +7,8 @@
  * time-window ordering, durations, coverage, exact makespan and braid
  * counts, dependence order, path geometry, vertex-disjointness per
  * time window) and retire every circuit gate with a makespan no
- * shorter than the dependence-weighted critical path. Across
+ * shorter than the dependence-weighted critical path, and its peak
+ * utilization must equal the one its trace implies. Across
  * policies, the retired gate set must be identical (the whole
  * circuit) and the reported critical path must agree. A separate
  * check compiles the same case through BatchCompiler on 1 worker and
@@ -98,6 +99,18 @@ struct DifferentialResult
 DifferentialResult runDifferentialCase(const FuzzCase &c,
                                        unsigned mask = kMaskAll,
                                        bool lint_oracle = true);
+
+/**
+ * The peak utilization @p trace implies: the most vertices its regions
+ * hold at once, over the vertices of @p grid that are not in
+ * @p dead_vertices. An entry holds its path on [start,
+ * channel_release), so the held count can only rise at a start, and
+ * every start is a dispatch instant, where the scheduler samples the
+ * count: its ScheduleResult::peak_utilization must equal this exactly.
+ */
+double tracePeakUtilization(const std::vector<TraceEntry> &trace,
+                            const Grid &grid,
+                            const std::vector<VertexId> &dead_vertices);
 
 /** Cross-backend comparison of one case (reporting, not asserting). */
 struct CrossBackendResult

@@ -4,20 +4,18 @@
  *
  * The packed word mask must behave exactly like the byte-vector mask
  * it replaced. The randomized test drives a bitset and a
- * std::vector<uint8_t> reference through the same churn of set/clear/
- * bulk operations — modelled on the scheduler's reserve/expire/defect
- * traffic — and checks every accessor against the reference after
- * each step, including the word-wise range scan against a linear scan.
+ * std::vector<uint8_t> reference through the same churn of set, clear
+ * and copy — modelled on the scheduler's reserve/release traffic and
+ * the finders' per-call copy — and checks every accessor against the
+ * reference after each step.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "route/astar.hpp"
 #include "route/blocked_bitset.hpp"
 
 namespace autobraid {
@@ -47,44 +45,12 @@ TEST(BlockedBitset, BasicSetClearTest)
     EXPECT_FALSE(bits.test(63));
     EXPECT_EQ(bits.countSet(), 3u);
 
-    bits.clearAll();
-    EXPECT_EQ(bits.countSet(), 0u);
-    for (size_t w = 0; w < bits.numWords(); ++w)
-        EXPECT_EQ(bits.words()[w], 0u);
-}
-
-TEST(BlockedBitset, TailBitsStayZero)
-{
-    // Whole-word scans rely on the bits past size() being zero.
-    BlockedBitset bits(70, true);
-    EXPECT_EQ(bits.countSet(), 70u);
-    EXPECT_EQ(bits.words()[1] >> (70 - 64), 0u);
-
-    BlockedBitset other(70);
-    other.set(69);
-    other.orWith(bits);
-    EXPECT_EQ(other.countSet(), 70u);
-    EXPECT_EQ(other.words()[1] >> (70 - 64), 0u);
-}
-
-TEST(BlockedBitset, AnySetInRangeEdges)
-{
-    BlockedBitset bits(256);
-    EXPECT_FALSE(bits.anySetInRange(0, 256));
-    EXPECT_FALSE(bits.anySetInRange(10, 10)); // empty range
-
-    bits.set(128); // first bit of word 2
-    EXPECT_TRUE(bits.anySetInRange(0, 256));
-    EXPECT_TRUE(bits.anySetInRange(128, 129));
-    EXPECT_FALSE(bits.anySetInRange(0, 128));
-    EXPECT_FALSE(bits.anySetInRange(129, 256));
-    EXPECT_TRUE(bits.anySetInRange(127, 129)); // straddles the word
-
-    bits.clearAll();
-    bits.set(63); // last bit of word 0
-    EXPECT_TRUE(bits.anySetInRange(63, 64));
-    EXPECT_FALSE(bits.anySetInRange(0, 63));
-    EXPECT_FALSE(bits.anySetInRange(64, 256));
+    // A copy is independent of its source.
+    BlockedBitset copy = bits;
+    copy.clear(0);
+    EXPECT_TRUE(bits.test(0));
+    EXPECT_FALSE(copy.test(0));
+    EXPECT_EQ(copy.countSet(), 2u);
 }
 
 TEST(BlockedBitset, RandomizedAgainstByteMask)
@@ -96,37 +62,21 @@ TEST(BlockedBitset, RandomizedAgainstByteMask)
         std::vector<uint8_t> ref(n, 0);
 
         for (int step = 0; step < 400; ++step) {
-            const int op = rng.intIn(0, 5);
+            const int op = rng.intIn(0, 2);
             if (op == 0) { // reserve a vertex
                 const size_t i = rng.index(n);
                 bits.set(i);
                 ref[i] = 1;
-            } else if (op == 1) { // expire a reservation
+            } else if (op == 1) { // release a hold
                 const size_t i = rng.index(n);
                 bits.clear(i);
                 ref[i] = 0;
-            } else if (op == 2) { // conditional set (defect refresh)
-                const size_t i = rng.index(n);
-                const bool v = rng.chance(0.5);
-                bits.set(i, v);
-                ref[i] = v ? 1 : 0;
-            } else if (op == 3) { // bulk reset
-                bits.clearAll();
-                std::fill(ref.begin(), ref.end(), uint8_t{0});
-            } else if (op == 4) { // merge another mask
-                BlockedBitset other(n);
-                for (size_t i = 0; i < n; ++i)
-                    if (rng.chance(0.1)) {
-                        other.set(i);
-                        ref[i] = 1;
-                    }
-                bits.orWith(other);
-            } else { // adopt a snapshot (assignWords round-trip)
+            } else { // adopt a snapshot (a finder's per-call copy)
                 BlockedBitset snap(n);
                 for (size_t i = 0; i < n; ++i)
                     if (rng.chance(0.3))
                         snap.set(i);
-                bits.assignWords(snap.words(), snap.size());
+                bits = snap;
                 for (size_t i = 0; i < n; ++i)
                     ref[i] = snap.test(i) ? 1 : 0;
             }
@@ -140,31 +90,8 @@ TEST(BlockedBitset, RandomizedAgainstByteMask)
                 ref_count += ref[i];
             }
             ASSERT_EQ(bits.countSet(), ref_count);
-
-            // Word-wise range scan vs. linear reference scan.
-            size_t lo = rng.index(n + 1);
-            size_t hi = rng.index(n + 1);
-            if (lo > hi)
-                std::swap(lo, hi);
-            bool any = false;
-            for (size_t i = lo; i < hi; ++i)
-                any = any || ref[i] != 0;
-            ASSERT_EQ(bits.anySetInRange(lo, hi), any)
-                << "range [" << lo << ", " << hi << ")";
         }
     }
-}
-
-TEST(BlockedBitset, MaskViewMatchesBitset)
-{
-    Rng rng(0x600d'ca5eULL);
-    BlockedBitset bits(200);
-    for (size_t i = 0; i < bits.size(); ++i)
-        if (rng.chance(0.4))
-            bits.set(i);
-    const BlockedMask mask(bits);
-    for (size_t i = 0; i < bits.size(); ++i)
-        EXPECT_EQ(mask[static_cast<VertexId>(i)], bits.test(i)) << i;
 }
 
 } // namespace

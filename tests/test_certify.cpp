@@ -4,7 +4,8 @@
  * v1 documents (one valid, one per seeded-mutation class), the
  * export -> certify round-trip on real compiles under both backends,
  * agreement of the in-memory and text front ends (clean schedules and
- * seeded corruptions alike), the --schedule-out pipeline pass,
+ * seeded corruptions alike), braids cut or stretched off their operand
+ * tiles, the --schedule-out pipeline pass,
  * certificate JSON shape, the AB4xx schedule lints, and the
  * fix-application engine, and the streaming decoders against the tree
  * decoders they replaced (json_reference.hpp) on every truncation and
@@ -13,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -511,6 +514,103 @@ TEST(Certify, FrontEndsRejectSwapWithoutQubitPairAlike)
     });
 }
 
+/** The --schedule-out export of @p spec, which embeds the placement. */
+certify::Schedule
+exportedSchedule(const char *spec, SchedulerBackend backend)
+{
+    CompileOptions opt;
+    opt.backend = backend;
+    opt.schedule_out = ::testing::TempDir() + "ab_certify_anchor.json";
+    compileCircuit(gen::make(spec), opt);
+    return certify::decodeSchedule(readTextFile(opt.schedule_out));
+}
+
+/** True when @p cert fails on the anchor check and on nothing else. */
+bool
+onlyAnchor(const Certificate &cert)
+{
+    if (cert.violations.empty())
+        return false;
+    for (const certify::Violation &v : cert.violations)
+        if (v.check != "anchor")
+            return false;
+    return true;
+}
+
+TEST(Certify, UnanchoredBraidsRejected)
+{
+    const certify::Schedule braids =
+        exportedSchedule("qft:6", SchedulerBackend::Braiding);
+    ASSERT_TRUE(braids.placement.has_value());
+    ASSERT_TRUE(certify::certifySchedule(braids).ok);
+    const Grid grid(braids.grid_rows, braids.grid_cols);
+    auto tile = [&](const certify::Schedule &s, Qubit q) {
+        return grid.cornerIds(
+            grid.cell((*s.placement)[static_cast<size_t>(q)]));
+    };
+    auto on = [](const std::array<VertexId, 4> &t, VertexId v) {
+        return std::find(t.begin(), t.end(), v) != t.end();
+    };
+
+    // A path cut to a vertex on neither tile: cx q2, q1 runs [9, 8, 4]
+    // between tiles {9, 10, 13, 14} and {0, 1, 4, 5}.
+    certify::Schedule cut = braids;
+    const auto it = std::find_if(
+        cut.entries.begin(), cut.entries.end(),
+        [](const certify::Entry &e) {
+            return e.path == std::vector<VertexId>{9, 8, 4};
+        });
+    ASSERT_NE(it, cut.entries.end());
+    it->path = {8};
+    const Certificate cut_cert = certify::certifySchedule(cut);
+    EXPECT_TRUE(onlyAnchor(cut_cert)) << violations(cut_cert);
+
+    // An endpoint extended one hop off its tile, onto a vertex that is
+    // a corner of neither tile and free at the time.
+    bool extended = false;
+    for (size_t i = 0; i < braids.entries.size() && !extended; ++i) {
+        const certify::Entry &e = braids.entries[i];
+        if (e.gate < 0 || e.path.empty())
+            continue;
+        const Gate &gate = braids.gates[static_cast<size_t>(e.gate)];
+        std::array<VertexId, 4> hops;
+        const int n = grid.neighbors(e.path.back(), hops);
+        for (int k = 0; k < n && !extended; ++k) {
+            const VertexId w = hops[static_cast<size_t>(k)];
+            if (on(tile(braids, gate.q0), w) ||
+                on(tile(braids, gate.q1), w) ||
+                std::find(e.path.begin(), e.path.end(), w) !=
+                    e.path.end())
+                continue;
+            certify::Schedule longer = braids;
+            longer.entries[i].path.push_back(w);
+            extended = onlyAnchor(certify::certifySchedule(longer));
+        }
+    }
+    EXPECT_TRUE(extended);
+
+    // A merge region missing one live corner of its tiles.
+    const certify::Schedule merges =
+        exportedSchedule("qft:6", SchedulerBackend::LatticeSurgery);
+    ASSERT_TRUE(merges.placement.has_value());
+    ASSERT_TRUE(certify::certifySchedule(merges).ok);
+    certify::Schedule short_region = merges;
+    const auto region = std::find_if(
+        short_region.entries.begin(), short_region.entries.end(),
+        [](const certify::Entry &e) { return !e.path.empty(); });
+    ASSERT_NE(region, short_region.entries.end());
+    const Gate &gate = merges.gates[static_cast<size_t>(region->gate)];
+    const VertexId corner = tile(merges, gate.q1)[0];
+    ASSERT_TRUE(merges.dead_vertices.empty());
+    const auto pos =
+        std::find(region->path.begin(), region->path.end(), corner);
+    ASSERT_NE(pos, region->path.end());
+    region->path.erase(pos);
+    const Certificate region_cert =
+        certify::certifySchedule(short_region);
+    EXPECT_TRUE(onlyAnchor(region_cert)) << violations(region_cert);
+}
+
 TEST(Certify, ScheduleOutPassWritesCertifiableDocument)
 {
     const std::string path =
@@ -727,9 +827,11 @@ smallRecording()
     telemetry::FlightRecorder recorder(2, 4);
     recorder.meta().grid_rows = 2;
     recorder.meta().grid_cols = 2;
-    recorder.gate(0).kind = "h";
+    // Assigned from std::string temporaries: in Release, gcc 12 reports
+    // a false -Wrestrict overlap on assigning these literals directly.
+    recorder.gate(0).kind = std::string("h");
     recorder.gate(0).q0 = 0;
-    recorder.gate(1).kind = "cx";
+    recorder.gate(1).kind = std::string("cx");
     recorder.gate(1).q0 = 0;
     recorder.gate(1).q1 = 3;
     recorder.onRetired(0, 1);

@@ -1,17 +1,14 @@
 /**
  * @file
  * Unit tests for the lattice substrate: grid geometry, bounding boxes,
- * occupancy tracking, the surface-code error model, and the gate cost
- * model.
+ * the surface-code error model, and the gate cost model.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "lattice/cost_model.hpp"
 #include "lattice/geometry.hpp"
-#include "lattice/occupancy.hpp"
 #include "lattice/surface_code.hpp"
 
 namespace autobraid {
@@ -127,92 +124,6 @@ TEST(BBox, OfCells)
     EXPECT_EQ(box.cmin, 0);
     EXPECT_EQ(box.rmax, 4);
     EXPECT_EQ(box.cmax, 5);
-}
-
-TEST(TimedOccupancy, WindowedReservations)
-{
-    Grid g(3, 3);
-    TimedOccupancy occ(g);
-    EXPECT_TRUE(occ.freeAt(5, 0));
-    occ.reserve({5, 6}, 100);
-    EXPECT_FALSE(occ.freeAt(5, 0));
-    EXPECT_FALSE(occ.freeAt(5, 99));
-    EXPECT_TRUE(occ.freeAt(5, 100));
-    EXPECT_EQ(occ.busyCount(50), 2u);
-    EXPECT_EQ(occ.busyCount(100), 0u);
-}
-
-TEST(TimedOccupancy, LaterReservationWins)
-{
-    Grid g(2, 2);
-    TimedOccupancy occ(g);
-    occ.reserve({3}, 100);
-    occ.reserve({3}, 50); // shorter reservation must not shrink
-    EXPECT_EQ(occ.releaseTime(3), 100u);
-    occ.reserve({3}, 150);
-    EXPECT_EQ(occ.releaseTime(3), 150u);
-}
-
-TEST(TimedOccupancy, AdvanceToReportsFreedAndKeepsCountLive)
-{
-    Grid g(3, 3);
-    TimedOccupancy occ(g);
-    EXPECT_EQ(occ.advancedTime(), 0u);
-    occ.reserve({1, 2}, 10);
-    occ.reserve({3}, 5);
-    EXPECT_EQ(occ.busyCount(0), 3u); // O(1) live counter at the front
-    EXPECT_EQ(occ.busyCount(7), 2u); // off-front O(V) fallback scan
-    auto freed = occ.advanceTo(5);
-    EXPECT_EQ(freed, std::vector<VertexId>{3});
-    EXPECT_EQ(occ.busyCount(5), 2u);
-
-    // Extending a live reservation must not double-count the vertex,
-    // and its stale expiry entry must not free it early.
-    occ.reserve({1}, 20);
-    EXPECT_EQ(occ.busyCount(5), 2u);
-    freed = occ.advanceTo(10);
-    EXPECT_EQ(freed, std::vector<VertexId>{2});
-    EXPECT_EQ(occ.busyCount(10), 1u);
-
-    freed = occ.advanceTo(20);
-    EXPECT_EQ(freed, std::vector<VertexId>{1});
-    EXPECT_EQ(occ.busyCount(20), 0u);
-    EXPECT_THROW(occ.advanceTo(19), InternalError);
-}
-
-TEST(TimedOccupancy, ReservationsEndingAtFrontNeverCount)
-{
-    // Zero-hold braids reserve until the current instant; they must
-    // not appear busy, matching freeAt.
-    Grid g(2, 2);
-    TimedOccupancy occ(g);
-    occ.advanceTo(7);
-    occ.reserve({0, 1}, 7);
-    EXPECT_TRUE(occ.freeAt(0, 7));
-    EXPECT_EQ(occ.busyCount(7), 0u);
-    EXPECT_TRUE(occ.advanceTo(8).empty());
-}
-
-TEST(TimedOccupancy, IncrementalCountMatchesScanUnderChurn)
-{
-    Grid g(4, 4);
-    TimedOccupancy occ(g);
-    Rng rng(123);
-    const auto total = static_cast<int>(occ.totalCount());
-    LatticeTime t = 0;
-    for (int step = 0; step < 300; ++step) {
-        t += static_cast<LatticeTime>(rng.intIn(0, 3));
-        occ.advanceTo(t);
-        const std::vector<VertexId> path{
-            static_cast<VertexId>(rng.intIn(0, total - 1))};
-        occ.reserve(path,
-                    t + static_cast<LatticeTime>(rng.intIn(0, 6)));
-        size_t scan = 0;
-        for (VertexId v = 0; v < static_cast<VertexId>(total); ++v)
-            if (!occ.freeAt(v, t))
-                ++scan;
-        EXPECT_EQ(occ.busyCount(t), scan) << "step " << step;
-    }
 }
 
 TEST(SurfaceCode, LogicalErrorRateEq1)

@@ -13,7 +13,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "lattice/occupancy.hpp"
 #include "route/astar.hpp"
 #include "route/greedy_finder.hpp"
 #include "route/interference.hpp"
@@ -389,8 +388,8 @@ TEST(StackFinder, RespectsExternalBlocking)
     StackPathFinder finder(g);
     std::vector<CxTask> tasks{CxTask::make(0, Cell{0, 0}, Cell{0, 2})};
     // Block everything: no route possible.
-    const BlockedBitset all_blocked(
-        static_cast<size_t>(g.numVertices()), true);
+    const BlockedBitset all_blocked =
+        materializeBlocked(g, [](VertexId) { return true; });
     const auto outcome = finder.findPaths(tasks, all_blocked);
     EXPECT_TRUE(outcome.routed.empty());
     EXPECT_EQ(outcome.failed.size(), 1u);

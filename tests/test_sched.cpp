@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the scheduler layer: event queue, policies, metrics,
- * the layout optimizer (paper Fig. 15 scenario), the Maslov swap
+ * Unit tests for the scheduler layer: event queue, policies, the
+ * layout optimizer (paper Fig. 15 scenario), the Maslov swap
  * network, the braid scheduler itself and its run limit, and the
  * pipeline facade.
  */
@@ -10,10 +10,12 @@
 
 #include "common/error.hpp"
 #include "common/text.hpp"
+#include "common/rng.hpp"
 #include "compiler/driver.hpp"
 #include "gen/ising.hpp"
 #include "gen/qft.hpp"
 #include "gen/registry.hpp"
+#include "lattice/defects.hpp"
 #include "place/linear.hpp"
 #include "sched/event_queue.hpp"
 #include "sched/layout_optimizer.hpp"
@@ -21,6 +23,7 @@
 #include "sched/schedule_export.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/validator.hpp"
+#include "testing/differential.hpp"
 
 namespace autobraid {
 namespace {
@@ -61,17 +64,6 @@ TEST(Policy, BaselinePlacementHasNoLlgTuning)
     EXPECT_FALSE(base.use_linear_special);
     const auto ours = cfg.placementFor(SchedulerPolicy::AutobraidSP);
     EXPECT_TRUE(ours.use_annealer);
-}
-
-TEST(Metrics, ToStringMentionsKeyFields)
-{
-    ScheduleResult r;
-    r.makespan = 1000;
-    r.braids_routed = 5;
-    CostModel cost;
-    const std::string s = r.toString(cost);
-    EXPECT_NE(s.find("braids=5"), std::string::npos);
-    EXPECT_NE(s.find("us"), std::string::npos);
 }
 
 TEST(SwapNetwork, LinePositions)
@@ -291,6 +283,53 @@ TEST(Scheduler, QuietInstantsStillSampleUtilization)
     // Adjacent tiles braid through one shared vertex of the 9.
     EXPECT_NEAR(result.peak_utilization, 1.0 / 9.0, 1e-12);
     EXPECT_LE(result.avg_utilization, result.peak_utilization);
+}
+
+TEST(Scheduler, PeakUtilizationMatchesTraceRecount)
+{
+    // The engine counts the vertices its hold heap keeps; recount them
+    // from the trace, where each entry holds its path on [start,
+    // channel_release), and require the exact peak: with the layout
+    // optimizer, a teleport hold, dead vertices and merge regions.
+    struct Case
+    {
+        const char *spec;
+        SchedulerPolicy policy;
+        SchedulerBackend backend;
+        Cycles channel_hold;
+        int defects;
+    };
+    const Case cases[] = {
+        {"qft:16", SchedulerPolicy::AutobraidFull,
+         SchedulerBackend::Braiding, 0, 0},
+        {"qaoa:16", SchedulerPolicy::AutobraidFull,
+         SchedulerBackend::Braiding, 5, 0},
+        {"im:16", SchedulerPolicy::Baseline, SchedulerBackend::Braiding,
+         0, 2},
+        {"qft:12", SchedulerPolicy::AutobraidFull,
+         SchedulerBackend::LatticeSurgery, 0, 0},
+    };
+    for (const Case &k : cases) {
+        const Circuit circuit = gen::make(k.spec);
+        const Grid grid = Grid::forQubits(circuit.numQubits());
+        CompileOptions opt;
+        opt.policy = k.policy;
+        opt.backend = k.backend;
+        opt.channel_hold_cycles = k.channel_hold;
+        opt.record_trace = true;
+        Rng rng(7);
+        opt.dead_vertices =
+            DefectMap::random(grid, k.defects, rng).deadVertices();
+        ASSERT_EQ(opt.dead_vertices.size(),
+                  static_cast<size_t>(k.defects));
+        const ScheduleResult r = compileCircuit(circuit, opt).result;
+        ASSERT_TRUE(r.valid) << k.spec;
+        EXPECT_GT(r.peak_utilization, 0.0) << k.spec;
+        EXPECT_EQ(r.peak_utilization,
+                  fuzz::tracePeakUtilization(r.trace, grid,
+                                             opt.dead_vertices))
+            << k.spec;
+    }
 }
 
 TEST(Scheduler, ChannelHoldEdgeCases)

@@ -4,8 +4,7 @@
  * CLI-name round-trips and strict parse errors, the merge-region
  * semantics of LatticeSurgeryFinder, end-to-end surgery
  * compiles through the validator (including defect tolerance and
- * determinism), cross-backend comparison, and the occupancy error
- * paths the backends share.
+ * determinism), and cross-backend comparison.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +17,6 @@
 #include "compiler/driver.hpp"
 #include "gen/registry.hpp"
 #include "lattice/defects.hpp"
-#include "lattice/occupancy.hpp"
 #include "sched/validator.hpp"
 #include "surgery/surgery_model.hpp"
 #include "testing/differential.hpp"
@@ -287,53 +285,6 @@ TEST(SurgeryCompile, CrossBackendMakespansReported)
     EXPECT_GT(cross.makespan_surgery, 0u);
     // Deliberately no assertion that the two agree: different
     // semantics, reported side by side.
-}
-
-// --------------------------------------------------------------------
-// Occupancy reuse shared by both backends
-// --------------------------------------------------------------------
-
-TEST(TimedOccupancy, ExpiryHeapAcrossClearAndReuse)
-{
-    const Grid grid(2, 2); // 9 vertices
-    TimedOccupancy occ(grid);
-    occ.reserve({0, 1, 2}, 10);
-    occ.reserve({3}, 5);
-    occ.advanceTo(0);
-    EXPECT_EQ(occ.busyCount(0), 4u);
-
-    const std::vector<VertexId> freed5 = occ.advanceTo(5);
-    ASSERT_EQ(freed5.size(), 1u);
-    EXPECT_EQ(freed5[0], 3);
-    EXPECT_EQ(occ.busyCount(5), 3u);
-
-    // Extending an active reservation leaves a stale heap entry that
-    // advanceTo must skip.
-    occ.reserve({0}, 20);
-    EXPECT_EQ(occ.advanceTo(10).size(), 2u); // 1 and 2; 0 extended
-    EXPECT_EQ(occ.busyCount(10), 1u);
-    EXPECT_FALSE(occ.freeAt(0, 10));
-
-    // clear() rewinds the front and drops live and stale entries; the
-    // instance must behave like a fresh one across repeated reuse
-    // (the per-backend recompilation churn pattern).
-    occ.clear();
-    EXPECT_EQ(occ.advancedTime(), 0u);
-    EXPECT_EQ(occ.busyCount(0), 0u);
-    EXPECT_TRUE(occ.freeAt(0, 0));
-    for (int round = 0; round < 3; ++round) {
-        occ.reserve({0, 4, 8}, 7);
-        occ.advanceTo(3);
-        EXPECT_EQ(occ.busyCount(3), 3u);
-        EXPECT_EQ(occ.advanceTo(7).size(), 3u);
-        EXPECT_EQ(occ.busyCount(7), 0u);
-        occ.clear();
-    }
-
-    // Time is monotone within a run; regression raises.
-    occ.reserve({2}, 4);
-    occ.advanceTo(2);
-    EXPECT_THROW(occ.advanceTo(1), InternalError);
 }
 
 } // namespace
