@@ -7,11 +7,10 @@
  * autobraid-full (paper: autobraid reaches up to ~70%, the baseline
  * ~37%).
  *
- * The numbers come from telemetry::utilizationTimeline() — the same
- * sweep the CLI's --trace-out exporter uses for its utilization counter
- * track — so the figure and the Perfetto view cannot drift apart. Set
- * AB_TRACE_OUT=FILE to also dump the last autobraid-full compile as a
- * Chrome trace-event file.
+ * The numbers are the scheduler's own, ScheduleResult's
+ * peak_utilization and avg_utilization, the ones every report prints.
+ * Set AB_TRACE_OUT=FILE to also dump the last autobraid-full compile
+ * as a Chrome trace-event file.
  */
 
 #include <cstdlib>
@@ -21,20 +20,6 @@
 
 using namespace autobraid;
 using namespace autobraid::bench;
-
-namespace {
-
-/** Peak / time-weighted-average utilization via the shared exporter. */
-telemetry::UtilStats
-utilOf(const CompileReport &report)
-{
-    const Grid grid(report.grid_side, report.grid_side);
-    return telemetry::utilizationStats(
-        telemetry::utilizationTimeline(report.result, grid),
-        report.result.makespan);
-}
-
-} // namespace
 
 int
 main()
@@ -66,18 +51,18 @@ main()
             full.record_trace = true;
             const CompileReport rf = compileCircuit(circuit, full);
 
-            const telemetry::UtilStats ub = utilOf(rb);
-            const telemetry::UtilStats uf = utilOf(rf);
-            best_base = std::max(best_base, ub.avg);
-            best_ours = std::max(best_ours, uf.avg);
+            const ScheduleResult &ub = rb.result;
+            const ScheduleResult &uf = rf.result;
+            best_base = std::max(best_base, ub.avg_utilization);
+            best_ours = std::max(best_ours, uf.avg_utilization);
 
             table.addRow(
                 {strformat("%.0e", pt.inv_pl),
                  std::to_string(circuit.numQubits()),
-                 strformat("%.0f%%", 100 * ub.peak),
-                 strformat("%.0f%%", 100 * ub.avg),
-                 strformat("%.0f%%", 100 * uf.peak),
-                 strformat("%.0f%%", 100 * uf.avg)});
+                 strformat("%.0f%%", 100 * ub.peak_utilization),
+                 strformat("%.0f%%", 100 * ub.avg_utilization),
+                 strformat("%.0f%%", 100 * uf.peak_utilization),
+                 strformat("%.0f%%", 100 * uf.avg_utilization)});
             std::fflush(stdout);
 
             if (const char *path = std::getenv("AB_TRACE_OUT"))

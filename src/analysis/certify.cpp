@@ -574,11 +574,16 @@ certifySchedule(const Schedule &s)
     }
 
     // ---- 4. Path geometry from raw vertex-id arithmetic ---------
+    // No path or region may hold a dead vertex.
     const int vrows = rows + 1;
     const int vcols = cols + 1;
     const VertexId nv = static_cast<VertexId>(vrows * vcols);
     const bool contiguous =
         backend != SchedulerBackend::LatticeSurgery;
+    std::vector<uint8_t> dead(static_cast<size_t>(nv), 0);
+    for (VertexId v : s.dead_vertices)
+        if (v >= 0 && v < nv)
+            dead[static_cast<size_t>(v)] = 1;
     // Occurrence counts of the path under inspection, so the revisit
     // test is one lookup instead of a rescan of the path.
     std::vector<uint32_t> occurrences(static_cast<size_t>(nv), 0);
@@ -594,6 +599,12 @@ certifySchedule(const Schedule &s)
                         strformat("entry %zu: vertex id %d outside "
                                   "the %dx%d vertex grid",
                                   i, v, vrows, vcols));
+                break;
+            }
+            if (dead[static_cast<size_t>(v)]) {
+                violate("dead-vertex",
+                        strformat("entry %zu: holds dead vertex %d", i,
+                                  v));
                 break;
             }
             if (contiguous && k > 0) {
@@ -640,10 +651,6 @@ certifySchedule(const Schedule &s)
                       cid, rows, cols);
     }
     if (s.placement && s.swaps_inserted == 0 && !s.used_maslov) {
-        std::vector<uint8_t> dead(static_cast<size_t>(nv), 0);
-        for (VertexId v : s.dead_vertices)
-            if (v >= 0 && v < nv)
-                dead[static_cast<size_t>(v)] = 1;
         auto corners = [&](CellId cid) {
             const VertexId nw = cid / cols * vcols + cid % cols;
             return std::array<VertexId, 4>{nw, nw + 1, nw + vcols,

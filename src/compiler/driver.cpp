@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "analysis/certify.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/schedule_lints.hpp"
 #include "circuit/circuit.hpp"
@@ -10,7 +11,6 @@
 #include "place/initial.hpp"
 #include "place/linear.hpp"
 #include "sched/scheduler.hpp"
-#include "sched/validator.hpp"
 #include "telemetry/recorder.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -217,22 +217,26 @@ runMaslovFallback(const Circuit &circuit, const Grid &grid,
 }
 
 /**
- * The certifier's rules over a recorded trace (validateSchedule), filed
- * as diagnostics; nothing to check when no trace was recorded.
+ * The certifier's rules over the document --schedule-out writes, with
+ * its placement, dead vertices and channel hold, filed as diagnostics;
+ * nothing to check when no trace was recorded.
  */
 void
 runValidate(const Circuit &circuit, const Grid &grid,
-            const CompileOptions &options, CompileReport &report)
+            const Placement &placement, const CompileOptions &options,
+            CompileReport &report)
 {
     const Stage stage(report, "validate");
     if (report.result.trace.empty())
         return;
-    const ValidationReport v =
-        validateSchedule(circuit, report.result, options.cost, &grid);
+    const certify::Certificate cert =
+        certify::certifySchedule(scheduleDocument(
+            scheduleExportInfo(circuit, grid, options, report, &placement),
+            report.result));
     report.counters["validation_errors"] +=
-        static_cast<long>(v.errors.size());
-    for (const std::string &e : v.errors)
-        report.diagnostics.push_back("validate: " + e);
+        static_cast<long>(cert.violations.size());
+    for (const certify::Violation &v : cert.violations)
+        report.diagnostics.push_back("validate: " + v.toString());
 }
 
 /** Schedule metrics surfaced as report counters. */
@@ -375,7 +379,7 @@ compileCircuit(const Circuit &circuit, const CompileOptions &requested)
         runLint(circuit, grid, placement, options, report);
     runSchedule(circuit, grid, scheduler, placement, options, report);
     runMaslovFallback(circuit, grid, scheduler, options, report);
-    runValidate(circuit, grid, options, report);
+    runValidate(circuit, grid, placement, options, report);
     runReport(report);
     if (linting)
         runScheduleLint(report);

@@ -16,18 +16,6 @@ GreedyPathFinder::GreedyPathFinder(const Grid &grid, GreedyOrder order,
                                : AStarRouter::kFixedCorner)
 {}
 
-const char *
-GreedyPathFinder::name() const
-{
-    switch (order_) {
-      case GreedyOrder::Distance: return "greedy-distance";
-      case GreedyOrder::Program: return "greedy-program";
-      case GreedyOrder::Largest: return "greedy-largest";
-      case GreedyOrder::Criticality: return "greedy-criticality";
-    }
-    return "greedy";
-}
-
 RoutingOutcome
 GreedyPathFinder::findPaths(const std::vector<CxTask> &tasks,
                             const BlockedBitset &blocked)

@@ -48,8 +48,6 @@ class GreedyPathFinder : public PathFinder
     RoutingOutcome findPaths(const std::vector<CxTask> &tasks,
                              const BlockedBitset &blocked) override;
 
-    const char *name() const override;
-
   private:
     AStarRouter router_;
     GreedyOrder order_;

@@ -76,9 +76,6 @@ class PathFinder
      */
     virtual RoutingOutcome findPaths(const std::vector<CxTask> &tasks,
                                      const BlockedBitset &blocked) = 0;
-
-    /** Human-readable policy name for reports. */
-    virtual const char *name() const = 0;
 };
 
 /** The AutoBraid stack-based finder. */
@@ -95,8 +92,6 @@ class StackPathFinder : public PathFinder
 
     RoutingOutcome findPaths(const std::vector<CxTask> &tasks,
                              const BlockedBitset &blocked) override;
-
-    const char *name() const override { return "stack"; }
 
   private:
     /** Per-thread routing scratch (router + peel + claim buffers). */

@@ -63,13 +63,18 @@ struct ScheduleResult
     size_t max_concurrent_braids = 0;
     bool valid = true;             ///< false when a mode aborted
 
-    /** Full operation trace (empty unless SchedulerConfig::record_trace). */
+    /**
+     * Full operation trace (empty unless SchedulerConfig::record_trace;
+     * a run under record_lifecycle alone computes its recording from
+     * the trace and then drops it).
+     */
     std::vector<TraceEntry> trace;
 
     /**
-     * Flight recording (null unless SchedulerConfig::record_lifecycle).
-     * Shared so result replacement (best-of-p0, Maslov fallback)
-     * carries the matching recording with it.
+     * Flight recording, computed from the trace (null unless
+     * SchedulerConfig::record_lifecycle). Shared so result replacement
+     * (best-of-p0, Maslov fallback) carries the matching recording
+     * with it.
      */
     std::shared_ptr<telemetry::FlightRecording> recording;
 

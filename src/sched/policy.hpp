@@ -111,10 +111,11 @@ struct SchedulerConfig
     bool record_trace = false;
 
     /**
-     * Record per-gate lifecycle events, stall attribution, and the
-     * per-vertex congestion heatmap into ScheduleResult::recording
-     * (telemetry/recorder.hpp). Off by default: the dispatch loop's
-     * recorder hooks reduce to a null check each.
+     * Compute the flight recording (per-gate lifecycles, stall
+     * attribution, the per-vertex congestion heatmap) into
+     * ScheduleResult::recording at run end (flightRecording in
+     * sched/scheduler.hpp). The run then keeps its trace, returned
+     * only under record_trace, and logs its blocked examinations.
      */
     bool record_lifecycle = false;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "sched/event_queue.hpp"
@@ -68,7 +69,9 @@ class Engine
           level_sync_(!maslov_mode &&
                       config.policy == SchedulerPolicy::Baseline),
           in_level_(circuit.size(), 0),
-          blocked_mask_(static_cast<size_t>(grid.numVertices()))
+          blocked_mask_(static_cast<size_t>(grid.numVertices())),
+          vertex_busy_(static_cast<size_t>(grid.numVertices()), 0),
+          tracing_(config.record_trace || config.record_lifecycle)
     {
         for (VertexId v : config.dead_vertices) {
             require(v >= 0 && v < grid.numVertices(),
@@ -79,24 +82,6 @@ class Engine
             static_cast<size_t>(grid.numVertices()) -
             blocked_mask_.countSet();
         result_.backend = backend_;
-        if (config.record_lifecycle) {
-            recorder_ = std::make_unique<telemetry::FlightRecorder>(
-                circuit.size(),
-                static_cast<size_t>(grid.numVertices()));
-            for (GateIdx g = 0; g < circuit.size(); ++g) {
-                const Gate &gate = circuit.gate(g);
-                telemetry::GateRecord &rec = recorder_->gate(g);
-                rec.kind = gateName(gate.kind);
-                rec.q0 = gate.q0;
-                rec.q1 = gate.q1;
-            }
-            telemetry::FlightRecording &meta = recorder_->meta();
-            meta.circuit = circuit.name();
-            meta.policy = policyCliName(config.policy);
-            meta.backend = backendCliName(backend_);
-            meta.grid_rows = grid.vertexRows();
-            meta.grid_cols = grid.vertexCols();
-        }
     }
 
     ScheduleResult
@@ -139,35 +124,38 @@ class Engine
                 break;
         }
         result_.makespan = makespan_;
-        // Clamp channel accrual to the schedule window [0, makespan]:
+        // Clamp the busy cycles to the schedule window [0, makespan]:
         // a hold issued shortly before the final retirement can extend
-        // past it (vertex_cycles_ accrues the full hold at issue
-        // time), which would inflate the numerator beyond
+        // past it (vertex_busy_ accrues the full hold at issue time),
+        // which would inflate the numerator beyond
         // makespan * routable_vertices and break the 0<=avg<=peak<=1
         // oracle. Per-vertex holds never overlap, so only a hold still
-        // pending can overhang, and its excess is exactly
-        // release - makespan. The recorder heatmap gets the same trim
-        // so heatmap-sum == busy-cycles stays exact.
+        // pending can overhang, and its excess is release - makespan.
         for (const auto &[release, v] : holds_) {
             if (release <= makespan_)
                 continue;
-            const Cycles excess = release - makespan_;
-            vertex_cycles_ -= static_cast<double>(excess);
-            if (recorder_)
-                recorder_->trimVertexBusy(
-                    v, static_cast<uint64_t>(excess));
+            Cycles &busy = vertex_busy_[static_cast<size_t>(v)];
+            busy -= std::min(busy, release - makespan_);
         }
         // Utilization is over the routable fabric: dead vertices can
         // never carry a braid, so they do not belong in the denominator.
         if (makespan_ > 0 && routable_vertices_ > 0)
             result_.avg_utilization =
-                vertex_cycles_ /
+                static_cast<double>(std::accumulate(
+                    vertex_busy_.begin(), vertex_busy_.end(),
+                    Cycles{0})) /
                 (static_cast<double>(makespan_) *
                  static_cast<double>(routable_vertices_));
-        if (recorder_)
+        if (config_->record_lifecycle)
             result_.recording =
                 std::make_shared<telemetry::FlightRecording>(
-                    recorder_->finish(makespan_));
+                    flightRecording(*circuit_, *grid_, config_->policy,
+                                    backend_, result_.trace,
+                                    std::move(blocked_),
+                                    std::move(vertex_busy_),
+                                    makespan_));
+        if (!config_->record_trace)
+            result_.trace = {};
         return result_;
     }
 
@@ -193,9 +181,6 @@ class Engine
     std::unique_ptr<PathFinder> finder_;
     EventQueue events_;
     std::vector<Cycles> busy_until_;
-
-    /** Flight recorder (null unless SchedulerConfig::record_lifecycle). */
-    std::unique_ptr<telemetry::FlightRecorder> recorder_;
 
     /**
      * Stall cause attributed to this instant's routing failures,
@@ -235,6 +220,19 @@ class Engine
     std::vector<std::pair<Cycles, VertexId>> holds_;
     size_t routable_vertices_ = 0;
 
+    /**
+     * Per vertex, the cycles its holds cover, accrued in full when a
+     * hold is reserved and clamped to the makespan at run end: the
+     * utilization numerator and the recording's heatmap.
+     */
+    std::vector<Cycles> vertex_busy_;
+
+    /** Blocked examinations, in time order (only while recording). */
+    std::vector<telemetry::BlockedEvent> blocked_;
+
+    /** Whether the run keeps a trace: returned, or recorded from. */
+    const bool tracing_;
+
     // Reused per-instant scratch (allocation-free dispatch loop).
     std::vector<GateIdx> braid_gates_;
     std::vector<GateIdx> local_snapshot_;
@@ -252,7 +250,6 @@ class Engine
     int parity_ = 0;
     size_t phases_without_execution_ = 0;
     Cycles makespan_ = 0;
-    double vertex_cycles_ = 0;
     ScheduleResult result_;
 
     /**
@@ -286,8 +283,6 @@ class Engine
     {
         front_.issue(g);
         committed_ = std::max(committed_, t + criticality_[g]);
-        if (recorder_)
-            recorder_->onDispatched(g, t);
     }
 
     bool
@@ -315,8 +310,6 @@ class Engine
     void
     retireGate(GateIdx g, Cycles t)
     {
-        if (recorder_)
-            recorder_->onRetired(g, t);
         front_.retire(g);
         ++result_.gates_scheduled;
         makespan_ = std::max(makespan_, t);
@@ -383,13 +376,6 @@ class Engine
                 holds_.pop_back();
             }
         }
-        if (recorder_) {
-            // New ready gates only ever surface at dispatch instants
-            // (completions run just before dispatch), so stamping the
-            // front here gives every gate an exact ready cycle.
-            for (GateIdx g : front_.ready())
-                recorder_->onReady(g, t);
-        }
         // A refreshed level may consist entirely of zero-latency gates;
         // keep refreshing until the level has pending work.
         do {
@@ -415,7 +401,7 @@ class Engine
                 dispatchBraids(t, braid_gates_);
         }
 
-        if (recorder_)
+        if (config_->record_lifecycle)
             recordBlocked(t);
 
         // Sample at every instant — including ones where braids are
@@ -439,10 +425,10 @@ class Engine
     }
 
     /**
-     * Attribute a stall to every gate still ready at the end of the
-     * instant. Each waiting gate gets exactly one blocked event per
-     * dispatch instant, so its stall segments tile [ready, dispatched]
-     * with no gaps — the recorder's exact-sum invariant.
+     * Log a blocked examination of every gate still ready at the end
+     * of the instant. Each waiting gate gets exactly one per dispatch
+     * instant, so its waits tile [ready, dispatched] with no gaps: the
+     * recording's exact-sum invariant.
      */
     void
     recordBlocked(Cycles t)
@@ -464,7 +450,7 @@ class Engine
                 else
                     cause = route_fail_cause_;
             }
-            recorder_->onBlocked(g, t, cause);
+            blocked_.push_back(telemetry::BlockedEvent{g, t, cause});
         }
     }
 
@@ -503,7 +489,7 @@ class Engine
                     continue;
                 issue(g, t);
                 const Cycles dur = duration(gate);
-                if (config_->record_trace)
+                if (tracing_)
                     result_.trace.push_back(
                         TraceEntry{g, t, t + dur, Path{}, t + dur,
                                    kNoQubit, kNoQubit});
@@ -525,18 +511,16 @@ class Engine
     void
     reserveChannel(Cycles t, const Path &path, Cycles until)
     {
-        // Empty windows hold nothing, and the recorder hook is skipped
-        // with them, so a recorded hold always blocks its vertices.
+        // Empty windows hold nothing, so a counted hold always blocks
+        // its vertices.
         if (until <= t)
             return;
-        if (recorder_)
-            recorder_->onRegionHeld(path.vertices.data(),
-                                    path.vertices.size(), t, until);
         for (VertexId v : path.vertices) {
             const auto vi = static_cast<size_t>(v);
             require(!blocked_mask_.test(vi),
                     "reserveChannel: vertex is dead or already held");
             blocked_mask_.set(vi);
+            vertex_busy_[vi] += until - t;
             holds_.emplace_back(until, v);
             std::push_heap(holds_.begin(), holds_.end(),
                            std::greater<>{});
@@ -567,9 +551,7 @@ class Engine
         ++result_.braids_routed;
         AUTOBRAID_OBSERVE("sched.braid_path_length",
                           static_cast<double>(path.length()));
-        vertex_cycles_ += static_cast<double>(path.length()) *
-                          static_cast<double>(hold);
-        if (config_->record_trace)
+        if (tracing_)
             result_.trace.push_back(TraceEntry{
                 g, t, t + dur, path, t + hold, kNoQubit, kNoQubit});
     }
@@ -587,9 +569,7 @@ class Engine
                            swap_records_.size() - 1});
         ++swaps_in_flight_;
         ++result_.swaps_inserted;
-        vertex_cycles_ += static_cast<double>(path.length()) *
-                          static_cast<double>(dur);
-        if (config_->record_trace)
+        if (tracing_)
             result_.trace.push_back(
                 TraceEntry{kNoGate, t, t + dur, path, t + dur, a, b});
     }
@@ -613,7 +593,7 @@ class Engine
     dispatchBraids(Cycles t, const std::vector<GateIdx> &gates)
     {
         const auto &tasks = makeTasks(gates);
-        if (recorder_)
+        if (config_->record_lifecycle)
             route_fail_cause_ = routeFailCause();
         auto outcome = finder_->findPaths(tasks, blocked_mask_);
         for (const auto &[idx, path] : outcome.routed)
@@ -653,7 +633,7 @@ class Engine
     void
     dispatchBraidsMaslov(Cycles t, const std::vector<GateIdx> &gates)
     {
-        if (recorder_)
+        if (config_->record_lifecycle)
             route_fail_cause_ = routeFailCause();
         // Execute ready CX gates whose tiles are grid neighbours.
         adjacent_.clear();
@@ -730,6 +710,61 @@ BraidScheduler::runMaslov(const Placement &placement,
     Engine engine(*circuit_, dag_, *grid_, config_, placement, true,
                   limit);
     return engine.run();
+}
+
+telemetry::FlightRecording
+flightRecording(const Circuit &circuit, const Grid &grid,
+                SchedulerPolicy policy, SchedulerBackend backend,
+                const std::vector<TraceEntry> &trace,
+                std::vector<telemetry::BlockedEvent> blocked,
+                std::vector<uint64_t> vertex_busy_cycles,
+                Cycles makespan)
+{
+    telemetry::FlightRecording rec;
+    rec.circuit = circuit.name();
+    rec.policy = policyCliName(policy);
+    rec.backend = backendCliName(backend);
+    rec.grid_rows = grid.vertexRows();
+    rec.grid_cols = grid.vertexCols();
+    rec.makespan = makespan;
+    rec.gates.resize(circuit.size());
+    for (GateIdx g = 0; g < circuit.size(); ++g) {
+        const Gate &gate = circuit.gate(g);
+        telemetry::GateRecord &gr = rec.gates[g];
+        gr.kind = gateName(gate.kind);
+        gr.q0 = gate.q0;
+        gr.q1 = gate.q1;
+    }
+    // Every retired gate finished by the makespan, and a gate still in
+    // flight at a starved stop finishes after it.
+    for (const TraceEntry &e : trace) {
+        if (e.gate == kNoGate)
+            continue;
+        telemetry::GateRecord &gr = rec.gates[e.gate];
+        gr.dispatched = e.start;
+        if (e.finish <= makespan)
+            gr.retired = e.finish;
+    }
+    // Walk the log backwards, holding in `ready` the gate's next
+    // examination or its dispatch: each wait ends there. The walk
+    // leaves `ready` at the first examination. The wait after a never
+    // dispatched gate's last examination is still open and is not
+    // charged.
+    for (telemetry::GateRecord &gr : rec.gates)
+        gr.ready = gr.dispatched;
+    for (auto ev = blocked.rbegin(); ev != blocked.rend(); ++ev) {
+        telemetry::GateRecord &gr = rec.gates[ev->gate];
+        if (gr.ready != telemetry::kNoCycle) {
+            const auto c = static_cast<size_t>(ev->cause);
+            gr.stall[c] += gr.ready - ev->cycle;
+            rec.stall_totals[c] += gr.ready - ev->cycle;
+        }
+        gr.ready = ev->cycle;
+        ++gr.blocked_attempts;
+    }
+    rec.blocked = std::move(blocked);
+    rec.vertex_busy_cycles = std::move(vertex_busy_cycles);
+    return rec;
 }
 
 } // namespace autobraid

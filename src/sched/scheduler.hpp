@@ -77,6 +77,29 @@ class BraidScheduler
     Dag dag_;
 };
 
+/**
+ * The flight recording of a finished @p policy run of @p circuit on
+ * @p grid under @p backend, computed from what the run kept: its
+ * @p trace, its @p blocked log (each examination at which a ready gate
+ * could not dispatch, in time order) and each vertex's busy cycles,
+ * clamped to [0, @p makespan].
+ *
+ * A gate dispatches at its trace entry's start and retires at its
+ * finish; a gate still in flight when a starved Maslov run stopped
+ * finishes past the makespan and has no retired cycle. It is ready at
+ * its first examination, or at its dispatch if it was never examined.
+ * Each wait, from an examination to the gate's next one or to its
+ * dispatch, is charged to the cause seen at its start, so a
+ * dispatched gate's stall cycles sum to `dispatched - ready`.
+ */
+telemetry::FlightRecording
+flightRecording(const Circuit &circuit, const Grid &grid,
+                SchedulerPolicy policy, SchedulerBackend backend,
+                const std::vector<TraceEntry> &trace,
+                std::vector<telemetry::BlockedEvent> blocked,
+                std::vector<uint64_t> vertex_busy_cycles,
+                Cycles makespan);
+
 } // namespace autobraid
 
 #endif // AUTOBRAID_SCHED_SCHEDULER_HPP

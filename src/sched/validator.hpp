@@ -10,10 +10,12 @@
  * backend-correct durations, the reported makespan and braid count
  * exact, inserted SWAPs naming their qubit pair, dependence order,
  * path geometry, and temporally overlapping holds vertex-disjoint.
- * No checker verifies that a path is anchored at its operand tiles'
- * corners (docs/scheduler.md lists it as unchecked). The test suite,
- * the compiler's validate stage and the differential fuzz harness
- * (src/testing/) run every scheduler mode through it.
+ * Its document carries no placement, channel hold or dead vertices,
+ * so the anchoring and dead-vertex rules and the AB202 bound do not
+ * run here; the compiler's validate stage certifies the full
+ * --schedule-out document instead. The test suite, perfbench and the
+ * differential fuzz harness (src/testing/) run every scheduler mode
+ * through it.
  */
 
 #ifndef AUTOBRAID_SCHED_VALIDATOR_HPP

@@ -378,9 +378,8 @@ CompileService::handle(const std::string &request_json)
 }
 
 std::string
-CompileService::compileRequest(const Job &job, bool &cached)
+CompileService::compileRequest(const Job &job)
 {
-    cached = false;
     const CompileReport report =
         compileCircuit(job.circuit, job.options);
     std::string body = reportBody(report);
@@ -406,8 +405,7 @@ CompileService::finishJob(Job &&job)
 
     std::string response;
     try {
-        bool cached = false;
-        const std::string body = compileRequest(job, cached);
+        const std::string body = compileRequest(job);
         const uint64_t us = elapsedMicros(job.admitted);
         metrics_.add("serve.ok");
         metrics_.observe("serve.latency_us",

@@ -150,7 +150,7 @@ class CompileService
 
     void workerLoop();
     void finishJob(Job &&job);
-    std::string compileRequest(const Job &job, bool &cached);
+    std::string compileRequest(const Job &job);
 
     ServiceConfig config_;
     CompileCache cache_;

@@ -43,8 +43,6 @@ class LatticeSurgeryFinder final : public PathFinder
     RoutingOutcome findPaths(const std::vector<CxTask> &tasks,
                              const BlockedBitset &blocked) override;
 
-    const char *name() const override { return "lattice-surgery"; }
-
   private:
     const Grid *grid_;
     AStarRouter router_;

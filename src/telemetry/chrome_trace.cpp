@@ -64,27 +64,6 @@ utilizationTimeline(const ScheduleResult &result, const Grid &grid)
     return timeline;
 }
 
-UtilStats
-utilizationStats(const std::vector<UtilPoint> &timeline,
-                 Cycles makespan)
-{
-    UtilStats stats;
-    if (timeline.empty() || makespan == 0)
-        return stats;
-    double integral = 0;
-    for (size_t i = 0; i < timeline.size(); ++i) {
-        stats.peak = std::max(stats.peak, timeline[i].busy_fraction);
-        const Cycles end = i + 1 < timeline.size()
-                               ? timeline[i + 1].time
-                               : makespan;
-        if (end > timeline[i].time)
-            integral += timeline[i].busy_fraction *
-                        static_cast<double>(end - timeline[i].time);
-    }
-    stats.avg = integral / static_cast<double>(makespan);
-    return stats;
-}
-
 std::string
 chromeTraceJson(const CompileReport &report, const CostModel &cost)
 {

@@ -39,13 +39,6 @@ struct UtilPoint
     double busy_fraction = 0; ///< busy_vertices / grid.numVertices()
 };
 
-/** Peak and time-weighted average of a utilization timeline. */
-struct UtilStats
-{
-    double peak = 0;
-    double avg = 0; ///< integral of busy_fraction dt / makespan
-};
-
 /**
  * Derive the routing-vertex occupancy timeline from a traced schedule:
  * each path occupies its vertices from TraceEntry::start until
@@ -54,10 +47,6 @@ struct UtilStats
  */
 std::vector<UtilPoint> utilizationTimeline(const ScheduleResult &result,
                                            const Grid &grid);
-
-/** Summarize @p timeline over [0, makespan]. */
-UtilStats utilizationStats(const std::vector<UtilPoint> &timeline,
-                           Cycles makespan);
 
 /**
  * Serialize @p report as a Chrome trace-event JSON document. Includes

@@ -1,19 +1,21 @@
 /**
  * @file
- * Schedule-time flight recorder: per-gate lifecycle events with exact
- * stall attribution, plus a per-vertex congestion heatmap.
+ * A schedule's flight recording: per-gate lifecycles with exact stall
+ * attribution, plus a per-vertex congestion heatmap, as plain values
+ * with their JSON writer and decoder.
  *
- * The scheduler core (sched/scheduler.cpp) drives the recorder through
- * the backend-agnostic dispatch loop, so braiding and lattice-surgery
- * schedules attribute stalls identically:
+ * The scheduler (sched/scheduler.hpp, flightRecording) computes a
+ * recording at the end of a run from three facts it keeps anyway: its
+ * trace, the log of blocked examinations, and each vertex's busy
+ * cycles. So braiding and lattice-surgery schedules attribute stalls
+ * identically, and a recording cannot disagree with the trace:
  *
  *   ready -> [blocked(cause)]* -> dispatched -> retired
  *
- * Every instant a ready gate fails to dispatch, the time since the last
- * examination is charged to the *previous* pending cause and a new
- * pending cause is recorded; dispatching closes the final segment. By
- * construction the per-gate stall cycles sum to exactly
- * `dispatched - ready` — the invariant the fuzz oracle enforces.
+ * A gate is ready at its first examination, and each wait, from one
+ * examination to the next or to the dispatch, is charged to the cause
+ * seen at its start. So the per-gate stall cycles sum to exactly
+ * `dispatched - ready`, the invariant the fuzz oracle enforces.
  *
  * The stall-cause taxonomy (docs/observability.md):
  *  - Dependence:     an operand qubit is still executing an earlier
@@ -26,9 +28,7 @@
  *  - Defect:         routing failed on an idle, uncontended lattice
  *                    that has permanently dead vertices configured.
  *
- * The recorder is opt-in (SchedulerConfig::record_lifecycle); when it
- * is off the scheduler's hooks are a null-pointer check each, keeping
- * the routing hot path at its allocation-free baseline. Recordings
+ * Recordings are opt-in (SchedulerConfig::record_lifecycle) and
  * contain only simulated-time values (cycles, indices), so they are
  * byte-identical across thread counts and repeat runs.
  *
@@ -40,7 +40,6 @@
 #define AUTOBRAID_TELEMETRY_RECORDER_HPP
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -80,7 +79,7 @@ struct GateRecord
     /** Blocked examinations (dispatch instants the gate waited at). */
     uint32_t blocked_attempts = 0;
 
-    // Static gate facts, prefilled by the scheduler so a recording is
+    // Static gate facts, copied from the circuit so a recording is
     // self-contained for downstream tooling (autobraid_inspect).
     int32_t q0 = -1;
     int32_t q1 = -1;
@@ -180,74 +179,6 @@ struct FlightRecording
  * in, and a repeated member counts only as its last occurrence.
  */
 FlightRecording decodeRecording(std::string_view text);
-
-/**
- * Live recorder for one scheduling run. The scheduler calls the on*
- * hooks from its dispatch loop; finish() seals the recording.
- *
- * onReady is idempotent (first examination wins) and is also invoked
- * defensively by onDispatched, so a gate that becomes ready and
- * dispatches within one instant (zero-latency cascades) still gets a
- * complete lifecycle.
- */
-class FlightRecorder
-{
-  public:
-    FlightRecorder(size_t num_gates, size_t num_vertices);
-
-    /** Gate @p g entered the ready front at cycle @p t (idempotent). */
-    void onReady(uint64_t g, uint64_t t);
-
-    /**
-     * Gate @p g was examined at cycle @p t and could not dispatch for
-     * @p cause. Charges the elapsed wait to the previously pending
-     * cause and makes @p cause pending.
-     */
-    void onBlocked(uint64_t g, uint64_t t, StallCause cause);
-
-    /** Gate @p g acquired its resources and issued at cycle @p t. */
-    void onDispatched(uint64_t g, uint64_t t);
-
-    /** Gate @p g finished at cycle @p t. */
-    void onRetired(uint64_t g, uint64_t t);
-
-    /**
-     * An acquired region held the @p count vertices at @p vertices
-     * from @p from until @p until (no-op when the window is empty).
-     * Aggregates the per-instant occupancy into the per-vertex heatmap
-     * incrementally, so recording memory stays O(vertices + gates),
-     * not O(instants x vertices).
-     */
-    void onRegionHeld(const int32_t *vertices, size_t count,
-                      uint64_t from, uint64_t until);
-
-    /**
-     * Subtract @p excess cycles from vertex @p v's heatmap entry.
-     * The scheduler clamps end-of-run channel overhang (holds that
-     * extend past the final retirement) out of its busy-cycle
-     * numerator and mirrors the trim here, so the heatmap sum keeps
-     * matching the clamped busy-cycle total exactly.
-     */
-    void trimVertexBusy(int32_t v, uint64_t excess);
-
-    /** Mutable static gate facts (prefill q0/q1/kind). */
-    GateRecord &gate(uint64_t g) { return recording_.gates[g]; }
-
-    /** Metadata to stamp into the recording. */
-    FlightRecording &meta() { return recording_; }
-
-    /** Seal and return the recording (@p makespan stamps the run). */
-    FlightRecording finish(uint64_t makespan);
-
-  private:
-    FlightRecording recording_;
-    /** Last cycle each gate was examined without dispatching. */
-    std::vector<uint64_t> wait_since_;
-    /** Pending cause per gate; kNumStallCauses = none pending. */
-    std::vector<uint8_t> pending_;
-
-    void closeSegment(uint64_t g, uint64_t t);
-};
 
 } // namespace telemetry
 } // namespace autobraid

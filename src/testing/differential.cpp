@@ -160,9 +160,12 @@ policyLabel(const FuzzCase &c, SchedulerPolicy policy)
  * certificate. A rejection means the scheduler and the certifier
  * disagree about the schedule's semantics; a mismatch means the two
  * front ends disagree about the document. No placement is embedded
- * (compileCircuit keeps it internal), so the AB202 channel bound is
- * not recomputed here; the per-qubit critical-path lower bound still
- * is, and still must not exceed the achieved makespan.
+ * (compileCircuit keeps it internal), so the anchoring rule and the
+ * AB202 channel bound are left to the compile's validate stage, which
+ * certifies the document --schedule-out writes (checkPolicyRun reads
+ * its validation_errors count); the per-qubit critical-path lower
+ * bound is recomputed here and still must not exceed the achieved
+ * makespan.
  */
 void
 checkCertificate(const FuzzCase &c, const char *name,
@@ -244,6 +247,12 @@ checkPolicyRun(const FuzzCase &c, const std::string &label,
         return;
     }
     checkCertificate(c, name, run.report, failures);
+    if (const auto v = run.report.counters.find("validation_errors");
+        v != run.report.counters.end() && v->second != 0) {
+        AUTOBRAID_COUNT("fuzz.certify_failures");
+        fail(strformat("the validate stage found %ld violations",
+                       v->second));
+    }
     if (r.gates_scheduled != c.circuit.size())
         fail(strformat("retired %zu of %zu gates",
                        r.gates_scheduled, c.circuit.size()));
@@ -553,36 +562,6 @@ runDifferentialCase(const FuzzCase &c, unsigned mask,
                 static_cast<unsigned long long>(a.report.critical_path),
                 static_cast<unsigned long long>(b.report.critical_path),
                 c.summary().c_str()));
-    }
-    out.ok = out.failures.empty();
-    if (!out.ok)
-        AUTOBRAID_COUNT("fuzz.failed_cases");
-    return out;
-}
-
-CrossBackendResult
-runCrossBackendCase(const FuzzCase &c)
-{
-    AUTOBRAID_SPAN("fuzz.cross_backend_case");
-    CrossBackendResult out;
-    for (const SchedulerBackend backend :
-         {SchedulerBackend::Braiding,
-          SchedulerBackend::LatticeSurgery}) {
-        CompileOptions opt = c.options;
-        opt.policy = SchedulerPolicy::AutobraidFull;
-        opt.backend = backend;
-        opt.record_trace = true;
-        opt.record_lifecycle = true;
-        opt.lint.level = lint::LintLevel::Off;
-        const PolicyOutcome run = compileRun(c, opt);
-        checkPolicyRun(c, strformat("cross/%s", backendCliName(backend)),
-                       run, out.failures);
-        if (!run.compiled || !run.report.result.valid)
-            continue;
-        if (backend == SchedulerBackend::Braiding)
-            out.makespan_braiding = run.report.result.makespan;
-        else
-            out.makespan_surgery = run.report.result.makespan;
     }
     out.ok = out.failures.empty();
     if (!out.ok)

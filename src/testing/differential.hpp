@@ -112,26 +112,6 @@ double tracePeakUtilization(const std::vector<TraceEntry> &trace,
                             const Grid &grid,
                             const std::vector<VertexId> &dead_vertices);
 
-/** Cross-backend comparison of one case (reporting, not asserting). */
-struct CrossBackendResult
-{
-    bool ok = true;
-    std::vector<std::string> failures;
-    Cycles makespan_braiding = 0;
-    Cycles makespan_surgery = 0;
-};
-
-/**
- * Compile @p c with the AutobraidFull policy under *both* backends and
- * check each schedule independently (clean and front-end-agreeing
- * certificates, full retirement, makespan >= the backend's critical
- * path). The two makespans are returned for reporting; they are
- * deliberately never asserted equal — braiding and lattice surgery
- * are different semantics, the point is a side-by-side comparison,
- * not agreement.
- */
-CrossBackendResult runCrossBackendCase(const FuzzCase &c);
-
 /**
  * Compile the case's policy variants through BatchCompiler with 1
  * worker and with @p threads workers (seed derivation off) and return

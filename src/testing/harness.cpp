@@ -18,14 +18,6 @@ FuzzSummary::toString() const
         cases, degenerate_cases, batch_checks, route_jobs_checks,
         failures.size(), seconds,
         budget_exhausted ? " (budget exhausted)" : "");
-    if (cross_backend_checks > 0)
-        out += strformat(
-            "\ncross-backend: %d checks, surgery/braiding makespan "
-            "ratio avg %.3f min %.3f max %.3f (reported, not "
-            "asserted)",
-            cross_backend_checks,
-            cross_ratio_sum / cross_backend_checks, cross_ratio_min,
-            cross_ratio_max);
     for (const FuzzFailure &f : failures) {
         out += strformat("\nseed %llu (reproducer %zu of %zu gates):",
                          static_cast<unsigned long long>(f.seed),
@@ -105,31 +97,6 @@ runFuzz(const FuzzOptions &opt)
             ++summary.route_jobs_checks;
             diff.failures.insert(diff.failures.end(), jobs.begin(),
                                  jobs.end());
-            diff.ok = diff.failures.empty();
-        }
-        if (diff.ok && opt.cross_backend_stride > 0 &&
-            i % opt.cross_backend_stride == 0) {
-            const CrossBackendResult cross = runCrossBackendCase(c);
-            if (cross.makespan_braiding > 0 &&
-                cross.makespan_surgery > 0) {
-                const double ratio =
-                    static_cast<double>(cross.makespan_surgery) /
-                    static_cast<double>(cross.makespan_braiding);
-                if (summary.cross_backend_checks == 0) {
-                    summary.cross_ratio_min = ratio;
-                    summary.cross_ratio_max = ratio;
-                }
-                summary.cross_ratio_sum += ratio;
-                summary.cross_ratio_min =
-                    std::min(summary.cross_ratio_min, ratio);
-                summary.cross_ratio_max =
-                    std::max(summary.cross_ratio_max, ratio);
-                ++summary.cross_backend_checks;
-                AUTOBRAID_OBSERVE("fuzz.cross_backend_ratio", ratio);
-            }
-            diff.failures.insert(diff.failures.end(),
-                                 cross.failures.begin(),
-                                 cross.failures.end());
             diff.ok = diff.failures.empty();
         }
         if (!diff.ok)

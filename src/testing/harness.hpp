@@ -43,13 +43,6 @@ struct FuzzOptions
      */
     int route_jobs_stride = 8;
 
-    /**
-     * Cross-backend comparison every Nth case (0 = off): compile under
-     * both backends, validate each, and record the makespan pair for
-     * reporting (never asserted equal).
-     */
-    int cross_backend_stride = 16;
-
     bool lint_oracle = true;   ///< run the static-analysis oracle
     bool shrink = true;        ///< shrink failing circuits
     ShrinkOptions shrink_options;
@@ -71,13 +64,6 @@ struct FuzzSummary
     int degenerate_cases = 0;
     int batch_checks = 0;
     int route_jobs_checks = 0;
-
-    /** Cross-backend comparisons with both makespans available. */
-    int cross_backend_checks = 0;
-    /** Sum / min / max of surgery-to-braiding makespan ratios. */
-    double cross_ratio_sum = 0;
-    double cross_ratio_min = 0;
-    double cross_ratio_max = 0;
 
     double seconds = 0;
     bool budget_exhausted = false;

@@ -25,10 +25,12 @@
 #include "analysis/schedule_lints.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "common/text.hpp"
 #include "compiler/driver.hpp"
 #include "gen/registry.hpp"
 #include "json_reference.hpp"
+#include "lattice/defects.hpp"
 #include "sched/schedule_export.hpp"
 #include "telemetry/recorder.hpp"
 
@@ -514,25 +516,36 @@ TEST(Certify, FrontEndsRejectSwapWithoutQubitPairAlike)
     });
 }
 
-/** The --schedule-out export of @p spec, which embeds the placement. */
+/**
+ * The --schedule-out export of @p spec, which embeds the placement,
+ * on a lattice with @p defects dead vertices drawn as autobraid_cli's
+ * --defects draws them.
+ */
 certify::Schedule
-exportedSchedule(const char *spec, SchedulerBackend backend)
+exportedSchedule(const char *spec, SchedulerBackend backend,
+                 int defects = 0)
 {
+    const Circuit circuit = gen::make(spec);
     CompileOptions opt;
     opt.backend = backend;
+    Rng rng(opt.seed ^ 0xdefecu);
+    opt.dead_vertices =
+        DefectMap::random(Grid::forQubits(circuit.numQubits()), defects,
+                          rng)
+            .deadVertices();
     opt.schedule_out = ::testing::TempDir() + "ab_certify_anchor.json";
-    compileCircuit(gen::make(spec), opt);
+    compileCircuit(circuit, opt);
     return certify::decodeSchedule(readTextFile(opt.schedule_out));
 }
 
-/** True when @p cert fails on the anchor check and on nothing else. */
+/** True when @p cert fails on @p check and on nothing else. */
 bool
-onlyAnchor(const Certificate &cert)
+onlyCheck(const Certificate &cert, const std::string &check)
 {
     if (cert.violations.empty())
         return false;
     for (const certify::Violation &v : cert.violations)
-        if (v.check != "anchor")
+        if (v.check != check)
             return false;
     return true;
 }
@@ -563,7 +576,7 @@ TEST(Certify, UnanchoredBraidsRejected)
     ASSERT_NE(it, cut.entries.end());
     it->path = {8};
     const Certificate cut_cert = certify::certifySchedule(cut);
-    EXPECT_TRUE(onlyAnchor(cut_cert)) << violations(cut_cert);
+    EXPECT_TRUE(onlyCheck(cut_cert, "anchor")) << violations(cut_cert);
 
     // An endpoint extended one hop off its tile, onto a vertex that is
     // a corner of neither tile and free at the time.
@@ -584,7 +597,8 @@ TEST(Certify, UnanchoredBraidsRejected)
                 continue;
             certify::Schedule longer = braids;
             longer.entries[i].path.push_back(w);
-            extended = onlyAnchor(certify::certifySchedule(longer));
+            extended =
+                onlyCheck(certify::certifySchedule(longer), "anchor");
         }
     }
     EXPECT_TRUE(extended);
@@ -608,7 +622,24 @@ TEST(Certify, UnanchoredBraidsRejected)
     region->path.erase(pos);
     const Certificate region_cert =
         certify::certifySchedule(short_region);
-    EXPECT_TRUE(onlyAnchor(region_cert)) << violations(region_cert);
+    EXPECT_TRUE(onlyCheck(region_cert, "anchor")) << violations(region_cert);
+}
+
+TEST(Certify, PathsThroughDeadVerticesRejected)
+{
+    // autobraid_cli --backend=surgery --defects=4 im:36:3, with one
+    // vertex of a merge region declared dead after the fact.
+    certify::Schedule s = exportedSchedule(
+        "im:36:3", SchedulerBackend::LatticeSurgery, 4);
+    ASSERT_EQ(s.dead_vertices.size(), 4u);
+    ASSERT_TRUE(certify::certifySchedule(s).ok);
+    const auto region =
+        std::find_if(s.entries.begin(), s.entries.end(),
+                     [](const certify::Entry &e) { return !e.path.empty(); });
+    ASSERT_NE(region, s.entries.end());
+    s.dead_vertices.push_back(region->path.back());
+    const Certificate cert = certify::certifySchedule(s);
+    EXPECT_TRUE(onlyCheck(cert, "dead-vertex")) << violations(cert);
 }
 
 TEST(Certify, ScheduleOutPassWritesCertifiableDocument)
@@ -824,23 +855,33 @@ struct SmallExport : Compiled
 std::string
 smallRecording()
 {
-    telemetry::FlightRecorder recorder(2, 4);
-    recorder.meta().grid_rows = 2;
-    recorder.meta().grid_cols = 2;
+    constexpr auto kCongestion =
+        static_cast<size_t>(telemetry::StallCause::Congestion);
+    telemetry::FlightRecording rec;
+    rec.grid_rows = 2;
+    rec.grid_cols = 2;
+    rec.makespan = 5;
+    rec.gates.resize(2);
     // Assigned from std::string temporaries: in Release, gcc 12 reports
     // a false -Wrestrict overlap on assigning these literals directly.
-    recorder.gate(0).kind = std::string("h");
-    recorder.gate(0).q0 = 0;
-    recorder.gate(1).kind = std::string("cx");
-    recorder.gate(1).q0 = 0;
-    recorder.gate(1).q1 = 3;
-    recorder.onRetired(0, 1);
-    recorder.onBlocked(1, 1, telemetry::StallCause::Congestion);
-    recorder.onDispatched(1, 3);
-    const int32_t held[] = {1, 2};
-    recorder.onRegionHeld(held, 2, 3, 5);
-    recorder.onRetired(1, 5);
-    return recorder.finish(5).toJson();
+    telemetry::GateRecord &h = rec.gates[0];
+    h.kind = std::string("h");
+    h.q0 = 0;
+    h.ready = h.dispatched = h.retired = 1;
+    telemetry::GateRecord &cx = rec.gates[1];
+    cx.kind = std::string("cx");
+    cx.q0 = 0;
+    cx.q1 = 3;
+    cx.ready = 1;
+    cx.dispatched = 3;
+    cx.retired = 5;
+    cx.stall[kCongestion] = 2;
+    cx.blocked_attempts = 1;
+    rec.stall_totals[kCongestion] = 2;
+    rec.blocked.push_back(
+        telemetry::BlockedEvent{1, 1, telemetry::StallCause::Congestion});
+    rec.vertex_busy_cycles = {0, 2, 2, 0};
+    return rec.toJson();
 }
 
 TEST(TreeReference, DecodersAgreeOnEveryEdit)

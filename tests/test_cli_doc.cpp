@@ -15,6 +15,9 @@
  * where a raw std::stoi aborted the whole process on "--seeds=banana"
  * instead of printing the offending value.
  *
+ * The CLI's --json mode must print exactly one JSON document on
+ * stdout, notices going to stderr.
+ *
  * The compile options are probed rather than read: the CLI's option
  * flags are whatever setOptionFlag() recognizes, docs/serving.md's
  * option list must name exactly the keys setOption() accepts, and at
@@ -246,13 +249,16 @@ runTool(const std::string &command)
 
 /**
  * Run @p command; returns the exit code and puts what it wrote to
- * stdout and stderr in @p output.
+ * stdout, and to stderr unless @p stdout_only, in @p output.
  */
 int
-runToolCapture(const std::string &command, std::string &output)
+runToolCapture(const std::string &command, std::string &output,
+               bool stdout_only = false)
 {
     output.clear();
-    std::FILE *pipe = ::popen((command + " 2>&1").c_str(), "r");
+    std::FILE *pipe = ::popen(
+        (command + (stdout_only ? " 2>/dev/null" : " 2>&1")).c_str(),
+        "r");
     if (!pipe)
         return -1;
     char buf[4096];
@@ -372,6 +378,25 @@ TEST(ToolExit, DirectoryInputIsAReadError)
         EXPECT_NE(output.find("read error on '" + dir + "'"),
                   std::string::npos)
             << command << " printed: " << output;
+    }
+}
+
+/** autobraid_cli arguments whose whole stdout is one JSON document. */
+const char *const kJsonStdoutArgs[] = {
+    "--json qft:4",
+    "--policy=baseline --defects=3 --json adder:6",
+};
+
+TEST(ToolOutput, JsonReportIsTheWholeStdout)
+{
+    for (const char *args : kJsonStdoutArgs) {
+        std::string out;
+        EXPECT_EQ(runToolCapture(std::string(AB_CLI_BIN) + " " + args,
+                                 out, true),
+                  0)
+            << args;
+        EXPECT_NO_THROW(autobraid::json::parse(out))
+            << args << " printed: " << out;
     }
 }
 

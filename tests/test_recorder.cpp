@@ -1,10 +1,12 @@
 /**
  * @file
- * Flight-recorder tests: the recorder is a strict no-op when disabled,
- * recordings satisfy the exact-sum lifecycle invariant under both
- * communication backends, the congestion heatmap reconciles with the
- * schedule trace, recordings are byte-identical across batch thread
- * counts, and the emitted JSON round-trips through the JSON reader.
+ * Flight-recording tests: recording never perturbs the schedule,
+ * flightRecording derives lifecycles and stalls from a hand-built
+ * trace and blocked log, recordings satisfy the exact-sum lifecycle
+ * invariant under both communication backends, the congestion heatmap
+ * reconciles with the schedule trace and the utilization numerator,
+ * recordings are byte-identical across batch thread counts, and the
+ * emitted JSON round-trips through the JSON reader.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +16,15 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "compiler/batch.hpp"
 #include "compiler/driver.hpp"
 #include "gen/registry.hpp"
+#include "lattice/defects.hpp"
+#include "place/linear.hpp"
+#include "sched/scheduler.hpp"
 #include "telemetry/recorder.hpp"
+#include "testing/fuzzer.hpp"
 
 namespace autobraid {
 namespace {
@@ -80,28 +87,57 @@ TEST_P(RecorderLifecycle, ExactSumInvariant)
     }
 }
 
+/**
+ * Per vertex, the cycles @p trace's regions hold it, each hold ending
+ * at its release or at @p end, whichever is first.
+ */
+std::vector<uint64_t>
+heldCycles(const std::vector<TraceEntry> &trace, size_t vertices,
+           Cycles end)
+{
+    std::vector<uint64_t> held(vertices, 0);
+    for (const TraceEntry &e : trace) {
+        const Cycles until = std::min(e.channel_release, end);
+        if (until > e.start)
+            for (VertexId v : e.path.vertices)
+                held[static_cast<size_t>(v)] += until - e.start;
+    }
+    return held;
+}
+
 TEST_P(RecorderLifecycle, HeatmapMatchesTrace)
 {
-    const CompileReport report = compileRecorded("im:12:3", GetParam());
-    ASSERT_NE(report.result.recording, nullptr);
-    const telemetry::FlightRecording &rec = *report.result.recording;
-
-    // Every acquired region shows up in the trace; the heatmap must
-    // account for exactly the same vertex-cycles. Holds are clamped to
-    // the schedule window (releases past the makespan are trimmed).
-    uint64_t trace_vertex_cycles = 0;
-    for (const TraceEntry &e : report.result.trace) {
-        const Cycles end =
-            std::min(e.channel_release, report.result.makespan);
-        if (e.path.empty() || end <= e.start)
-            continue;
-        trace_vertex_cycles +=
-            static_cast<uint64_t>(e.path.length()) * (end - e.start);
+    // Every acquired region shows up in the trace. Vertex by vertex,
+    // the heatmap is the trace's holds clamped to the makespan, and its
+    // sum is the average utilization's numerator, bit for bit.
+    for (const int defects : {0, 3}) {
+        CompileOptions opt;
+        opt.backend = GetParam();
+        opt.record_trace = true;
+        opt.record_lifecycle = true;
+        opt.channel_hold_cycles = defects == 0 ? 0 : 5;
+        const Circuit circuit =
+            gen::make(defects == 0 ? "im:12:3" : "qaoa:12");
+        const Grid grid = Grid::forQubits(circuit.numQubits());
+        Rng rng(opt.seed ^ 0xdefecu);
+        opt.dead_vertices =
+            DefectMap::random(grid, defects, rng).deadVertices();
+        const ScheduleResult r = compileCircuit(circuit, opt).result;
+        ASSERT_NE(r.recording, nullptr) << defects;
+        const telemetry::FlightRecording &rec = *r.recording;
+        EXPECT_EQ(rec.vertex_busy_cycles,
+                  heldCycles(r.trace,
+                             static_cast<size_t>(grid.numVertices()),
+                             r.makespan))
+            << defects;
+        const size_t routable = static_cast<size_t>(grid.numVertices()) -
+                                opt.dead_vertices.size();
+        EXPECT_EQ(r.avg_utilization,
+                  static_cast<double>(rec.heatmapSum()) /
+                      (static_cast<double>(r.makespan) *
+                       static_cast<double>(routable)))
+            << defects;
     }
-    EXPECT_EQ(rec.heatmapSum(), trace_vertex_cycles);
-    EXPECT_EQ(rec.vertex_busy_cycles.size(),
-              static_cast<size_t>(rec.grid_rows) *
-                  static_cast<size_t>(rec.grid_cols));
 }
 
 TEST_P(RecorderLifecycle, ChannelHoldHeatmapMatchesBusyCycles)
@@ -191,6 +227,57 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(SchedulerBackend::Braiding,
                     SchedulerBackend::LatticeSurgery));
 
+TEST(Recorder, StarvedMaslovRunTrimsPendingHolds)
+{
+    // A Maslov run that starves stops with its last swap phase still
+    // holding channels past the makespan. The run is discarded, but its
+    // heatmap is still trimmed below the trace's holds and still sums
+    // to its utilization numerator.
+    for (uint64_t seed = 1; seed <= 1000; ++seed) {
+        const fuzz::FuzzCase c = fuzz::makeFuzzCase(seed);
+        if (c.options.dead_vertices.empty())
+            continue;
+        const Grid grid = Grid::forQubits(c.circuit.numQubits());
+        SchedulerConfig config = c.options;
+        config.backend = SchedulerBackend::Braiding;
+        config.record_trace = true;
+        config.record_lifecycle = true;
+        std::vector<Qubit> order(
+            static_cast<size_t>(c.circuit.numQubits()));
+        for (Qubit q = 0; q < c.circuit.numQubits(); ++q)
+            order[static_cast<size_t>(q)] = q;
+        const ScheduleResult r = BraidScheduler(c.circuit, grid, config)
+                                     .runMaslov(snakePlacement(grid, order));
+        if (r.valid)
+            continue;
+        ASSERT_NE(r.recording, nullptr) << seed;
+        const telemetry::FlightRecording &rec = *r.recording;
+        const auto vertices = static_cast<size_t>(grid.numVertices());
+        const std::vector<uint64_t> held =
+            heldCycles(r.trace, vertices, telemetry::kNoCycle);
+        uint64_t held_sum = 0;
+        for (size_t v = 0; v < vertices; ++v) {
+            EXPECT_LE(rec.vertex_busy_cycles[v], held[v]) << v;
+            held_sum += held[v];
+        }
+        EXPECT_LT(rec.heatmapSum(), held_sum);
+        const size_t routable = vertices - c.options.dead_vertices.size();
+        EXPECT_EQ(r.avg_utilization,
+                  static_cast<double>(rec.heatmapSum()) /
+                      (static_cast<double>(r.makespan) *
+                       static_cast<double>(routable)));
+        for (const TraceEntry &e : r.trace) {
+            if (e.gate == kNoGate)
+                continue;
+            EXPECT_EQ(rec.gates[e.gate].retired == telemetry::kNoCycle,
+                      e.finish > r.makespan)
+                << e.gate;
+        }
+        return;
+    }
+    FAIL() << "no fuzz case starved the Maslov network";
+}
+
 TEST(Recorder, ByteIdenticalAcrossBatchThreads)
 {
     const char *specs[] = {"qft:10", "im:10:2", "ghz:8", "qft:12"};
@@ -256,13 +343,16 @@ decodeError(const std::string &text)
 
 TEST(Recorder, DecodeRejectsHostileDocumentsByField)
 {
-    telemetry::FlightRecorder recorder(1, 4);
-    recorder.meta().grid_rows = 2;
-    recorder.meta().grid_cols = 2;
-    recorder.gate(0).kind = "h";
-    recorder.gate(0).q0 = 3;
-    recorder.onRetired(0, 2);
-    const std::string good = recorder.finish(2).toJson();
+    telemetry::FlightRecording rec;
+    rec.grid_rows = 2;
+    rec.grid_cols = 2;
+    rec.makespan = 2;
+    rec.vertex_busy_cycles.assign(4, 0);
+    telemetry::GateRecord &gate = rec.gates.emplace_back();
+    gate.kind = "h";
+    gate.q0 = 3;
+    gate.ready = gate.dispatched = gate.retired = 2;
+    const std::string good = rec.toJson();
     EXPECT_EQ(decodeError(good), "");
 
     // Each mutation would have sized a loop or a cast from the field.
@@ -296,71 +386,108 @@ TEST(Recorder, DecodeRejectsHostileDocumentsByField)
                       "stall cause"));
 }
 
-TEST(Recorder, TrimVertexBusyMirrorsUtilizationClamp)
+/** Stall cycles of @p by_cause charged to @p cause. */
+uint64_t
+stallOf(const uint64_t *by_cause, telemetry::StallCause cause)
 {
-    telemetry::FlightRecorder recorder(0, 4);
-    const int32_t vs[] = {1, 3};
-    recorder.onRegionHeld(vs, 2, 10, 20);
-
-    recorder.trimVertexBusy(1, 4);    // partial trim
-    recorder.trimVertexBusy(3, 100);  // larger than the cell: clamps
-    recorder.trimVertexBusy(2, 5);    // untouched vertex stays zero
-    recorder.trimVertexBusy(-1, 5);   // out of range: ignored
-    recorder.trimVertexBusy(99, 5);   // out of range: ignored
-
-    const telemetry::FlightRecording rec = recorder.finish(20);
-    EXPECT_EQ(rec.vertex_busy_cycles[1], 6u);
-    EXPECT_EQ(rec.vertex_busy_cycles[2], 0u);
-    EXPECT_EQ(rec.vertex_busy_cycles[3], 0u);
-    EXPECT_EQ(rec.heatmapSum(), 6u);
+    return by_cause[static_cast<size_t>(cause)];
 }
 
-TEST(Recorder, UnitLifecycleAndAttribution)
+TEST(FlightRecording, ComputedFromTraceAndBlockedLog)
 {
-    telemetry::FlightRecorder recorder(2, 4);
-    recorder.onReady(0, 10);
-    recorder.onReady(0, 12); // idempotent: first examination wins
-    recorder.onBlocked(0, 15, telemetry::StallCause::Congestion);
-    recorder.onBlocked(0, 20, telemetry::StallCause::RegionConflict);
-    recorder.onDispatched(0, 26);
-    recorder.onRetired(0, 30);
+    using telemetry::StallCause;
+    Circuit circuit(4, "hand");
+    circuit.cx(0, 1); // waits on three causes
+    circuit.h(2);     // never examined
+    circuit.cx(1, 2); // in flight when the run stopped
+    circuit.cx(0, 3); // still waiting when the run stopped
+    circuit.h(3);     // never ready
+    const Cycles makespan = 30;
+    const std::vector<TraceEntry> trace = {
+        {1, 5, 9, Path{}, 9, kNoQubit, kNoQubit},
+        {kNoGate, 20, 24, Path{{0, 3}}, 24, 0, 1},
+        {0, 26, 30, Path{{1, 4}}, 30, kNoQubit, kNoQubit},
+        {2, 26, 40, Path{{5, 8}}, 40, kNoQubit, kNoQubit},
+    };
+    const std::vector<telemetry::BlockedEvent> blocked = {
+        {0, 10, StallCause::Dependence},
+        {0, 15, StallCause::Congestion},
+        {0, 20, StallCause::RegionConflict},
+        {2, 20, StallCause::Defect},
+        {2, 22, StallCause::Defect},
+        {3, 28, StallCause::Congestion},
+    };
+    const std::vector<uint64_t> busy = {0, 4, 0, 4, 4, 4, 0, 0, 4};
+    const telemetry::FlightRecording rec = flightRecording(
+        circuit, Grid(2, 2), SchedulerPolicy::AutobraidFull,
+        SchedulerBackend::LatticeSurgery, trace, blocked, busy, makespan);
 
-    // Gate 1 dispatches the instant it becomes ready.
-    recorder.onReady(1, 5);
-    recorder.onDispatched(1, 5);
-    recorder.onRetired(1, 9);
+    EXPECT_EQ(rec.circuit, "hand");
+    EXPECT_EQ(rec.policy, "full");
+    EXPECT_EQ(rec.backend, "surgery");
+    EXPECT_EQ(rec.grid_rows, 3);
+    EXPECT_EQ(rec.grid_cols, 3);
+    EXPECT_EQ(rec.makespan, makespan);
+    ASSERT_EQ(rec.gates.size(), 5u);
 
-    const int32_t vs[] = {0, 2};
-    recorder.onRegionHeld(vs, 2, 26, 30);
-    recorder.onRegionHeld(vs, 2, 30, 30); // empty window: no-op
-
-    const telemetry::FlightRecording rec = recorder.finish(30);
+    // Ready at the first examination; each wait is charged to the
+    // cause seen at its start, the last one up to the dispatch.
     const telemetry::GateRecord &g0 = rec.gates[0];
+    EXPECT_EQ(g0.kind, "cx");
+    EXPECT_EQ(g0.q1, 1);
     EXPECT_EQ(g0.ready, 10u);
     EXPECT_EQ(g0.dispatched, 26u);
     EXPECT_EQ(g0.retired, 30u);
-    // [10,15) had no pending cause yet -> charged to dependence;
-    // [15,20) to congestion; [20,26) to region_conflict.
-    EXPECT_EQ(g0.stall[static_cast<size_t>(
-                  telemetry::StallCause::Dependence)],
-              5u);
-    EXPECT_EQ(g0.stall[static_cast<size_t>(
-                  telemetry::StallCause::Congestion)],
-              5u);
-    EXPECT_EQ(g0.stall[static_cast<size_t>(
-                  telemetry::StallCause::RegionConflict)],
-              6u);
+    EXPECT_EQ(stallOf(g0.stall, StallCause::Dependence), 5u);
+    EXPECT_EQ(stallOf(g0.stall, StallCause::Congestion), 5u);
+    EXPECT_EQ(stallOf(g0.stall, StallCause::RegionConflict), 6u);
+    EXPECT_EQ(stallOf(g0.stall, StallCause::Defect), 0u);
     EXPECT_EQ(g0.stallTotal(), g0.dispatched - g0.ready);
-    EXPECT_EQ(g0.blocked_attempts, 2u);
+    EXPECT_EQ(g0.blocked_attempts, 3u);
 
-    EXPECT_EQ(rec.gates[1].stallTotal(), 0u);
-    EXPECT_TRUE(rec.gates[1].complete());
+    // Never examined: ready when it dispatched, no stall.
+    const telemetry::GateRecord &g1 = rec.gates[1];
+    EXPECT_EQ(g1.kind, "h");
+    EXPECT_EQ(g1.q1, -1);
+    EXPECT_EQ(g1.ready, 5u);
+    EXPECT_EQ(g1.dispatched, 5u);
+    EXPECT_EQ(g1.retired, 9u);
+    EXPECT_EQ(g1.stallTotal(), 0u);
+    EXPECT_EQ(g1.blocked_attempts, 0u);
 
-    EXPECT_EQ(rec.vertex_busy_cycles[0], 4u);
-    EXPECT_EQ(rec.vertex_busy_cycles[1], 0u);
-    EXPECT_EQ(rec.vertex_busy_cycles[2], 4u);
-    EXPECT_EQ(rec.heatmapSum(), 8u);
-    EXPECT_EQ(rec.makespan, 30u);
+    // Finishes past the makespan: dispatched but never retired.
+    const telemetry::GateRecord &g2 = rec.gates[2];
+    EXPECT_EQ(g2.ready, 20u);
+    EXPECT_EQ(g2.dispatched, 26u);
+    EXPECT_EQ(g2.retired, telemetry::kNoCycle);
+    EXPECT_FALSE(g2.complete());
+    EXPECT_EQ(stallOf(g2.stall, StallCause::Defect), 6u);
+    EXPECT_EQ(g2.blocked_attempts, 2u);
+
+    // Examined but never dispatched: its open wait is not charged.
+    const telemetry::GateRecord &g3 = rec.gates[3];
+    EXPECT_EQ(g3.ready, 28u);
+    EXPECT_EQ(g3.dispatched, telemetry::kNoCycle);
+    EXPECT_EQ(g3.retired, telemetry::kNoCycle);
+    EXPECT_EQ(g3.stallTotal(), 0u);
+    EXPECT_EQ(g3.blocked_attempts, 1u);
+
+    const telemetry::GateRecord &g4 = rec.gates[4];
+    EXPECT_EQ(g4.ready, telemetry::kNoCycle);
+    EXPECT_EQ(g4.dispatched, telemetry::kNoCycle);
+    EXPECT_EQ(g4.blocked_attempts, 0u);
+
+    EXPECT_EQ(stallOf(rec.stall_totals, StallCause::Dependence), 5u);
+    EXPECT_EQ(stallOf(rec.stall_totals, StallCause::Congestion), 5u);
+    EXPECT_EQ(stallOf(rec.stall_totals, StallCause::RegionConflict), 6u);
+    EXPECT_EQ(stallOf(rec.stall_totals, StallCause::Defect), 6u);
+    ASSERT_EQ(rec.blocked.size(), blocked.size());
+    for (size_t i = 0; i < blocked.size(); ++i) {
+        EXPECT_EQ(rec.blocked[i].gate, blocked[i].gate) << i;
+        EXPECT_EQ(rec.blocked[i].cycle, blocked[i].cycle) << i;
+        EXPECT_EQ(rec.blocked[i].cause, blocked[i].cause) << i;
+    }
+    EXPECT_EQ(rec.vertex_busy_cycles, busy);
 }
 
 } // namespace

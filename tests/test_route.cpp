@@ -550,20 +550,9 @@ TEST(GreedyFinder, EmptyTaskListIsVacuousSuccess)
         const auto empty = finder.findPaths({}, freeMask(g));
         EXPECT_TRUE(empty.routed.empty());
         EXPECT_TRUE(empty.failed.empty());
-        EXPECT_DOUBLE_EQ(empty.ratio, 1.0) << finder.name();
+        EXPECT_DOUBLE_EQ(empty.ratio, 1.0)
+            << "order " << static_cast<int>(order);
     }
-}
-
-TEST(GreedyFinder, Names)
-{
-    Grid g(2, 2);
-    EXPECT_STREQ(GreedyPathFinder(g, GreedyOrder::Distance).name(),
-                 "greedy-distance");
-    EXPECT_STREQ(GreedyPathFinder(g, GreedyOrder::Program).name(),
-                 "greedy-program");
-    EXPECT_STREQ(GreedyPathFinder(g, GreedyOrder::Largest).name(),
-                 "greedy-largest");
-    EXPECT_STREQ(StackPathFinder(g).name(), "stack");
 }
 
 TEST(GreedyFinder, OrderMattersOnCongestedLayer)

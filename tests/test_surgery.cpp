@@ -4,7 +4,7 @@
  * CLI-name round-trips and strict parse errors, the merge-region
  * semantics of LatticeSurgeryFinder, end-to-end surgery
  * compiles through the validator (including defect tolerance and
- * determinism), and cross-backend comparison.
+ * determinism).
  */
 
 #include <gtest/gtest.h>
@@ -185,9 +185,6 @@ TEST(SurgeryModel, DurationsAndHold)
     EXPECT_EQ(surgery(c.gate(0)), cost.lsCxCycles());
     EXPECT_EQ(surgery(c.gate(1)), cost.lsSwapCycles());
     EXPECT_EQ(surgery(c.gate(2)), cost.duration(c.gate(2)));
-    const Grid grid(2, 2);
-    EXPECT_STREQ(LatticeSurgeryFinder(grid, {}).name(),
-                 "lattice-surgery");
 
     // Merge regions are held for the whole window, never released
     // early by teleport-style channel holds.
@@ -270,21 +267,6 @@ TEST(SurgeryCompile, DeterministicMetricsSummary)
     const CompileReport br = compileCircuit(c, braid);
     EXPECT_NE(br.metricsSummary().find("backend=braiding"),
               std::string::npos);
-}
-
-TEST(SurgeryCompile, CrossBackendMakespansReported)
-{
-    const fuzz::FuzzCase c = fuzz::makeFuzzCase(4242);
-    const fuzz::CrossBackendResult cross =
-        fuzz::runCrossBackendCase(c);
-    std::string joined;
-    for (const std::string &f : cross.failures)
-        joined += f + "\n";
-    EXPECT_TRUE(cross.ok) << joined;
-    EXPECT_GT(cross.makespan_braiding, 0u);
-    EXPECT_GT(cross.makespan_surgery, 0u);
-    // Deliberately no assertion that the two agree: different
-    // semantics, reported side by side.
 }
 
 } // namespace

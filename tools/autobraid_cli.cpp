@@ -310,8 +310,8 @@ runOne(const CliOptions &opts, const std::string &input,
         compile.dead_vertices =
             DefectMap::random(grid, opts.defects, rng)
                 .deadVertices();
-        std::printf("injected %zu lattice defects\n",
-                    compile.dead_vertices.size());
+        std::fprintf(stderr, "injected %zu lattice defects\n",
+                     compile.dead_vertices.size());
     }
 
     if (opts.sweep_p) {

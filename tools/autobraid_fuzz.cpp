@@ -24,9 +24,6 @@
  *                           like "baseline,sp,full" (default all)
  *     --backend=B           communication backend for every case:
  *                           braiding (default) or surgery
- *     --cross-backend-stride=N  compile under both backends and
- *                           report the makespan pair every Nth case
- *                           (default 16; 0 disables)
  *     --batch-stride=N      batch-determinism check every Nth case
  *                           (default 8; 0 disables)
  *     --route-jobs-stride=N route-jobs determinism check (schedules
@@ -86,7 +83,7 @@ usage(int code)
         "                    or names: baseline,sp,full,all\n"
         "  --backend=B       braiding (default) or surgery\n"
         "  --batch-stride=N --degenerate-stride=N\n"
-        "  --cross-backend-stride=N --route-jobs-stride=N\n"
+        "  --route-jobs-stride=N\n"
         "  --no-lint-oracle --no-shrink\n"
         "  --repro-out=FILE  first failure's reproducer as OpenQASM\n"
         "  --record-out=FILE first failure's flight recording JSON\n"
@@ -158,10 +155,6 @@ parseArgs(int argc, char **argv)
                               value)) {
             opts.fuzz.degenerate_stride = parseCheckedIntFlag(
                 value, "--degenerate-stride", 0, 1'000'000);
-        } else if (matchValue(argc, argv, i, "--cross-backend-stride",
-                              value)) {
-            opts.fuzz.cross_backend_stride = parseCheckedIntFlag(
-                value, "--cross-backend-stride", 0, 1'000'000);
         } else if (std::strcmp(arg, "--no-lint-oracle") == 0) {
             opts.fuzz.lint_oracle = false;
         } else if (std::strcmp(arg, "--no-shrink") == 0) {
