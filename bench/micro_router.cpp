@@ -22,6 +22,7 @@
 #include "llg/llg.hpp"
 #include "place/annealer.hpp"
 #include "place/initial.hpp"
+#include "qasm/elaborator.hpp"
 #include "qasm/exporter.hpp"
 #include "route/greedy_finder.hpp"
 #include "route/stack_finder.hpp"
@@ -345,6 +346,25 @@ BM_JsonParseRequest(benchmark::State &state)
     }
 }
 BENCHMARK(BM_JsonParseRequest);
+
+void
+BM_QasmParseToCircuit(benchmark::State &state, const char *spec)
+{
+    // The CLI user's set-up and perfbench's setup_s: QASM text lexed,
+    // parsed and elaborated into a circuit. The text is the export of
+    // a generator circuit, made here rather than committed.
+    const std::string text = qasm::toQasm(gen::make(spec));
+    for (auto _ : state) {
+        Circuit circuit = qasm::parseToCircuit(text, spec);
+        benchmark::DoNotOptimize(circuit);
+    }
+    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(text.size()));
+}
+BENCHMARK_CAPTURE(BM_QasmParseToCircuit, qft160, "qft:160")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_QasmParseToCircuit, im4000, "im:4000:2")
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -302,7 +302,7 @@ lintDuplicateOperands(const Program &program, DiagnosticEngine &engine,
                     "AB101", at(file, call->line),
                     strformat("gate '%s' applies operands %s and %s "
                               "to the same qubit",
-                              call->name.c_str(),
+                              std::string(call->name).c_str(),
                               a.toString().c_str(),
                               b.toString().c_str()));
                 reported = true;
@@ -337,8 +337,9 @@ lintBroadcastWidths(const Program &program, DiagnosticEngine &engine,
                     "AB105", at(file, call->line),
                     strformat("gate '%s' broadcasts registers of "
                               "unequal size ('%s'[%d] vs '%s'[%d])",
-                              call->name.c_str(), first->reg.c_str(),
-                              width, arg.reg.c_str(), size));
+                              std::string(call->name).c_str(),
+                              std::string(first->reg).c_str(), width,
+                              std::string(arg.reg).c_str(), size));
                 break;
             }
         }
@@ -364,15 +365,15 @@ lintMeasureWidths(const Program &program, DiagnosticEngine &engine,
                     "AB105", at(file, m->line),
                     strformat("measure broadcasts '%s'[%d] into "
                               "'%s'[%d]: widths differ",
-                              m->src.reg.c_str(), qsize,
-                              m->dst.reg.c_str(), csize));
+                              std::string(m->src.reg).c_str(), qsize,
+                              std::string(m->dst.reg).c_str(), csize));
         } else if (m->src.wholeRegister() && qsize > 1) {
             engine.report(
                 "AB105", at(file, m->line),
                 strformat("measure broadcasts '%s'[%d] into the "
                           "single bit '%s[%d]'",
-                          m->src.reg.c_str(), qsize,
-                          m->dst.reg.c_str(), m->dst.index));
+                          std::string(m->src.reg).c_str(), qsize,
+                          std::string(m->dst.reg).c_str(), m->dst.index));
         }
         if (!m->dst.wholeRegister() &&
             (m->dst.index < 0 || m->dst.index >= csize))
@@ -380,7 +381,8 @@ lintMeasureWidths(const Program &program, DiagnosticEngine &engine,
                 "AB105", at(file, m->line),
                 strformat("classical index %d out of range for "
                           "'%s'[%d]",
-                          m->dst.index, m->dst.reg.c_str(), csize));
+                          m->dst.index,
+                          std::string(m->dst.reg).c_str(), csize));
     }
 }
 
@@ -392,7 +394,7 @@ lintUnusedCregs(const Program &program, DiagnosticEngine &engine,
     std::set<std::string> written;
     for (const qasm::Statement &stmt : program.statements)
         if (const auto *m = std::get_if<qasm::MeasureStmt>(&stmt))
-            written.insert(m->dst.reg);
+            written.emplace(m->dst.reg);
     for (size_t i = 0; i < program.cregs.size(); ++i) {
         const auto &[name, size] = program.cregs[i];
         if (written.find(name) != written.end())
@@ -429,7 +431,7 @@ lintUnusedQregs(const Program &program, DiagnosticEngine &engine,
 {
     std::set<std::string> referenced;
     auto touch = [&referenced](const Argument &arg) {
-        referenced.insert(arg.reg);
+        referenced.emplace(arg.reg);
     };
     for (const qasm::Statement &stmt : program.statements) {
         if (const auto *call = std::get_if<qasm::GateCall>(&stmt))
@@ -501,7 +503,7 @@ lintUseAfterMeasure(const Program &program, DiagnosticEngine &engine,
                                       "after being measured; insert a "
                                       "reset to reuse it",
                                       q.first.c_str(), q.second,
-                                      call->name.c_str()));
+                                      std::string(call->name).c_str()));
                     }
         } else if (const auto *m =
                        std::get_if<qasm::MeasureStmt>(&stmt)) {
@@ -527,7 +529,7 @@ lintDeadMeasurements(const Program &program, DiagnosticEngine &engine,
                      const std::string &file)
 {
     // Flatten creg bits into one dense index space.
-    std::map<std::string, std::pair<size_t, int>> layout;
+    std::map<std::string, std::pair<size_t, int>, std::less<>> layout;
     size_t total_bits = 0;
     for (const auto &[name, size] : program.cregs) {
         layout[name] = {total_bits, size};
@@ -574,7 +576,7 @@ lintDeadMeasurements(const Program &program, DiagnosticEngine &engine,
                         strformat(
                             "measurement into %s[%d] is overwritten "
                             "at line %d before being read",
-                            m->dst.reg.c_str(), b, m->line));
+                            std::string(m->dst.reg).c_str(), b, m->line));
                 }
             }
             pending = m->line;

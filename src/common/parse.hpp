@@ -10,6 +10,8 @@
  * no empty strings, no trailing junk, no silent wraparound — and
  * raise UserError with the offending flag name, so tools can report
  * "invalid value" and exit 2 per the shared exit-code convention.
+ * They take views, so the QASM parser converts a literal in place,
+ * without copying its token into a string first.
  */
 
 #ifndef AUTOBRAID_COMMON_PARSE_HPP
@@ -18,6 +20,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 
 namespace autobraid {
 
@@ -33,12 +36,12 @@ bool matchValue(const char *arg, const char *key, std::string &value);
  * junk, or falls outside the range.
  */
 long long parseCheckedInt(
-    const std::string &text, const char *flag,
+    std::string_view text, const char *flag,
     long long min = std::numeric_limits<long long>::min(),
     long long max = std::numeric_limits<long long>::max());
 
 /** parseCheckedInt() narrowed to int for the common flag case. */
-int parseCheckedIntFlag(const std::string &text, const char *flag,
+int parseCheckedIntFlag(std::string_view text, const char *flag,
                         int min, int max);
 
 /**
@@ -46,7 +49,7 @@ int parseCheckedIntFlag(const std::string &text, const char *flag,
  * std::stoull, a leading '-' is rejected rather than wrapped around.
  */
 uint64_t parseCheckedUInt(
-    const std::string &text, const char *flag,
+    std::string_view text, const char *flag,
     uint64_t max = std::numeric_limits<uint64_t>::max());
 
 /**
@@ -54,7 +57,7 @@ uint64_t parseCheckedUInt(
  * spellings are rejected along with garbage and trailing junk.
  */
 double parseCheckedDouble(
-    const std::string &text, const char *flag,
+    std::string_view text, const char *flag,
     double min = std::numeric_limits<double>::lowest(),
     double max = std::numeric_limits<double>::max());
 

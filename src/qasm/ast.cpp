@@ -9,117 +9,82 @@
 namespace autobraid {
 namespace qasm {
 
-double
-Expr::eval(const std::map<std::string, double> &bindings) const
+std::string_view
+Arena::copy(std::string_view text)
 {
+    if (text.empty())
+        return {};
+    char *out = static_cast<char *>(memory_.allocate(text.size(), 1));
+    text.copy(out, text.size());
+    return {out, text.size()};
+}
+
+double
+Expr::eval(std::span<const std::string> names,
+           std::span<const double> values) const
+{
+    const auto sub = [&](const Expr *e) { return e->eval(names, values); };
     switch (op) {
       case Op::Const:
         return value;
       case Op::Pi:
         return std::numbers::pi;
-      case Op::Param: {
-        auto it = bindings.find(param);
-        if (it == bindings.end())
-            fatal("qasm: unbound gate parameter '%s'", param.c_str());
-        return it->second;
-      }
+      case Op::Param:
+        for (size_t i = names.size(); i-- > 0;)
+            if (names[i] == param)
+                return values[i];
+        fatal("qasm: unbound gate parameter '%.*s'",
+              static_cast<int>(param.size()), param.data());
       case Op::Neg:
-        return -lhs->eval(bindings);
+        return -sub(lhs);
       case Op::Sin:
-        return std::sin(lhs->eval(bindings));
+        return std::sin(sub(lhs));
       case Op::Cos:
-        return std::cos(lhs->eval(bindings));
+        return std::cos(sub(lhs));
       case Op::Tan:
-        return std::tan(lhs->eval(bindings));
+        return std::tan(sub(lhs));
       case Op::Exp:
-        return std::exp(lhs->eval(bindings));
+        return std::exp(sub(lhs));
       case Op::Ln:
-        return std::log(lhs->eval(bindings));
+        return std::log(sub(lhs));
       case Op::Sqrt:
-        return std::sqrt(lhs->eval(bindings));
-      case Op::Add:
-        return lhs->eval(bindings) + rhs->eval(bindings);
-      case Op::Sub:
-        return lhs->eval(bindings) - rhs->eval(bindings);
-      case Op::Mul:
-        return lhs->eval(bindings) * rhs->eval(bindings);
+        return std::sqrt(sub(lhs));
+      // Operands evaluate in a fixed order, so an expression always
+      // raises the same error first: the left operand first, except
+      // that '/' and '^' evaluate their right operand first.
+      case Op::Add: {
+        const double l = sub(lhs);
+        return l + sub(rhs);
+      }
+      case Op::Sub: {
+        const double l = sub(lhs);
+        return l - sub(rhs);
+      }
+      case Op::Mul: {
+        const double l = sub(lhs);
+        return l * sub(rhs);
+      }
       case Op::Div: {
-        const double d = rhs->eval(bindings);
+        const double d = sub(rhs);
         if (d == 0.0)
             fatal("qasm: division by zero in parameter expression");
-        return lhs->eval(bindings) / d;
+        return sub(lhs) / d;
       }
-      case Op::Pow:
-        return std::pow(lhs->eval(bindings), rhs->eval(bindings));
+      case Op::Pow: {
+        const double exponent = sub(rhs);
+        return std::pow(sub(lhs), exponent);
+      }
     }
     panic("Expr::eval: unknown op %d", static_cast<int>(op));
-}
-
-ExprPtr
-Expr::constant(double v)
-{
-    auto e = std::make_unique<Expr>();
-    e->op = Op::Const;
-    e->value = v;
-    return e;
-}
-
-ExprPtr
-Expr::pi()
-{
-    auto e = std::make_unique<Expr>();
-    e->op = Op::Pi;
-    return e;
-}
-
-ExprPtr
-Expr::parameter(std::string name)
-{
-    auto e = std::make_unique<Expr>();
-    e->op = Op::Param;
-    e->param = std::move(name);
-    return e;
-}
-
-ExprPtr
-Expr::unary(Op op, ExprPtr operand)
-{
-    auto e = std::make_unique<Expr>();
-    e->op = op;
-    e->lhs = std::move(operand);
-    return e;
-}
-
-ExprPtr
-Expr::binary(Op op, ExprPtr lhs, ExprPtr rhs)
-{
-    auto e = std::make_unique<Expr>();
-    e->op = op;
-    e->lhs = std::move(lhs);
-    e->rhs = std::move(rhs);
-    return e;
-}
-
-ExprPtr
-Expr::clone() const
-{
-    auto e = std::make_unique<Expr>();
-    e->op = op;
-    e->value = value;
-    e->param = param;
-    if (lhs)
-        e->lhs = lhs->clone();
-    if (rhs)
-        e->rhs = rhs->clone();
-    return e;
 }
 
 std::string
 Argument::toString() const
 {
     if (wholeRegister())
-        return reg;
-    return strformat("%s[%d]", reg.c_str(), index);
+        return std::string(reg);
+    return strformat("%.*s[%d]", static_cast<int>(reg.size()), reg.data(),
+                     index);
 }
 
 int
@@ -132,7 +97,7 @@ Program::totalQubits() const
 }
 
 int
-Program::qregSize(const std::string &name) const
+Program::qregSize(std::string_view name) const
 {
     for (const auto &[n, size] : qregs)
         if (n == name)
@@ -141,7 +106,7 @@ Program::qregSize(const std::string &name) const
 }
 
 int
-Program::cregSize(const std::string &name) const
+Program::cregSize(std::string_view name) const
 {
     for (const auto &[n, size] : cregs)
         if (n == name)

@@ -7,6 +7,9 @@
  * reset), user gate declarations, and the program. Classical control
  * (`if`) and `opaque` declarations are rejected at parse time — none of
  * the paper's benchmarks use them.
+ *
+ * Statements own nothing: their names, argument and parameter lists
+ * and expression nodes live in the program's Arena.
  */
 
 #ifndef AUTOBRAID_QASM_AST_HPP
@@ -15,17 +18,57 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <memory_resource>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
 namespace autobraid {
 namespace qasm {
 
-/** Parameter-expression node. */
-struct Expr;
-using ExprPtr = std::unique_ptr<Expr>;
+/**
+ * Append-only storage for what a program's statements point to: names,
+ * argument and parameter lists, and expression nodes. Nothing in it
+ * moves and nothing in it needs a destructor, so the parser allocates
+ * nothing per gate call and the program frees it all at once.
+ */
+class Arena
+{
+  public:
+    /** A copy of @p text that lives as long as the arena. */
+    std::string_view copy(std::string_view text);
 
+    /** A contiguous copy of @p items that lives as long as the arena. */
+    template <typename T>
+    std::span<const T>
+    copy(std::span<const T> items)
+    {
+        static_assert(std::is_trivially_destructible_v<T>);
+        if (items.empty())
+            return {};
+        T *out = static_cast<T *>(
+            memory_.allocate(items.size_bytes(), alignof(T)));
+        std::uninitialized_copy(items.begin(), items.end(), out);
+        return {out, items.size()};
+    }
+
+    /** A copy of @p node that lives as long as the arena. */
+    template <typename T>
+    const T *
+    make(const T &node)
+    {
+        return copy(std::span<const T>(&node, 1)).data();
+    }
+
+  private:
+    std::pmr::monotonic_buffer_resource memory_;
+};
+
+/** Parameter-expression node; a program's Arena owns every node. */
 struct Expr
 {
     /** Node kinds; binary ops use lhs/rhs, unary ops use lhs only. */
@@ -37,34 +80,24 @@ struct Expr
     };
 
     Op op = Op::Const;
-    double value = 0.0;    ///< for Const
-    std::string param;     ///< for Param
-    ExprPtr lhs;
-    ExprPtr rhs;
+    double value = 0.0;     ///< for Const
+    std::string_view param{}; ///< for Param
+    const Expr *lhs = nullptr;
+    const Expr *rhs = nullptr;
 
     /**
-     * Evaluate with gate-parameter bindings. Raises UserError on an
-     * unbound parameter or division by zero.
+     * Evaluate with the gate parameters @p names bound to the
+     * index-aligned @p values; a name given twice binds its last value.
+     * Raises UserError on an unbound parameter or division by zero.
      */
-    double eval(const std::map<std::string, double> &bindings) const;
-
-    /** @name Node factories */
-    /// @{
-    static ExprPtr constant(double v);
-    static ExprPtr pi();
-    static ExprPtr parameter(std::string name);
-    static ExprPtr unary(Op op, ExprPtr operand);
-    static ExprPtr binary(Op op, ExprPtr lhs, ExprPtr rhs);
-    /// @}
-
-    /** Deep copy (gate bodies are instantiated per call site). */
-    ExprPtr clone() const;
+    double eval(std::span<const std::string> names = {},
+                std::span<const double> values = {}) const;
 };
 
 /** A register reference: whole register (index < 0) or one element. */
 struct Argument
 {
-    std::string reg;
+    std::string_view reg; ///< in the program's Arena
     int index = -1;
     int line = 0;
 
@@ -76,9 +109,9 @@ struct Argument
 /** A gate application, including the builtin U and CX. */
 struct GateCall
 {
-    std::string name;
-    std::vector<ExprPtr> params;
-    std::vector<Argument> args;
+    std::string_view name; ///< in the program's Arena
+    std::span<const Expr *const> params;
+    std::span<const Argument> args;
     int line = 0;
 };
 
@@ -93,7 +126,7 @@ struct MeasureStmt
 /** barrier args...; */
 struct BarrierStmt
 {
-    std::vector<Argument> args;
+    std::span<const Argument> args;
     int line = 0;
 };
 
@@ -104,6 +137,7 @@ struct ResetStmt
     int line = 0;
 };
 
+/** A statement; it points into its program's Arena and owns nothing. */
 using Statement =
     std::variant<GateCall, MeasureStmt, BarrierStmt, ResetStmt>;
 
@@ -132,17 +166,19 @@ struct Program
     /// index-aligned with qregs/cregs (0 when synthesized).
     std::vector<int> qreg_lines;
     std::vector<int> creg_lines;
-    std::map<std::string, GateDecl> gates;
+    std::map<std::string, GateDecl, std::less<>> gates;
     std::vector<Statement> statements;
+    /** Names, lists and expressions the statements and gates use. */
+    std::unique_ptr<Arena> arena = std::make_unique<Arena>();
 
     /** Total declared qubits. */
     int totalQubits() const;
 
     /** Size of qreg @p name; -1 when undeclared. */
-    int qregSize(const std::string &name) const;
+    int qregSize(std::string_view name) const;
 
     /** Size of creg @p name; -1 when undeclared. */
-    int cregSize(const std::string &name) const;
+    int cregSize(std::string_view name) const;
 };
 
 } // namespace qasm

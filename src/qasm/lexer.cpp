@@ -20,111 +20,98 @@ isIdentBody(char c)
     return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
+bool
+isDigit(char c)
+{
+    return std::isdigit(static_cast<unsigned char>(c));
+}
+
 } // namespace
 
-std::vector<Token>
-lex(const std::string &source)
+void
+Lexer::advance()
 {
-    std::vector<Token> tokens;
-    size_t i = 0;
-    int line = 1;
-    int col = 1;
+    if (source_[pos_] == '\n') {
+        ++line_;
+        column_ = 1;
+    } else {
+        ++column_;
+    }
+    ++pos_;
+}
 
-    auto advance = [&](size_t n = 1) {
-        for (size_t k = 0; k < n && i < source.size(); ++k) {
-            if (source[i] == '\n') {
-                ++line;
-                col = 1;
-            } else {
-                ++col;
-            }
-            ++i;
-        }
-    };
-    auto push = [&](TokenKind kind, std::string text, int l, int c) {
-        tokens.push_back(Token{kind, std::move(text), l, c});
-    };
-
-    while (i < source.size()) {
-        const char c = source[i];
-        const int l = line;
-        const int co = col;
+Token
+Lexer::next()
+{
+    const std::string_view src = source_;
+    while (pos_ < src.size()) {
+        const char c = src[pos_];
+        const int l = line_;
+        const int co = column_;
+        const auto token = [&](TokenKind kind, size_t n) {
+            const Token t{kind, src.substr(pos_, n), l, co};
+            skip(n);
+            return t;
+        };
 
         if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
             advance();
             continue;
         }
-        if (c == '/' && i + 1 < source.size() && source[i + 1] == '/') {
-            while (i < source.size() && source[i] != '\n')
-                advance();
+        if (c == '/' && pos_ + 1 < src.size() && src[pos_ + 1] == '/') {
+            while (pos_ < src.size() && src[pos_] != '\n')
+                skip(1);
             continue;
         }
         if (isIdentStart(c)) {
-            size_t j = i;
-            while (j < source.size() && isIdentBody(source[j]))
+            size_t j = pos_;
+            while (j < src.size() && isIdentBody(src[j]))
                 ++j;
-            push(TokenKind::Identifier, source.substr(i, j - i), l, co);
-            advance(j - i);
-            continue;
+            return token(TokenKind::Identifier, j - pos_);
         }
-        if (std::isdigit(static_cast<unsigned char>(c)) ||
-            (c == '.' && i + 1 < source.size() &&
-             std::isdigit(static_cast<unsigned char>(source[i + 1])))) {
-            size_t j = i;
+        if (isDigit(c) ||
+            (c == '.' && pos_ + 1 < src.size() && isDigit(src[pos_ + 1]))) {
+            size_t j = pos_;
             bool is_real = false;
-            while (j < source.size() &&
-                   std::isdigit(static_cast<unsigned char>(source[j])))
+            while (j < src.size() && isDigit(src[j]))
                 ++j;
-            if (j < source.size() && source[j] == '.') {
+            if (j < src.size() && src[j] == '.') {
                 is_real = true;
                 ++j;
-                while (j < source.size() &&
-                       std::isdigit(
-                           static_cast<unsigned char>(source[j])))
+                while (j < src.size() && isDigit(src[j]))
                     ++j;
             }
-            if (j < source.size() &&
-                (source[j] == 'e' || source[j] == 'E')) {
+            if (j < src.size() && (src[j] == 'e' || src[j] == 'E')) {
                 size_t k = j + 1;
-                if (k < source.size() &&
-                    (source[k] == '+' || source[k] == '-'))
+                if (k < src.size() && (src[k] == '+' || src[k] == '-'))
                     ++k;
-                if (k < source.size() &&
-                    std::isdigit(static_cast<unsigned char>(source[k]))) {
+                if (k < src.size() && isDigit(src[k])) {
                     is_real = true;
                     j = k;
-                    while (j < source.size() &&
-                           std::isdigit(
-                               static_cast<unsigned char>(source[j])))
+                    while (j < src.size() && isDigit(src[j]))
                         ++j;
                 }
             }
-            push(is_real ? TokenKind::Real : TokenKind::Integer,
-                 source.substr(i, j - i), l, co);
-            advance(j - i);
-            continue;
+            return token(is_real ? TokenKind::Real : TokenKind::Integer,
+                         j - pos_);
         }
         if (c == '"') {
-            size_t j = i + 1;
-            while (j < source.size() && source[j] != '"')
+            size_t j = pos_ + 1;
+            while (j < src.size() && src[j] != '"')
                 ++j;
-            if (j >= source.size())
+            if (j >= src.size())
                 fatal("qasm:%d:%d: unterminated string literal", l, co);
-            push(TokenKind::String, source.substr(i + 1, j - i - 1), l,
-                 co);
-            advance(j - i + 1);
-            continue;
+            const Token t{TokenKind::String,
+                          src.substr(pos_ + 1, j - pos_ - 1), l, co};
+            // A string may span lines.
+            while (pos_ <= j)
+                advance();
+            return t;
         }
-        if (c == '-' && i + 1 < source.size() && source[i + 1] == '>') {
-            push(TokenKind::Arrow, "->", l, co);
-            advance(2);
-            continue;
-        }
-        if (c == '=' && i + 1 < source.size() && source[i + 1] == '=') {
-            push(TokenKind::EqEq, "==", l, co);
-            advance(2);
-            continue;
-        }
+        if (c == '-' && pos_ + 1 < src.size() && src[pos_ + 1] == '>')
+            return token(TokenKind::Arrow, 2);
+        if (c == '=' && pos_ + 1 < src.size() && src[pos_ + 1] == '=')
+            return token(TokenKind::EqEq, 2);
 
         TokenKind kind;
         switch (c) {
@@ -144,11 +131,9 @@ lex(const std::string &source)
           default:
             fatal("qasm:%d:%d: unexpected character '%c'", l, co, c);
         }
-        push(kind, std::string(1, c), l, co);
-        advance();
+        return token(kind, 1);
     }
-    tokens.push_back(Token{TokenKind::Eof, "", line, col});
-    return tokens;
+    return Token{TokenKind::Eof, {}, line_, column_};
 }
 
 } // namespace qasm

@@ -1,34 +1,42 @@
 #include "qasm/parser.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
+#include "common/text.hpp"
 #include "qasm/lexer.hpp"
 
 namespace autobraid {
 namespace qasm {
 namespace {
 
-/** Token-stream cursor with diagnostics. */
+/** Token-stream cursor with diagnostics: one token of lookahead. */
 class Parser
 {
   public:
-    explicit Parser(std::vector<Token> tokens)
-        : tokens_(std::move(tokens))
+    explicit Parser(std::string_view source)
+        : lexer_(source), cur_(lexer_.next())
     {}
 
     Program
     parseProgram()
     {
         Program prog;
-        expectHeader();
-        while (!peek(TokenKind::Eof))
-            parseStatement(prog);
+        arena_ = prog.arena.get();
+        try {
+            expectHeader();
+            while (!peek(TokenKind::Eof))
+                parseStatement(prog);
+        } catch (const UserError &) {
+            // A lexical error anywhere in the text is reported before
+            // any other: lex the rest, which raises the first one.
+            while (lexer_.next().kind != TokenKind::Eof) {
+            }
+            throw;
+        }
         checkExpansion(prog);
         return prog;
     }
@@ -37,46 +45,50 @@ class Parser
     // Expressions may keep at most this many levels open, as JSON
     // documents may nest. Each operator of a + - * / chain opens one,
     // as it makes the left-deep tree one level deeper: recursive
-    // descent, and the tree's recursive eval, clone and destructor,
-    // would otherwise exhaust the stack.
+    // descent, and the tree's recursive eval, would otherwise exhaust
+    // the stack.
     static constexpr int kMaxDepth = 64;
 
-    std::vector<Token> tokens_;
-    size_t pos_ = 0;
+    Lexer lexer_;
+    Token cur_; ///< the lookahead
+    Arena *arena_ = nullptr; ///< the program's
     int depth_ = 0;
     int qubits_ = 0; ///< qubits declared so far
     int clbits_ = 0; ///< classical bits declared so far
     /** Non-barrier names gate bodies called before their definition. */
     std::map<std::string, int> called_undefined_;
+    /** Lists being parsed, copied to the arena when complete. */
+    std::vector<Argument> args_;
+    std::vector<const Expr *> params_;
 
-    const Token &cur() const { return tokens_[pos_]; }
+    const Token &cur() const { return cur_; }
 
     bool
     peek(TokenKind kind) const
     {
-        return cur().kind == kind;
+        return cur_.kind == kind;
     }
 
     bool
-    peekIdent(const char *text) const
+    peekIdent(std::string_view text) const
     {
-        return cur().is(text);
+        return cur_.is(text);
     }
 
     Token
     take()
     {
-        Token t = cur();
+        const Token t = cur_;
         if (t.kind != TokenKind::Eof)
-            ++pos_;
+            cur_ = lexer_.next();
         return t;
     }
 
     [[noreturn]] void
     error(const std::string &msg) const
     {
-        fatal("qasm:%d:%d: %s (found %s)", cur().line, cur().column,
-              msg.c_str(), cur().toString().c_str());
+        fatal("qasm:%d:%d: %s (found %s)", cur_.line, cur_.column,
+              msg.c_str(), cur_.toString().c_str());
     }
 
     Token
@@ -87,7 +99,7 @@ class Parser
         return take();
     }
 
-    std::string
+    std::string_view
     expectIdent(const char *what)
     {
         return expect(TokenKind::Identifier, what).text;
@@ -112,10 +124,28 @@ class Parser
     expectInt(const char *what)
     {
         const Token t = expect(TokenKind::Integer, what);
-        return literal(t, [what](const std::string &text) {
+        return literal(t, [what](std::string_view text) {
             return parseCheckedIntFlag(text, what, 0,
                                        std::numeric_limits<int>::max());
         });
+    }
+
+    /** An operator node over @p lhs and @p rhs, in the arena. */
+    const Expr *
+    node(Expr::Op op, const Expr *lhs = nullptr, const Expr *rhs = nullptr)
+    {
+        return arena_->make(Expr{.op = op, .lhs = lhs, .rhs = rhs});
+    }
+
+    /** The entries of @p list from @p mark on, moved to the arena. */
+    template <typename T>
+    std::span<const T>
+    store(std::vector<T> &list, size_t mark)
+    {
+        const auto stored =
+            arena_->copy(std::span<const T>(list).subspan(mark));
+        list.resize(mark);
+        return stored;
     }
 
     /** Open one more expression level, within kMaxDepth. */
@@ -128,11 +158,11 @@ class Parser
     }
 
     /** @p parse one nesting level deeper, within kMaxDepth. */
-    ExprPtr
-    nested(ExprPtr (Parser::*parse)())
+    const Expr *
+    nested(const Expr *(Parser::*parse)())
     {
         deeper();
-        ExprPtr e = (this->*parse)();
+        const Expr *e = (this->*parse)();
         --depth_;
         return e;
     }
@@ -148,7 +178,7 @@ class Parser
         const Token version = take();
         if (version.text != "2.0" && version.text != "2")
             fatal("qasm: unsupported OPENQASM version '%s' (only 2.0)",
-                  version.text.c_str());
+                  std::string(version.text).c_str());
         expect(TokenKind::Semicolon, "';'");
     }
 
@@ -162,14 +192,14 @@ class Parser
             if (file.text != "qelib1.inc")
                 fatal("qasm:%d: cannot include '%s'; only the builtin "
                       "qelib1.inc is available",
-                      file.line, file.text.c_str());
+                      file.line, std::string(file.text).c_str());
             return;
         }
         if (peekIdent("qreg") || peekIdent("creg")) {
             const bool quantum = peekIdent("qreg");
             const int decl_line = cur().line;
             take();
-            const std::string name = expectIdent("register name");
+            const std::string name(expectIdent("register name"));
             expect(TokenKind::LBracket, "'['");
             const int size = expectInt("register size");
             expect(TokenKind::RBracket, "']'");
@@ -245,19 +275,19 @@ class Parser
         if (peek(TokenKind::LParen)) {
             take();
             if (!peek(TokenKind::RParen)) {
-                decl.params.push_back(expectIdent("parameter name"));
+                decl.params.emplace_back(expectIdent("parameter name"));
                 while (peek(TokenKind::Comma)) {
                     take();
-                    decl.params.push_back(
+                    decl.params.emplace_back(
                         expectIdent("parameter name"));
                 }
             }
             expect(TokenKind::RParen, "')'");
         }
-        decl.qargs.push_back(expectIdent("qubit argument"));
+        decl.qargs.emplace_back(expectIdent("qubit argument"));
         while (peek(TokenKind::Comma)) {
             take();
-            decl.qargs.push_back(expectIdent("qubit argument"));
+            decl.qargs.emplace_back(expectIdent("qubit argument"));
         }
         expect(TokenKind::LBrace, "'{'");
         while (!peek(TokenKind::RBrace)) {
@@ -350,33 +380,35 @@ class Parser
     {
         GateCall call;
         call.line = cur().line;
-        call.name = expectIdent("gate name");
+        call.name = arena_->copy(expectIdent("gate name"));
         if (peek(TokenKind::LParen)) {
             take();
+            const size_t mark = params_.size();
             if (!peek(TokenKind::RParen)) {
-                call.params.push_back(parseExpr());
+                params_.push_back(parseExpr());
                 while (peek(TokenKind::Comma)) {
                     take();
-                    call.params.push_back(parseExpr());
+                    params_.push_back(parseExpr());
                 }
             }
             expect(TokenKind::RParen, "')'");
+            call.params = store(params_, mark);
         }
         call.args = parseArgumentList();
         expect(TokenKind::Semicolon, "';'");
         return call;
     }
 
-    std::vector<Argument>
+    std::span<const Argument>
     parseArgumentList()
     {
-        std::vector<Argument> args;
-        args.push_back(parseArgument());
+        const size_t mark = args_.size();
+        args_.push_back(parseArgument());
         while (peek(TokenKind::Comma)) {
             take();
-            args.push_back(parseArgument());
+            args_.push_back(parseArgument());
         }
-        return args;
+        return store(args_, mark);
     }
 
     Argument
@@ -384,7 +416,7 @@ class Parser
     {
         Argument arg;
         arg.line = cur().line;
-        arg.reg = expectIdent("register name");
+        arg.reg = arena_->copy(expectIdent("register name"));
         if (peek(TokenKind::LBracket)) {
             take();
             arg.index = expectInt("register index");
@@ -396,57 +428,55 @@ class Parser
     // Expression grammar: additive > multiplicative > power (right
     // assoc) > unary > atom. A chain of binary operators opens one
     // level per operator, closed when the chain ends.
-    ExprPtr
+    const Expr *
     parseExpr()
     {
         const int depth = depth_;
-        ExprPtr lhs = parseTerm();
+        const Expr *lhs = parseTerm();
         while (peek(TokenKind::Plus) || peek(TokenKind::Minus)) {
             const bool add = peek(TokenKind::Plus);
             take();
             deeper();
-            lhs = Expr::binary(add ? Expr::Op::Add : Expr::Op::Sub,
-                               std::move(lhs), parseTerm());
+            lhs = node(add ? Expr::Op::Add : Expr::Op::Sub, lhs,
+                       parseTerm());
         }
         depth_ = depth;
         return lhs;
     }
 
-    ExprPtr
+    const Expr *
     parseTerm()
     {
         const int depth = depth_;
-        ExprPtr lhs = parsePower();
+        const Expr *lhs = parsePower();
         while (peek(TokenKind::Star) || peek(TokenKind::Slash)) {
             const bool mul = peek(TokenKind::Star);
             take();
             deeper();
-            lhs = Expr::binary(mul ? Expr::Op::Mul : Expr::Op::Div,
-                               std::move(lhs), parsePower());
+            lhs = node(mul ? Expr::Op::Mul : Expr::Op::Div, lhs,
+                       parsePower());
         }
         depth_ = depth;
         return lhs;
     }
 
-    ExprPtr
+    const Expr *
     parsePower()
     {
-        ExprPtr base = parseUnary();
+        const Expr *base = parseUnary();
         if (peek(TokenKind::Caret)) {
             take();
-            return Expr::binary(Expr::Op::Pow, std::move(base),
-                                nested(&Parser::parsePower));
+            return node(Expr::Op::Pow, base, nested(&Parser::parsePower));
         }
         return base;
     }
 
-    ExprPtr
+    const Expr *
     parseUnary()
     {
         if (peek(TokenKind::Minus)) {
             take();
-            return Expr::unary(Expr::Op::Neg,
-                               nested(&Parser::parseUnary));
+            return node(Expr::Op::Neg, nested(&Parser::parseUnary));
         }
         if (peek(TokenKind::Plus)) {
             take();
@@ -455,25 +485,25 @@ class Parser
         return parseAtom();
     }
 
-    ExprPtr
+    const Expr *
     parseAtom()
     {
         if (peek(TokenKind::LParen)) {
             take();
-            ExprPtr e = nested(&Parser::parseExpr);
+            const Expr *e = nested(&Parser::parseExpr);
             expect(TokenKind::RParen, "')'");
             return e;
         }
         if (peek(TokenKind::Integer) || peek(TokenKind::Real)) {
-            return Expr::constant(
-                literal(take(), [](const std::string &text) {
+            return arena_->make(Expr{
+                .value = literal(take(), [](std::string_view text) {
                     return parseCheckedDouble(text, "numeric literal");
-                }));
+                })});
         }
         if (peek(TokenKind::Identifier)) {
             const Token t = take();
             if (t.text == "pi")
-                return Expr::pi();
+                return node(Expr::Op::Pi);
             static const std::pair<const char *, Expr::Op> kFuncs[] = {
                 {"sin", Expr::Op::Sin}, {"cos", Expr::Op::Cos},
                 {"tan", Expr::Op::Tan}, {"exp", Expr::Op::Exp},
@@ -482,12 +512,13 @@ class Parser
             for (const auto &[name, op] : kFuncs) {
                 if (t.text == name) {
                     expect(TokenKind::LParen, "'('");
-                    ExprPtr arg = nested(&Parser::parseExpr);
+                    const Expr *arg = nested(&Parser::parseExpr);
                     expect(TokenKind::RParen, "')'");
-                    return Expr::unary(op, std::move(arg));
+                    return node(op, arg);
                 }
             }
-            return Expr::parameter(t.text);
+            return arena_->make(Expr{.op = Expr::Op::Param,
+                                     .param = arena_->copy(t.text)});
         }
         error("expected expression");
     }
@@ -496,20 +527,15 @@ class Parser
 } // namespace
 
 Program
-parse(const std::string &source)
+parse(std::string_view source)
 {
-    return Parser(lex(source)).parseProgram();
+    return Parser(source).parseProgram();
 }
 
 Program
 parseFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open QASM file '%s'", path.c_str());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parse(buf.str());
+    return parse(readTextFile(path));
 }
 
 } // namespace qasm

@@ -2,6 +2,14 @@
  * @file
  * Recursive-descent parser for OpenQASM 2.0.
  *
+ * The parser pulls tokens from the lexer (qasm/lexer.hpp) with one
+ * token of lookahead; tokens are views into the source, and the
+ * program keeps its names, lists and expressions in its Arena
+ * (qasm/ast.hpp), so parsing allocates nothing per gate call. A
+ * lexical error anywhere in the text still beats a syntax error: on
+ * any error the parser lexes the rest of the text, and reports the
+ * first lexical error if there is one.
+ *
  * Supported grammar: the OPENQASM header, include directives (the
  * standard "qelib1.inc" is builtin; other includes are rejected), qreg /
  * creg declarations, user `gate` definitions, gate calls with parameter
@@ -12,9 +20,9 @@
  * go through the checked helpers of common/parse, an expression keeps
  * at most 64 levels open at once (parentheses, function arguments,
  * signs, '^' and each operator of a + - * / chain open one), so the
- * tree it builds stays shallow enough for the recursive eval, clone and
- * destructor, and a program declares at most kMaxQubits qubits and
- * kMaxQubits classical bits, checked before anything is allocated.
+ * tree it builds stays shallow enough for the recursive eval, and a
+ * program declares at most kMaxQubits qubits and kMaxQubits classical
+ * bits, checked before anything is allocated.
  * Nor can a short program expand to a huge circuit: each gate
  * definition's expanded size is computed when it is defined, a gate
  * body may call only builtins and the gates defined above it (as
@@ -28,6 +36,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "qasm/ast.hpp"
 
@@ -46,9 +55,12 @@ constexpr int kMaxQubits = 1 << 20;
 constexpr uint64_t kMaxGateCalls = uint64_t{1} << 22;
 
 /** Parse OpenQASM 2.0 source text. Raises UserError on syntax errors. */
-Program parse(const std::string &source);
+Program parse(std::string_view source);
 
-/** Parse an OpenQASM 2.0 file from disk. */
+/**
+ * Parse an OpenQASM 2.0 file from disk. Raises UserError when the file
+ * cannot be opened or read (a directory, say) or does not parse.
+ */
 Program parseFile(const std::string &path);
 
 } // namespace qasm

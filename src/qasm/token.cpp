@@ -38,7 +38,8 @@ Token::toString() const
 {
     if (text.empty())
         return tokenKindName(kind);
-    return strformat("%s '%s'", tokenKindName(kind), text.c_str());
+    return strformat("%s '%.*s'", tokenKindName(kind),
+                     static_cast<int>(text.size()), text.data());
 }
 
 } // namespace qasm

@@ -1,6 +1,7 @@
 /**
  * @file
- * Token model for the OpenQASM 2.0 lexer.
+ * Token model for the OpenQASM 2.0 lexer. A token's text is a view
+ * into the source it was lexed from: no token copies or owns a string.
  */
 
 #ifndef AUTOBRAID_QASM_TOKEN_HPP
@@ -8,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace autobraid {
 namespace qasm {
@@ -34,12 +36,16 @@ const char *tokenKindName(TokenKind kind);
 struct Token
 {
     TokenKind kind = TokenKind::Eof;
-    std::string text;   ///< identifier/number/string spelling
+    /**
+     * The spelling, a view into the source (a string's contents
+     * without its quotes); valid while the source is.
+     */
+    std::string_view text;
     int line = 0;       ///< 1-based
     int column = 0;     ///< 1-based
 
     /** True for an identifier with exactly this spelling. */
-    bool is(const char *ident) const
+    bool is(std::string_view ident) const
     {
         return kind == TokenKind::Identifier && text == ident;
     }

@@ -71,6 +71,7 @@ class Engine
           in_level_(circuit.size(), 0),
           blocked_mask_(static_cast<size_t>(grid.numVertices())),
           vertex_busy_(static_cast<size_t>(grid.numVertices()), 0),
+          hold_start_(static_cast<size_t>(grid.numVertices()), 0),
           tracing_(config.record_trace || config.record_lifecycle)
     {
         for (VertexId v : config.dead_vertices) {
@@ -125,18 +126,24 @@ class Engine
         }
         result_.makespan = makespan_;
         // Clamp the busy cycles to the schedule window [0, makespan]:
-        // a hold issued shortly before the final retirement can extend
-        // past it (vertex_busy_ accrues the full hold at issue time),
+        // vertex_busy_ accrues each hold's whole window when it is
+        // reserved, and a hold can reach past the final retirement,
         // which would inflate the numerator beyond
         // makespan * routable_vertices and break the 0<=avg<=peak<=1
-        // oracle. Per-vertex holds never overlap, so only a hold still
-        // pending can overhang, and its excess is release - makespan.
-        for (const auto &[release, v] : holds_) {
-            if (release <= makespan_)
-                continue;
-            Cycles &busy = vertex_busy_[static_cast<size_t>(v)];
-            busy -= std::min(busy, release - makespan_);
-        }
+        // oracle. Only the holds still pending and those released since
+        // the last retirement can (a starved Maslov run keeps issuing
+        // swap phases after it); each keeps its cycles up to the
+        // makespan, none if it started later.
+        const auto clamp = [this](Cycles start, Cycles release,
+                                  VertexId v) {
+            if (release > makespan_)
+                vertex_busy_[static_cast<size_t>(v)] -=
+                    release - std::max(start, makespan_);
+        };
+        for (const auto &[release, v] : holds_)
+            clamp(hold_start_[static_cast<size_t>(v)], release, v);
+        for (const LateHold &h : released_late_)
+            clamp(h.start, h.release, h.vertex);
         // Utilization is over the routable fabric: dead vertices can
         // never carry a braid, so they do not belong in the denominator.
         if (makespan_ > 0 && routable_vertices_ > 0)
@@ -218,6 +225,20 @@ class Engine
      * of vertices held now.
      */
     std::vector<std::pair<Cycles, VertexId>> holds_;
+
+    /** A released hold that ended after the makespan at its release. */
+    struct LateHold
+    {
+        Cycles start;
+        Cycles release;
+        VertexId vertex;
+    };
+
+    /**
+     * The holds released since the last retirement that ended after
+     * it: the only released holds that can reach past the makespan.
+     */
+    std::vector<LateHold> released_late_;
     size_t routable_vertices_ = 0;
 
     /**
@@ -226,6 +247,9 @@ class Engine
      * utilization numerator and the recording's heatmap.
      */
     std::vector<Cycles> vertex_busy_;
+
+    /** Per vertex, the cycle its current (or last) hold started. */
+    std::vector<Cycles> hold_start_;
 
     /** Blocked examinations, in time order (only while recording). */
     std::vector<telemetry::BlockedEvent> blocked_;
@@ -313,6 +337,8 @@ class Engine
         front_.retire(g);
         ++result_.gates_scheduled;
         makespan_ = std::max(makespan_, t);
+        // Every hold released so far ended by t, so by the makespan.
+        released_late_.clear();
         if (level_sync_ && in_level_[g]) {
             in_level_[g] = 0;
             require(level_remaining_ > 0, "level bookkeeping underflow");
@@ -369,8 +395,11 @@ class Engine
             // vertices.
             AUTOBRAID_SPAN("route.mask_build");
             while (!holds_.empty() && holds_.front().first <= t) {
-                blocked_mask_.clear(
-                    static_cast<size_t>(holds_.front().second));
+                const auto [release, v] = holds_.front();
+                const auto vi = static_cast<size_t>(v);
+                blocked_mask_.clear(vi);
+                if (release > makespan_)
+                    released_late_.push_back({hold_start_[vi], release, v});
                 std::pop_heap(holds_.begin(), holds_.end(),
                               std::greater<>{});
                 holds_.pop_back();
@@ -521,6 +550,7 @@ class Engine
                     "reserveChannel: vertex is dead or already held");
             blocked_mask_.set(vi);
             vertex_busy_[vi] += until - t;
+            hold_start_[vi] = t;
             holds_.emplace_back(until, v);
             std::push_heap(holds_.begin(), holds_.end(),
                            std::greater<>{});

@@ -533,7 +533,11 @@ exportedSchedule(const char *spec, SchedulerBackend backend,
         DefectMap::random(Grid::forQubits(circuit.numQubits()), defects,
                           rng)
             .deadVertices();
-    opt.schedule_out = ::testing::TempDir() + "ab_certify_anchor.json";
+    // One file per test: ctest runs the tests that call this at once.
+    opt.schedule_out =
+        ::testing::TempDir() + "ab_certify_anchor_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".json";
     compileCircuit(circuit, opt);
     return certify::decodeSchedule(readTextFile(opt.schedule_out));
 }

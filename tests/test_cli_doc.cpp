@@ -368,11 +368,14 @@ TEST(ToolExit, HostileQasmExitsTwo)
 TEST(ToolExit, DirectoryInputIsAReadError)
 {
     // A directory opens like a file; the tools that read whole
-    // documents must report the failed read and exit 2.
+    // documents or QASM files must report the failed read and exit 2,
+    // not parse it as an empty program.
     const std::string dir = testing::TempDir();
     for (const std::string &command :
          {std::string(AB_CERTIFY_BIN) + " " + dir,
-          std::string(AB_INSPECT_BIN) + " summary " + dir}) {
+          std::string(AB_INSPECT_BIN) + " summary " + dir,
+          std::string(AB_CLI_BIN) + " " + dir,
+          std::string(AB_LINT_BIN) + " " + dir}) {
         std::string output;
         EXPECT_EQ(runToolCapture(command, output), 2) << command;
         EXPECT_NE(output.find("read error on '" + dir + "'"),
