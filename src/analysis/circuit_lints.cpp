@@ -286,7 +286,7 @@ lintDuplicateOperands(const Program &program, DiagnosticEngine &engine,
         bool reported = false;
         for (size_t i = 0; i < call->args.size() && !reported; ++i) {
             const Argument &a = call->args[i];
-            if (program.qregSize(a.reg) < 0)
+            if (!program.qreg(a.reg))
                 continue;
             for (size_t j = i + 1; j < call->args.size(); ++j) {
                 const Argument &b = call->args[j];
@@ -326,9 +326,10 @@ lintBroadcastWidths(const Program &program, DiagnosticEngine &engine,
         for (const Argument &arg : call->args) {
             if (!arg.wholeRegister())
                 continue;
-            const int size = program.qregSize(arg.reg);
-            if (size < 0)
+            const qasm::Register *reg = program.qreg(arg.reg);
+            if (!reg)
                 continue; // unknown register: elaboration rejects it
+            const int size = reg->size;
             if (width == 0) {
                 width = size;
                 first = &arg;
@@ -355,10 +356,12 @@ lintMeasureWidths(const Program &program, DiagnosticEngine &engine,
         const auto *m = std::get_if<qasm::MeasureStmt>(&stmt);
         if (!m)
             continue;
-        const int qsize = program.qregSize(m->src.reg);
-        const int csize = program.cregSize(m->dst.reg);
-        if (qsize < 0 || csize < 0)
+        const qasm::Register *qreg = program.qreg(m->src.reg);
+        const qasm::Register *creg = program.creg(m->dst.reg);
+        if (!qreg || !creg)
             continue; // unknown registers: elaboration rejects them
+        const int qsize = qreg->size;
+        const int csize = creg->size;
         if (m->src.wholeRegister() && m->dst.wholeRegister()) {
             if (qsize != csize)
                 engine.report(
@@ -391,21 +394,18 @@ void
 lintUnusedCregs(const Program &program, DiagnosticEngine &engine,
                 const std::string &file)
 {
-    std::set<std::string> written;
+    std::set<std::string_view> written;
     for (const qasm::Statement &stmt : program.statements)
         if (const auto *m = std::get_if<qasm::MeasureStmt>(&stmt))
             written.emplace(m->dst.reg);
-    for (size_t i = 0; i < program.cregs.size(); ++i) {
-        const auto &[name, size] = program.cregs[i];
-        if (written.find(name) != written.end())
+    for (const qasm::Register &reg : program.cregs()) {
+        if (written.find(reg.name) != written.end())
             continue;
-        const int line = i < program.creg_lines.size()
-                             ? program.creg_lines[i]
-                             : 0;
+        const int line = reg.line;
         std::string message =
             strformat("classical register '%s'[%d] is never "
                       "written by a measurement",
-                      name.c_str(), size);
+                      std::string(reg.name).c_str(), reg.size);
         // Deleting the declaration is mechanically safe only when
         // we know its line and the file is on disk.
         if (line > 0 && !file.empty())
@@ -429,7 +429,7 @@ void
 lintUnusedQregs(const Program &program, DiagnosticEngine &engine,
                 const std::string &file)
 {
-    std::set<std::string> referenced;
+    std::set<std::string_view> referenced;
     auto touch = [&referenced](const Argument &arg) {
         referenced.emplace(arg.reg);
     };
@@ -447,18 +447,15 @@ lintUnusedQregs(const Program &program, DiagnosticEngine &engine,
         else if (const auto *r = std::get_if<qasm::ResetStmt>(&stmt))
             touch(r->arg);
     }
-    for (size_t i = 0; i < program.qregs.size(); ++i) {
-        const auto &[name, size] = program.qregs[i];
-        if (referenced.find(name) != referenced.end())
+    for (const qasm::Register &reg : program.qregs()) {
+        if (referenced.find(reg.name) != referenced.end())
             continue;
-        const int line = i < program.qreg_lines.size()
-                             ? program.qreg_lines[i]
-                             : 0;
+        const int line = reg.line;
         std::string message = strformat(
             "quantum register '%s'[%d] is never referenced by any "
             "statement",
-            name.c_str(), size);
-        if (line > 0 && !file.empty() && program.qregs.size() > 1)
+            std::string(reg.name).c_str(), reg.size);
+        if (line > 0 && !file.empty() && program.qregs().size() > 1)
             engine.reportWithFix("AB103", at(file, line),
                                  std::move(message),
                                  {{file, line, ""}});
@@ -480,11 +477,11 @@ lintUseAfterMeasure(const Program &program, DiagnosticEngine &engine,
 
     auto elements = [&program](const Argument &arg) {
         std::vector<QubitKey> out;
-        const int size = program.qregSize(arg.reg);
-        if (size < 0)
+        const qasm::Register *reg = program.qreg(arg.reg);
+        if (!reg)
             return out; // not a qreg (or undeclared)
         if (arg.wholeRegister())
-            for (int i = 0; i < size; ++i)
+            for (int i = 0; i < reg->size; ++i)
                 out.emplace_back(arg.reg, i);
         else
             out.emplace_back(arg.reg, arg.index);
@@ -528,15 +525,11 @@ void
 lintDeadMeasurements(const Program &program, DiagnosticEngine &engine,
                      const std::string &file)
 {
-    // Flatten creg bits into one dense index space.
-    std::map<std::string, std::pair<size_t, int>, std::less<>> layout;
-    size_t total_bits = 0;
-    for (const auto &[name, size] : program.cregs) {
-        layout[name] = {total_bits, size};
-        total_bits += static_cast<size_t>(size);
-    }
-    if (total_bits == 0)
+    // Creg bits in one dense index space: each register's offset.
+    if (program.cregs().empty())
         return;
+    const size_t total_bits = static_cast<size_t>(
+        program.cregs().back().offset + program.cregs().back().size);
 
     // pending_line[b]: source line of the not-yet-overwritten
     // measurement into bit b, -1 when none.
@@ -547,18 +540,19 @@ lintDeadMeasurements(const Program &program, DiagnosticEngine &engine,
         const auto *m = std::get_if<qasm::MeasureStmt>(&stmt);
         if (!m)
             continue; // only measurements touch creg bits
-        const auto it = layout.find(m->dst.reg);
-        if (it == layout.end())
+        const qasm::Register *dst = program.creg(m->dst.reg);
+        if (!dst)
             continue; // undeclared creg: AB105's report, not ours
-        const auto [offset, size] = it->second;
-        const int src_size = program.qregSize(m->src.reg);
+        const auto offset = static_cast<size_t>(dst->offset);
+        const int size = dst->size;
+        const qasm::Register *src = program.qreg(m->src.reg);
         // Element-wise bits written: one for an indexed dst, the
         // broadcast width for a whole-register measure.
         int first = 0;
         int count = 1;
         if (m->dst.wholeRegister()) {
             if (m->src.wholeRegister())
-                count = std::min(size, std::max(0, src_size));
+                count = std::min(size, src ? src->size : 0);
         } else {
             first = m->dst.index;
         }

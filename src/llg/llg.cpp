@@ -27,27 +27,6 @@ strictChain(std::vector<std::pair<long, uint32_t>> &order,
     return true;
 }
 
-/**
- * Grow the non-empty box @p joint over the non-empty box @p o; true
- * when it grew.
- */
-bool
-cover(BBox &joint, const BBox &o)
-{
-    bool grew = false;
-    const auto extend = [&grew](int &side, int to, bool further) {
-        if (further) {
-            side = to;
-            grew = true;
-        }
-    };
-    extend(joint.rmin, o.rmin, o.rmin < joint.rmin);
-    extend(joint.cmin, o.cmin, o.cmin < joint.cmin);
-    extend(joint.rmax, o.rmax, o.rmax > joint.rmax);
-    extend(joint.cmax, o.cmax, o.cmax > joint.cmax);
-    return grew;
-}
-
 std::vector<BBox>
 boxesOf(const std::vector<CxTask> &tasks)
 {
@@ -63,37 +42,80 @@ boxesOf(const std::vector<CxTask> &tasks)
 void
 LlgMerger::merge(std::span<const BBox> boxes)
 {
+    constexpr size_t kNone = std::numeric_limits<size_t>::max();
     groups_.clear();
     next_.resize(boxes.size());
+    size_t empties = 0;
     for (uint32_t i = 0; i < boxes.size(); ++i) {
-        Group g{boxes[i], i, i, 1};
         next_[i] = kEnd;
-        // Absorb every group the new one meets. Groups already passed
-        // over can only meet a joint box that has since grown, so
-        // rescan only after growth.
-        for (bool grew = true; grew;) {
-            grew = false;
-            for (size_t k = 0; k < groups_.size();) {
-                const Group &other = groups_[k];
-                if (!g.joint.intersects(other.joint)) {
-                    ++k;
-                    continue;
-                }
-                grew |= cover(g.joint, other.joint);
-                next_[g.tail] = other.head;
-                g.tail = other.tail;
-                g.size += other.size;
-                groups_[k] = groups_.back();
-                groups_.pop_back();
-            }
+        if (boxes[i].empty()) {
+            ++empties; // meets nothing: a singleton, added below
+            continue;
         }
-        groups_.push_back(g);
+        // The first group the box meets takes it in, and that host then
+        // absorbs every other group its joint box j meets. Joint boxes
+        // are never empty, so four compares decide whether two meet. A
+        // group passed over can meet only a j that has since grown, so
+        // growth restarts the scan.
+        size_t host = kNone;
+        BBox j = boxes[i];
+        for (size_t k = 0; k < groups_.size();) {
+            Group &other = groups_[k];
+            const BBox &o = other.joint;
+            if (k == host || o.rmin > j.rmax || j.rmin > o.rmax ||
+                o.cmin > j.cmax || j.cmin > o.cmax) {
+                ++k;
+                continue;
+            }
+            const BBox was = j;
+            j.rmin = std::min(j.rmin, o.rmin);
+            j.cmin = std::min(j.cmin, o.cmin);
+            j.rmax = std::max(j.rmax, o.rmax);
+            j.cmax = std::max(j.cmax, o.cmax);
+            if (host == kNone) {
+                host = k;
+                next_[other.tail] = i;
+                other.tail = i;
+                ++other.size;
+                other.joint = j;
+            } else {
+                Group &h = groups_[host];
+                next_[h.tail] = other.head;
+                h.tail = other.tail;
+                h.size += other.size;
+                h.joint = j;
+                const size_t last = groups_.size() - 1;
+                groups_[k] = groups_[last];
+                groups_.pop_back();
+                if (host == last)
+                    host = k;
+            }
+            if (j != was)
+                k = 0;
+            else if (k == host)
+                ++k;
+        }
+        if (host == kNone)
+            groups_.push_back(Group{boxes[i], i, i, 1});
+    }
+    for (uint32_t i = 0; empties > 0; ++i) {
+        if (boxes[i].empty()) {
+            groups_.push_back(Group{boxes[i], i, i, 1});
+            --empties;
+        }
     }
 }
 
 bool
 LlgMerger::nested(std::span<const BBox> boxes, const Group &group)
 {
+    // Each box of a strict chain encloses the one before with a row and
+    // a column to spare on every side, so a chain of n boxes needs a
+    // joint box at least 2 (n - 1) across.
+    const int need = 2 * (static_cast<int>(group.size) - 1);
+    if (group.joint.rmax - group.joint.rmin < need ||
+        group.joint.cmax - group.joint.cmin < need)
+        return false;
     // The outermost box of a strictly nested group is its joint box, so
     // a group without a member spanning the joint box needs no sort.
     bool spanned = false;

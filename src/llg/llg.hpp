@@ -10,9 +10,11 @@
  * conditions, and Table 1 reports the count of LLGs with size > 3.
  *
  * computeLlgs() and llgStats() run one merge kernel, LlgMerger, as do
- * the annealer's objectives. It inserts the task boxes one at a time: a new box absorbs every group whose joint
- * box it meets, grows, and rescans until it meets none, so the groups
- * stay pairwise disjoint. Each merge is forced: in any grouping with
+ * the annealer's objectives. It inserts the task boxes one at a time:
+ * the first group a new box meets takes it in and absorbs every other
+ * group its grown joint box meets, rescanning after each growth, so the
+ * groups stay pairwise disjoint; an empty box meets nothing and stays a
+ * singleton. Each merge is forced: in any grouping with
  * pairwise-disjoint joint boxes that keeps both groups whole, the two
  * groups whose joint boxes meet land in one LLG. The result is therefore
  * the unique finest such partition, whatever the insertion order

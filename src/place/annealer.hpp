@@ -7,13 +7,17 @@
  * swaps/moves and accepts by the Metropolis rule, minimizing the number
  * of LLGs of size > 3 (weighted so that non-nested oversize groups —
  * the ones not covered by Theorems 1 and 2 — dominate the objective).
- * Costs are cached per concurrent-CX set. A proposal re-scores only the
- * sets that touch the moved qubits, each one whole: its task boxes are
- * rebuilt from the placement and merged by the LLG kernel
- * (llg/llg.hpp), all in scratch reused across proposals, so once that
- * scratch has grown no proposal allocates. The iteration
- * count comes from a fixed operation budget, so large circuits anneal
- * in bounded time.
+ * One set scorer, which llgObjective() and countOversizeLlgs() use as
+ * well, keeps every sampled concurrent-CX set's task boxes and span for
+ * the current placement. The CX gates of one set share no qubit, so a
+ * proposal patches at most one box per set for each qubit it moves,
+ * re-scores only the sets whose boxes changed, and restores those boxes
+ * if it is rejected. A set of at most three gates costs its span alone
+ * (no LLG of size > 3 fits in it); a larger one is merged by the LLG
+ * kernel (llg/llg.hpp). All of it runs in scratch reused across
+ * proposals, so once that scratch has grown no proposal allocates. The
+ * iteration count comes from a fixed operation budget, so large
+ * circuits anneal in bounded time.
  */
 
 #ifndef AUTOBRAID_PLACE_ANNEALER_HPP

@@ -90,28 +90,40 @@ Argument::toString() const
 int
 Program::totalQubits() const
 {
-    int n = 0;
-    for (const auto &[name, size] : qregs)
-        n += size;
-    return n;
+    return qregs_.empty() ? 0 : qregs_.back().offset + qregs_.back().size;
 }
 
-int
-Program::qregSize(std::string_view name) const
+bool
+Program::declare(bool quantum, std::string_view name, int size, int line)
 {
-    for (const auto &[n, size] : qregs)
-        if (n == name)
-            return size;
-    return -1;
+    if (registers_.contains(name))
+        return false;
+    std::vector<Register> &regs = quantum ? qregs_ : cregs_;
+    const int offset =
+        regs.empty() ? 0 : regs.back().offset + regs.back().size;
+    const std::string_view kept = arena->copy(name);
+    registers_.emplace(kept, RegisterRef{quantum, static_cast<uint32_t>(
+                                                      regs.size())});
+    regs.push_back(Register{kept, size, offset, line});
+    return true;
 }
 
-int
-Program::cregSize(std::string_view name) const
+const Register *
+Program::qreg(std::string_view name) const
 {
-    for (const auto &[n, size] : cregs)
-        if (n == name)
-            return size;
-    return -1;
+    const auto it = registers_.find(name);
+    return it != registers_.end() && it->second.quantum
+               ? &qregs_[it->second.index]
+               : nullptr;
+}
+
+const Register *
+Program::creg(std::string_view name) const
+{
+    const auto it = registers_.find(name);
+    return it != registers_.end() && !it->second.quantum
+               ? &cregs_[it->second.index]
+               : nullptr;
 }
 
 } // namespace qasm

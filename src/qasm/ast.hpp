@@ -23,6 +23,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -157,15 +158,18 @@ struct GateDecl
     uint64_t calls = 0;
 };
 
+/** A declared quantum or classical register. */
+struct Register
+{
+    std::string_view name; ///< in the program's Arena
+    int size = 0;
+    int offset = 0; ///< its first bit: the sizes of its kind declared before it
+    int line = 0;   ///< 1-based source line of the declaration
+};
+
 /** A parsed OpenQASM 2.0 program. */
 struct Program
 {
-    std::vector<std::pair<std::string, int>> qregs; ///< declaration order
-    std::vector<std::pair<std::string, int>> cregs;
-    /// 1-based source lines of each qreg/creg declaration,
-    /// index-aligned with qregs/cregs (0 when synthesized).
-    std::vector<int> qreg_lines;
-    std::vector<int> creg_lines;
     std::map<std::string, GateDecl, std::less<>> gates;
     std::vector<Statement> statements;
     /** Names, lists and expressions the statements and gates use. */
@@ -174,11 +178,36 @@ struct Program
     /** Total declared qubits. */
     int totalQubits() const;
 
-    /** Size of qreg @p name; -1 when undeclared. */
-    int qregSize(std::string_view name) const;
+    /** The qregs in declaration order. */
+    const std::vector<Register> &qregs() const { return qregs_; }
 
-    /** Size of creg @p name; -1 when undeclared. */
-    int cregSize(std::string_view name) const;
+    /** The cregs in declaration order. */
+    const std::vector<Register> &cregs() const { return cregs_; }
+
+    /**
+     * Declare a register after those declared so far; false, declaring
+     * nothing, when a qreg or a creg already has @p name.
+     */
+    bool declare(bool quantum, std::string_view name, int size, int line);
+
+    /** The qreg named @p name; nullptr when undeclared. */
+    const Register *qreg(std::string_view name) const;
+
+    /** The creg named @p name; nullptr when undeclared. */
+    const Register *creg(std::string_view name) const;
+
+  private:
+    /** A register's kind and its position in qregs or cregs. */
+    struct RegisterRef
+    {
+        bool quantum;
+        uint32_t index;
+    };
+
+    std::vector<Register> qregs_;
+    std::vector<Register> cregs_;
+    /** Every declared name, keyed by its Arena copy. */
+    std::unordered_map<std::string_view, RegisterRef> registers_;
 };
 
 } // namespace qasm

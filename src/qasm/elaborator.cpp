@@ -1,6 +1,5 @@
 #include "qasm/elaborator.hpp"
 
-#include <map>
 #include <span>
 #include <vector>
 
@@ -26,11 +25,6 @@ class Elaborator
     {
         if (program.totalQubits() == 0)
             fatal("qasm: program declares no qubits");
-        int offset = 0;
-        for (const auto &[reg, size] : program.qregs) {
-            qregs_.emplace(reg, Register{offset, size});
-            offset += size;
-        }
     }
 
     Circuit
@@ -59,16 +53,10 @@ class Elaborator
     }
 
   private:
-    /** A quantum register's first qubit and size. */
-    struct Register
-    {
-        int offset;
-        int size;
-    };
-
     const Program *program_;
     Circuit circuit_;
-    std::map<std::string, Register, std::less<>> qregs_;
+    /** The qreg qregOf() found last: most arguments name it again. */
+    const Register *last_qreg_ = nullptr;
     std::vector<GateIdx> reset_gates_;
     /** The scratch stacks: the calls being lowered, outermost first. */
     std::vector<double> params_;
@@ -97,36 +85,41 @@ class Elaborator
         return -1;
     }
 
+    /** The qreg @p arg names; raises UserError at @p line when none. */
+    const Register &
+    qregOf(const Argument &arg, int line)
+    {
+        if (!last_qreg_ || last_qreg_->name != arg.reg) {
+            last_qreg_ = program_->qreg(arg.reg);
+            if (!last_qreg_)
+                fatal("qasm:%d: unknown quantum register '%.*s'", line,
+                      static_cast<int>(arg.reg.size()), arg.reg.data());
+        }
+        return *last_qreg_;
+    }
+
     /** Resolve one element of an argument under broadcasting. */
     Qubit
-    resolve(const Argument &arg, int broadcast_idx) const
+    resolve(const Argument &arg, int broadcast_idx)
     {
-        auto it = qregs_.find(arg.reg);
-        if (it == qregs_.end())
-            fatal("qasm:%d: unknown quantum register '%.*s'", arg.line,
-                  static_cast<int>(arg.reg.size()), arg.reg.data());
-        const int size = it->second.size;
+        const Register &reg = qregOf(arg, arg.line);
         const int index = arg.wholeRegister() ? broadcast_idx : arg.index;
-        if (index < 0 || index >= size)
+        if (index < 0 || index >= reg.size)
             fatal("qasm:%d: index %d out of range for %.*s[%d]", arg.line,
                   index, static_cast<int>(arg.reg.size()), arg.reg.data(),
-                  size);
-        return static_cast<Qubit>(it->second.offset + index);
+                  reg.size);
+        return static_cast<Qubit>(reg.offset + index);
     }
 
     /** Broadcast width of an argument list (1 when all are indexed). */
     int
-    broadcastWidth(std::span<const Argument> args, int line) const
+    broadcastWidth(std::span<const Argument> args, int line)
     {
         int width = 1;
         for (const Argument &arg : args) {
             if (!arg.wholeRegister())
                 continue;
-            const auto it = qregs_.find(arg.reg);
-            if (it == qregs_.end())
-                fatal("qasm:%d: unknown quantum register '%.*s'", line,
-                      static_cast<int>(arg.reg.size()), arg.reg.data());
-            const int size = it->second.size;
+            const int size = qregOf(arg, line).size;
             if (width != 1 && size != width)
                 fatal("qasm:%d: broadcast registers of unequal size "
                       "(%d vs %d)",
@@ -155,7 +148,7 @@ class Elaborator
     void
     apply(const MeasureStmt &m)
     {
-        if (program_->cregSize(m.dst.reg) < 0)
+        if (!program_->creg(m.dst.reg))
             fatal("qasm:%d: unknown classical register '%.*s'", m.line,
                   static_cast<int>(m.dst.reg.size()), m.dst.reg.data());
         const int width = broadcastWidth({&m.src, 1}, m.line);
@@ -167,11 +160,8 @@ class Elaborator
     apply(const BarrierStmt &b)
     {
         for (const Argument &arg : b.args) {
-            int width = 1;
-            if (arg.wholeRegister()) {
-                const auto it = qregs_.find(arg.reg);
-                width = it == qregs_.end() ? 0 : it->second.size;
-            }
+            const int width =
+                arg.wholeRegister() ? qregOf(arg, arg.line).size : 1;
             for (int i = 0; i < width; ++i)
                 qubits_.push_back(resolve(arg, i));
         }

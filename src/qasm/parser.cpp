@@ -214,15 +214,8 @@ class Parser
                       decl_line, name.c_str(), kMaxQubits,
                       quantum ? "qubits" : "classical bits");
             declared += size;
-            if (prog.qregSize(name) >= 0 || prog.cregSize(name) >= 0)
+            if (!prog.declare(quantum, name, size, decl_line))
                 fatal("qasm: register '%s' redeclared", name.c_str());
-            if (quantum) {
-                prog.qregs.emplace_back(name, size);
-                prog.qreg_lines.push_back(decl_line);
-            } else {
-                prog.cregs.emplace_back(name, size);
-                prog.creg_lines.push_back(decl_line);
-            }
             return;
         }
         if (peekIdent("gate")) {
@@ -341,8 +334,8 @@ class Parser
         const auto width = [&prog](const Argument &arg) -> uint64_t {
             if (!arg.wholeRegister())
                 return 1;
-            const int size = prog.qregSize(arg.reg);
-            return size > 0 ? size : 1;
+            const Register *reg = prog.qreg(arg.reg);
+            return reg ? static_cast<uint64_t>(reg->size) : 1;
         };
         uint64_t total = 0;
         for (const Statement &stmt : prog.statements) {

@@ -1,5 +1,8 @@
 #include "sched/schedule_export.hpp"
 
+#include <algorithm>
+#include <string>
+
 #include "circuit/circuit.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -40,9 +43,18 @@ scheduleToJson(const ScheduleExportInfo &info,
     const Circuit &circuit = *info.circuit;
     const Grid &grid = *info.grid;
 
+    // Reserve the whole document so that it never regrows: 48 bytes a
+    // gate row, 96 a schedule row besides its path, and the digits of
+    // the largest vertex id plus a separator for each path vertex (a
+    // lattice-surgery row carries a whole merge region).
+    size_t path_vertices = 0;
+    for (const TraceEntry &e : result.trace)
+        path_vertices += e.path.vertices.size();
+    const size_t vertex_bytes =
+        2 + std::to_string(std::max(0, grid.numVertices() - 1)).size();
     std::string out;
-    out.reserve(512 + circuit.size() * 48 +
-                result.trace.size() * 96);
+    out.reserve(512 + circuit.size() * 48 + result.trace.size() * 96 +
+                path_vertices * vertex_bytes);
     json::Writer w(out, json::Writer::Layout::Document);
     w.beginObject();
     w.key("format").value("autobraid-schedule");

@@ -10,11 +10,14 @@
  * `inline`, the conversions' default arguments, the namespace,
  * using-declarations for the library names they share (TokenKind,
  * tokenKindName, kMaxQubits, kMaxGateCalls and ElaboratedCircuit), and
- * one departure: Expr::eval's '+', '-', '*' and '^' left the order of
+ * two departures. Expr::eval's '+', '-', '*' and '^' left the order of
  * their operands' evaluation to the compiler, which decides which
  * unbound parameter an expression reports first, so they evaluate in
  * the library's fixed order (the left operand first, except that '/'
- * and '^' evaluate their right operand first).
+ * and '^' evaluate their right operand first). And a barrier on an
+ * undeclared whole register was silently accepted (it covered no
+ * qubit); it now fails with the "unknown quantum register" error a
+ * gate call on that register gives, as the library's does.
  * Tests compare the library against them: for every text, the same
  * Program and the same elaborateWithLines result, or the same
  * UserError text.
@@ -1163,8 +1166,9 @@ class Elaborator
     {
         std::vector<Qubit> qubits;
         for (const Argument &arg : b.args) {
-            const int width =
-                arg.wholeRegister() ? program_->qregSize(arg.reg) : 1;
+            // An undeclared register goes on to resolve's error.
+            const int size = program_->qregSize(arg.reg);
+            const int width = arg.wholeRegister() && size >= 0 ? size : 1;
             for (int i = 0; i < width; ++i)
                 qubits.push_back(resolve(arg, i));
         }

@@ -365,6 +365,27 @@ TEST(ToolExit, HostileQasmExitsTwo)
     }
 }
 
+TEST(ToolExit, ManyRegistersLintInTime)
+{
+    // 100,000 one-qubit registers, each used once by an H. Every lookup
+    // of a register by name (parser, linter, elaborator) must be
+    // constant time for the lint to finish: with a scan of the
+    // registers declared so far per lookup, it runs past the timeout.
+    constexpr int kRegisters = 100000;
+    const std::string file = testing::TempDir() + "many_registers.qasm";
+    {
+        std::ofstream out(file);
+        out << "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+        for (int i = 0; i < kRegisters; ++i)
+            out << "qreg a" << i << "[1];\n";
+        for (int i = 0; i < kRegisters; ++i)
+            out << "h a" << i << ";\n";
+    }
+    const int code =
+        runTool("timeout 30 " + std::string(AB_LINT_BIN) + " " + file);
+    EXPECT_EQ(code, 0) << "autobraid_lint exited " << code;
+}
+
 TEST(ToolExit, DirectoryInputIsAReadError)
 {
     // A directory opens like a file; the tools that read whole

@@ -269,8 +269,8 @@ randomTask(GateIdx gate, int rows, int cols, Rng &rng)
 
 /**
  * A seeded task set: random tiles, plus by @p shape concentric
- * strictly nested chains, equal-area duplicates or a staircase of
- * boxes that touch at one corner.
+ * strictly nested chains, equal-area duplicates, a staircase of boxes
+ * that touch at one corner, or empty boxes.
  */
 std::vector<CxTask>
 shapedTasks(int shape, Rng &rng)
@@ -311,6 +311,20 @@ shapedTasks(int shape, Rng &rng)
         // neighbours share exactly one vertex.
         for (int r = 0, c = 0; r < rows && c + 1 < cols; ++r, c += 2)
             add(Cell{r, c}, Cell{r, c + 1});
+    } else if (shape == 4) {
+        // Empty boxes of both shapes, rows or columns inverted by one or
+        // two inside the grid: a box spanning one would meet it if
+        // emptiness went unchecked.
+        for (size_t i = 0; i < n / 4; ++i) {
+            CxTask t = randomTask(static_cast<GateIdx>(tasks.size()), rows,
+                                  cols, rng);
+            const int k = 1 + static_cast<int>(rng.index(2));
+            if (i % 2 == 0)
+                t.bbox.rmin = t.bbox.rmax + k;
+            else
+                t.bbox.cmin = t.bbox.cmax + k;
+            tasks.push_back(t);
+        }
     }
     while (tasks.size() < n)
         tasks.push_back(randomTask(static_cast<GateIdx>(tasks.size()),
@@ -328,8 +342,11 @@ TEST(Llg, KernelMatchesReference)
     size_t nested_oversize = 0; // Theorem 2 groups: the sort path runs
     size_t hard = 0;
     Rng rng(2021);
-    for (int trial = 0; trial < 1600; ++trial) {
-        const auto tasks = shapedTasks(trial % 4, rng);
+    size_t empties = 0;
+    for (int trial = 0; trial < 2000; ++trial) {
+        const auto tasks = shapedTasks(trial % 5, rng);
+        for (const CxTask &t : tasks)
+            empties += t.bbox.empty();
         SCOPED_TRACE(testing::Message()
                      << "trial " << trial << ", " << tasks.size()
                      << " tasks");
@@ -364,6 +381,7 @@ TEST(Llg, KernelMatchesReference)
     }
     EXPECT_GT(nested_oversize, 0u);
     EXPECT_GT(hard, 0u);
+    EXPECT_GT(empties, 0u);
 }
 
 /** Property sweep: random small LLGs of a given size. */

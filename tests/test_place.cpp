@@ -9,6 +9,7 @@
 
 #include <set>
 
+#include "circuit/coupling.hpp"
 #include "common/error.hpp"
 #include "gen/ising.hpp"
 #include "gen/qft.hpp"
@@ -234,19 +235,34 @@ traceAnneal(Anneal anneal, const Circuit &circuit, const Grid &grid,
 TEST(Annealer, MatchesReferenceTrajectory)
 {
     // Same RNG draws, same integer costs, same accept decisions: the
-    // kernel-scored annealer must retrace the reference exactly.
+    // patching annealer must retrace the reference exactly.
     struct Case
     {
         const char *spec;
-        int side; ///< 0: Grid::forQubits; else a side x side grid
+        int side;       ///< 0: Grid::forQubits; else a side x side grid
+        size_t largest; ///< gates in the largest sampled set; 0: any
     };
     const Case cases[] = {
-        {"qft:16", 0},         {"qpe:6:3", 0}, {"randct:9:200:1", 0},
-        {"adder:8", 0},        {"qaoa:16:2", 0},
-        {"qpe:6:3", 4}, // seven spare tiles: the moveTo path runs
+        {"qft:16", 0, 0},         {"qpe:6:3", 0, 0},
+        {"randct:9:200:1", 0, 0}, {"adder:8", 0, 0},
+        {"qaoa:16:2", 0, 0},
+        {"qpe:6:3", 4, 0}, // seven spare tiles: the moveTo path runs
+        // Every set has at most three gates, so none is merged. On 4
+        // qubits, many swaps exchange the two operands of one gate.
+        {"revlib:rd32-v0", 0, 1},
+        {"grover:6:1:75", 0, 2},
+        // Sets of more than 64 gates, on a 3-regular coupling graph.
+        {"qaoa:140:1", 0, 70},
     };
     for (const Case &c : cases) {
         const Circuit circuit = gen::make(c.spec);
+        if (c.largest > 0) {
+            size_t largest = 0;
+            for (const auto &set : concurrentCxSets(circuit, kAnnealMaxSets))
+                largest = std::max(largest, set.size());
+            EXPECT_EQ(largest, c.largest) << c.spec;
+            EXPECT_FALSE(CouplingGraph(circuit).isMaxDegreeTwo()) << c.spec;
+        }
         const Grid grid = c.side > 0
                               ? Grid(c.side, c.side)
                               : Grid::forQubits(circuit.numQubits());
