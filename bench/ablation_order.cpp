@@ -63,7 +63,7 @@ orderAblation()
         for (int t = 0; t < trials; ++t) {
             const auto layer = randomLayer(grid, tasks_n, rng);
             for (int f = 0; f < 4; ++f)
-                ratio[f] += finders[f]->findPaths(layer, free).ratio;
+                ratio[f] += finders[f]->findPaths(layer, free).ratio();
         }
         table.addRow({strformat("%dx%d", side, side),
                       std::to_string(tasks_n),
@@ -93,8 +93,8 @@ cornerAblation()
         const auto free = noBlockedVertices(grid);
         for (int t = 0; t < trials; ++t) {
             const auto layer = randomLayer(grid, tasks_n, rng);
-            r_all += all.findPaths(layer, free).ratio;
-            r_fixed += fixed.findPaths(layer, free).ratio;
+            r_all += all.findPaths(layer, free).ratio();
+            r_fixed += fixed.findPaths(layer, free).ratio();
         }
         table.addRow({strformat("%dx%d", side, side),
                       std::to_string(tasks_n),

@@ -6,7 +6,9 @@
  * bounding box), the *inner* bounding box (the minimal box containing at
  * least one corner vertex of each operand tile), the straight-line path
  * between the two closest corners, and the *strict interference* relation
- * used by the Theorem 6 case analysis and by the layout optimizer.
+ * used by the Theorem 6 case analysis and by the AB302 lint. The
+ * interference graph and the layout optimizer use outer-box
+ * intersection instead.
  */
 
 #ifndef AUTOBRAID_LLG_BBOX_HPP

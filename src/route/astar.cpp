@@ -41,20 +41,20 @@ AStarRouter::AStarRouter(const Grid &grid)
 {}
 
 void
-AStarRouter::beginMaskEpoch()
+AStarRouter::beginFloodCache()
 {
-    epoch_active_ = true;
+    cache_on_ = true;
     if (flood_id_ == UINT32_MAX) {
         std::fill(region_stamp_.begin(), region_stamp_.end(), 0u);
         flood_id_ = 0;
     }
-    epoch_first_flood_ = flood_id_ + 1;
+    cache_first_flood_ = flood_id_ + 1;
 }
 
 std::optional<Path>
 AStarRouter::route(const Cell &src, const Cell &dst,
-                   const BlockedBitset &blocked, const BBox *confine,
-                   unsigned src_corners, unsigned dst_corners)
+                   const BlockedBitset &blocked, unsigned src_corners,
+                   unsigned dst_corners)
 {
     require(!(src == dst), "AStarRouter::route: source equals target");
     require(grid_->inBounds(src) && grid_->inBounds(dst),
@@ -71,13 +71,12 @@ AStarRouter::route(const Cell &src, const Cell &dst,
     const auto target_ids = grid_->cornerIds(dst);
     const auto source_ids = grid_->cornerIds(src);
 
-    // Failed-flood region cache (see beginMaskEpoch): when every
-    // usable source corner sits in a region some failed flood of this
-    // epoch already explored, and no usable target corner carries a
-    // matching region stamp, the query cannot succeed — masks only
-    // grow within an epoch, so regions only shrink.
-    const bool cache = epoch_active_ && confine == nullptr;
-    if (cache) {
+    // Failed-flood region cache (see claim()): when every usable
+    // source corner sits in a region some failed flood of this claim
+    // already explored, and no usable target corner carries a matching
+    // region stamp, the query cannot succeed — masks only grow within
+    // a claim, so regions only shrink.
+    if (cache_on_) {
         uint32_t src_stamps[4];
         int n_src = 0;
         bool all_stamped = true;
@@ -89,7 +88,7 @@ AStarRouter::route(const Cell &src, const Cell &dst,
                 continue;
             const uint32_t st =
                 region_stamp_[static_cast<size_t>(s)];
-            if (st < epoch_first_flood_) {
+            if (st < cache_first_flood_) {
                 all_stamped = false;
                 break;
             }
@@ -138,11 +137,6 @@ AStarRouter::route(const Cell &src, const Cell &dst,
                 return true;
         return false;
     };
-    auto usable = [&](VertexId v) {
-        if (blocked[v])
-            return false;
-        return !confine || confine->contains(grid_->vertex(v));
-    };
 
     open_.clear();
     const OpenLater later{};
@@ -151,7 +145,7 @@ AStarRouter::route(const Cell &src, const Cell &dst,
         if (!(src_corners & (1u << i)))
             continue;
         const VertexId s = source_ids[static_cast<size_t>(i)];
-        if (!usable(s))
+        if (blocked[s])
             continue;
         const auto idx = static_cast<size_t>(s);
         if (seen_[idx] == stamp_)
@@ -188,7 +182,7 @@ AStarRouter::route(const Cell &src, const Cell &dst,
         const int n = grid_->neighbors(v, nbrs);
         for (int i = 0; i < n; ++i) {
             const VertexId w = nbrs[i];
-            if (!usable(w))
+            if (blocked[w])
                 continue;
             const auto wi = static_cast<size_t>(w);
             const int32_t ng = g + 1;
@@ -203,11 +197,11 @@ AStarRouter::route(const Cell &src, const Cell &dst,
     }
     // The exhausted flood visited exactly the free connected region of
     // the usable source corners — the vertices carrying this query's
-    // seen_ stamp. Stamp that region so later same-epoch queries from
-    // inside it can fail without searching. The scan is O(vertices)
-    // and runs only on the failure path, so successful routes pay
-    // nothing for the cache.
-    if (cache) {
+    // seen_ stamp. Stamp that region so later queries of the same
+    // claim from inside it can fail without searching. The scan is
+    // O(vertices) and runs only on the failure path, so successful
+    // routes pay nothing for the cache.
+    if (cache_on_) {
         ++flood_id_;
         for (size_t v = 0; v < seen_.size(); ++v)
             if (seen_[v] == stamp_)

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <optional>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "lattice/geometry.hpp"
@@ -67,8 +68,6 @@ class AStarRouter
      * @param dst target tile
      * @param blocked one bit per grid vertex; set = unavailable to
      *        this path (must cover every vertex of the grid)
-     * @param confine optional box; when non-null the path may only use
-     *        vertices inside or on it (LLG-local routing)
      * @param src_corners bitmask over the NW/NE/SW/SE corners of @p src
      *        usable as path start
      * @param dst_corners bitmask over the corners of @p dst usable as
@@ -77,24 +76,51 @@ class AStarRouter
      */
     std::optional<Path> route(const Cell &src, const Cell &dst,
                               const BlockedBitset &blocked,
-                              const BBox *confine = nullptr,
                               unsigned src_corners = kAllCorners,
                               unsigned dst_corners = kAllCorners);
 
     /**
-     * Start a monotone-mask epoch: until the next call, every route()
-     * query must see a blocked mask that only ever gains blocked
-     * vertices (the path-finder claim pattern). Within such an epoch a
-     * failed flood visits exactly the free connected region of its
-     * usable source corners, so the router stamps those vertices and
-     * instantly fails later queries whose sources all sit in
-     * already-flooded regions that contain no usable target corner.
-     * Sound because masks only grow: two vertices connected now were
-     * connected at every earlier flood, so their latest region stamps
-     * are equal. Disabled for confined queries (their floods do not
-     * cover the whole region).
+     * The claim loop every path finder runs. For each task index in
+     * @p order, @p query(task, mask) returns that task's path against
+     * @p mask, or std::nullopt; the mask holds @p blocked plus the
+     * vertices of every path claimed earlier in this call. A returned
+     * path's vertices are claimed and the task is appended to @p out's
+     * routed list; otherwise it is appended to the failed list. The
+     * query must route against the mask it is given.
+     *
+     * Within the loop the mask only gains vertices, so the router
+     * caches failed floods for exactly its duration. A failed flood
+     * visits exactly the free connected region of its usable source
+     * corners; the router stamps those vertices and instantly fails a
+     * later query whose usable sources all sit in flooded regions that
+     * hold no usable target corner. Sound because masks only grow: two
+     * vertices connected now were connected at every earlier flood, so
+     * their latest region stamps are equal. The cache ends with the
+     * call, so no other route() answers from its floods.
      */
-    void beginMaskEpoch();
+    template <typename Query>
+    void
+    claim(const BlockedBitset &blocked, const std::vector<size_t> &order,
+          Query &&query, RoutingOutcome &out)
+    {
+        claimed_ = blocked;
+        beginFloodCache();
+        const struct EndFloodCache
+        {
+            bool *on;
+            ~EndFloodCache() { *on = false; }
+        } end{&cache_on_};
+        for (const size_t idx : order) {
+            std::optional<Path> path = query(idx, std::as_const(claimed_));
+            if (!path) {
+                out.failed.push_back(idx);
+                continue;
+            }
+            for (const VertexId v : path->vertices)
+                claimed_.set(static_cast<size_t>(v));
+            out.routed.emplace_back(idx, std::move(*path));
+        }
+    }
 
     /** The grid this router searches. */
     const Grid &grid() const { return *grid_; }
@@ -109,11 +135,15 @@ class AStarRouter
     std::vector<int32_t> dist_;
     std::vector<VertexId> parent_;
     std::vector<OpenEntry> open_;   // binary-heap storage, reused
-    // Failed-flood region cache (see beginMaskEpoch).
-    bool epoch_active_ = false;
+    BlockedBitset claimed_;         // claim(): blocked + claimed so far
+    // Failed-flood region cache, on only inside claim().
+    bool cache_on_ = false;
     uint32_t flood_id_ = 0;          // id of the last failed flood
-    uint32_t epoch_first_flood_ = 1; // stamps below this are stale
+    uint32_t cache_first_flood_ = 1; // stamps below this are stale
     std::vector<uint32_t> region_stamp_; // latest failed flood per vertex
+
+    /** Turn the failed-flood cache on with no region stamped. */
+    void beginFloodCache();
 };
 
 } // namespace autobraid

@@ -52,22 +52,13 @@ GreedyPathFinder::findPaths(const std::vector<CxTask> &tasks,
                          });
     }
 
-    unavailable_ = blocked;
-    router_.beginMaskEpoch();
-    for (size_t idx : order_scratch_) {
-        auto path = router_.route(tasks[idx].a, tasks[idx].b,
-                                  unavailable_, nullptr, corner_mask_,
-                                  corner_mask_);
-        if (!path) {
-            outcome.failed.push_back(idx);
-            continue;
-        }
-        for (VertexId v : path->vertices)
-            unavailable_.set(static_cast<size_t>(v));
-        outcome.routed.emplace_back(idx, std::move(*path));
-    }
-    outcome.ratio = static_cast<double>(outcome.routed.size()) /
-                    static_cast<double>(tasks.size());
+    router_.claim(blocked, order_scratch_,
+                  [&](size_t idx, const BlockedBitset &mask) {
+                      return router_.route(tasks[idx].a, tasks[idx].b,
+                                           mask, corner_mask_,
+                                           corner_mask_);
+                  },
+                  outcome);
     return outcome;
 }
 

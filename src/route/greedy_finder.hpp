@@ -9,9 +9,9 @@
  * An alternative program-order mode is provided for the ordering
  * ablation bench.
  *
- * Like the stack finder, the ordering and claimed-vertex scratch
- * persists across findPaths() calls so the routing inner loop does not
- * allocate per dispatch instant.
+ * Like the stack finder, the ordering scratch and the router's claim
+ * mask persist across findPaths() calls so the routing inner loop does
+ * not allocate per dispatch instant.
  */
 
 #ifndef AUTOBRAID_ROUTE_GREEDY_FINDER_HPP
@@ -55,8 +55,6 @@ class GreedyPathFinder : public PathFinder
 
     // Persistent per-instant scratch, reused across findPaths calls.
     std::vector<size_t> order_scratch_;
-    /** Caller's blocked mask merged with vertices claimed this call. */
-    BlockedBitset unavailable_;
 };
 
 } // namespace autobraid

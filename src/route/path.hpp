@@ -12,6 +12,7 @@
 #define AUTOBRAID_ROUTE_PATH_HPP
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lattice/geometry.hpp"
@@ -44,6 +45,26 @@ struct Path
 
     /** Render as "(r,c) -> (r,c) -> ...". */
     std::string toString(const Grid &grid) const;
+};
+
+/** Result of routing one batch of concurrent CX tasks. */
+struct RoutingOutcome
+{
+    /** (task index, path) for every task that was routed. */
+    std::vector<std::pair<size_t, Path>> routed;
+
+    /** Task indices that could not be routed this instant. */
+    std::vector<size_t> failed;
+
+    /** #routed / #tasks (the paper's scheduling ratio); 1.0 when empty. */
+    double
+    ratio() const
+    {
+        const size_t tasks = routed.size() + failed.size();
+        return tasks == 0 ? 1.0
+                          : static_cast<double>(routed.size()) /
+                                static_cast<double>(tasks);
+    }
 };
 
 } // namespace autobraid

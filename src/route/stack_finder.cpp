@@ -27,7 +27,6 @@ StackPathFinder::StackPathFinder(const Grid &grid, int jobs)
 
 void
 StackPathFinder::runStack(const std::vector<CxTask> &tasks,
-                          const std::vector<size_t> *global_index,
                           const BlockedBitset &blocked,
                           InterferenceGraph &ig, RouteScratch &s,
                           RoutingOutcome &out)
@@ -44,39 +43,20 @@ StackPathFinder::runStack(const std::vector<CxTask> &tasks,
 
     // Stage 3: route the residual low-interference gates, smallest
     // bounding box first so short-distance pairs consume local resources.
-    ig.activeNodes(s.residual);
-    std::stable_sort(s.residual.begin(), s.residual.end(),
+    ig.activeNodes(s.order);
+    std::stable_sort(s.order.begin(), s.order.end(),
                      [&tasks](size_t x, size_t y) {
                          return tasks[x].bbox.area() < tasks[y].bbox.area();
                      });
 
-    // The caller's blocked view merged with vertices claimed by paths
-    // routed earlier in this call. The mask only gains bits from here
-    // on, so failed A* floods can be cached for the rest of the call.
-    s.unavailable = blocked;
-    s.router.beginMaskEpoch();
-    auto try_route = [&](size_t idx) {
-        auto path =
-            s.router.route(tasks[idx].a, tasks[idx].b, s.unavailable);
-        const size_t gidx = global_index ? (*global_index)[idx] : idx;
-        if (!path) {
-            out.failed.push_back(gidx);
-            return;
-        }
-        for (VertexId v : path->vertices)
-            s.unavailable.set(static_cast<size_t>(v));
-        out.routed.emplace_back(gidx, std::move(*path));
-    };
-
-    for (size_t idx : s.residual)
-        try_route(idx);
-
-    // Stage 4: pop the stack LIFO.
-    while (!s.stack.empty()) {
-        const size_t idx = s.stack.back();
-        s.stack.pop_back();
-        try_route(idx);
-    }
+    // Stage 4: then the stack, LIFO.
+    s.order.insert(s.order.end(), s.stack.rbegin(), s.stack.rend());
+    s.router.claim(blocked, s.order,
+                   [&](size_t idx, const BlockedBitset &mask) {
+                       return s.router.route(tasks[idx].a, tasks[idx].b,
+                                             mask);
+                   },
+                   out);
 }
 
 RoutingOutcome
@@ -101,7 +81,7 @@ StackPathFinder::findPaths(const std::vector<CxTask> &tasks,
     if (ncomp == 1) {
         // One component: the global stack discipline IS the
         // per-component one; route in place, no merge needed.
-        runStack(tasks, nullptr, blocked, ig_, *scratch_[0], outcome);
+        runStack(tasks, blocked, ig_, *scratch_[0], outcome);
     } else {
         // Gather members per component (components are numbered by
         // smallest task index, members stay in ascending index order).
@@ -128,7 +108,11 @@ StackPathFinder::findPaths(const std::vector<CxTask> &tasks,
             p.routed.clear();
             p.failed.clear();
             s.ig.rebuild(s.comp_tasks);
-            runStack(s.comp_tasks, &s.comp_index, base, s.ig, s, p);
+            runStack(s.comp_tasks, base, s.ig, s, p);
+            for (auto &rp : p.routed)
+                rp.first = s.comp_index[rp.first];
+            for (size_t &idx : p.failed)
+                idx = s.comp_index[idx];
         };
 
         size_t nworkers = 1;
@@ -196,8 +180,6 @@ StackPathFinder::findPaths(const std::vector<CxTask> &tasks,
         }
     }
 
-    outcome.ratio = static_cast<double>(outcome.routed.size()) /
-                    static_cast<double>(tasks.size());
     return outcome;
 }
 

@@ -32,10 +32,10 @@
  * independent of the worker count, so any `jobs` value produces
  * byte-identical outcomes.
  *
- * All scratch state — the interference graph, the peel stack, and the
- * copy of the caller's blocked mask that claims are merged into —
- * persists across findPaths() calls, so the scheduler's routing inner
- * loop is allocation-free across dispatch instants.
+ * All scratch state — the interference graph, the peel stack, the
+ * routing order and the router's claim mask — persists across
+ * findPaths() calls, so the scheduler's routing inner loop is
+ * allocation-free across dispatch instants.
  */
 
 #ifndef AUTOBRAID_ROUTE_STACK_FINDER_HPP
@@ -49,19 +49,6 @@
 #include "route/interference.hpp"
 
 namespace autobraid {
-
-/** Result of routing one batch of concurrent CX tasks. */
-struct RoutingOutcome
-{
-    /** (task index, path) for every task that was routed. */
-    std::vector<std::pair<size_t, Path>> routed;
-
-    /** Task indices that could not be routed this instant. */
-    std::vector<size_t> failed;
-
-    /** #routed / #tasks (the paper's scheduling ratio); 1.0 when empty. */
-    double ratio = 1.0;
-};
 
 /** Common interface so the scheduler can swap policies. */
 class PathFinder
@@ -94,7 +81,7 @@ class StackPathFinder : public PathFinder
                              const BlockedBitset &blocked) override;
 
   private:
-    /** Per-thread routing scratch (router + peel + claim buffers). */
+    /** Per-thread routing scratch (router + peel buffers). */
     struct RouteScratch
     {
         explicit RouteScratch(const Grid &grid) : router(grid) {}
@@ -102,9 +89,8 @@ class StackPathFinder : public PathFinder
         AStarRouter router;
         InterferenceGraph ig;
         std::vector<size_t> stack;
-        std::vector<size_t> residual;
-        /** Base mask merged with vertices claimed so far. */
-        BlockedBitset unavailable;
+        /** Routing order: the residual, then the stack LIFO. */
+        std::vector<size_t> order;
         /** Component's tasks, ascending global task index. */
         std::vector<CxTask> comp_tasks;
         /** Global task index per local task. */
@@ -116,11 +102,9 @@ class StackPathFinder : public PathFinder
     /**
      * Peel + route @p tasks (whose interference graph @p ig is already
      * built) against @p blocked using scratch @p s, appending results
-     * to @p out. @p global_index maps local task index to the caller's
-     * task index (nullptr = identity).
+     * to @p out by index into @p tasks.
      */
     static void runStack(const std::vector<CxTask> &tasks,
-                         const std::vector<size_t> *global_index,
                          const BlockedBitset &blocked,
                          InterferenceGraph &ig,
                          RouteScratch &s, RoutingOutcome &out);

@@ -1,30 +1,18 @@
 #include "sched/layout_optimizer.hpp"
 
-#include <algorithm>
+#include <array>
+#include <utility>
 
 #include "common/error.hpp"
+#include "route/interference.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace autobraid {
 
-LayoutOptimizer::LayoutOptimizer(const Grid &grid) : finder_(grid) {}
-
-long
-LayoutOptimizer::interferenceCount(const std::vector<BBox> &boxes)
-{
-    long count = 0;
-    for (size_t i = 0; i < boxes.size(); ++i)
-        for (size_t j = i + 1; j < boxes.size(); ++j)
-            if (boxes[i].intersects(boxes[j]))
-                ++count;
-    return count;
-}
-
 std::vector<PlannedSwap>
-LayoutOptimizer::propose(const std::vector<CxTask> &failed_tasks,
-                         const Placement &placement,
-                         const BlockedBitset &blocked,
-                         const std::vector<uint8_t> &movable)
+proposeSwaps(PathFinder &finder, const std::vector<CxTask> &failed_tasks,
+             const Placement &placement, const BlockedBitset &blocked,
+             const std::vector<uint8_t> &movable)
 {
     AUTOBRAID_SPAN("sched.layout_optimizer");
     AUTOBRAID_OBSERVE("sched.layout_failed_tasks",
@@ -34,12 +22,8 @@ LayoutOptimizer::propose(const std::vector<CxTask> &failed_tasks,
     // Work only on tasks whose operands may move. Recover the operand
     // qubits from the current placement (ready CX gates are pairwise
     // qubit-disjoint, so cell -> qubit is unambiguous).
-    struct Entry
-    {
-        Qubit qa, qb;
-        CellId ca, cb;
-    };
-    std::vector<Entry> entries;
+    std::vector<CxTask> tasks;
+    std::vector<std::array<Qubit, 2>> qubits;
     for (const CxTask &t : failed_tasks) {
         const Qubit qa = placement.qubitAt(grid.cid(t.a));
         const Qubit qb = placement.qubitAt(grid.cid(t.b));
@@ -48,153 +32,95 @@ LayoutOptimizer::propose(const std::vector<CxTask> &failed_tasks,
         if (!movable[static_cast<size_t>(qa)] ||
             !movable[static_cast<size_t>(qb)])
             continue;
-        entries.push_back(
-            Entry{qa, qb, grid.cid(t.a), grid.cid(t.b)});
+        tasks.push_back(CxTask::make(t.gate, t.a, t.b));
+        qubits.push_back({qa, qb});
     }
-    if (entries.size() < 2)
+    if (tasks.size() < 2)
         return {};
 
-    // Hypothetical post-swap cell of every involved qubit.
-    std::vector<CellId> hcell(
-        static_cast<size_t>(placement.numQubits()), -1);
-    for (const Entry &e : entries) {
-        hcell[static_cast<size_t>(e.qa)] = e.ca;
-        hcell[static_cast<size_t>(e.qb)] = e.cb;
-    }
+    // A swap moves only the boxes of the two tasks it exchanges
+    // between, and settles both, so an unsettled task keeps its
+    // original box: the graph over the original boxes, with settled
+    // tasks removed, is the interference among unsettled tasks.
+    // boxes[] holds every task's box under the swaps accepted so far.
+    InterferenceGraph ig(tasks);
+    std::vector<BBox> boxes;
+    boxes.reserve(tasks.size());
+    for (const CxTask &t : tasks)
+        boxes.push_back(t.bbox);
 
-    auto boxes_now = [&]() {
-        std::vector<BBox> boxes;
-        boxes.reserve(entries.size());
-        for (const Entry &e : entries)
-            boxes.push_back(outerBBox(
-                grid.cell(hcell[static_cast<size_t>(e.qa)]),
-                grid.cell(hcell[static_cast<size_t>(e.qb)])));
-        return boxes;
+    // Interfering pairs that hold task a or task b, were their boxes
+    // @p xa and @p xb: a swap between a and b changes no other pair.
+    auto pairs_with = [&boxes](size_t a, size_t b, const BBox &xa,
+                               const BBox &xb) {
+        long count = xa.intersects(xb) ? 1 : 0;
+        for (size_t k = 0; k < boxes.size(); ++k)
+            if (k != a && k != b)
+                count += (xa.intersects(boxes[k]) ? 1 : 0) +
+                         (xb.intersects(boxes[k]) ? 1 : 0);
+        return count;
     };
-
-    std::vector<uint8_t> task_used(entries.size(), 0);
-    std::vector<std::pair<Qubit, Qubit>> accepted;
-    std::vector<Path> accepted_paths;
-
-    // Swap braids always run between the qubits' *current* tiles.
-    auto route_accepted = [&](std::vector<Path> &paths_out) {
-        std::vector<CxTask> swap_tasks;
-        swap_tasks.reserve(accepted.size());
-        for (size_t i = 0; i < accepted.size(); ++i) {
-            const auto &[qa, qb] = accepted[i];
-            swap_tasks.push_back(CxTask::make(
-                i, placement.cellOf(qa), placement.cellOf(qb)));
-        }
-        auto outcome = finder_.findPaths(swap_tasks, blocked);
-        if (outcome.routed.size() != swap_tasks.size())
-            return false;
-        paths_out.assign(accepted.size(), Path{});
-        for (auto &[idx, path] : outcome.routed)
-            paths_out[idx] = std::move(path);
-        return true;
-    };
-
-    for (size_t safety = 0; safety < entries.size() + 4; ++safety) {
-        const auto boxes = boxes_now();
-
-        // Degrees among unused tasks only.
-        std::vector<int> degree(entries.size(), 0);
-        for (size_t i = 0; i < entries.size(); ++i) {
-            if (task_used[i])
-                continue;
-            for (size_t j = i + 1; j < entries.size(); ++j) {
-                if (task_used[j])
-                    continue;
-                if (boxes[i].intersects(boxes[j])) {
-                    ++degree[i];
-                    ++degree[j];
-                }
-            }
-        }
-
-        // Most interfering gate A (ties: largest bounding box).
-        ssize_t a = -1;
-        for (size_t i = 0; i < entries.size(); ++i) {
-            if (task_used[i] || degree[i] == 0)
-                continue;
-            if (a < 0 || degree[i] > degree[static_cast<size_t>(a)] ||
-                (degree[i] == degree[static_cast<size_t>(a)] &&
-                 boxes[i].area() >
-                     boxes[static_cast<size_t>(a)].area()))
-                a = static_cast<ssize_t>(i);
-        }
-        if (a < 0)
-            break;
-
-        // B: interferes with A and with the most of the rest.
-        ssize_t b = -1;
-        for (size_t j = 0; j < entries.size(); ++j) {
-            if (task_used[j] || j == static_cast<size_t>(a))
-                continue;
-            if (!boxes[static_cast<size_t>(a)].intersects(boxes[j]))
-                continue;
-            if (b < 0 || degree[j] > degree[static_cast<size_t>(b)] ||
-                (degree[j] == degree[static_cast<size_t>(b)] &&
-                 boxes[j].area() >
-                     boxes[static_cast<size_t>(b)].area()))
-                b = static_cast<ssize_t>(j);
-        }
-        if (b < 0) {
-            task_used[static_cast<size_t>(a)] = 1;
-            continue;
-        }
-
-        const Entry &ea = entries[static_cast<size_t>(a)];
-        const Entry &eb = entries[static_cast<size_t>(b)];
-        const long before = interferenceCount(boxes);
-
-        // Best of the four cross-pair exchanges.
-        const std::pair<Qubit, Qubit> combos[4] = {
-            {ea.qa, eb.qa}, {ea.qa, eb.qb},
-            {ea.qb, eb.qa}, {ea.qb, eb.qb}};
-        long best_after = before;
-        int best_combo = -1;
-        for (int k = 0; k < 4; ++k) {
-            const auto [qa, qb] = combos[k];
-            std::swap(hcell[static_cast<size_t>(qa)],
-                      hcell[static_cast<size_t>(qb)]);
-            const long after = interferenceCount(boxes_now());
-            std::swap(hcell[static_cast<size_t>(qa)],
-                      hcell[static_cast<size_t>(qb)]);
-            if (after < best_after) {
-                best_after = after;
-                best_combo = k;
-            }
-        }
-        if (best_combo < 0) {
-            task_used[static_cast<size_t>(a)] = 1;
-            continue;
-        }
-
-        // Tentatively accept; keep only if the whole set still routes.
-        const auto [qa, qb] = combos[best_combo];
-        std::swap(hcell[static_cast<size_t>(qa)],
-                  hcell[static_cast<size_t>(qb)]);
-        accepted.emplace_back(qa, qb);
-        std::vector<Path> paths;
-        if (route_accepted(paths)) {
-            accepted_paths = std::move(paths);
-            task_used[static_cast<size_t>(a)] = 1;
-            task_used[static_cast<size_t>(b)] = 1;
-        } else {
-            accepted.pop_back();
-            std::swap(hcell[static_cast<size_t>(qa)],
-                      hcell[static_cast<size_t>(qb)]);
-            task_used[static_cast<size_t>(a)] = 1;
-        }
-    }
 
     std::vector<PlannedSwap> plan;
-    plan.reserve(accepted.size());
-    for (size_t i = 0; i < accepted.size(); ++i)
-        plan.push_back(PlannedSwap{accepted[i].first,
-                                   accepted[i].second,
-                                   std::move(accepted_paths[i])});
+    std::vector<CxTask> swap_tasks;
+
+    while (ig.maxDegree() > 0) {
+        // Most interfering gate A (ties: largest box, smallest index),
+        // and B, its neighbour that interferes with the most of the
+        // rest (same ties).
+        const size_t a = ig.peelPick(tasks);
+        size_t b = a;
+        for (const size_t j : ig.activeNeighbors(a))
+            if (b == a || ig.degree(j) > ig.degree(b) ||
+                (ig.degree(j) == ig.degree(b) &&
+                 tasks[j].bbox.area() > tasks[b].bbox.area()))
+                b = j;
+        ig.remove(a);
+
+        // Best of the four cross-pair exchanges: operand i of A trades
+        // tiles with operand j of B, k = 2i + j.
+        const std::array<Cell, 2> cells_a{tasks[a].a, tasks[a].b};
+        const std::array<Cell, 2> cells_b{tasks[b].a, tasks[b].b};
+        long best = pairs_with(a, b, boxes[a], boxes[b]);
+        int best_combo = -1;
+        BBox best_a, best_b;
+        for (int k = 0; k < 4; ++k) {
+            auto ta = cells_a;
+            auto tb = cells_b;
+            std::swap(ta[static_cast<size_t>(k >> 1)],
+                      tb[static_cast<size_t>(k & 1)]);
+            const BBox xa = outerBBox(ta[0], ta[1]);
+            const BBox xb = outerBBox(tb[0], tb[1]);
+            const long after = pairs_with(a, b, xa, xb);
+            if (after < best) {
+                best = after;
+                best_combo = k;
+                best_a = xa;
+                best_b = xb;
+            }
+        }
+        if (best_combo < 0)
+            continue;
+
+        // Tentatively accept; keep only if the whole set still routes.
+        // Swap braids always run between the qubits' current tiles.
+        const auto i = static_cast<size_t>(best_combo >> 1);
+        const auto j = static_cast<size_t>(best_combo & 1);
+        swap_tasks.push_back(
+            CxTask::make(swap_tasks.size(), cells_a[i], cells_b[j]));
+        RoutingOutcome outcome = finder.findPaths(swap_tasks, blocked);
+        if (outcome.routed.size() != swap_tasks.size()) {
+            swap_tasks.pop_back();
+            continue;
+        }
+        plan.push_back(PlannedSwap{qubits[a][i], qubits[b][j], Path{}});
+        for (auto &[idx, path] : outcome.routed)
+            plan[idx].path = std::move(path);
+        boxes[a] = best_a;
+        boxes[b] = best_b;
+        ig.remove(b);
+    }
+
     if (!plan.empty())
         AUTOBRAID_COUNT("sched.layout_swaps_planned",
                         static_cast<long long>(plan.size()));

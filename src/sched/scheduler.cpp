@@ -28,7 +28,9 @@ struct SwapRecord
  * otherwise braid paths from the stack finder in Maslov mode and under
  * the AutoBraid policies, or from the greedy baseline, which takes
  * every corner as an endpoint when defects may have killed its fixed
- * NW corner.
+ * NW corner. The layout optimizer, which runs only when the full
+ * AutoBraid policy schedules braids, routes its swap sets with the
+ * same stack finder.
  */
 std::unique_ptr<PathFinder>
 makeFinder(const Grid &grid, const SchedulerConfig &config,
@@ -63,7 +65,6 @@ class Engine
           front_(dag),
           finder_(makeFinder(grid, config, backend_, maslov_mode)),
           busy_until_(static_cast<size_t>(circuit.numQubits()), 0),
-          optimizer_(grid),
           network_(grid),
           maslov_mode_(maslov_mode),
           level_sync_(!maslov_mode &&
@@ -197,7 +198,6 @@ class Engine
     telemetry::StallCause route_fail_cause_ =
         telemetry::StallCause::Congestion;
 
-    LayoutOptimizer optimizer_;
     SwapNetwork network_;
     const bool maslov_mode_;
 
@@ -640,7 +640,7 @@ class Engine
             backend_ == SchedulerBackend::Braiding &&
             config_->policy == SchedulerPolicy::AutobraidFull &&
             swaps_in_flight_ == 0 && outcome.failed.size() >= 2 &&
-            outcome.ratio < config_->p_threshold;
+            outcome.ratio() < config_->p_threshold;
         if (!trigger)
             return;
         ++result_.layout_invocations;
@@ -653,8 +653,9 @@ class Engine
                         0);
         for (Qubit q = 0; q < circuit_->numQubits(); ++q)
             movable_[static_cast<size_t>(q)] = qubitFree(q, t) ? 1 : 0;
-        const auto plan = optimizer_.propose(failed_tasks_, placement_,
-                                             blocked_mask_, movable_);
+        const auto plan = proposeSwaps(*finder_, failed_tasks_,
+                                       placement_, blocked_mask_,
+                                       movable_);
         for (const PlannedSwap &s : plan)
             issueSwap(t, s.a, s.b, s.path);
     }

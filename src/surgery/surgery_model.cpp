@@ -32,8 +32,9 @@ LatticeSurgeryFinder::liveCornerMask(const Cell &cell) const
     return mask;
 }
 
-bool
-LatticeSurgeryFinder::buildRegion(const CxTask &task, Path &out)
+std::optional<Path>
+LatticeSurgeryFinder::buildRegion(const CxTask &task,
+                                  const BlockedBitset &mask)
 {
     // A merge needs every live corner of both patches: the merged
     // boundary runs along the tiles, not just along the bus. Any
@@ -44,42 +45,37 @@ LatticeSurgeryFinder::buildRegion(const CxTask &task, Path &out)
     for (const auto &corners : {corners_a, corners_b})
         for (VertexId v : corners) {
             const auto vi = static_cast<size_t>(v);
-            if (!dead_.test(vi) && unavailable_.test(vi))
-                return false;
+            if (!dead_.test(vi) && mask.test(vi))
+                return std::nullopt;
         }
 
     const unsigned mask_a = liveCornerMask(task.a);
     const unsigned mask_b = liveCornerMask(task.b);
     if (mask_a == 0 || mask_b == 0)
-        return false;
-    const auto bus = router_.route(task.a, task.b, unavailable_,
-                                   nullptr, mask_a, mask_b);
-    if (!bus)
-        return false;
+        return std::nullopt;
+    auto region = router_.route(task.a, task.b, mask, mask_a, mask_b);
+    if (!region)
+        return std::nullopt;
 
-    // Region = bus path (path order) + remaining live corners of both
-    // tiles (ascending), deduplicated via the in_region_ stamp bytes.
-    region_.clear();
-    for (VertexId v : bus->vertices) {
-        if (in_region_[static_cast<size_t>(v)])
-            continue;
+    // Region = bus path (path order, no vertex twice) + remaining live
+    // corners of both tiles (ascending), deduplicated via the
+    // in_region_ stamp bytes.
+    std::vector<VertexId> &verts = region->vertices;
+    for (VertexId v : verts)
         in_region_[static_cast<size_t>(v)] = 1;
-        region_.push_back(v);
-    }
-    const auto bus_end = static_cast<long>(region_.size());
+    const auto bus_end = static_cast<long>(verts.size());
     for (const auto &corners : {corners_a, corners_b})
         for (VertexId v : corners) {
             const auto vi = static_cast<size_t>(v);
             if (dead_.test(vi) || in_region_[vi])
                 continue;
             in_region_[vi] = 1;
-            region_.push_back(v);
+            verts.push_back(v);
         }
-    std::sort(region_.begin() + bus_end, region_.end());
-    for (VertexId v : region_)
+    std::sort(verts.begin() + bus_end, verts.end());
+    for (VertexId v : verts)
         in_region_[static_cast<size_t>(v)] = 0;
-    out.vertices = region_;
-    return true;
+    return region;
 }
 
 RoutingOutcome
@@ -90,11 +86,6 @@ LatticeSurgeryFinder::findPaths(const std::vector<CxTask> &tasks,
     RoutingOutcome outcome;
     if (tasks.empty())
         return outcome;
-    unavailable_ = blocked;
-    // Claims only ever add blocked vertices within this call, so
-    // failed bus floods can be cached for the rest of it.
-    router_.beginMaskEpoch();
-
     // Most-critical merges first; index breaks ties deterministically.
     order_.resize(tasks.size());
     for (size_t i = 0; i < tasks.size(); ++i)
@@ -106,19 +97,12 @@ LatticeSurgeryFinder::findPaths(const std::vector<CxTask> &tasks,
                   return x < y;
               });
 
-    Path region;
-    for (size_t idx : order_) {
-        if (!buildRegion(tasks[idx], region)) {
-            outcome.failed.push_back(idx);
-            continue;
-        }
-        for (VertexId v : region.vertices)
-            unavailable_.set(static_cast<size_t>(v));
-        outcome.routed.emplace_back(idx, region);
-    }
+    router_.claim(blocked, order_,
+                  [&](size_t idx, const BlockedBitset &mask) {
+                      return buildRegion(tasks[idx], mask);
+                  },
+                  outcome);
     std::sort(outcome.failed.begin(), outcome.failed.end());
-    outcome.ratio = static_cast<double>(outcome.routed.size()) /
-                    static_cast<double>(tasks.size());
     return outcome;
 }
 

@@ -26,6 +26,7 @@
 #define AUTOBRAID_SURGERY_SURGERY_MODEL_HPP
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "route/astar.hpp"
@@ -50,21 +51,20 @@ class LatticeSurgeryFinder final : public PathFinder
 
     // Persistent scratch reused across findPaths() calls, mirroring
     // StackPathFinder's allocation-free inner loop.
-    BlockedBitset unavailable_;
     std::vector<size_t> order_;
     std::vector<uint8_t> in_region_;
-    std::vector<VertexId> region_;
 
     /** Corner bitmask of @p cell's live corners (NW/NE/SW/SE bits). */
     unsigned liveCornerMask(const Cell &cell) const;
 
     /**
-     * Assemble the merge region for @p task against the current
-     * unavailable_ mask: the bus path first (in path order), then the
-     * remaining live corners of both tiles in ascending vertex order.
-     * False when a live corner is occupied or no bus path exists.
+     * Assemble the merge region for @p task against @p mask: the bus
+     * path first (in path order), then the remaining live corners of
+     * both tiles in ascending vertex order. std::nullopt when a live
+     * corner is occupied or no bus path exists.
      */
-    bool buildRegion(const CxTask &task, Path &out);
+    std::optional<Path> buildRegion(const CxTask &task,
+                                    const BlockedBitset &mask);
 };
 
 } // namespace autobraid

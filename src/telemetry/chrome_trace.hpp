@@ -11,8 +11,9 @@
  *    side by side, plus a "utilization" counter track carrying the
  *    Fig. 17-style per-instant routing-vertex occupancy timeline.
  *
- * The same utilizationTimeline() feeds bench/fig17_utilization, so the
- * bench and the CLI's --trace-out share one code path.
+ * bench/fig17_utilization prints ScheduleResult's own peak and average
+ * utilization, not this timeline; AB_TRACE_OUT there dumps a trace
+ * through this exporter.
  *
  * Builds into ab_viz (not ab_telemetry): serializing reports needs the
  * compiler layer, while the telemetry core must stay below everything.

@@ -338,7 +338,10 @@ TEST(ToolExit, MalformedNumericFlagsExitTwo)
     }
 }
 
-/** The hostile QASM corpus: inputs that once crashed the front end. */
+/**
+ * The hostile QASM corpus: inputs every front end must reject, among
+ * them inputs that once crashed or hung it, or that a tool accepted.
+ */
 std::vector<std::string>
 hostileQasmFiles()
 {

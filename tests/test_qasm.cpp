@@ -787,7 +787,7 @@ checkDirectory(const std::string &dir)
 
 TEST(QasmReference, CorporaMatch)
 {
-    EXPECT_EQ(checkDirectory(AB_HOSTILE_QASM_DIR), 7);
+    EXPECT_EQ(checkDirectory(AB_HOSTILE_QASM_DIR), 9);
     EXPECT_EQ(checkDirectory(AB_LINT_CORPUS_DIR), 3);
     EXPECT_EQ(checkDirectory(AB_CIRCUITS_DIR), 2);
 }

@@ -35,7 +35,7 @@ expectDisjointComplete(const RoutingOutcome &outcome,
                        const Grid &grid)
 {
     EXPECT_EQ(outcome.routed.size(), tasks.size());
-    EXPECT_DOUBLE_EQ(outcome.ratio, 1.0);
+    EXPECT_DOUBLE_EQ(outcome.ratio(), 1.0);
     std::set<VertexId> used;
     for (const auto &[idx, path] : outcome.routed) {
         EXPECT_EQ(path.validate(grid, tasks[idx].a, tasks[idx].b), "");
@@ -127,23 +127,11 @@ TEST(AStar, ReportsUnroutable)
         router.route(Cell{0, 0}, Cell{0, 2}, blocked).has_value());
 }
 
-TEST(AStar, ConfinementToBBox)
-{
-    Grid g(6, 6);
-    AStarRouter router(g);
-    const BBox box = BBox::ofCells(Cell{2, 2}, Cell{3, 3});
-    const auto p =
-        router.route(Cell{2, 2}, Cell{3, 3}, freeMask(g), &box);
-    ASSERT_TRUE(p.has_value());
-    for (VertexId v : p->vertices)
-        EXPECT_TRUE(box.contains(g.vertex(v)));
-}
-
 TEST(AStar, CornerMasksRestrictEndpoints)
 {
     Grid g(4, 4);
     AStarRouter router(g);
-    const auto p = router.route(Cell{0, 0}, Cell{2, 2}, freeMask(g), nullptr,
+    const auto p = router.route(Cell{0, 0}, Cell{2, 2}, freeMask(g),
                                 AStarRouter::kFixedCorner,
                                 AStarRouter::kFixedCorner);
     ASSERT_TRUE(p.has_value());
@@ -152,7 +140,7 @@ TEST(AStar, CornerMasksRestrictEndpoints)
     // Fixed-corner paths are longer than all-corner paths here.
     const auto free_p = router.route(Cell{0, 0}, Cell{2, 2}, freeMask(g));
     EXPECT_LT(free_p->length(), p->length());
-    EXPECT_THROW(router.route(Cell{0, 0}, Cell{1, 1}, freeMask(g), nullptr,
+    EXPECT_THROW(router.route(Cell{0, 0}, Cell{1, 1}, freeMask(g),
                               0, AStarRouter::kAllCorners),
                  InternalError);
 }
@@ -175,6 +163,28 @@ TEST(AStar, RepeatedQueriesIndependent)
         // Closest corners (1,1) and (4,4): 6 steps -> 7 vertices.
         EXPECT_EQ(p->length(), 7u);
     }
+}
+
+TEST(AStar, FloodCacheEndsWithItsClaim)
+{
+    // A wall of blocked vertices down vertex column 2 cuts tile (0,0)
+    // off from tile (0,2), so the claim's query fails and its flood
+    // is cached. A plain route() after the claim, with the wall gone,
+    // must search afresh and find the path.
+    Grid g(3, 3);
+    AStarRouter router(g);
+    const BlockedBitset wall = materializeBlocked(
+        g, [&g](VertexId v) { return g.vertex(v).c == 2; });
+    RoutingOutcome out;
+    router.claim(wall, {0},
+                 [&](size_t, const BlockedBitset &mask) {
+                     return router.route(Cell{0, 0}, Cell{0, 2}, mask);
+                 },
+                 out);
+    ASSERT_EQ(out.failed, std::vector<size_t>{0});
+    const auto p = router.route(Cell{0, 0}, Cell{0, 2}, freeMask(g));
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->validate(g, Cell{0, 0}, Cell{0, 2}), "");
 }
 
 TEST(Interference, GraphConstruction)
@@ -341,7 +351,7 @@ TEST(StackFinder, EmptyAndSingle)
     StackPathFinder finder(g);
     const auto empty = finder.findPaths({}, freeMask(g));
     EXPECT_TRUE(empty.routed.empty());
-    EXPECT_DOUBLE_EQ(empty.ratio, 1.0);
+    EXPECT_DOUBLE_EQ(empty.ratio(), 1.0);
 
     std::vector<CxTask> one{CxTask::make(0, Cell{0, 0}, Cell{3, 3})};
     expectDisjointComplete(finder.findPaths(one, freeMask(g)), one, g);
@@ -393,7 +403,7 @@ TEST(StackFinder, RespectsExternalBlocking)
     const auto outcome = finder.findPaths(tasks, all_blocked);
     EXPECT_TRUE(outcome.routed.empty());
     EXPECT_EQ(outcome.failed.size(), 1u);
-    EXPECT_DOUBLE_EQ(outcome.ratio, 0.0);
+    EXPECT_DOUBLE_EQ(outcome.ratio(), 0.0);
 }
 
 TEST(StackFinder, NestedGatesAllRoute)
@@ -436,7 +446,7 @@ expectSameOutcome(const RoutingOutcome &a, const RoutingOutcome &b)
             << i;
     }
     EXPECT_EQ(a.failed, b.failed);
-    EXPECT_DOUBLE_EQ(a.ratio, b.ratio);
+    EXPECT_DOUBLE_EQ(a.ratio(), b.ratio());
 }
 
 TEST(StackFinder, RouteJobsProduceIdenticalOutcomes)
@@ -550,7 +560,7 @@ TEST(GreedyFinder, EmptyTaskListIsVacuousSuccess)
         const auto empty = finder.findPaths({}, freeMask(g));
         EXPECT_TRUE(empty.routed.empty());
         EXPECT_TRUE(empty.failed.empty());
-        EXPECT_DOUBLE_EQ(empty.ratio, 1.0)
+        EXPECT_DOUBLE_EQ(empty.ratio(), 1.0)
             << "order " << static_cast<int>(order);
     }
 }

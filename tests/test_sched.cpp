@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "common/error.hpp"
 #include "common/text.hpp"
 #include "common/rng.hpp"
@@ -16,6 +19,7 @@
 #include "gen/qft.hpp"
 #include "gen/registry.hpp"
 #include "lattice/defects.hpp"
+#include "layout_reference.hpp"
 #include "place/linear.hpp"
 #include "sched/event_queue.hpp"
 #include "sched/layout_optimizer.hpp"
@@ -125,10 +129,10 @@ TEST(LayoutOptimizer, Fig15CrossingPairsGetSwaps)
         failed.push_back(CxTask::make(gidx, placement.cellOf(i),
                                       placement.cellOf(7 - i)));
     }
-    LayoutOptimizer opt(g);
+    StackPathFinder finder(g);
     std::vector<uint8_t> movable(8, 1);
-    const auto plan = opt.propose(
-        failed, placement, noBlockedVertices(g), movable);
+    const auto plan = proposeSwaps(finder, failed, placement,
+                                   noBlockedVertices(g), movable);
     EXPECT_GE(plan.size(), 1u);
     for (const PlannedSwap &s : plan) {
         EXPECT_NE(s.a, s.b);
@@ -151,10 +155,10 @@ TEST(LayoutOptimizer, NoProposalForNonInterfering)
                                   placement.cellOf(1)));
     failed.push_back(CxTask::make(g2, placement.cellOf(62),
                                   placement.cellOf(63)));
-    LayoutOptimizer opt(g);
+    StackPathFinder finder(g);
     std::vector<uint8_t> movable(64, 1);
-    const auto plan = opt.propose(
-        failed, placement, noBlockedVertices(g), movable);
+    const auto plan = proposeSwaps(finder, failed, placement,
+                                   noBlockedVertices(g), movable);
     EXPECT_TRUE(plan.empty());
 }
 
@@ -169,11 +173,90 @@ TEST(LayoutOptimizer, RespectsMovableMask)
         failed.push_back(CxTask::make(gidx, placement.cellOf(i),
                                       placement.cellOf(7 - i)));
     }
-    LayoutOptimizer opt(g);
+    StackPathFinder finder(g);
     std::vector<uint8_t> movable(8, 0); // nothing may move
-    const auto plan = opt.propose(
-        failed, placement, noBlockedVertices(g), movable);
+    const auto plan = proposeSwaps(finder, failed, placement,
+                                   noBlockedVertices(g), movable);
     EXPECT_TRUE(plan.empty());
+}
+
+TEST(LayoutOptimizer, MatchesReference)
+{
+    // The graph-based optimizer against the one that recounted every
+    // pair (layout_reference.hpp), swap by swap. Operand tiles are
+    // pairwise disjoint, as ready CX gates' are. Half the instances
+    // pair each tile with a near one, so degrees and areas tie often;
+    // blocked vertices make some tentative swaps fail the route test.
+    Rng rng(20211018);
+    size_t swaps = 0, proposals = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        const Grid g(rng.intIn(3, 16), rng.intIn(3, 16));
+        const int ncells = g.numCells();
+        std::vector<CellId> layout(static_cast<size_t>(ncells));
+        for (CellId c = 0; c < ncells; ++c)
+            layout[static_cast<size_t>(c)] = c;
+        rng.shuffle(layout);
+        Placement placement(g, ncells);
+        placement.assign(layout);
+
+        std::vector<uint8_t> taken(static_cast<size_t>(ncells), 0);
+        const bool local = rng.chance(0.5);
+        const int want = rng.intIn(2, std::min(ncells / 2, 40));
+        std::vector<CxTask> failed;
+        for (int tries = 0;
+             static_cast<int>(failed.size()) < want && tries < 4 * want;
+             ++tries) {
+            const auto a = static_cast<CellId>(rng.index(
+                static_cast<size_t>(ncells)));
+            CellId b = static_cast<CellId>(
+                rng.index(static_cast<size_t>(ncells)));
+            if (local) {
+                const Cell ca = g.cell(a);
+                const Cell cb{
+                    std::clamp(ca.r + rng.intIn(-2, 2), 0, g.rows() - 1),
+                    std::clamp(ca.c + rng.intIn(-2, 2), 0, g.cols() - 1)};
+                b = g.cid(cb);
+            }
+            if (a == b || taken[static_cast<size_t>(a)] ||
+                taken[static_cast<size_t>(b)])
+                continue;
+            taken[static_cast<size_t>(a)] = 1;
+            taken[static_cast<size_t>(b)] = 1;
+            failed.push_back(CxTask::make(
+                static_cast<GateIdx>(failed.size()), g.cell(a),
+                g.cell(b)));
+        }
+
+        std::vector<uint8_t> movable(static_cast<size_t>(ncells), 1);
+        const double pinned = rng.chance(0.5) ? 0.0 : 0.2;
+        for (auto &m : movable)
+            m = rng.chance(pinned) ? 0 : 1;
+        const double density =
+            std::array<double, 4>{0.0, 0.05, 0.15, 0.3}[rng.index(4)];
+        const BlockedBitset blocked = materializeBlocked(
+            g, [&rng, density](VertexId) { return rng.chance(density); });
+
+        reference::LayoutOptimizer ref(g);
+        const auto want_plan =
+            ref.propose(failed, placement, blocked, movable);
+        StackPathFinder finder(g);
+        const auto got_plan =
+            proposeSwaps(finder, failed, placement, blocked, movable);
+        ASSERT_EQ(got_plan.size(), want_plan.size()) << "trial " << trial;
+        for (size_t k = 0; k < got_plan.size(); ++k) {
+            EXPECT_EQ(got_plan[k].a, want_plan[k].a) << "trial " << trial;
+            EXPECT_EQ(got_plan[k].b, want_plan[k].b) << "trial " << trial;
+            EXPECT_EQ(got_plan[k].path.vertices,
+                      want_plan[k].path.vertices)
+                << "trial " << trial;
+        }
+        swaps += got_plan.size();
+        proposals += got_plan.empty() ? 0 : 1;
+    }
+    // The instances must exercise the optimizer, not just agree on
+    // empty plans.
+    EXPECT_GT(proposals, 300u);
+    EXPECT_GT(swaps, 1000u);
 }
 
 SchedulerConfig

@@ -119,7 +119,7 @@ TEST(SurgeryModel, RegionCoversCornersAndBus)
     const RoutingOutcome out = finder.findPaths(tasks, blocked);
     ASSERT_EQ(out.routed.size(), 1u);
     EXPECT_TRUE(out.failed.empty());
-    EXPECT_EQ(out.ratio, 1.0);
+    EXPECT_EQ(out.ratio(), 1.0);
 
     const std::vector<VertexId> &region =
         out.routed[0].second.vertices;
@@ -149,7 +149,7 @@ TEST(SurgeryModel, ConcurrentRegionsAreDisjoint)
     EXPECT_EQ(out.routed[0].first, 0u);
     ASSERT_EQ(out.failed.size(), 1u);
     EXPECT_EQ(out.failed[0], 1u);
-    EXPECT_EQ(out.ratio, 0.5);
+    EXPECT_EQ(out.ratio(), 0.5);
 }
 
 TEST(SurgeryModel, DeadCornersExcludedFromRegions)

@@ -126,9 +126,9 @@ TEST(StackFinderStatistics, BeatsNaiveOrdersInAggregate)
                 grid.cell(cells[static_cast<size_t>(2 * i)]),
                 grid.cell(cells[static_cast<size_t>(2 * i + 1)])));
         const auto free = noBlockedVertices(grid);
-        stack_total += stack.findPaths(tasks, free).ratio;
-        program_total += program.findPaths(tasks, free).ratio;
-        largest_total += largest.findPaths(tasks, free).ratio;
+        stack_total += stack.findPaths(tasks, free).ratio();
+        program_total += program.findPaths(tasks, free).ratio();
+        largest_total += largest.findPaths(tasks, free).ratio();
     }
     EXPECT_GE(stack_total, program_total);
     EXPECT_GT(stack_total, largest_total);

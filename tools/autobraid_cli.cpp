@@ -57,9 +57,9 @@
  * The option list above is mirrored by usage(); test_cli_doc checks the
  * two stay in sync.
  *
- * Arguments containing '.' or '/' are treated as QASM paths; anything
- * else goes through the benchmark registry ("qft:100", "im:500:3",
- * "revlib:urf2_277", ...).
+ * Arguments containing ".qasm" or '/' are treated as QASM paths, as
+ * autobraid_lint treats them; anything else goes through the benchmark
+ * registry ("qft:100", "im:500:3", "revlib:urf2_277", ...).
  *
  * Exit codes (shared across all autobraid tools): 0 success, 1
  * findings or compilation failure (--lint-werror errors, batch
@@ -238,10 +238,8 @@ parseArgs(int argc, char **argv)
 Circuit
 loadInput(const std::string &input)
 {
-    if (input.find('.') != std::string::npos &&
-        input.find(".qasm") != std::string::npos)
-        return qasm::loadCircuit(input);
-    if (input.find('/') != std::string::npos)
+    if (input.find(".qasm") != std::string::npos ||
+        input.find('/') != std::string::npos)
         return qasm::loadCircuit(input);
     return gen::make(input);
 }

@@ -40,7 +40,8 @@
  *
  * Exit status (shared across all autobraid tools): 0 = no error-level
  * diagnostics, 1 = errors (including warnings promoted by --werror),
- * 2 = bad usage or an input parse failure.
+ * 2 = bad usage, or an input that does not parse or elaborate (its
+ * AST diagnostics are still reported).
  */
 
 #include <cstdio>
@@ -201,8 +202,9 @@ lintInput(const LintCliOptions &opts, const std::string &input,
         const qasm::Program program = qasm::parseFile(input);
         lint::runProgramAnalyses(program, engine, input);
         // Elaboration can reject what the AST lints already flagged
-        // (e.g. AB105 width mismatches); keep those diagnostics and
-        // skip the circuit-level families for this input.
+        // (e.g. AB105 width mismatches); keep those diagnostics, skip
+        // the circuit-level families for this input, and fail it as
+        // autobraid_cli would.
         try {
             qasm::ElaboratedCircuit ec =
                 qasm::elaborateWithLines(program, input);
@@ -214,7 +216,7 @@ lintInput(const LintCliOptions &opts, const std::string &input,
         } catch (const UserError &e) {
             std::fprintf(stderr, "%s: not elaborated: %s\n",
                          input.c_str(), e.what());
-            return true;
+            return false;
         }
     } else {
         circuit = gen::make(input);
