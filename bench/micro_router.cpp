@@ -222,8 +222,8 @@ BENCHMARK(BM_InterferenceGraphBuild)->Arg(64)->Arg(256);
 void
 BM_InterferencePeel(benchmark::State &state)
 {
-    // The stack finder's peel loop in isolation: remove max-degree
-    // nodes until the residue has degree <= 2. Buckets in remove()
+    // The stack finder's peel loop in isolation: remove the peelPick()
+    // victim until the residue has degree <= 2. Buckets in remove()
     // make this near-linear; the old full-rescan version was quadratic
     // on dense layers (see docs/benchmarks.md).
     Grid grid(64, 64);
@@ -238,7 +238,7 @@ BM_InterferencePeel(benchmark::State &state)
         InterferenceGraph ig = base;
         state.ResumeTiming();
         while (ig.maxDegree() > 2)
-            ig.remove(ig.maxDegreeNodes().front());
+            ig.remove(ig.peelPick(tasks));
         benchmark::DoNotOptimize(ig);
     }
 }

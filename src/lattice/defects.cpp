@@ -109,4 +109,11 @@ DefectMap::random(const Grid &grid, int count, Rng &rng)
     return map;
 }
 
+std::vector<VertexId>
+injectedDefects(const Grid &grid, int count, uint64_t seed)
+{
+    Rng rng(seed ^ 0xdefecu);
+    return DefectMap::random(grid, count, rng).deadVertices();
+}
+
 } // namespace autobraid

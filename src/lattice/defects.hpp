@@ -13,6 +13,7 @@
 #ifndef AUTOBRAID_LATTICE_DEFECTS_HPP
 #define AUTOBRAID_LATTICE_DEFECTS_HPP
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -59,6 +60,15 @@ class DefectMap
 
     bool wouldViolate(const Grid &grid, VertexId v) const;
 };
+
+/**
+ * The dead vertices `--defects=@p count` injects into a compile with
+ * seed @p seed on @p grid: DefectMap::random, drawn from its own
+ * generator derived from the seed, so autobraid_cli and autobraid_lint
+ * put defects on the same lattice.
+ */
+std::vector<VertexId> injectedDefects(const Grid &grid, int count,
+                                      uint64_t seed);
 
 } // namespace autobraid
 

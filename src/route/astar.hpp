@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -100,7 +101,7 @@ class AStarRouter
      */
     template <typename Query>
     void
-    claim(const BlockedBitset &blocked, const std::vector<size_t> &order,
+    claim(const BlockedBitset &blocked, std::span<const size_t> order,
           Query &&query, RoutingOutcome &out)
     {
         claimed_ = blocked;

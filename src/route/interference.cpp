@@ -151,27 +151,6 @@ InterferenceGraph::maxDegree() const
     return max_degree_bound_;
 }
 
-std::vector<size_t>
-InterferenceGraph::maxDegreeNodes() const
-{
-    std::vector<size_t> nodes;
-    maxDegreeNodes(nodes);
-    return nodes;
-}
-
-void
-InterferenceGraph::maxDegreeNodes(std::vector<size_t> &out) const
-{
-    const int best = maxDegree();
-    compactBucket(best);
-    const std::vector<size_t> &bucket =
-        buckets_[static_cast<size_t>(best)];
-    out.assign(bucket.begin(), bucket.end());
-    // Lazy decrements append out of index order; callers tie-break on
-    // ascending indices, so restore that ordering here.
-    std::sort(out.begin(), out.end());
-}
-
 size_t
 InterferenceGraph::peelPick(const std::vector<CxTask> &tasks) const
 {
@@ -221,21 +200,6 @@ InterferenceGraph::remove(size_t i)
 }
 
 std::vector<size_t>
-InterferenceGraph::allNeighbors(size_t i) const
-{
-    std::vector<size_t> out;
-    const uint64_t *row = rows_.data() + i * stride_;
-    for (size_t w = 0; w < stride_; ++w) {
-        uint64_t m = row[w];
-        while (m) {
-            out.push_back(w * 64 + static_cast<size_t>(ctz64(m)));
-            m &= m - 1;
-        }
-    }
-    return out;
-}
-
-std::vector<size_t>
 InterferenceGraph::activeNeighbors(size_t i) const
 {
     std::vector<size_t> out;
@@ -247,14 +211,6 @@ InterferenceGraph::activeNeighbors(size_t i) const
             m &= m - 1;
         }
     }
-    return out;
-}
-
-std::vector<size_t>
-InterferenceGraph::activeNodes() const
-{
-    std::vector<size_t> out;
-    activeNodes(out);
     return out;
 }
 

@@ -54,9 +54,6 @@ class InterferenceGraph
      */
     void rebuild(const std::vector<CxTask> &tasks);
 
-    /** Total nodes, including removed ones. */
-    size_t originalSize() const { return n_; }
-
     /** Nodes still present. */
     size_t size() const { return active_count_; }
     bool empty() const { return active_count_ == 0; }
@@ -71,35 +68,19 @@ class InterferenceGraph
     int maxDegree() const;
 
     /**
-     * All remaining nodes with the current maximum degree, in
-     * ascending index order (callers tie-break on this ordering).
-     */
-    std::vector<size_t> maxDegreeNodes() const;
-
-    /** maxDegreeNodes() into a caller-owned buffer (no allocation). */
-    void maxDegreeNodes(std::vector<size_t> &out) const;
-
-    /**
      * The stack-peel victim: the maximum-degree node with the largest
-     * bounding-box area, ties broken by smallest index. Equivalent to
-     * scanning maxDegreeNodes() for the largest area, without the
-     * copy and sort of materializing the bucket.
+     * bounding-box area, ties broken by smallest index. One scan of
+     * the maximum-degree bucket, whose order does not matter.
      */
     size_t peelPick(const std::vector<CxTask> &tasks) const;
 
     /** Remove node @p i, updating neighbour degrees. */
     void remove(size_t i);
 
-    /** Neighbours of @p i in the *original* graph (may include removed). */
-    std::vector<size_t> allNeighbors(size_t i) const;
-
     /** Remaining (non-removed) neighbours of @p i. */
     std::vector<size_t> activeNeighbors(size_t i) const;
 
-    /** Remaining nodes in index order. */
-    std::vector<size_t> activeNodes() const;
-
-    /** activeNodes() into a caller-owned buffer (no allocation). */
+    /** Remaining nodes in index order, into a caller-owned buffer. */
     void activeNodes(std::vector<size_t> &out) const;
 
     /**
@@ -135,10 +116,10 @@ class InterferenceGraph
     // d. A node's degree strictly decreases, so it appears at most
     // once per bucket and total bucket work is O(n + E) per peel.
     // live_count_[d] tracks the number of live entries exactly, so
-    // maxDegree() is an O(1) amortized bound walk and only
-    // maxDegreeNodes() ever touches bucket contents. Mutable: the
-    // max-degree queries are logically const but lower the cached
-    // bound and purge stale entries as they go.
+    // maxDegree() is an O(1) amortized bound walk and only peelPick()
+    // ever touches bucket contents. Mutable: the max-degree queries
+    // are logically const but lower the cached bound and purge stale
+    // entries as they go.
     mutable std::vector<std::vector<size_t>> buckets_;
     std::vector<size_t> live_count_;
     mutable int max_degree_bound_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <span>
 #include <utility>
 
 #include "common/error.hpp"
@@ -22,41 +23,7 @@ constexpr size_t kParallelTaskFloor = 16;
 StackPathFinder::StackPathFinder(const Grid &grid, int jobs)
     : grid_(&grid), jobs_(jobs < 1 ? 1 : jobs)
 {
-    scratch_.push_back(std::make_unique<RouteScratch>(grid));
-}
-
-void
-StackPathFinder::runStack(const std::vector<CxTask> &tasks,
-                          const BlockedBitset &blocked,
-                          InterferenceGraph &ig, RouteScratch &s,
-                          RoutingOutcome &out)
-{
-    // Stage 1-2: peel max-degree nodes onto the stack until maxdeg <= 2.
-    s.stack.clear();
-    while (ig.maxDegree() > 2) {
-        const size_t pick = ig.peelPick(tasks);
-        s.stack.push_back(pick);
-        ig.remove(pick);
-    }
-    AUTOBRAID_OBSERVE("route.stack_peeled",
-                      static_cast<double>(s.stack.size()));
-
-    // Stage 3: route the residual low-interference gates, smallest
-    // bounding box first so short-distance pairs consume local resources.
-    ig.activeNodes(s.order);
-    std::stable_sort(s.order.begin(), s.order.end(),
-                     [&tasks](size_t x, size_t y) {
-                         return tasks[x].bbox.area() < tasks[y].bbox.area();
-                     });
-
-    // Stage 4: then the stack, LIFO.
-    s.order.insert(s.order.end(), s.stack.rbegin(), s.stack.rend());
-    s.router.claim(blocked, s.order,
-                   [&](size_t idx, const BlockedBitset &mask) {
-                       return s.router.route(tasks[idx].a, tasks[idx].b,
-                                             mask);
-                   },
-                   out);
+    workers_.push_back(std::make_unique<Worker>(grid));
 }
 
 RoutingOutcome
@@ -78,108 +45,128 @@ StackPathFinder::findPaths(const std::vector<CxTask> &tasks,
     AUTOBRAID_OBSERVE("route.components",
                       static_cast<double>(ncomp));
 
+    // Stage 1-2: peel max-degree nodes onto the stack until maxdeg <= 2.
+    stack_.clear();
+    while (ig_.maxDegree() > 2) {
+        const size_t pick = ig_.peelPick(tasks);
+        stack_.push_back(pick);
+        ig_.remove(pick);
+    }
+    AUTOBRAID_OBSERVE("route.stack_peeled",
+                      static_cast<double>(stack_.size()));
+
+    // Stage 3: route the residual low-interference gates, smallest
+    // bounding box first so short-distance pairs consume local resources.
+    ig_.activeNodes(order_);
+    std::stable_sort(order_.begin(), order_.end(),
+                     [&tasks](size_t x, size_t y) {
+                         return tasks[x].bbox.area() < tasks[y].bbox.area();
+                     });
+
+    // Stage 4: then the stack, LIFO.
+    order_.insert(order_.end(), stack_.rbegin(), stack_.rend());
+
+    // Claim @p order's tasks with @p router against mask @p base into
+    // @p out, replacing what it held.
+    auto claim = [&tasks](AStarRouter &router, const BlockedBitset &base,
+                          std::span<const size_t> order,
+                          RoutingOutcome &out) {
+        out.routed.clear();
+        out.failed.clear();
+        router.claim(base, order,
+                     [&](size_t idx, const BlockedBitset &mask) {
+                         return router.route(tasks[idx].a, tasks[idx].b,
+                                             mask);
+                     },
+                     out);
+    };
     if (ncomp == 1) {
-        // One component: the global stack discipline IS the
-        // per-component one; route in place, no merge needed.
-        runStack(tasks, blocked, ig_, *scratch_[0], outcome);
-    } else {
-        // Gather members per component (components are numbered by
-        // smallest task index, members stay in ascending index order).
-        if (comp_members_.size() < ncomp)
-            comp_members_.resize(ncomp);
-        for (size_t c = 0; c < ncomp; ++c)
-            comp_members_[c].clear();
-        for (size_t i = 0; i < tasks.size(); ++i)
-            comp_members_[comp_id_[i]].push_back(i);
-        proposals_.resize(ncomp);
-
-        // Propose routes for one component against mask @p base: a
-        // pure function of (component, base), so it can run on any
-        // thread without changing the result.
-        auto route_comp = [&](size_t c, RouteScratch &s,
-                              const BlockedBitset &base,
-                              RoutingOutcome &p) {
-            s.comp_tasks.clear();
-            s.comp_index.clear();
-            for (const size_t i : comp_members_[c]) {
-                s.comp_index.push_back(i);
-                s.comp_tasks.push_back(tasks[i]);
-            }
-            p.routed.clear();
-            p.failed.clear();
-            s.ig.rebuild(s.comp_tasks);
-            runStack(s.comp_tasks, base, s.ig, s, p);
-            for (auto &rp : p.routed)
-                rp.first = s.comp_index[rp.first];
-            for (size_t &idx : p.failed)
-                idx = s.comp_index[idx];
-        };
-
-        size_t nworkers = 1;
-        if (jobs_ > 1 && tasks.size() >= kParallelTaskFloor)
-            nworkers = std::min<size_t>(static_cast<size_t>(jobs_), ncomp);
-        while (scratch_.size() < nworkers)
-            scratch_.push_back(std::make_unique<RouteScratch>(*grid_));
-
-        // Worker w proposes components w, w + nworkers, ...; the
-        // calling thread is worker 0. A worker keeps what it throws,
-        // the guard joins every spawned thread even when a spawn or
-        // worker 0 fails, and the lowest worker's throw is rethrown
-        // here once all have stopped.
-        auto work = [&](size_t w) {
-            RouteScratch &s = *scratch_[w];
-            try {
-                for (size_t c = w; c < ncomp; c += nworkers)
-                    route_comp(c, s, blocked, proposals_[c]);
-            } catch (...) {
-                s.error = std::current_exception();
-            }
-        };
-        {
-            JoinGuard guard;
-            guard.threads.reserve(nworkers - 1);
-            for (size_t w = 1; w < nworkers; ++w)
-                guard.threads.emplace_back(work, w);
-            work(0);
-        }
-        for (size_t w = 0; w < nworkers; ++w)
-            if (std::exception_ptr e =
-                    std::exchange(scratch_[w]->error, nullptr))
-                std::rethrow_exception(e);
-
-        // Merge in ascending component order. Proposals avoided the
-        // base mask but not each other, so a proposal vertex already
-        // set in merged_ is an accepted claim; when a later
-        // component's path crosses one, re-route that whole component
-        // against base + claims (still deterministic: the merge order
-        // and accumulated mask never depend on the worker count).
-        merged_ = blocked;
-        for (size_t c = 0; c < ncomp; ++c) {
-            RoutingOutcome &p = proposals_[c];
-            bool conflict = false;
-            for (const auto &rp : p.routed) {
-                for (const VertexId v : rp.second.vertices)
-                    if (merged_[v]) {
-                        conflict = true;
-                        break;
-                    }
-                if (conflict)
-                    break;
-            }
-            if (conflict) {
-                AUTOBRAID_COUNT("route.merge_repairs");
-                route_comp(c, *scratch_[0], merged_, p);
-            }
-            for (auto &rp : p.routed) {
-                for (const VertexId v : rp.second.vertices)
-                    merged_.set(static_cast<size_t>(v));
-                outcome.routed.push_back(std::move(rp));
-            }
-            for (const size_t idx : p.failed)
-                outcome.failed.push_back(idx);
-        }
+        claim(workers_[0]->router, blocked, order_, outcome);
+        return outcome;
     }
 
+    // Group the order by component in one counting pass that keeps
+    // the order within each: count, prefix-sum to each component's
+    // end, then fill backwards, leaving comp_start_[c] at c's start.
+    comp_start_.assign(ncomp + 1, 0);
+    for (const size_t i : order_)
+        ++comp_start_[comp_id_[i]];
+    for (size_t c = 1; c <= ncomp; ++c)
+        comp_start_[c] += comp_start_[c - 1];
+    by_comp_.resize(order_.size());
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it)
+        by_comp_[--comp_start_[comp_id_[*it]]] = *it;
+    auto slice = [this](size_t c) {
+        return std::span<const size_t>(by_comp_).subspan(
+            comp_start_[c], comp_start_[c + 1] - comp_start_[c]);
+    };
+    proposals_.resize(ncomp);
+
+    size_t nworkers = 1;
+    if (jobs_ > 1 && tasks.size() >= kParallelTaskFloor)
+        nworkers = std::min<size_t>(static_cast<size_t>(jobs_), ncomp);
+    while (workers_.size() < nworkers)
+        workers_.push_back(std::make_unique<Worker>(*grid_));
+
+    // Worker w proposes components w, w + nworkers, ... against the
+    // base mask, reporting into the caller's telemetry sink; the
+    // calling thread is worker 0. A worker keeps what it throws, the
+    // guard joins every spawned thread even when a spawn or worker 0
+    // fails, and the lowest worker's throw is rethrown here once all
+    // have stopped.
+    telemetry::Telemetry *const sink = telemetry::current();
+    auto work = [&](size_t w) {
+        Worker &worker = *workers_[w];
+        const telemetry::TelemetryScope scope(sink);
+        try {
+            for (size_t c = w; c < ncomp; c += nworkers)
+                claim(worker.router, blocked, slice(c), proposals_[c]);
+        } catch (...) {
+            worker.error = std::current_exception();
+        }
+    };
+    {
+        JoinGuard guard;
+        guard.threads.reserve(nworkers - 1);
+        for (size_t w = 1; w < nworkers; ++w)
+            guard.threads.emplace_back(work, w);
+        work(0);
+    }
+    for (size_t w = 0; w < nworkers; ++w)
+        if (std::exception_ptr e = std::exchange(workers_[w]->error, nullptr))
+            std::rethrow_exception(e);
+
+    // Merge in ascending component order. Proposals avoided the base
+    // mask but not each other, so a proposal vertex already set in
+    // merged_ is an accepted claim; when a later component's path
+    // crosses one, re-claim that component's slice against base +
+    // claims (still deterministic: the merge order and accumulated
+    // mask never depend on the worker count).
+    merged_ = blocked;
+    for (size_t c = 0; c < ncomp; ++c) {
+        RoutingOutcome &p = proposals_[c];
+        bool conflict = false;
+        for (const auto &rp : p.routed) {
+            for (const VertexId v : rp.second.vertices)
+                if (merged_[v]) {
+                    conflict = true;
+                    break;
+                }
+            if (conflict)
+                break;
+        }
+        if (conflict) {
+            AUTOBRAID_COUNT("route.merge_repairs");
+            claim(workers_[0]->router, merged_, slice(c), p);
+        }
+        for (auto &rp : p.routed) {
+            for (const VertexId v : rp.second.vertices)
+                merged_.set(static_cast<size_t>(v));
+            outcome.routed.push_back(std::move(rp));
+        }
+        for (const size_t idx : p.failed)
+            outcome.failed.push_back(idx);
+    }
     return outcome;
 }
 

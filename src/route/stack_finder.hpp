@@ -17,23 +17,27 @@
  * nested case of Theorem 2 (the enclosing, largest-area gate is routed
  * last).
  *
- * Connected components of the interference graph are natural
- * independent units: the peel is degree-local, so the stack discipline
- * applied to each component separately equals the global discipline
- * restricted to that component. The finder therefore routes each
- * component against the caller's base blocked mask (a pure function of
- * the component and the mask, so components may run on worker threads)
- * and merges the proposals in ascending component order. Paths may
- * stray outside their component's bounding boxes, so a later
- * component's proposal can collide with an earlier one's claims; the
- * merge detects that and re-routes the whole component against the
- * accumulated mask on the merging thread. Everything that affects the
- * result — component order, per-component routing, merge repair — is
- * independent of the worker count, so any `jobs` value produces
- * byte-identical outcomes.
+ * The finder peels the instant's one interference graph once and
+ * builds one routing order from it. Connected components of the graph
+ * only split the claim: each claims its slice of the order against the
+ * caller's base blocked mask (a pure function of the slice and the
+ * mask, so components may claim on worker threads), and the proposals
+ * merge in ascending component order. Each slice is the order the
+ * component's own peel would give: components share no edge, so a
+ * removal in one never changes a degree in another; the global pick
+ * (highest degree, then largest area, then smallest index) that falls
+ * in a component is that component's own pick; and a stable sort
+ * restricted to a subset keeps the subset's order. Paths may stray
+ * outside their component's bounding boxes, so a later component's
+ * proposal can collide with an earlier one's claims; the merge detects
+ * that and re-claims the component's slice against the accumulated
+ * mask on the merging thread. Nothing that affects the result depends
+ * on the worker count, so any `jobs` value produces byte-identical
+ * outcomes, and the workers report into the caller's telemetry sink,
+ * so its metrics do not depend on it either.
  *
  * All scratch state — the interference graph, the peel stack, the
- * routing order and the router's claim mask — persists across
+ * routing order and each router's claim mask — persists across
  * findPaths() calls, so the scheduler's routing inner loop is
  * allocation-free across dispatch instants.
  */
@@ -81,33 +85,15 @@ class StackPathFinder : public PathFinder
                              const BlockedBitset &blocked) override;
 
   private:
-    /** Per-thread routing scratch (router + peel buffers). */
-    struct RouteScratch
+    /** One routing worker: its router and what it threw. */
+    struct Worker
     {
-        explicit RouteScratch(const Grid &grid) : router(grid) {}
+        explicit Worker(const Grid &grid) : router(grid) {}
 
         AStarRouter router;
-        InterferenceGraph ig;
-        std::vector<size_t> stack;
-        /** Routing order: the residual, then the stack LIFO. */
-        std::vector<size_t> order;
-        /** Component's tasks, ascending global task index. */
-        std::vector<CxTask> comp_tasks;
-        /** Global task index per local task. */
-        std::vector<size_t> comp_index;
-        /** What this worker threw, rethrown after the join. */
+        /** Rethrown after the join. */
         std::exception_ptr error;
     };
-
-    /**
-     * Peel + route @p tasks (whose interference graph @p ig is already
-     * built) against @p blocked using scratch @p s, appending results
-     * to @p out by index into @p tasks.
-     */
-    static void runStack(const std::vector<CxTask> &tasks,
-                         const BlockedBitset &blocked,
-                         InterferenceGraph &ig,
-                         RouteScratch &s, RoutingOutcome &out);
 
     const Grid *grid_;
     int jobs_ = 1;
@@ -115,12 +101,18 @@ class StackPathFinder : public PathFinder
     // Persistent per-instant scratch, reused across findPaths calls.
     InterferenceGraph ig_;
     std::vector<size_t> comp_id_;
-    std::vector<std::vector<size_t>> comp_members_;
+    std::vector<size_t> stack_;
+    /** The routing order: the residual by area, then the stack LIFO. */
+    std::vector<size_t> order_;
+    /** order_ grouped by component, order kept within each; component
+     * c's slice is [comp_start_[c], comp_start_[c + 1]). */
+    std::vector<size_t> by_comp_;
+    std::vector<size_t> comp_start_;
     std::vector<RoutingOutcome> proposals_;
     /** Base mask merged with all accepted claims (merge phase). */
     BlockedBitset merged_;
-    /** scratch_[0] serves the calling thread; one more per worker. */
-    std::vector<std::unique_ptr<RouteScratch>> scratch_;
+    /** workers_[0] serves the calling thread; one more per thread. */
+    std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 } // namespace autobraid

@@ -99,11 +99,12 @@ struct SchedulerConfig
 
     /**
      * Worker threads for component-parallel routing: independent
-     * interference-graph components of one dispatch instant route
-     * concurrently in the stack finder. Any value >= 1 produces
-     * byte-identical schedules — the component order, per-component
-     * routing, and merge are worker-count-independent — so this is
-     * purely a wall-clock knob.
+     * interference-graph components of one dispatch instant claim
+     * their slices of the stack finder's one routing order
+     * concurrently. Any value >= 1 produces byte-identical schedules
+     * and metrics — the order, the per-component claims and the merge
+     * are worker-count-independent — so this is purely a wall-clock
+     * knob.
      */
     int route_jobs = 1;
 

@@ -633,6 +633,8 @@ checkRouteJobsDeterminism(const FuzzCase &c, unsigned mask, int jobs)
             opt.record_trace = true;
             opt.record_lifecycle = true;
             opt.route_jobs = route_jobs;
+            opt.telemetry.enabled = true;
+            opt.telemetry.spans = false;
             try {
                 report = compileCircuit(c.circuit, opt);
                 return true;
@@ -674,6 +676,9 @@ checkRouteJobsDeterminism(const FuzzCase &c, unsigned mask, int jobs)
         if (a.recording && b.recording &&
             a.recording->toJson() != b.recording->toJson())
             mismatch("flight recordings diverge");
+        if (serial.telemetry->metrics().toJson() !=
+            parallel.telemetry->metrics().toJson())
+            mismatch("metrics snapshots diverge");
     }
     return failures;
 }

@@ -123,13 +123,13 @@ std::vector<std::string> checkBatchDeterminism(const FuzzCase &c,
 
 /**
  * Compile the case's policy variants with route_jobs = 1 and with
- * route_jobs = @p jobs (trace and lifecycle recording on) and return
- * any schedule mismatches. Component-parallel routing promises
- * byte-identical schedules for every worker count, so the makespan,
- * the full trace (including routed paths), and the flight-recording
- * JSON must all agree exactly. Empty = deterministic. Note the
- * comparison is on schedules, not metricsSummary(): telemetry sinks
- * are thread-local, so worker-thread metrics intentionally differ.
+ * route_jobs = @p jobs (trace and lifecycle recording on, a
+ * metrics-only telemetry sink) and return any mismatches.
+ * Component-parallel routing promises byte-identical schedules for
+ * every worker count, and its workers report into the compile's sink,
+ * so the makespan, the full trace (including routed paths), the
+ * flight-recording JSON and the metrics snapshot must all agree
+ * exactly. Empty = deterministic.
  */
 std::vector<std::string>
 checkRouteJobsDeterminism(const FuzzCase &c, unsigned mask = kMaskAll,

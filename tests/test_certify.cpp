@@ -25,7 +25,6 @@
 #include "analysis/schedule_lints.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "common/rng.hpp"
 #include "common/text.hpp"
 #include "compiler/driver.hpp"
 #include "gen/registry.hpp"
@@ -528,11 +527,8 @@ exportedSchedule(const char *spec, SchedulerBackend backend,
     const Circuit circuit = gen::make(spec);
     CompileOptions opt;
     opt.backend = backend;
-    Rng rng(opt.seed ^ 0xdefecu);
-    opt.dead_vertices =
-        DefectMap::random(Grid::forQubits(circuit.numQubits()), defects,
-                          rng)
-            .deadVertices();
+    opt.dead_vertices = injectedDefects(
+        Grid::forQubits(circuit.numQubits()), defects, opt.seed);
     // One file per test: ctest runs the tests that call this at once.
     opt.schedule_out =
         ::testing::TempDir() + "ab_certify_anchor_" +

@@ -17,7 +17,6 @@
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "common/rng.hpp"
 #include "compiler/batch.hpp"
 #include "compiler/driver.hpp"
 #include "gen/registry.hpp"
@@ -120,9 +119,7 @@ TEST_P(RecorderLifecycle, HeatmapMatchesTrace)
         const Circuit circuit =
             gen::make(defects == 0 ? "im:12:3" : "qaoa:12");
         const Grid grid = Grid::forQubits(circuit.numQubits());
-        Rng rng(opt.seed ^ 0xdefecu);
-        opt.dead_vertices =
-            DefectMap::random(grid, defects, rng).deadVertices();
+        opt.dead_vertices = injectedDefects(grid, defects, opt.seed);
         const ScheduleResult r = compileCircuit(circuit, opt).result;
         ASSERT_NE(r.recording, nullptr) << defects;
         const telemetry::FlightRecording &rec = *r.recording;

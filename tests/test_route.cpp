@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -17,6 +19,8 @@
 #include "route/greedy_finder.hpp"
 #include "route/interference.hpp"
 #include "route/stack_finder.hpp"
+#include "stack_finder_reference.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace autobraid {
 namespace {
@@ -176,7 +180,8 @@ TEST(AStar, FloodCacheEndsWithItsClaim)
     const BlockedBitset wall = materializeBlocked(
         g, [&g](VertexId v) { return g.vertex(v).c == 2; });
     RoutingOutcome out;
-    router.claim(wall, {0},
+    const size_t order[] = {0};
+    router.claim(wall, order,
                  [&](size_t, const BlockedBitset &mask) {
                      return router.route(Cell{0, 0}, Cell{0, 2}, mask);
                  },
@@ -203,40 +208,27 @@ TEST(Interference, GraphConstruction)
     EXPECT_EQ(ig.maxDegree(), 1);
 }
 
-TEST(Interference, RemovalUpdatesDegrees)
-{
-    // Star: task 0 intersects all others.
-    std::vector<CxTask> tasks{
-        CxTask::make(0, Cell{0, 0}, Cell{9, 9}),
-        CxTask::make(1, Cell{1, 1}, Cell{2, 2}),
-        CxTask::make(2, Cell{5, 5}, Cell{6, 6}),
-        CxTask::make(3, Cell{8, 8}, Cell{9, 9}),
-    };
-    InterferenceGraph ig(tasks);
-    EXPECT_EQ(ig.degree(0), 3);
-    EXPECT_EQ(ig.maxDegreeNodes(), std::vector<size_t>{0});
-    ig.remove(0);
-    EXPECT_EQ(ig.size(), 3u);
-    EXPECT_TRUE(ig.removed(0));
-    EXPECT_EQ(ig.maxDegree(), 0);
-    EXPECT_EQ(ig.activeNodes(), (std::vector<size_t>{1, 2, 3}));
-    EXPECT_THROW(ig.remove(0), InternalError);
-}
-
 /**
  * Full-rescan reference for the peel queries, mirroring the original
- * implementation the bucket structure replaced. Fed the same removals,
- * it must agree with InterferenceGraph at every step.
+ * implementation the bucket structure replaced. It builds its own
+ * adjacency from BBox::intersects, so it shares nothing with the
+ * bitmap under test; fed the same removals, it must agree with
+ * InterferenceGraph at every step.
  */
 class NaivePeelReference
 {
   public:
-    explicit NaivePeelReference(const InterferenceGraph &ig)
-        : removed_(ig.originalSize(), 0)
+    explicit NaivePeelReference(const std::vector<CxTask> &tasks)
+        : tasks_(tasks), degree_(tasks.size(), 0),
+          removed_(tasks.size(), 0)
     {
-        for (size_t i = 0; i < ig.originalSize(); ++i)
-            degree_.push_back(ig.degree(i));
+        for (size_t i = 0; i < tasks.size(); ++i)
+            for (size_t j = 0; j < tasks.size(); ++j)
+                if (i != j && tasks[i].bbox.intersects(tasks[j].bbox))
+                    ++degree_[i];
     }
+
+    int degree(size_t i) const { return degree_[i]; }
 
     int
     maxDegree() const
@@ -248,6 +240,7 @@ class NaivePeelReference
         return best;
     }
 
+    /** Remaining max-degree nodes, ascending. */
     std::vector<size_t>
     maxDegreeNodes() const
     {
@@ -259,20 +252,64 @@ class NaivePeelReference
         return nodes;
     }
 
+    /** The max-degree node of largest area, smallest index on ties. */
+    size_t
+    peelPick() const
+    {
+        size_t pick = SIZE_MAX;
+        for (const size_t i : maxDegreeNodes())
+            if (pick == SIZE_MAX ||
+                tasks_[i].bbox.area() > tasks_[pick].bbox.area())
+                pick = i;
+        return pick;
+    }
+
     void
-    remove(size_t i, const InterferenceGraph &ig)
+    remove(size_t i)
     {
         removed_[i] = 1;
-        for (size_t n : ig.allNeighbors(i))
-            if (!removed_[n])
-                --degree_[n];
+        for (size_t j = 0; j < tasks_.size(); ++j)
+            if (j != i && !removed_[j] &&
+                tasks_[i].bbox.intersects(tasks_[j].bbox))
+                --degree_[j];
         degree_[i] = 0;
     }
 
   private:
+    const std::vector<CxTask> &tasks_;
     std::vector<int> degree_;
     std::vector<uint8_t> removed_;
 };
+
+TEST(Interference, RemovalUpdatesDegrees)
+{
+    // Star: task 0 intersects all others.
+    std::vector<CxTask> tasks{
+        CxTask::make(0, Cell{0, 0}, Cell{9, 9}),
+        CxTask::make(1, Cell{1, 1}, Cell{2, 2}),
+        CxTask::make(2, Cell{5, 5}, Cell{6, 6}),
+        CxTask::make(3, Cell{8, 8}, Cell{9, 9}),
+    };
+    InterferenceGraph ig(tasks);
+    NaivePeelReference ref(tasks);
+    EXPECT_EQ(ig.degree(0), 3);
+    EXPECT_EQ(ig.maxDegree(), ref.maxDegree());
+    EXPECT_EQ(ig.peelPick(tasks), 0u);
+    EXPECT_EQ(ref.peelPick(), 0u);
+    ig.remove(0);
+    ref.remove(0);
+    EXPECT_EQ(ig.size(), 3u);
+    EXPECT_TRUE(ig.removed(0));
+    EXPECT_EQ(ig.maxDegree(), 0);
+    EXPECT_EQ(ref.maxDegree(), 0);
+    // Every survivor has degree 0 and area 4: the smallest index wins.
+    EXPECT_EQ(ig.peelPick(tasks), 1u);
+    EXPECT_EQ(ref.peelPick(), 1u);
+    std::vector<size_t> active;
+    ig.activeNodes(active);
+    EXPECT_EQ(active, (std::vector<size_t>{1, 2, 3}));
+    EXPECT_THROW(ig.remove(0), InternalError);
+}
 
 /** Random disjoint-cell CX tasks on @p grid. */
 std::vector<CxTask>
@@ -296,53 +333,59 @@ randomLayer(const Grid &grid, int count, uint64_t seed)
 TEST(Interference, BucketPeelMatchesFullRescan)
 {
     // Peel every layer to the bottom, asserting the bucket structure
-    // reports the same max degree and the same ascending-index
-    // candidate set as the full rescan at every single step, for both
-    // tie-break ends of the candidate list.
+    // reports the same max degree and the same peel pick as the full
+    // rescan at every single step. Victims come in arbitrary order:
+    // alternately the reference's first and last max-degree node.
     Grid grid(12, 12);
     for (uint64_t seed : {1u, 7u, 42u, 1337u}) {
         for (int count : {4, 16, 48, 70}) {
             const auto tasks = randomLayer(grid, count, seed);
             InterferenceGraph ig(tasks);
-            NaivePeelReference ref(ig);
+            NaivePeelReference ref(tasks);
             bool pick_front = true;
             while (!ig.empty()) {
                 ASSERT_EQ(ig.maxDegree(), ref.maxDegree())
                     << "seed " << seed << " count " << count;
-                const auto got = ig.maxDegreeNodes();
-                ASSERT_EQ(got, ref.maxDegreeNodes())
+                ASSERT_EQ(ig.peelPick(tasks), ref.peelPick())
                     << "seed " << seed << " count " << count;
+                const auto candidates = ref.maxDegreeNodes();
                 const size_t victim =
-                    pick_front ? got.front() : got.back();
+                    pick_front ? candidates.front() : candidates.back();
                 pick_front = !pick_front;
                 ig.remove(victim);
-                ref.remove(victim, ig);
+                ref.remove(victim);
             }
             EXPECT_EQ(ig.maxDegree(), 0);
-            EXPECT_TRUE(ig.maxDegreeNodes().empty());
+            EXPECT_TRUE(ref.maxDegreeNodes().empty());
         }
     }
 }
 
 TEST(Interference, BucketQueriesInterleavedWithPartialPeel)
 {
-    // The stack finder stops peeling at maxDegree() <= 2 and then
-    // queries degrees/neighbours of the residue; make sure a partial
-    // peel leaves consistent state.
+    // The stack finder peels with peelPick() until maxDegree() <= 2
+    // and then reads the residue; make sure a partial peel leaves
+    // consistent state.
     Grid grid(10, 10);
     const auto tasks = randomLayer(grid, 40, 99);
     InterferenceGraph ig(tasks);
-    NaivePeelReference ref(ig);
+    NaivePeelReference ref(tasks);
     while (ig.maxDegree() > 2) {
-        const size_t victim = ig.maxDegreeNodes().front();
+        const size_t victim = ig.peelPick(tasks);
+        ASSERT_EQ(victim, ref.peelPick());
         ig.remove(victim);
-        ref.remove(victim, ig);
+        ref.remove(victim);
     }
     EXPECT_LE(ig.maxDegree(), 2);
     EXPECT_EQ(ig.maxDegree(), ref.maxDegree());
-    EXPECT_EQ(ig.maxDegreeNodes(), ref.maxDegreeNodes());
-    for (size_t n : ig.activeNodes())
+    EXPECT_EQ(ig.peelPick(tasks), ref.peelPick());
+    std::vector<size_t> active;
+    ig.activeNodes(active);
+    EXPECT_FALSE(active.empty());
+    for (size_t n : active) {
         EXPECT_LE(ig.degree(n), 2);
+        EXPECT_EQ(ig.degree(n), ref.degree(n));
+    }
 }
 
 TEST(StackFinder, EmptyAndSingle)
@@ -514,6 +557,130 @@ TEST(StackFinder, ComponentClustersRouteIdenticallyAcrossJobs)
         StackPathFinder finder(g, jobs);
         expectSameOutcome(seq, finder.findPaths(tasks, freeMask(g)));
     }
+}
+
+/** One seeded finder input: tasks on distinct cells, a blocked mask. */
+struct FinderInstance
+{
+    std::vector<CxTask> tasks;
+    BlockedBitset blocked;
+};
+
+/**
+ * Up to @p count tasks on distinct cells of @p grid, each pairing a
+ * random cell with one at most @p radius rows and columns away (local
+ * traffic, many interference components) or, for radius 0, with any
+ * cell (global traffic); each vertex is blocked with probability
+ * @p density.
+ */
+FinderInstance
+finderInstance(const Grid &grid, int count, int radius, double density,
+               uint64_t seed)
+{
+    Rng rng(seed);
+    FinderInstance inst{
+        {}, BlockedBitset(static_cast<size_t>(grid.numVertices()))};
+    std::vector<uint8_t> used(static_cast<size_t>(grid.numCells()), 0);
+    auto randomCell = [&] {
+        return Cell{rng.intIn(0, grid.rows() - 1),
+                    rng.intIn(0, grid.cols() - 1)};
+    };
+    for (int attempt = 0;
+         attempt < 50 * count &&
+         static_cast<int>(inst.tasks.size()) < count;
+         ++attempt) {
+        const Cell a = randomCell();
+        const Cell b =
+            radius == 0
+                ? randomCell()
+                : Cell{std::clamp(a.r + rng.intIn(-radius, radius), 0,
+                                  grid.rows() - 1),
+                       std::clamp(a.c + rng.intIn(-radius, radius), 0,
+                                  grid.cols() - 1)};
+        const auto ia = static_cast<size_t>(grid.cid(a));
+        const auto ib = static_cast<size_t>(grid.cid(b));
+        if (a == b || used[ia] || used[ib])
+            continue;
+        used[ia] = used[ib] = 1;
+        inst.tasks.push_back(CxTask::make(
+            static_cast<GateIdx>(inst.tasks.size()), a, b));
+    }
+    for (size_t v = 0; v < inst.blocked.size(); ++v)
+        if (rng.chance(density))
+            inst.blocked.set(v);
+    return inst;
+}
+
+TEST(StackFinder, MatchesReference)
+{
+    // The finder peels each instant once and splits only the claim by
+    // component; the reference peels every component's own graph. Both
+    // must route the same tasks on the same paths in the same order
+    // and fail the same tasks, at every worker count, on small and
+    // wide lattices, local and global traffic, and blocked densities
+    // from none to 30%. One finder per lattice and worker count serves
+    // every instance, as the scheduler reuses one across instants. A
+    // metrics sink shows that the inputs reach multi-component
+    // instants and merge repairs.
+    telemetry::Telemetry sink(telemetry::TelemetryOptions{true, false});
+    const telemetry::TelemetryScope scope(&sink);
+    struct Lattice
+    {
+        int side;
+        int radius; ///< local-traffic reach
+        std::vector<int> counts;
+    };
+    const Lattice lattices[] = {{12, 2, {1, 9, 30, 60}},
+                                {100, 3, {1, 40, 300, 1000}}};
+    uint64_t seed = 0x5f1d'2026ULL;
+    for (const Lattice &lat : lattices) {
+        const Grid g(lat.side, lat.side);
+        reference::StackPathFinder ref(g);
+        std::vector<StackPathFinder> finders;
+        for (const int jobs : {1, 3, 8})
+            finders.emplace_back(g, jobs);
+        for (const int count : lat.counts)
+            for (const int radius : {lat.radius, 0})
+                for (const double density : {0.0, 0.05, 0.15, 0.30}) {
+                    const FinderInstance inst = finderInstance(
+                        g, count, radius, density, ++seed);
+                    SCOPED_TRACE(::testing::Message()
+                                 << "side " << lat.side << " tasks "
+                                 << inst.tasks.size() << " radius "
+                                 << radius << " density " << density);
+                    const RoutingOutcome want =
+                        ref.findPaths(inst.tasks, inst.blocked);
+                    for (StackPathFinder &finder : finders)
+                        expectSameOutcome(
+                            want,
+                            finder.findPaths(inst.tasks, inst.blocked));
+                }
+    }
+    EXPECT_GT(sink.metrics().histogram("route.components").max, 100.0);
+    EXPECT_GT(sink.metrics().counter("route.merge_repairs"), 0);
+}
+
+TEST(StackFinder, WorkerMetricsMatchAcrossJobs)
+{
+    // Routing workers report into the caller's telemetry sink, so one
+    // wide multi-component instant leaves the same metrics snapshot at
+    // any worker count.
+    const Grid g(100, 100);
+    const FinderInstance inst = finderInstance(g, 400, 3, 0.05, 11);
+    std::vector<std::string> snapshots;
+    for (const int jobs : {1, 8}) {
+        telemetry::Telemetry sink(telemetry::TelemetryOptions{true, false});
+        {
+            const telemetry::TelemetryScope scope(&sink);
+            StackPathFinder finder(g, jobs);
+            finder.findPaths(inst.tasks, inst.blocked);
+        }
+        ASSERT_GT(sink.metrics().histogram("route.components").max, 1.0);
+        ASSERT_GT(sink.metrics().histogram("route.astar_nodes").count,
+                  inst.tasks.size() / 2);
+        snapshots.push_back(sink.metrics().toJson());
+    }
+    EXPECT_EQ(snapshots[0], snapshots[1]);
 }
 
 TEST(GreedyFinder, DistanceOrderRoutesShortFirst)

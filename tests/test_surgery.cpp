@@ -235,9 +235,7 @@ TEST(SurgeryCompile, ToleratesLatticeDefects)
     const Circuit c = gen::make("qft:9");
     CompileOptions opt = surgeryOptions();
     const Grid grid = Grid::forQubits(c.numQubits());
-    Rng rng(opt.seed ^ 0xdefecu);
-    opt.dead_vertices =
-        DefectMap::random(grid, 3, rng).deadVertices();
+    opt.dead_vertices = injectedDefects(grid, 3, opt.seed);
     const CompileReport report = compileCircuit(c, opt);
     EXPECT_TRUE(report.result.valid);
     EXPECT_EQ(report.result.gates_scheduled, c.size());

@@ -76,6 +76,7 @@
 #include "common/parse.hpp"
 #include "common/text.hpp"
 #include "gen/registry.hpp"
+#include "lattice/defects.hpp"
 #include "place/initial.hpp"
 #include "compiler/batch.hpp"
 #include "compiler/driver.hpp"
@@ -303,11 +304,9 @@ runOne(const CliOptions &opts, const std::string &input,
     compile.record_lifecycle = !opts.record_out.empty();
 
     if (opts.defects > 0) {
-        const Grid grid = Grid::forQubits(circuit.numQubits());
-        Rng rng(compile.seed ^ 0xdefecu);
         compile.dead_vertices =
-            DefectMap::random(grid, opts.defects, rng)
-                .deadVertices();
+            injectedDefects(Grid::forQubits(circuit.numQubits()),
+                            opts.defects, compile.seed);
         std::fprintf(stderr, "injected %zu lattice defects\n",
                      compile.dead_vertices.size());
     }

@@ -227,13 +227,10 @@ lintInput(const LintCliOptions &opts, const std::string &input,
     // invariant-respecting sets, so the structural layout lints
     // (AB201/AB203) can only ever fire on an explicit list.
     std::vector<VertexId> dead = opts.dead;
-    if (opts.defects > 0) {
-        Rng defect_rng(opts.compile.seed ^ 0xdefecu);
+    if (opts.defects > 0)
         for (VertexId v :
-             DefectMap::random(grid, opts.defects, defect_rng)
-                 .deadVertices())
+             injectedDefects(grid, opts.defects, opts.compile.seed))
             dead.push_back(v);
-    }
 
     Rng rng(opts.compile.seed);
     const Placement placement = initialPlacement(
