@@ -1,9 +1,10 @@
 /**
  * @file
- * Micro-benchmarks (google-benchmark) for the hot kernels: A* routing,
- * interference-graph construction, the stack-based finder on random
- * concurrent layers, LLG computation, DAG construction, the annealer
- * objective, and the JSON readers: certifying a schedule export from
+ * Micro-benchmarks (google-benchmark) for the hot kernels: A* routing
+ * (a path found, and a query that fails after flooding its region),
+ * interference-graph construction and peel, the stack-based finder on
+ * random concurrent layers, LLG computation, DAG construction, the
+ * annealer objective, and the JSON readers: certifying a schedule export from
  * its text, decoding a recording, and parsing a serve request.
  */
 
@@ -28,6 +29,7 @@
 #include "route/stack_finder.hpp"
 #include "sched/schedule_export.hpp"
 #include "telemetry/recorder.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -52,6 +54,20 @@ randomTasks(const Grid &grid, int count, uint64_t seed)
     return tasks;
 }
 
+/**
+ * The vertices one route() call expands or, when it fails, floods:
+ * the route.astar_nodes observation of one query under a sink.
+ */
+double
+routeWork(AStarRouter &router, const Cell &src, const Cell &dst,
+          const BlockedBitset &blocked)
+{
+    telemetry::Telemetry sink;
+    telemetry::TelemetryScope scope(&sink);
+    router.route(src, dst, blocked);
+    return sink.metrics().histogram("route.astar_nodes").sum;
+}
+
 void
 BM_AStarRoute(benchmark::State &state)
 {
@@ -59,13 +75,38 @@ BM_AStarRoute(benchmark::State &state)
     Grid grid(side, side);
     AStarRouter router(grid);
     const auto free = noBlockedVertices(grid);
+    const Cell src{0, 0}, dst{side - 1, side - 1};
+    state.counters["expanded"] = routeWork(router, src, dst, free);
     for (auto _ : state) {
-        auto p = router.route(Cell{0, 0}, Cell{side - 1, side - 1},
-                              free);
+        auto p = router.route(src, dst, free);
         benchmark::DoNotOptimize(p);
     }
 }
 BENCHMARK(BM_AStarRoute)->Arg(10)->Arg(23)->Arg(45);
+
+void
+BM_AStarFailedQuery(benchmark::State &state)
+{
+    // A query that cannot succeed: a wall of blocked vertices along
+    // vertex row and column side / 2 pens the source tile (0, 0) into
+    // the top-left quarter, so route() floods that pocket and fails.
+    const int side = static_cast<int>(state.range(0));
+    Grid grid(side, side);
+    AStarRouter router(grid);
+    const int wall = side / 2;
+    const auto blocked = materializeBlocked(grid, [&](VertexId v) {
+        const Vertex p = grid.vertex(v);
+        return (p.r == wall && p.c <= wall) ||
+               (p.c == wall && p.r <= wall);
+    });
+    const Cell src{0, 0}, dst{side - 1, side - 1};
+    state.counters["flooded"] = routeWork(router, src, dst, blocked);
+    for (auto _ : state) {
+        auto p = router.route(src, dst, blocked);
+        benchmark::DoNotOptimize(p);
+    }
+}
+BENCHMARK(BM_AStarFailedQuery)->Arg(10)->Arg(45);
 
 void
 BM_StackFinderLayer(benchmark::State &state)
@@ -219,17 +260,42 @@ BM_InterferenceGraphBuild(benchmark::State &state)
 }
 BENCHMARK(BM_InterferenceGraphBuild)->Arg(64)->Arg(256);
 
+/** The Ising chains' peel case: one snake-neighbour instant. */
+constexpr int kChainTasks = 2211;
+
+/**
+ * kChainTasks tasks pairing consecutive tiles of the boustrophedon
+ * order over a 67x67 grid, what an im:4422 layer asks for: one
+ * component of area-2 boxes, full of equal-area ties.
+ */
+std::vector<CxTask>
+snakeChainTasks()
+{
+    const int side = 67;
+    auto tile = [side](int k) {
+        const int r = k / side;
+        const int c = k % side;
+        return Cell{r, r % 2 == 0 ? c : side - 1 - c};
+    };
+    std::vector<CxTask> tasks;
+    for (int i = 0; i < kChainTasks; ++i)
+        tasks.push_back(CxTask::make(static_cast<GateIdx>(i),
+                                     tile(2 * i), tile(2 * i + 1)));
+    return tasks;
+}
+
 void
 BM_InterferencePeel(benchmark::State &state)
 {
     // The stack finder's peel loop in isolation: remove the peelPick()
-    // victim until the residue has degree <= 2. Buckets in remove()
-    // make this near-linear; the old full-rescan version was quadratic
-    // on dense layers (see docs/benchmarks.md).
-    Grid grid(64, 64);
-    const auto tasks = randomTasks(
-        grid, static_cast<int>(state.range(0)), 7);
+    // victim until the residue has degree <= 2. Random layers on 64x64,
+    // or the snake chain for kChainTasks; see docs/benchmarks.md.
+    const int n = static_cast<int>(state.range(0));
+    const auto tasks = n == kChainTasks
+                           ? snakeChainTasks()
+                           : randomTasks(Grid(64, 64), n, 7);
     const InterferenceGraph base(tasks);
+    int64_t picks = 0;
     for (auto _ : state) {
         // Copying a pre-built graph outside the timed region isolates
         // the peel from both the O(n^2) bbox construction (covered by
@@ -237,12 +303,20 @@ BM_InterferencePeel(benchmark::State &state)
         state.PauseTiming();
         InterferenceGraph ig = base;
         state.ResumeTiming();
-        while (ig.maxDegree() > 2)
-            ig.remove(ig.peelPick(tasks));
+        picks = 0;
+        while (ig.maxDegree() > 2) {
+            ig.remove(ig.peelPick());
+            ++picks;
+        }
         benchmark::DoNotOptimize(ig);
     }
+    state.counters["picks"] = static_cast<double>(picks);
 }
-BENCHMARK(BM_InterferencePeel)->Arg(64)->Arg(256)->Arg(1000);
+BENCHMARK(BM_InterferencePeel)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1000)
+    ->Arg(kChainTasks);
 
 void
 BM_DagBuild(benchmark::State &state)

@@ -101,12 +101,12 @@ Dag::criticality(const DurationFn &dur) const
 
 ReadyFront::ReadyFront(const Dag &dag)
     : dag_(&dag),
-      pending_preds_(dag.size()),
+      preds_or_slot_(dag.size()),
       state_(dag.size(), 0)
 {
     for (GateIdx g = 0; g < dag.size(); ++g) {
-        pending_preds_[g] = dag.preds(g).size();
-        if (pending_preds_[g] == 0)
+        preds_or_slot_[g] = dag.preds(g).size();
+        if (preds_or_slot_[g] == 0)
             makeReady(g);
     }
 }
@@ -115,6 +115,7 @@ void
 ReadyFront::makeReady(GateIdx g)
 {
     state_[g] = 1;
+    preds_or_slot_[g] = ready_.size();
     ready_.push_back(g);
 }
 
@@ -124,9 +125,11 @@ ReadyFront::issue(GateIdx g)
     require(g < state_.size() && state_[g] == 1,
             "ReadyFront::issue on a gate that is not ready");
     state_[g] = 2;
-    auto it = std::find(ready_.begin(), ready_.end(), g);
-    require(it != ready_.end(), "ReadyFront: ready set out of sync");
-    *it = ready_.back();
+    // Move the last ready gate into g's slot.
+    const size_t slot = preds_or_slot_[g];
+    const GateIdx last = ready_.back();
+    ready_[slot] = last;
+    preds_or_slot_[last] = slot;
     ready_.pop_back();
 }
 
@@ -138,8 +141,9 @@ ReadyFront::retire(GateIdx g)
     state_[g] = 3;
     ++retired_count_;
     for (GateIdx s : dag_->succs(g)) {
-        require(pending_preds_[s] > 0, "ReadyFront: predecessor underflow");
-        if (--pending_preds_[s] == 0)
+        require(state_[s] == 0 && preds_or_slot_[s] > 0,
+                "ReadyFront: predecessor underflow");
+        if (--preds_or_slot_[s] == 0)
             makeReady(s);
     }
 }

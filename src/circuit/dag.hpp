@@ -110,7 +110,10 @@ class ReadyFront
 
   private:
     const Dag *dag_;
-    std::vector<size_t> pending_preds_;
+    // While gate g waits: its predecessors not yet retired. While it
+    // is ready: its position in ready_, so issue() moves the last
+    // entry into that slot without a search.
+    std::vector<size_t> preds_or_slot_;
     std::vector<uint8_t> state_; // 0 = waiting, 1 = ready, 2 = issued,
                                  // 3 = retired
     std::vector<GateIdx> ready_;

@@ -9,6 +9,15 @@
  * consumed; the heuristic is the minimum Manhattan distance to any target
  * corner, which is admissible, so returned paths consume the minimum
  * number of free vertices.
+ *
+ * Most queries of a compile fail, so a query first asks whether it can
+ * succeed at all: a depth-first flood from the usable free source
+ * corners, on a plain stack, stops at the first usable target corner it
+ * reaches. Only then does the A* run. The heuristic is consistent (each
+ * corner's Manhattan distance changes by at most one per step), so a
+ * failed A* would have expanded every vertex of the sources' free
+ * region exactly once and nothing else: the flood visits that same set,
+ * and a miss reports its size as the A* expansions it stood for.
  */
 
 #ifndef AUTOBRAID_ROUTE_ASTAR_HPP
@@ -17,7 +26,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -44,8 +52,10 @@ BlockedBitset noBlockedVertices(const Grid &grid);
 
 /**
  * Reusable A* router. Scratch buffers (visit stamps, distances,
- * parents, and the open list) are owned by the instance and stamped
- * per query, so repeated route() calls do not allocate.
+ * parents, the flood's list and stack, and the open list) are owned by
+ * the instance and stamped per query, so repeated route() calls do not
+ * allocate. The stamp advances once for the flood and once more for a
+ * search, and wraps by clearing the stamps.
  */
 class AStarRouter
 {
@@ -127,14 +137,28 @@ class AStarRouter
     const Grid &grid() const { return *grid_; }
 
   private:
-    /** (f, g, vertex) open-list entry; see route() for the ordering. */
-    using OpenEntry = std::tuple<int32_t, int32_t, VertexId>;
+    /**
+     * Open-list entry. The key packs f into its high 32 bits and
+     * UINT32_MAX - g into its low 32 bits, so the smaller key expands
+     * first: smaller f, then larger g (keeps the frontier tight).
+     */
+    struct OpenEntry
+    {
+        uint64_t key;
+        VertexId v;
+    };
 
     const Grid *grid_;
+    int rows_;  // tile rows; vertex rows run 0..rows_
+    int cols_;  // tile columns; vertex columns run 0..cols_
+    int vcols_; // vertex columns, the row stride of a vertex id
     uint32_t stamp_ = 0;
     std::vector<uint32_t> seen_;    // stamp when visited this query
     std::vector<int32_t> dist_;
     std::vector<VertexId> parent_;
+    std::vector<Vertex> coord_;     // (row, column) of each vertex id
+    std::vector<VertexId> flood_;   // vertices the flood visited
+    std::vector<VertexId> stack_;   // the flood's depth-first stack
     std::vector<OpenEntry> open_;   // binary-heap storage, reused
     BlockedBitset claimed_;         // claim(): blocked + claimed so far
     // Failed-flood region cache, on only inside claim().
@@ -145,6 +169,42 @@ class AStarRouter
 
     /** Turn the failed-flood cache on with no region stamped. */
     void beginFloodCache();
+
+    /** The next visit stamp; clears every stamp when it would wrap. */
+    uint32_t nextStamp();
+
+    /** Id of corner @p i (NW, NE, SW, SE) of tile @p cell. */
+    VertexId
+    cornerId(const Cell &cell, int i) const
+    {
+        return (cell.r + (i >> 1)) * vcols_ + cell.c + (i & 1);
+    }
+
+    /**
+     * True when the failed-flood cache proves the query cannot
+     * succeed: every usable free source corner sits in a region a
+     * failed flood of this claim explored, and no usable free target
+     * corner carries one of those regions' stamps.
+     */
+    bool regionCacheRejects(const Cell &src, const Cell &dst,
+                            const BlockedBitset &blocked,
+                            unsigned src_corners,
+                            unsigned dst_corners) const;
+
+    /**
+     * Flood the free region of the usable source corners depth-first,
+     * trying moves toward @p dst first. Returns true at the first
+     * usable free target corner it visits; otherwise flood_ ends up
+     * holding exactly the region.
+     */
+    bool floodReaches(const Cell &src, const Cell &dst,
+                      const BlockedBitset &blocked, unsigned src_corners,
+                      unsigned dst_corners);
+
+    /** The A* proper, run once floodReaches() has found a target. */
+    Path search(const Cell &src, const Cell &dst,
+                const BlockedBitset &blocked, unsigned src_corners,
+                unsigned dst_corners);
 };
 
 } // namespace autobraid

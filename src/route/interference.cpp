@@ -51,6 +51,7 @@ InterferenceGraph::rebuild(const std::vector<CxTask> &tasks)
     stride_ = (n + 63) / 64;
     rows_.resize(n * stride_);
     degree_.assign(n, 0);
+    area_.resize(n);
     removed_.assign(n, 0);
     active_count_ = n;
     active_.assign(stride_, ~uint64_t{0});
@@ -66,6 +67,7 @@ InterferenceGraph::rebuild(const std::vector<CxTask> &tasks)
     cmax_.resize(n);
     for (size_t i = 0; i < n; ++i) {
         const BBox &b = tasks[i].bbox;
+        area_[i] = b.area();
         if (b.empty()) {
             rmin_[i] = INT_MAX;
             rmax_[i] = INT_MIN;
@@ -114,32 +116,44 @@ InterferenceGraph::rebuild(const std::vector<CxTask> &tasks)
         degree_[i] = deg;
     }
 
+    // Rank the nodes by (area descending, index ascending) and file
+    // each rank under its node's degree.
+    by_rank_.resize(n);
+    for (size_t i = 0; i < n; ++i)
+        by_rank_[i] = i;
+    std::sort(by_rank_.begin(), by_rank_.end(),
+              [this](size_t x, size_t y) {
+                  return area_[x] != area_[y] ? area_[x] > area_[y]
+                                              : x < y;
+              });
+    rank_.resize(n);
+    for (size_t k = 0; k < n; ++k)
+        rank_[by_rank_[k]] = k;
     max_degree_bound_ = 0;
     for (size_t i = 0; i < n; ++i)
         max_degree_bound_ = std::max(max_degree_bound_, degree_[i]);
-    for (auto &bucket : buckets_)
-        bucket.clear();
-    if (buckets_.size() < static_cast<size_t>(max_degree_bound_) + 1)
-        buckets_.resize(static_cast<size_t>(max_degree_bound_) + 1);
-    live_count_.assign(buckets_.size(), 0);
+    const auto levels = static_cast<size_t>(max_degree_bound_) + 1;
+    buckets_.assign(levels * stride_, 0);
+    live_count_.assign(levels, 0);
     for (size_t i = 0; i < n; ++i) {
-        buckets_[static_cast<size_t>(degree_[i])].push_back(i);
-        ++live_count_[static_cast<size_t>(degree_[i])];
+        const auto d = static_cast<size_t>(degree_[i]);
+        buckets_[d * stride_ + (rank_[i] >> 6)] |=
+            uint64_t{1} << (rank_[i] & 63u);
+        ++live_count_[d];
     }
 }
 
 void
-InterferenceGraph::compactBucket(int d) const
+InterferenceGraph::moveBucket(size_t i, int from, int to)
 {
-    std::vector<size_t> &b = buckets_[static_cast<size_t>(d)];
-    if (b.size() == live_count_[static_cast<size_t>(d)])
-        return; // nothing stale
-    b.erase(std::remove_if(b.begin(), b.end(),
-                           [this, d](size_t n) {
-                               return removed_[n] != 0 ||
-                                      degree_[n] != d;
-                           }),
-            b.end());
+    const size_t word = rank_[i] >> 6;
+    const uint64_t bit = uint64_t{1} << (rank_[i] & 63u);
+    buckets_[static_cast<size_t>(from) * stride_ + word] &= ~bit;
+    --live_count_[static_cast<size_t>(from)];
+    if (to < 0)
+        return;
+    buckets_[static_cast<size_t>(to) * stride_ + word] |= bit;
+    ++live_count_[static_cast<size_t>(to)];
 }
 
 int
@@ -152,26 +166,15 @@ InterferenceGraph::maxDegree() const
 }
 
 size_t
-InterferenceGraph::peelPick(const std::vector<CxTask> &tasks) const
+InterferenceGraph::peelPick() const
 {
-    const int best = maxDegree();
-    compactBucket(best);
-    const std::vector<size_t> &bucket =
-        buckets_[static_cast<size_t>(best)];
-    require(!bucket.empty(), "InterferenceGraph::peelPick: empty graph");
-    // (max area, min index) over the bucket is independent of bucket
-    // order, so no sort is needed.
-    size_t pick = bucket.front();
-    long pick_area = tasks[pick].bbox.area();
-    for (const size_t node : bucket) {
-        const long area = tasks[node].bbox.area();
-        if (area > pick_area ||
-            (area == pick_area && node < pick)) {
-            pick = node;
-            pick_area = area;
-        }
-    }
-    return pick;
+    require(active_count_ > 0, "InterferenceGraph::peelPick: empty graph");
+    const uint64_t *bucket =
+        buckets_.data() + static_cast<size_t>(maxDegree()) * stride_;
+    size_t w = 0;
+    while (bucket[w] == 0)
+        ++w;
+    return by_rank_[w * 64 + static_cast<size_t>(ctz64(bucket[w]))];
 }
 
 void
@@ -182,7 +185,7 @@ InterferenceGraph::remove(size_t i)
     removed_[i] = 1;
     --active_count_;
     active_[i >> 6] &= ~(uint64_t{1} << (i & 63u));
-    --live_count_[static_cast<size_t>(degree_[i])];
+    moveBucket(i, degree_[i], -1);
     const uint64_t *row = rows_.data() + i * stride_;
     for (size_t w = 0; w < stride_; ++w) {
         uint64_t m = row[w] & active_[w];
@@ -190,10 +193,8 @@ InterferenceGraph::remove(size_t i)
             const size_t nb =
                 w * 64 + static_cast<size_t>(ctz64(m));
             m &= m - 1;
-            --live_count_[static_cast<size_t>(degree_[nb])];
+            moveBucket(nb, degree_[nb], degree_[nb] - 1);
             --degree_[nb];
-            buckets_[static_cast<size_t>(degree_[nb])].push_back(nb);
-            ++live_count_[static_cast<size_t>(degree_[nb])];
         }
     }
     degree_[i] = 0;

@@ -16,14 +16,16 @@
  * layers) are exactly where edge lists blow up — half a million list
  * entries for a 1000-gate instant versus a 125 KB bitmap.
  *
- * Degrees only ever decrease after construction, so the maximum-degree
- * queries are served from per-degree buckets with lazy deletion: each
- * degree decrement appends the node to its new bucket, stale entries
- * are skipped when a bucket is drained, and the max-degree bound only
- * moves downward. That makes a full peel O(n + E) in bucket work where
- * the previous implementation rescanned every node per removal
- * (quadratic on the dense all-to-all layers the Maslov fallback
- * targets).
+ * Degrees only ever decrease after construction, so the peel is served
+ * from per-degree bitsets over a fixed rank order. rebuild() ranks the
+ * nodes once by (area descending, index ascending); bucket d holds one
+ * bit per rank, set while that rank's node remains at degree d. The
+ * peel victim (highest degree, then largest area, then smallest index)
+ * is then the first set bit of the top bucket, found in O(n/64) words,
+ * and each removal moves every live neighbour's bit down one bucket.
+ * Live counts per degree keep maxDegree() an amortized O(1) walk of a
+ * bound that only moves downward. Memory is one more n-bit row per
+ * degree up to the initial maximum, at most the size of the adjacency.
  */
 
 #ifndef AUTOBRAID_ROUTE_INTERFERENCE_HPP
@@ -48,9 +50,10 @@ class InterferenceGraph
     explicit InterferenceGraph(const std::vector<CxTask> &tasks);
 
     /**
-     * Rebuild the graph over @p tasks in place, reusing the bitmap and
-     * bucket buffers from previous builds so a finder that runs once
-     * per dispatch instant does not reallocate in steady state.
+     * Rebuild the graph over @p tasks in place, reusing the bitmap,
+     * rank and bucket buffers from previous builds so a finder that
+     * runs once per dispatch instant does not reallocate in steady
+     * state.
      */
     void rebuild(const std::vector<CxTask> &tasks);
 
@@ -64,15 +67,18 @@ class InterferenceGraph
     /** Current degree of node @p i (edges to non-removed nodes only). */
     int degree(size_t i) const { return degree_[i]; }
 
+    /** Bounding-box area of node @p i's task (0 for an empty box). */
+    long area(size_t i) const { return area_[i]; }
+
     /** Largest degree among remaining nodes (0 when empty). */
     int maxDegree() const;
 
     /**
      * The stack-peel victim: the maximum-degree node with the largest
-     * bounding-box area, ties broken by smallest index. One scan of
-     * the maximum-degree bucket, whose order does not matter.
+     * bounding-box area, ties broken by smallest index. It is the
+     * lowest rank set in the maximum-degree bucket.
      */
-    size_t peelPick(const std::vector<CxTask> &tasks) const;
+    size_t peelPick() const;
 
     /** Remove node @p i, updating neighbour degrees. */
     void remove(size_t i);
@@ -94,14 +100,12 @@ class InterferenceGraph
     size_t components(std::vector<size_t> &comp_id) const;
 
   private:
-    /** Drop stale entries from bucket @p d (lazy-deletion sweep). */
-    void compactBucket(int d) const;
-
     size_t n_ = 0;
     size_t stride_ = 0;              ///< words per adjacency row
     std::vector<uint64_t> rows_;     ///< n_ rows x stride_ words
     std::vector<uint64_t> active_;   ///< bit i set while node i remains
     std::vector<int> degree_;
+    std::vector<long> area_;
     std::vector<uint8_t> removed_;
     size_t active_count_ = 0;
     // Flat bbox coordinates (SoA) so the rebuild pair tests vectorize;
@@ -111,18 +115,22 @@ class InterferenceGraph
     // components() scratch (logically const query).
     mutable std::vector<uint64_t> unvisited_;
     mutable std::vector<size_t> bfs_;
-    // buckets_[d] holds every node whose degree was ever exactly d; an
-    // entry is live iff the node is still present and still at degree
-    // d. A node's degree strictly decreases, so it appears at most
-    // once per bucket and total bucket work is O(n + E) per peel.
-    // live_count_[d] tracks the number of live entries exactly, so
-    // maxDegree() is an O(1) amortized bound walk and only peelPick()
-    // ever touches bucket contents. Mutable: the max-degree queries
-    // are logically const but lower the cached bound and purge stale
-    // entries as they go.
-    mutable std::vector<std::vector<size_t>> buckets_;
+    // Peel order: by_rank_[k] is the node of rank k, rank_ its inverse.
+    std::vector<size_t> by_rank_;
+    std::vector<size_t> rank_;
+    // buckets_ holds one stride_-word rank bitset per degree, from 0
+    // up to the initial maximum; live_count_[d] is bucket d's
+    // popcount. Mutable bound: maxDegree() is logically const but
+    // lowers it as buckets empty.
+    std::vector<uint64_t> buckets_;
     std::vector<size_t> live_count_;
     mutable int max_degree_bound_ = 0;
+
+    /**
+     * Move node @p i's rank bit from bucket @p from to bucket @p to
+     * (to < 0: drop it), keeping the live counts.
+     */
+    void moveBucket(size_t i, int from, int to);
 };
 
 } // namespace autobraid

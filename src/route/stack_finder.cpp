@@ -48,7 +48,7 @@ StackPathFinder::findPaths(const std::vector<CxTask> &tasks,
     // Stage 1-2: peel max-degree nodes onto the stack until maxdeg <= 2.
     stack_.clear();
     while (ig_.maxDegree() > 2) {
-        const size_t pick = ig_.peelPick(tasks);
+        const size_t pick = ig_.peelPick();
         stack_.push_back(pick);
         ig_.remove(pick);
     }
@@ -59,8 +59,8 @@ StackPathFinder::findPaths(const std::vector<CxTask> &tasks,
     // bounding box first so short-distance pairs consume local resources.
     ig_.activeNodes(order_);
     std::stable_sort(order_.begin(), order_.end(),
-                     [&tasks](size_t x, size_t y) {
-                         return tasks[x].bbox.area() < tasks[y].bbox.area();
+                     [this](size_t x, size_t y) {
+                         return ig_.area(x) < ig_.area(y);
                      });
 
     // Stage 4: then the stack, LIFO.

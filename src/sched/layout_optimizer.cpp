@@ -68,12 +68,12 @@ proposeSwaps(PathFinder &finder, const std::vector<CxTask> &failed_tasks,
         // Most interfering gate A (ties: largest box, smallest index),
         // and B, its neighbour that interferes with the most of the
         // rest (same ties).
-        const size_t a = ig.peelPick(tasks);
+        const size_t a = ig.peelPick();
         size_t b = a;
         for (const size_t j : ig.activeNeighbors(a))
             if (b == a || ig.degree(j) > ig.degree(b) ||
                 (ig.degree(j) == ig.degree(b) &&
-                 tasks[j].bbox.area() > tasks[b].bbox.area()))
+                 ig.area(j) > ig.area(b)))
                 b = j;
         ig.remove(a);
 

@@ -2,17 +2,8 @@
 
 namespace autobraid {
 namespace telemetry {
-namespace {
 
-thread_local Telemetry *g_current = nullptr;
-
-} // namespace
-
-Telemetry *
-current()
-{
-    return g_current;
-}
+using detail::g_current;
 
 TelemetryScope::TelemetryScope(Telemetry *sink) : prev_(g_current)
 {

@@ -60,8 +60,20 @@ class Telemetry
     Tracer tracer_;
 };
 
-/** The calling thread's installed sink; nullptr when none. */
-Telemetry *current();
+namespace detail {
+/** The calling thread's installed sink (TelemetryScope sets it). */
+inline thread_local Telemetry *g_current = nullptr;
+} // namespace detail
+
+/**
+ * The calling thread's installed sink; nullptr when none. Inline, so
+ * a disabled site costs one thread-local load and a branch.
+ */
+inline Telemetry *
+current()
+{
+    return detail::g_current;
+}
 
 /**
  * RAII install of @p sink as the calling thread's telemetry target.
@@ -121,10 +133,21 @@ gaugeSet(const char *name, double value)
 /** Histogram observation on the installed sink (no-op when none). */
 inline void
 observe(const char *name, double value,
-        const std::vector<double> &bucket_bounds = powerOfTwoBounds())
+        const std::vector<double> &bucket_bounds)
 {
     if (Telemetry *t = current())
         t->metrics().observe(name, value, bucket_bounds);
+}
+
+/**
+ * Histogram observation with powerOfTwoBounds(), fetched only when a
+ * sink is installed.
+ */
+inline void
+observe(const char *name, double value)
+{
+    if (Telemetry *t = current())
+        t->metrics().observe(name, value, powerOfTwoBounds());
 }
 
 } // namespace telemetry

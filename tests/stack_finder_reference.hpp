@@ -7,9 +7,11 @@
  * two or more components it copies each component's tasks, builds a
  * second interference graph over them, peels and routes that graph on
  * its own, and maps the local task indices back. It is copied
- * unchanged apart from `inline`, the namespace, and the header and
- * source files joined into one. `StackFinder.MatchesReference`
- * compares the library's finder against it path by path.
+ * unchanged apart from `inline`, the namespace, the header and source
+ * files joined into one, and its `peelPick()` call, which follows the
+ * graph's signature (the graph now keeps the task areas itself).
+ * `StackFinder.MatchesReference` compares the library's finder against
+ * it path by path.
  */
 
 #ifndef AUTOBRAID_TESTS_STACK_FINDER_REFERENCE_HPP
@@ -109,7 +111,7 @@ StackPathFinder::runStack(const std::vector<CxTask> &tasks,
     // Stage 1-2: peel max-degree nodes onto the stack until maxdeg <= 2.
     s.stack.clear();
     while (ig.maxDegree() > 2) {
-        const size_t pick = ig.peelPick(tasks);
+        const size_t pick = ig.peelPick();
         s.stack.push_back(pick);
         ig.remove(pick);
     }

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "circuit/circuit.hpp"
 #include "circuit/coupling.hpp"
 #include "circuit/dag.hpp"
 #include "circuit/layers.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "lattice/cost_model.hpp"
 
 namespace autobraid {
@@ -233,6 +236,64 @@ TEST(ReadyFront, RejectsBadTransitions)
     ReadyFront front(dag);
     EXPECT_THROW(front.issue(1), InternalError);  // not ready
     EXPECT_THROW(front.retire(0), InternalError); // not issued
+}
+
+TEST(ReadyFront, IssueMatchesFindAndSwap)
+{
+    // Every dispatch iterates ready() in order, so issue() must keep
+    // the order of the rule it replaced, written out here: find the
+    // gate, move the last entry into its slot, pop the back; a gate
+    // that becomes ready goes to the back. A seeded random DAG takes a
+    // random issue/retire sequence to the end.
+    Rng rng(2024);
+    const int qubits = 24;
+    Circuit c(qubits);
+    for (int i = 0; i < 3000; ++i) {
+        const int a = rng.intIn(0, qubits - 1);
+        int b = a;
+        while (b == a)
+            b = rng.intIn(0, qubits - 1);
+        if (rng.chance(0.4))
+            c.h(a);
+        else
+            c.cx(a, b);
+    }
+    const Dag dag(c);
+    ReadyFront front(dag);
+    std::vector<size_t> pending(dag.size());
+    std::vector<GateIdx> model;
+    for (GateIdx g = 0; g < dag.size(); ++g) {
+        pending[g] = dag.preds(g).size();
+        if (pending[g] == 0)
+            model.push_back(g);
+    }
+    ASSERT_EQ(front.ready(), model);
+    std::vector<GateIdx> issued;
+    size_t steps = 0, widest = 0;
+    while (!front.done()) {
+        if (!model.empty() && (issued.empty() || rng.chance(0.55))) {
+            const GateIdx g = model[rng.index(model.size())];
+            front.issue(g);
+            const auto it = std::find(model.begin(), model.end(), g);
+            *it = model.back();
+            model.pop_back();
+            issued.push_back(g);
+        } else {
+            const size_t k = rng.index(issued.size());
+            const GateIdx g = issued[k];
+            issued[k] = issued.back();
+            issued.pop_back();
+            front.retire(g);
+            for (const GateIdx s : dag.succs(g))
+                if (--pending[s] == 0)
+                    model.push_back(s);
+        }
+        ASSERT_EQ(front.ready(), model) << "step " << steps;
+        widest = std::max(widest, model.size());
+        ++steps;
+    }
+    EXPECT_EQ(steps, 2 * dag.size());
+    EXPECT_GT(widest, 5u);
 }
 
 TEST(Layers, AsapLayering)

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for routing: path validation, multi-corner A*, the CX
+ * Unit tests for routing: path validation, multi-corner A* (checked
+ * against the previous router in astar_reference.hpp), the CX
  * interference graph, the stack-based finder (incl. the paper's Fig. 8
  * order-dependence and Fig. 14 size-7 LLG scenarios), and the greedy
  * baseline.
@@ -19,6 +20,7 @@
 #include "route/greedy_finder.hpp"
 #include "route/interference.hpp"
 #include "route/stack_finder.hpp"
+#include "astar_reference.hpp"
 #include "stack_finder_reference.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -192,6 +194,148 @@ TEST(AStar, FloodCacheEndsWithItsClaim)
     EXPECT_EQ(p->validate(g, Cell{0, 0}, Cell{0, 2}), "");
 }
 
+/** One A* query: two distinct tiles and a corner mask for each. */
+struct AStarQuery
+{
+    Cell src;
+    Cell dst;
+    unsigned src_corners;
+    unsigned dst_corners;
+};
+
+/**
+ * A random query on @p grid with the given masks. About a third of
+ * the time the target is one of the source's eight neighbours, so the
+ * two tiles share an edge's two corners or a single corner.
+ */
+AStarQuery
+randomQuery(const Grid &grid, Rng &rng, unsigned src_corners,
+            unsigned dst_corners)
+{
+    auto randomCell = [&] {
+        return Cell{rng.intIn(0, grid.rows() - 1),
+                    rng.intIn(0, grid.cols() - 1)};
+    };
+    const Cell src = randomCell();
+    Cell dst = src;
+    while (dst == src)
+        dst = rng.chance(0.35)
+                  ? Cell{std::clamp(src.r + rng.intIn(-1, 1), 0,
+                                    grid.rows() - 1),
+                         std::clamp(src.c + rng.intIn(-1, 1), 0,
+                                    grid.cols() - 1)}
+                  : randomCell();
+    return AStarQuery{src, dst, src_corners, dst_corners};
+}
+
+TEST(AStar, MatchesReference)
+{
+    // The router and the previous one (tests/astar_reference.hpp), fed
+    // the same queries, each under its own sink: every query's path or
+    // nullopt, and the route.astar_* metrics, must be equal. Bare
+    // route() calls cover every pair of non-empty corner masks; claim()
+    // sequences, whose masks grow, run with the failed-flood cache on.
+    const std::pair<int, int> dims[] = {{1, 2},  {2, 1}, {1, 9},
+                                        {3, 3},  {2, 6}, {5, 4},
+                                        {8, 8},  {13, 7}, {20, 20},
+                                        {40, 40}};
+    const double densities[] = {0.0, 0.1, 0.3, 0.5, 0.7};
+    uint64_t seed = 1;
+    size_t found = 0, missed = 0;
+    long long skips = 0;
+    for (const auto &[rows, cols] : dims) {
+        for (const double density : densities) {
+            Rng rng(seed++);
+            const Grid g(rows, cols);
+            AStarRouter lib(g);
+            reference::AStarRouter ref(g);
+            telemetry::Telemetry lib_sink, ref_sink;
+            BlockedBitset blocked(static_cast<size_t>(g.numVertices()));
+            for (size_t v = 0; v < blocked.size(); ++v)
+                if (rng.chance(density))
+                    blocked.set(v);
+            const std::string where = std::to_string(rows) + "x" +
+                                      std::to_string(cols) + " density " +
+                                      std::to_string(density);
+
+            for (unsigned sm = 1; sm <= 15; ++sm) {
+                for (unsigned dm = 1; dm <= 15; ++dm) {
+                    const AStarQuery q = randomQuery(g, rng, sm, dm);
+                    std::optional<Path> got, want;
+                    {
+                        telemetry::TelemetryScope scope(&lib_sink);
+                        got = lib.route(q.src, q.dst, blocked, sm, dm);
+                    }
+                    {
+                        telemetry::TelemetryScope scope(&ref_sink);
+                        want = ref.route(q.src, q.dst, blocked, sm, dm);
+                    }
+                    ASSERT_EQ(got.has_value(), want.has_value())
+                        << where << " query " << q.src.toString() << "->"
+                        << q.dst.toString() << " masks " << sm << "/"
+                        << dm;
+                    if (got) {
+                        ASSERT_EQ(got->vertices, want->vertices) << where;
+                    }
+                    ++(got ? found : missed);
+                }
+            }
+
+            for (int round = 0; round < 12; ++round) {
+                std::vector<AStarQuery> queries;
+                for (int k = 0; k < 24; ++k)
+                    queries.push_back(randomQuery(
+                        g, rng, static_cast<unsigned>(rng.intIn(1, 15)),
+                        static_cast<unsigned>(rng.intIn(1, 15))));
+                std::vector<size_t> order(queries.size());
+                for (size_t k = 0; k < order.size(); ++k)
+                    order[k] = k;
+                RoutingOutcome got, want;
+                {
+                    telemetry::TelemetryScope scope(&lib_sink);
+                    lib.claim(blocked, order,
+                              [&](size_t k, const BlockedBitset &mask) {
+                                  const AStarQuery &q = queries[k];
+                                  return lib.route(q.src, q.dst, mask,
+                                                   q.src_corners,
+                                                   q.dst_corners);
+                              },
+                              got);
+                }
+                {
+                    telemetry::TelemetryScope scope(&ref_sink);
+                    ref.claim(blocked, order,
+                              [&](size_t k, const BlockedBitset &mask) {
+                                  const AStarQuery &q = queries[k];
+                                  return ref.route(q.src, q.dst, mask,
+                                                   q.src_corners,
+                                                   q.dst_corners);
+                              },
+                              want);
+                }
+                ASSERT_EQ(got.failed, want.failed) << where;
+                ASSERT_EQ(got.routed.size(), want.routed.size()) << where;
+                for (size_t k = 0; k < got.routed.size(); ++k) {
+                    ASSERT_EQ(got.routed[k].first, want.routed[k].first)
+                        << where;
+                    ASSERT_EQ(got.routed[k].second.vertices,
+                              want.routed[k].second.vertices)
+                        << where;
+                }
+            }
+            EXPECT_EQ(lib_sink.metrics().toJson(),
+                      ref_sink.metrics().toJson())
+                << where;
+            skips +=
+                lib_sink.metrics().counter("route.astar_region_skips");
+        }
+    }
+    // The inputs reach both outcomes and the cache.
+    EXPECT_GT(found, 1000u);
+    EXPECT_GT(missed, 1000u);
+    EXPECT_GT(skips, 100);
+}
+
 TEST(Interference, GraphConstruction)
 {
     // Two overlapping gates and one far away.
@@ -294,7 +438,7 @@ TEST(Interference, RemovalUpdatesDegrees)
     NaivePeelReference ref(tasks);
     EXPECT_EQ(ig.degree(0), 3);
     EXPECT_EQ(ig.maxDegree(), ref.maxDegree());
-    EXPECT_EQ(ig.peelPick(tasks), 0u);
+    EXPECT_EQ(ig.peelPick(), 0u);
     EXPECT_EQ(ref.peelPick(), 0u);
     ig.remove(0);
     ref.remove(0);
@@ -303,7 +447,7 @@ TEST(Interference, RemovalUpdatesDegrees)
     EXPECT_EQ(ig.maxDegree(), 0);
     EXPECT_EQ(ref.maxDegree(), 0);
     // Every survivor has degree 0 and area 4: the smallest index wins.
-    EXPECT_EQ(ig.peelPick(tasks), 1u);
+    EXPECT_EQ(ig.peelPick(), 1u);
     EXPECT_EQ(ref.peelPick(), 1u);
     std::vector<size_t> active;
     ig.activeNodes(active);
@@ -330,35 +474,87 @@ randomLayer(const Grid &grid, int count, uint64_t seed)
     return tasks;
 }
 
+/**
+ * @p count tasks, each pairing two consecutive tiles of the
+ * boustrophedon order over a @p side x @p side grid: the Ising chains'
+ * snake-neighbour instants. Every box has area 2, and boxes in
+ * adjacent rows touch, so the whole instant is one component full of
+ * equal-area ties.
+ */
+std::vector<CxTask>
+snakeChain(int side, int count)
+{
+    auto tile = [side](int k) {
+        const int r = k / side;
+        const int c = k % side;
+        return Cell{r, r % 2 == 0 ? c : side - 1 - c};
+    };
+    std::vector<CxTask> tasks;
+    for (int i = 0; i < count; ++i)
+        tasks.push_back(CxTask::make(static_cast<GateIdx>(i),
+                                     tile(2 * i), tile(2 * i + 1)));
+    return tasks;
+}
+
+/**
+ * Peel @p tasks' graph to the bottom twice, asserting at every step
+ * that it reports the reference's max degree and peel pick: once
+ * removing each pick (the finder's full peel sequence), once removing
+ * alternately the reference's first and last max-degree node.
+ */
+void
+expectPeelMatches(const std::vector<CxTask> &tasks,
+                  const std::string &where)
+{
+    for (const bool follow_pick : {true, false}) {
+        InterferenceGraph ig(tasks);
+        NaivePeelReference ref(tasks);
+        bool pick_front = true;
+        while (!ig.empty()) {
+            ASSERT_EQ(ig.maxDegree(), ref.maxDegree()) << where;
+            const size_t pick = ig.peelPick();
+            ASSERT_EQ(pick, ref.peelPick()) << where;
+            const auto candidates = ref.maxDegreeNodes();
+            const size_t victim = follow_pick  ? pick
+                                  : pick_front ? candidates.front()
+                                               : candidates.back();
+            pick_front = !pick_front;
+            ig.remove(victim);
+            ref.remove(victim);
+        }
+        EXPECT_EQ(ig.maxDegree(), 0) << where;
+        EXPECT_TRUE(ref.maxDegreeNodes().empty()) << where;
+        EXPECT_THROW(ig.peelPick(), InternalError) << where;
+    }
+}
+
 TEST(Interference, BucketPeelMatchesFullRescan)
 {
-    // Peel every layer to the bottom, asserting the bucket structure
-    // reports the same max degree and the same peel pick as the full
-    // rescan at every single step. Victims come in arbitrary order:
-    // alternately the reference's first and last max-degree node.
     Grid grid(12, 12);
-    for (uint64_t seed : {1u, 7u, 42u, 1337u}) {
-        for (int count : {4, 16, 48, 70}) {
-            const auto tasks = randomLayer(grid, count, seed);
-            InterferenceGraph ig(tasks);
-            NaivePeelReference ref(tasks);
-            bool pick_front = true;
-            while (!ig.empty()) {
-                ASSERT_EQ(ig.maxDegree(), ref.maxDegree())
-                    << "seed " << seed << " count " << count;
-                ASSERT_EQ(ig.peelPick(tasks), ref.peelPick())
-                    << "seed " << seed << " count " << count;
-                const auto candidates = ref.maxDegreeNodes();
-                const size_t victim =
-                    pick_front ? candidates.front() : candidates.back();
-                pick_front = !pick_front;
-                ig.remove(victim);
-                ref.remove(victim);
-            }
-            EXPECT_EQ(ig.maxDegree(), 0);
-            EXPECT_TRUE(ref.maxDegreeNodes().empty());
-        }
+    for (uint64_t seed : {1u, 7u, 42u, 1337u})
+        for (int count : {0, 1, 4, 16, 48, 64, 65, 70})
+            expectPeelMatches(randomLayer(grid, count, seed),
+                              "seed " + std::to_string(seed) +
+                                  " count " + std::to_string(count));
+
+    // Empty boxes meet nothing and have area 0.
+    for (uint64_t seed : {3u, 11u}) {
+        auto tasks = randomLayer(grid, 65, seed);
+        for (size_t i = 0; i < tasks.size(); i += 3)
+            tasks[i].bbox = BBox{};
+        expectPeelMatches(tasks, "empty boxes, seed " +
+                                     std::to_string(seed));
     }
+    std::vector<CxTask> all_empty(5);
+    expectPeelMatches(all_empty, "all boxes empty");
+
+    // Snake-neighbour chains in one component: 2,211 tasks on 67x67
+    // (an im:4422 instant) and 2,048 filling 64x64.
+    expectPeelMatches(snakeChain(67, 2211), "chain 67x67");
+    expectPeelMatches(snakeChain(64, 2048), "chain 64x64");
+    std::vector<size_t> comp;
+    EXPECT_EQ(InterferenceGraph(snakeChain(67, 2211)).components(comp),
+              1u);
 }
 
 TEST(Interference, BucketQueriesInterleavedWithPartialPeel)
@@ -371,14 +567,14 @@ TEST(Interference, BucketQueriesInterleavedWithPartialPeel)
     InterferenceGraph ig(tasks);
     NaivePeelReference ref(tasks);
     while (ig.maxDegree() > 2) {
-        const size_t victim = ig.peelPick(tasks);
+        const size_t victim = ig.peelPick();
         ASSERT_EQ(victim, ref.peelPick());
         ig.remove(victim);
         ref.remove(victim);
     }
     EXPECT_LE(ig.maxDegree(), 2);
     EXPECT_EQ(ig.maxDegree(), ref.maxDegree());
-    EXPECT_EQ(ig.peelPick(tasks), ref.peelPick());
+    EXPECT_EQ(ig.peelPick(), ref.peelPick());
     std::vector<size_t> active;
     ig.activeNodes(active);
     EXPECT_FALSE(active.empty());
